@@ -5,7 +5,6 @@ from .criterion import (
     Alphabet,
     Target,
     TransitionTable,
-    asg_gradients,
     asg_loss,
     encode_target,
     forward_score,

@@ -72,14 +72,14 @@ class EmissionTable:
         return self.scores.shape[1]
 
 
-def glu(pre_activation: np.ndarray) -> np.ndarray:
-    """Gated linear unit over the channel axis: a * sigmoid(b)."""
+def glu(pre_activation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gated linear unit over the channel axis: (a * sigmoid(b), sigmoid(b))."""
     channels = pre_activation.shape[0]
     if channels % 2:
         raise ConfigurationError(f"GLU needs an even channel count, got {channels}")
     half = channels // 2
-    a, b = pre_activation[:half], pre_activation[half:]
-    return a * _sigmoid(b)
+    gate = _sigmoid(pre_activation[half:])
+    return pre_activation[:half] * gate, gate
 
 
 def _sigmoid(x):
@@ -94,6 +94,24 @@ def _sigmoid(x):
 def glu_backward(a: np.ndarray, gate: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the pre-activation given the cached half/gate pair."""
     return np.concatenate([d_out * gate, d_out * a * gate * (1.0 - gate)], axis=0)
+
+
+def glu_dropout(pre: np.ndarray, dropout_rate: float, rng: np.random.Generator | None):
+    """GLU, then inverted dropout when `rng` is given; returns (output, cache)."""
+    out, gate = glu(pre)
+    mask = None
+    if rng is not None and dropout_rate > 0.0:
+        keep = 1.0 - dropout_rate
+        mask = (rng.random(out.shape) < keep) / keep
+        out = out * mask
+    return out, {"a": pre[: gate.shape[0]], "gate": gate, "mask": mask}
+
+
+def glu_dropout_backward(cache: dict, d_out: np.ndarray) -> np.ndarray:
+    """Gradient of glu_dropout w.r.t. its pre-activation."""
+    if cache["mask"] is not None:
+        d_out = d_out * cache["mask"]
+    return glu_backward(cache["a"], cache["gate"], d_out)
 
 
 def effective_weight(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -175,6 +193,35 @@ def conv1d_backward(cache: dict, d_out: np.ndarray):
     return d_weight, d_bias, d_padded[:, pl : pl + cache["t_in"]]
 
 
+def init_wn_conv(params: dict, name: str, rng: np.random.Generator,
+                 c_out: int, c_in: int, kernel_width: int):
+    """Add `{name}_v` ~ N(0, 1/(c_in*K)), `{name}_g` = ||v_o|| and a zero `{name}_b`."""
+    v = rng.normal(0.0, 1.0 / np.sqrt(c_in * kernel_width), (c_out, c_in, kernel_width))
+    params[f"{name}_v"] = v
+    params[f"{name}_g"] = np.sqrt((v.reshape(c_out, -1) ** 2).sum(axis=1))
+    params[f"{name}_b"] = np.zeros(c_out)
+
+
+def wn_conv(params: dict, name: str, x: np.ndarray, stride: int = 1,
+            pad_left: int | None = None, pad_right: int | None = None):
+    """conv1d with the weight-normed parameters `{name}_v/_g/_b`; returns (out, cache)."""
+    w = effective_weight(params[f"{name}_v"], params[f"{name}_g"])
+    out, cache = conv1d(x, w, params[f"{name}_b"], stride, pad_left, pad_right, want_cache=True)
+    cache["name"] = name
+    return out, cache
+
+
+def wn_conv_backward(params: dict, cache: dict, d_out: np.ndarray, grads: dict) -> np.ndarray:
+    """Store the `{name}_v/_g/_b` gradients in `grads`; return the input gradient."""
+    name = cache["name"]
+    d_w, d_b, d_x = conv1d_backward(cache, d_out)
+    grads[f"{name}_v"], grads[f"{name}_g"] = weight_norm_backward(
+        params[f"{name}_v"], params[f"{name}_g"], d_w
+    )
+    grads[f"{name}_b"] = d_b
+    return d_x
+
+
 class AcousticModel:
     """Feature maps in, emission tables out, with exact parameter gradients.
 
@@ -195,20 +242,14 @@ class AcousticModel:
         )
 
     def _init_params(self, rng) -> dict[str, np.ndarray]:
-        params = {}
-        for i, spec in enumerate(self.config.layers):
-            fan_in = spec.in_channels * spec.kernel_width
-            v = rng.normal(0.0, 1.0 / np.sqrt(fan_in), (2 * spec.out_channels, spec.in_channels, spec.kernel_width))
-            params[f"layer{i}_v"] = v
-            params[f"layer{i}_g"] = np.sqrt((v.reshape(v.shape[0], -1) ** 2).sum(axis=1))
-            params[f"layer{i}_b"] = np.zeros(2 * spec.out_channels)
-        last = self.config.layers[-1].out_channels if self.config.layers else None
-        if last is None:
+        if not self.config.layers:
             raise ConfigurationError("at least one conv-GLU layer is required")
-        v = rng.normal(0.0, 1.0 / np.sqrt(last), (self.config.alphabet_size, last, 1))
-        params["proj_v"] = v
-        params["proj_g"] = np.sqrt((v.reshape(v.shape[0], -1) ** 2).sum(axis=1))
-        params["proj_b"] = np.zeros(self.config.alphabet_size)
+        params: dict[str, np.ndarray] = {}
+        for i, spec in enumerate(self.config.layers):
+            init_wn_conv(params, f"layer{i}", rng, 2 * spec.out_channels,
+                         spec.in_channels, spec.kernel_width)
+        last = self.config.layers[-1].out_channels
+        init_wn_conv(params, "proj", rng, self.config.alphabet_size, last, 1)
         return params
 
     def forward(
@@ -229,24 +270,10 @@ class AcousticModel:
             rng = np.random.default_rng(0)
         layer_caches = []
         for i, spec in enumerate(self.config.layers):
-            w = effective_weight(self.params[f"layer{i}_v"], self.params[f"layer{i}_g"])
-            pre, conv_cache = conv1d(
-                h, w, self.params[f"layer{i}_b"], stride=spec.stride, want_cache=True
-            )
-            half = pre.shape[0] // 2
-            gate = _sigmoid(pre[half:])
-            out = pre[:half] * gate
-            mask = None
-            if training and spec.dropout_rate > 0.0:
-                keep = 1.0 - spec.dropout_rate
-                mask = (rng.random(out.shape) < keep) / keep
-                out = out * mask
-            layer_caches.append(
-                {"conv": conv_cache, "a": pre[:half], "gate": gate, "mask": mask, "w": w}
-            )
-            h = out
-        w = effective_weight(self.params["proj_v"], self.params["proj_g"])
-        scores_ct, proj_cache = conv1d(h, w, self.params["proj_b"], want_cache=True)
+            pre, conv_cache = wn_conv(self.params, f"layer{i}", h, stride=spec.stride)
+            h, glu_cache = glu_dropout(pre, spec.dropout_rate, rng if training else None)
+            layer_caches.append((conv_cache, glu_cache))
+        scores_ct, proj_cache = wn_conv(self.params, "proj", h)
         softmax = None
         if normalized:
             shifted = scores_ct - scores_ct.max(axis=0, keepdims=True)
@@ -274,20 +301,8 @@ class AcousticModel:
             )
         if cache["softmax"] is not None:
             d = d - cache["softmax"] * d.sum(axis=0, keepdims=True)
-        grads = {}
-        d_w, d_b, d = conv1d_backward(cache["proj"], d)
-        grads["proj_v"], grads["proj_g"] = weight_norm_backward(
-            self.params["proj_v"], self.params["proj_g"], d_w
-        )
-        grads["proj_b"] = d_b
-        for i in reversed(range(len(self.config.layers))):
-            lc = cache["layers"][i]
-            if lc["mask"] is not None:
-                d = d * lc["mask"]
-            d_pre = glu_backward(lc["a"], lc["gate"], d)
-            d_w, d_b, d = conv1d_backward(lc["conv"], d_pre)
-            grads[f"layer{i}_v"], grads[f"layer{i}_g"] = weight_norm_backward(
-                self.params[f"layer{i}_v"], self.params[f"layer{i}_g"], d_w
-            )
-            grads[f"layer{i}_b"] = d_b
+        grads: dict[str, np.ndarray] = {}
+        d = wn_conv_backward(self.params, cache["proj"], d, grads)
+        for conv_cache, glu_cache in reversed(cache["layers"]):
+            d = wn_conv_backward(self.params, conv_cache, glu_dropout_backward(glu_cache, d), grads)
         return grads, d

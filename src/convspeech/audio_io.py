@@ -46,6 +46,11 @@ def read_wav(path) -> Waveform:
         chunk_id = raw[offset : offset + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, offset + 4)
         body = raw[offset + 8 : offset + 8 + chunk_size]
+        if len(body) < chunk_size:
+            raise AudioFormatError(
+                f"{path}: {chunk_id!r} chunk declares {chunk_size} bytes but only "
+                f"{len(body)} are present"
+            )
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise AudioFormatError(f"{path}: fmt chunk of {chunk_size} bytes is truncated")

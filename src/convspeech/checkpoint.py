@@ -52,17 +52,28 @@ def save_checkpoint(path, kind: str, config: dict, arrays: dict[str, np.ndarray]
     Path(path).write_text(json.dumps(payload))
 
 
+def read_json(path):
+    """Parse a JSON file; malformed text raises ConfigurationError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigurationError(f"{path}: not valid JSON ({err})") from None
+
+
 def load_checkpoint(path):
     """Read a container; returns (kind, config, arrays)."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    payload = read_json(path)
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigurationError(
             f"{path} has unsupported checkpoint version {payload.get('version')}"
         )
-    arrays = {name: _decode_array(entry) for name, entry in payload["arrays"].items()}
-    return payload["kind"], payload["config"], arrays
+    try:
+        arrays = {name: _decode_array(entry) for name, entry in payload["arrays"].items()}
+        return payload["kind"], payload["config"], arrays
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigurationError(f"{path}: malformed checkpoint ({type(err).__name__}: {err})") from None
 
 
 def save_emissions(path, emissions: EmissionTable, alphabet: Alphabet):
@@ -91,19 +102,22 @@ def load_emissions(path):
     raw = Path(path).read_bytes()
     if raw[:4] != _EMISSION_MAGIC:
         raise ConfigurationError(f"{path}: bad emission-table magic {raw[:4]!r}")
-    version, normalized, _ = struct.unpack_from("<HBB", raw, 4)
-    if version != _EMISSION_VERSION:
-        raise ConfigurationError(f"{path}: unsupported emission format version {version}")
-    t, a, sil_idx, rep_idx = struct.unpack_from("<IIHH", raw, 8)
-    offset = 20
-    letters = []
-    for _ in range(a):
-        (length,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        letters.append(raw[offset : offset + length].decode("utf-8"))
-        offset += length
-    scores = np.frombuffer(raw, dtype="<f8", count=t * a, offset=offset).reshape(t, a)
-    alphabet = Alphabet(tuple(letters), letters[sil_idx], letters[rep_idx])
+    try:
+        version, normalized, _ = struct.unpack_from("<HBB", raw, 4)
+        if version != _EMISSION_VERSION:
+            raise ConfigurationError(f"{path}: unsupported emission format version {version}")
+        t, a, sil_idx, rep_idx = struct.unpack_from("<IIHH", raw, 8)
+        offset = 20
+        letters = []
+        for _ in range(a):
+            (length,) = struct.unpack_from("<H", raw, offset)
+            offset += 2
+            letters.append(raw[offset : offset + length].decode("utf-8"))
+            offset += length
+        scores = np.frombuffer(raw, dtype="<f8", count=t * a, offset=offset).reshape(t, a)
+        alphabet = Alphabet(tuple(letters), letters[sil_idx], letters[rep_idx])
+    except (struct.error, ValueError, IndexError) as err:
+        raise ConfigurationError(f"{path}: truncated or corrupt emission table ({err})") from None
     return EmissionTable(scores.copy(), normalized=bool(normalized)), alphabet
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +36,20 @@ def parse_config_file(path) -> list[str]:
         if "=" not in stripped:
             raise ConfigurationError(f"{path}:{no}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "yes", "1") and key in _BOOL_KEYS:
-            args.append(flag)
-        elif value.lower() in ("false", "no", "0") and key in _BOOL_KEYS:
+        key = key.replace("_", "-")
+        if key not in _BOOL_DEFAULTS:
+            args.extend(["--" + key, value])
             continue
-        else:
-            args.extend([flag, value])
+        if value.lower() not in ("true", "yes", "1", "false", "no", "0"):
+            raise ConfigurationError(f"{path}:{no}: {key} takes true or false, got {value!r}")
+        on = value.lower() in ("true", "yes", "1")
+        if on != _BOOL_DEFAULTS[key]:
+            args.append("--" + key if on else "--no-" + key)
     return args
 
 
-_BOOL_KEYS = {"normalized-emissions", "normalized_emissions", "markov", "no-markov"}
+# switch flags -> their value when absent; a config value equal to it adds nothing
+_BOOL_DEFAULTS = {"normalized-emissions": False, "markov": True, "no-markov": False}
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser):
@@ -66,32 +70,20 @@ def _decoder_opts(args) -> DecoderOptions:
 
 
 def _load_task(path) -> SyntheticTaskSpec:
-    raw = json.loads(Path(path).read_text())
-    return SyntheticTaskSpec(
-        letters=tuple(raw["letters"]),
-        tone_frequencies=tuple(raw["tone_frequencies"]),
-        letter_duration_ms=raw["letter_duration_ms"],
-        gap_duration_ms=raw["gap_duration_ms"],
-        noise_level=raw["noise_level"],
-        amplitude=raw["amplitude"],
-        lexicon={w: list(s) for w, s in raw["lexicon"].items()},
-        sentence_words=tuple(raw["sentence_words"]),
-        sample_rate=raw["sample_rate"],
-    )
+    raw = ckpt.read_json(path)
+    names = {f.name for f in fields(SyntheticTaskSpec)}
+    if not isinstance(raw, dict) or raw.keys() != names:
+        keys = set(raw) if isinstance(raw, dict) else set()
+        raise ConfigurationError(
+            f"{path}: task spec is missing {sorted(names - keys)} "
+            f"and has unknown keys {sorted(keys - names)}"
+        )
+    # JSON turns the spec's tuples into lists; the lexicon keeps list spellings
+    return SyntheticTaskSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def _save_task(path, spec: SyntheticTaskSpec):
-    Path(path).write_text(json.dumps({
-        "letters": list(spec.letters),
-        "tone_frequencies": list(spec.tone_frequencies),
-        "letter_duration_ms": spec.letter_duration_ms,
-        "gap_duration_ms": spec.gap_duration_ms,
-        "noise_level": spec.noise_level,
-        "amplitude": spec.amplitude,
-        "lexicon": {w: list(s) for w, s in spec.lexicon.items()},
-        "sentence_words": list(spec.sentence_words),
-        "sample_rate": spec.sample_rate,
-    }, indent=2))
+    Path(path).write_text(json.dumps(asdict(spec), indent=2))
 
 
 def _load_lm(path):
@@ -202,10 +194,7 @@ def cmd_train_lm(args):
 
 def _decode_setup(args):
     system = pipeline.load_system(args.am)
-    lexicon = ckpt.read_lexicon(args.lexicon)
-    trie = build_trie(lexicon, system.alphabet)
-    lm = _load_lm(args.lm)
-    return system, trie, lm
+    return system, build_trie(ckpt.read_lexicon(args.lexicon), system.alphabet)
 
 
 def cmd_decode(args):
@@ -219,7 +208,8 @@ def cmd_decode(args):
         result = decode(emissions, g, trie, lm, opts)
         print(" ".join(result.words))
         return
-    system, trie, lm = _decode_setup(args)
+    system, trie = _decode_setup(args)
+    lm = _load_lm(args.lm)
     from .audio_io import read_wav
 
     manifest = load_manifest(args.manifest)
@@ -234,9 +224,9 @@ def cmd_decode(args):
 
 
 def cmd_evaluate(args):
-    system, trie, lm = _decode_setup(args)
+    system, trie = _decode_setup(args)
     manifest = load_manifest(args.manifest)
-    report = pipeline.evaluate(manifest, system, trie, lm, _decoder_opts(args))
+    report = pipeline.evaluate(manifest, system, trie, _load_lm(args.lm), _decoder_opts(args))
     print(f"WER {report.wer:.2f}%  CER {report.cer:.2f}%  "
           f"(S={report.substitutions} D={report.deletions} I={report.insertions} "
           f"N={report.reference_length} failures={report.decode_failures})")
@@ -255,7 +245,8 @@ def _grid(text: str) -> list[float]:
 
 
 def cmd_tune(args):
-    system, trie, lm = _decode_setup(args)
+    system, trie = _decode_setup(args)
+    lm = _load_lm(args.lm)
     manifest = load_manifest(args.manifest)
     stage1 = tuple(float(x) for x in args.stage1.split(":"))
     stage2 = tuple(float(x) for x in args.stage2.split(":"))
@@ -292,7 +283,7 @@ def cmd_analyze_frontend(args):
 
 
 def cmd_ppl_wer(args):
-    system, trie, _ = _decode_setup_no_lm(args)
+    system, trie = _decode_setup(args)
     manifest = load_manifest(args.manifest)
     items = pipeline.eval_items(manifest, system)
     corpus = _read_corpus(args.corpus)
@@ -305,14 +296,8 @@ def cmd_ppl_wer(args):
         print(f"{row['checkpoint']}: ppl {row['perplexity']:.3f}  wer {row['wer']:.2f}%")
 
 
-def _decode_setup_no_lm(args):
-    system = pipeline.load_system(args.am)
-    lexicon = ckpt.read_lexicon(args.lexicon)
-    return system, build_trie(lexicon, system.alphabet), None
-
-
 def cmd_context_wer(args):
-    system, trie, _ = _decode_setup_no_lm(args)
+    system, trie = _decode_setup(args)
     lm = _load_lm(args.lm)
     manifest = load_manifest(args.manifest)
     items = pipeline.eval_items(manifest, system)
@@ -454,16 +439,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return 2
-        expanded = parse_config_file(argv[idx + 1])
-        argv = [argv[0], *expanded, *argv[1:]]
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        if "--config" in argv:
+            idx = argv.index("--config")
+            if idx + 1 >= len(argv):
+                print("error: --config needs a path", file=sys.stderr)
+                return 2
+            expanded = parse_config_file(argv[idx + 1])
+            del argv[idx : idx + 2]
+            # config values go right after the subcommand, so explicit flags parsed later win
+            at = next((i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), 0)
+            argv[at:at] = expanded
+        args = build_parser().parse_args(argv)
         args.func(args)
     except ConvSpeechError as err:
         print(f"error: {err}", file=sys.stderr)

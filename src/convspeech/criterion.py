@@ -64,7 +64,6 @@ class TransitionTable:
     """Letter-to-letter scores g[i, j] for moving from letter i to j."""
 
     g: np.ndarray
-    trainable: bool = True
 
     @classmethod
     def zeros(cls, alphabet_size: int) -> "TransitionTable":
@@ -153,13 +152,15 @@ def target_graph(target: Target) -> AlignmentGraph:
     return AlignmentGraph(np.asarray(target.encoded, dtype=np.int64), allowed, start, final)
 
 
-def _scores(emissions) -> np.ndarray:
+def as_scores(emissions) -> np.ndarray:
+    """The (T, |A|) score array of an EmissionTable or array-like."""
     if isinstance(emissions, EmissionTable):
         return emissions.scores
     return np.asarray(emissions, dtype=np.float64)
 
 
-def _transitions(g) -> np.ndarray:
+def as_transitions(g) -> np.ndarray:
+    """The (|A|, |A|) score array of a TransitionTable or array-like."""
     if isinstance(g, TransitionTable):
         return g.g
     return np.asarray(g, dtype=np.float64)
@@ -217,8 +218,8 @@ def forward_score(emissions, g, graph: AlignmentGraph) -> float:
     The first frame contributes its emission only; transitions apply from the
     second frame on. Returns -inf when the graph admits no path of length T.
     """
-    f = _scores(emissions)
-    em, score_mat = _graph_tables(f, _transitions(g), graph)
+    f = as_scores(emissions)
+    em, score_mat = _graph_tables(f, as_transitions(g), graph)
     alpha = _forward_pass(em, score_mat, graph.start)
     return float(logsumexp(np.where(graph.final, alpha[-1], NEG_INF)))
 
@@ -234,7 +235,7 @@ def _check_feasible(target: Target, num_frames: int):
 
 def asg_loss(emissions, g, target: Target) -> float:
     """Unconstrained minus target-constrained graph score; always >= 0."""
-    f = _scores(emissions)
+    f = as_scores(emissions)
     _check_feasible(target, f.shape[0])
     full = forward_score(f, g, full_graph(f.shape[1]))
     constrained = forward_score(f, g, target_graph(target))
@@ -267,20 +268,15 @@ def _graph_marginals(f, gmat, graph):
     return letter_marg, trans_marg, float(z)
 
 
-def asg_gradients(emissions, g, target: Target):
-    """Exact loss gradients w.r.t. emissions and the transition table.
+def asg_loss_and_gradients(emissions, g, target: Target):
+    """(loss, emission gradient, transition gradient) in one forward-backward.
 
     The emission gradient at frame t is the difference between the posterior
     letter marginals of the unconstrained and constrained graphs; the
     transition gradient is the analogous difference of expected edge counts.
     """
-    return asg_loss_and_gradients(emissions, g, target)[1:]
-
-
-def asg_loss_and_gradients(emissions, g, target: Target):
-    """(loss, emission gradient, transition gradient) in one forward-backward."""
-    f = _scores(emissions)
-    gmat = _transitions(g)
+    f = as_scores(emissions)
+    gmat = as_transitions(g)
     _check_feasible(target, f.shape[0])
     full_letter, full_trans, z_full = _graph_marginals(f, gmat, full_graph(f.shape[1]))
     con_letter, con_trans, z_con = _graph_marginals(f, gmat, target_graph(target))
@@ -293,8 +289,8 @@ def viterbi(emissions, g, graph: AlignmentGraph):
     Ties are broken toward the lower letter index, then the lower state index.
     Returns ([], -inf) when the graph admits no length-T path.
     """
-    f = _scores(emissions)
-    em, score_mat = _graph_tables(f, _transitions(g), graph)
+    f = as_scores(emissions)
+    em, score_mat = _graph_tables(f, as_transitions(g), graph)
     t_total, s = em.shape
     letters = graph.state_letters
     tie_key = letters.astype(np.float64) * (s + 1) + np.arange(s)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .acoustic import EmissionTable
-from .criterion import Alphabet, TransitionTable, encode_target
+from .criterion import Alphabet, as_scores, as_transitions, encode_target
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -49,14 +49,6 @@ class LexiconTrie:
     alphabet: Alphabet
     root: TrieNode
     num_words: int
-
-    def walk(self, letters: Sequence[int]) -> TrieNode | None:
-        node = self.root
-        for letter in letters:
-            node = node.children.get(int(letter))
-            if node is None:
-                return None
-        return node
 
 
 def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> LexiconTrie:
@@ -190,17 +182,14 @@ def prune(beam: list[Hypothesis], opts: DecoderOptions) -> list[Hypothesis]:
     return kept[: opts.beam_size]
 
 
-def _prepare_scores(emissions, opts: DecoderOptions) -> np.ndarray:
-    f = emissions.scores if isinstance(emissions, EmissionTable) else np.asarray(emissions)
+def _maybe_log_softmax(emissions, opts: DecoderOptions) -> np.ndarray:
+    """Score array; with opts.normalized_emissions, log-softmaxed per frame unless already."""
+    f = as_scores(emissions)
     already = isinstance(emissions, EmissionTable) and emissions.normalized
     if opts.normalized_emissions and not already:
         shifted = f - f.max(axis=1, keepdims=True)
         f = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return f
-
-
-def _transition_matrix(g) -> np.ndarray:
-    return g.g if isinstance(g, TransitionTable) else np.asarray(g)
 
 
 def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeResult:
@@ -211,8 +200,8 @@ def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeR
     hypotheses stuck mid-word are dropped. Raises EmptyBeamError with the
     offending frame if nothing survives.
     """
-    f = _prepare_scores(emissions, opts)
-    gmat = _transition_matrix(g)
+    f = _maybe_log_softmax(emissions, opts)
+    gmat = as_transitions(g)
     t_total = f.shape[0]
     if t_total < 1:
         raise EmptyBeamError(0, "no frames to decode")
@@ -323,8 +312,8 @@ def exhaustive_decode(
     silence penalty folded per frame). Intended as a test oracle; refuses
     instances beyond small enumeration bounds.
     """
-    f = _prepare_scores(emissions, opts)
-    gmat = _transition_matrix(g)
+    f = _maybe_log_softmax(emissions, opts)
+    gmat = as_transitions(g)
     t_total = f.shape[0]
     if t_total > 20 or trie.num_words > 8:
         raise CapacityError(

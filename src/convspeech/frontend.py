@@ -287,9 +287,7 @@ class LearnableFrontend:
         power = c_re**2 + c_im**2
         pooled = lowpass_decimate(power, self.lowpass_window, stride)
         logged = log_compress(pooled, cfg.log_epsilon)
-        mean = logged.mean(axis=1, keepdims=True)
-        std = np.sqrt(logged.var(axis=1, keepdims=True) + cfg.norm_epsilon)
-        normed = (logged - mean) / std
+        normed = instance_normalize(logged, cfg.norm_epsilon)
         feat = FeatureMap(normed, cfg.stride_ms)
         if not want_cache:
             return feat
@@ -299,7 +297,7 @@ class LearnableFrontend:
             "c_re": c_re,
             "c_im": c_im,
             "pooled": pooled,
-            "std": std,
+            "logged": logged,
             "normed": normed,
             "stride": stride,
         }
@@ -312,12 +310,13 @@ class LearnableFrontend:
         dict keyed like `params`.
         """
         cfg = self.config
-        normed, std = cache["normed"], cache["std"]
+        normed = cache["normed"]
         if upstream.shape != normed.shape:
             raise DimensionError(
                 f"upstream gradient shape {upstream.shape} != output shape {normed.shape}"
             )
-        # instance normalization
+        # instance normalization; std as instance_normalize computed it
+        std = np.sqrt(cache["logged"].var(axis=1, keepdims=True) + cfg.norm_epsilon)
         d_logged = (
             upstream
             - upstream.mean(axis=1, keepdims=True)
@@ -360,12 +359,6 @@ def hz_to_mel(f):
 
 def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filter_centers(n_mels: int, sample_rate: int) -> np.ndarray:
-    """Center frequencies (Hz) of the triangular mel filters, 0..Nyquist."""
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
-    return edges[1:-1]
 
 
 def _mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:

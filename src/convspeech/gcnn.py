@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import (
-    _sigmoid,
-    conv1d,
-    conv1d_backward,
-    effective_weight,
-    glu_backward,
-    weight_norm_backward,
-)
+from .acoustic import glu_dropout, glu_dropout_backward, init_wn_conv, wn_conv, wn_conv_backward
 from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .lm import LruCache, Vocabulary
 from .optim import SgdOptimizer
@@ -48,12 +41,6 @@ class GcnnConfig:
     @property
     def receptive_field(self) -> int:
         return self.num_blocks * (self.mid_kernel_width - 1) + 1
-
-
-def _wn_init(rng, c_out, c_in, kw):
-    v = rng.normal(0.0, 1.0 / np.sqrt(c_in * kw), (c_out, c_in, kw))
-    g = np.sqrt((v.reshape(c_out, -1) ** 2).sum(axis=1))
-    return v, g
 
 
 class GcnnLm:
@@ -84,34 +71,11 @@ class GcnnLm:
                 "mid": (2 * b, b, cfg.mid_kernel_width),
                 "up": (2 * e, b, 1),
             }.items():
-                v, g = _wn_init(rng, c_out, c_in, kw)
-                params[f"block{i}_{name}_v"] = v
-                params[f"block{i}_{name}_g"] = g
-                params[f"block{i}_{name}_b"] = np.zeros(c_out)
-        v, g = _wn_init(rng, v_size, e, 1)
-        params["out_v"], params["out_g"] = v, g
-        params["out_b"] = np.zeros(v_size)
+                init_wn_conv(params, f"block{i}_{name}", rng, c_out, c_in, kw)
+        init_wn_conv(params, "out", rng, v_size, e, 1)
         return params
 
     # -- forward / backward --------------------------------------------------
-    def _conv(self, h, name, pad_left, pad_right, caches, training, rng, dropout):
-        w = effective_weight(self.params[f"{name}_v"], self.params[f"{name}_g"])
-        pre, conv_cache = conv1d(
-            h, w, self.params[f"{name}_b"], pad_left=pad_left, pad_right=pad_right,
-            want_cache=True,
-        )
-        half = pre.shape[0] // 2
-        gate = _sigmoid(pre[half:])
-        out = pre[:half] * gate
-        mask = None
-        if training and dropout > 0.0:
-            keep = 1.0 - dropout
-            mask = (rng.random(out.shape) < keep) / keep
-            out = out * mask
-        caches.append({"name": name, "conv": conv_cache, "a": pre[:half],
-                       "gate": gate, "mask": mask})
-        return out
-
     def forward(
         self,
         token_ids,
@@ -130,18 +94,16 @@ class GcnnLm:
         cfg = self.config
         kw = cfg.mid_kernel_width
         h = self.params["embed"][ids].T  # (E, L)
-        caches: list[dict] = []
-        residuals = []
+        caches: list[tuple[dict, dict]] = []
         for i in range(cfg.num_blocks):
-            residuals.append(h)
-            out = self._conv(h, f"block{i}_down", 0, 0, caches, training, rng, cfg.dropout_rate)
-            out = self._conv(out, f"block{i}_mid", kw - 1, 0, caches, training, rng, cfg.dropout_rate)
-            out = self._conv(out, f"block{i}_up", 0, 0, caches, training, rng, cfg.dropout_rate)
-            h = residuals[-1] + out
-        logits, out_cache = conv1d(
-            h, effective_weight(self.params["out_v"], self.params["out_g"]),
-            self.params["out_b"], pad_left=0, pad_right=0, want_cache=True,
-        )
+            out = h
+            for name, pad_left in (("down", 0), ("mid", kw - 1), ("up", 0)):
+                pre, conv_cache = wn_conv(self.params, f"block{i}_{name}", out,
+                                          pad_left=pad_left, pad_right=0)
+                out, glu_cache = glu_dropout(pre, cfg.dropout_rate, rng if training else None)
+                caches.append((conv_cache, glu_cache))
+            h = h + out
+        logits, out_cache = wn_conv(self.params, "out", h, pad_left=0, pad_right=0)
         shifted = logits - logits.max(axis=0, keepdims=True)
         expo = np.exp(shifted)
         denom = expo.sum(axis=0, keepdims=True)
@@ -157,27 +119,16 @@ class GcnnLm:
         cfg = self.config
         d = np.asarray(d_rows).T  # (V, L)
         d = d - cache["softmax"] * d.sum(axis=0, keepdims=True)
-        grads = {}
-        d_w, d_b, d_h = conv1d_backward(cache["out"], d)
-        grads["out_v"], grads["out_g"] = weight_norm_backward(
-            self.params["out_v"], self.params["out_g"], d_w
-        )
-        grads["out_b"] = d_b
+        grads: dict[str, np.ndarray] = {}
+        d_h = wn_conv_backward(self.params, cache["out"], d, grads)
         convs = cache["convs"]
         for i in reversed(range(cfg.num_blocks)):
-            d_block = d_h  # gradient of the block output (residual + inner path)
-            d_inner = d_block
-            for conv_cache in reversed(convs[3 * i : 3 * i + 3]):
-                if conv_cache["mask"] is not None:
-                    d_inner = d_inner * conv_cache["mask"]
-                d_pre = glu_backward(conv_cache["a"], conv_cache["gate"], d_inner)
-                d_w, d_b, d_inner = conv1d_backward(conv_cache["conv"], d_pre)
-                name = conv_cache["name"]
-                grads[f"{name}_v"], grads[f"{name}_g"] = weight_norm_backward(
-                    self.params[f"{name}_v"], self.params[f"{name}_g"], d_w
+            d_inner = d_h  # the block output feeds both the residual and the inner path
+            for conv_cache, glu_cache in reversed(convs[3 * i : 3 * i + 3]):
+                d_inner = wn_conv_backward(
+                    self.params, conv_cache, glu_dropout_backward(glu_cache, d_inner), grads
                 )
-                grads[f"{name}_b"] = d_b
-            d_h = d_block + d_inner
+            d_h = d_h + d_inner
         d_embed = np.zeros_like(self.params["embed"])
         np.add.at(d_embed, cache["ids"], d_h.T)
         grads["embed"] = d_embed

@@ -1,14 +1,16 @@
 """Word-level language models for decoding.
 
-Every model implements the same small protocol:
+Every model implements the protocol the decoder calls:
 
     start_state()              -> opaque state whose equality key is itself
     score(state, token_id)     -> (natural-log probability, next state)
-    score_window(ids, token_id)-> log probability given a raw history window
+    finish(state)              -> log probability of the sentence end
     vocab                      -> Vocabulary
 
 States with equal keys must score every continuation identically; the decoder
-relies on that to merge hypotheses and cache scores.
+relies on that to merge hypotheses and cache scores. The n-gram and conv
+models also offer score_window(ids, token_id), the log probability given a
+raw history window; only ContextLimitedLM needs it, from its base model.
 """
 
 from __future__ import annotations
@@ -231,15 +233,6 @@ class ContextLimitedLM:
 
     def finish(self, state) -> float:
         return self.score(state, self.vocab.end_id)[0]
-
-
-def score_with_context_limit(lm, history: Sequence, token, limit: int) -> float:
-    """Log probability of `token` with the history truncated to `limit` tokens."""
-    if limit < 1:
-        raise ConfigurationError("context limit must be >= 1")
-    ids = [t if isinstance(t, int) else lm.vocab.id(t) for t in history]
-    token_id = token if isinstance(token, int) else lm.vocab.id(token)
-    return lm.score_window(ids[-limit:], token_id)
 
 
 def perplexity(lm, corpus: Sequence[Sequence[str]]) -> float:

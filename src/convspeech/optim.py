@@ -60,11 +60,6 @@ class SgdOptimizer:
         return params
 
 
-def sgd_step(params, grads, optimizer: SgdOptimizer):
-    """Single optimization step; see SgdOptimizer for the update rule."""
-    return optimizer.step(params, grads)
-
-
 class PlateauScheduler:
     """Halve the learning rate when validation loss stops improving."""
 

@@ -95,7 +95,6 @@ def train_acoustic(
     model_config: AcousticModelConfig | None = None,
     dev_manifest: DatasetManifest | None = None,
     settings: TrainSettings | None = None,
-    criterion: str = "asg",
     sample_rate: int = 16000,
     checkpoint_path=None,
 ):
@@ -105,8 +104,6 @@ def train_acoustic(
     mean training loss, optional dev loss, learning rate, and the count of
     transcripts skipped as infeasible.
     """
-    if criterion != "asg":
-        raise ConfigurationError(f"unsupported criterion {criterion!r}")
     if frontend_kind not in ("learnable", "mel"):
         raise ConfigurationError(f"unknown front-end kind {frontend_kind!r}")
     settings = settings or TrainSettings()
@@ -132,8 +129,7 @@ def train_acoustic(
     params = {f"am.{k}": v for k, v in model.params.items()}
     if frontend_kind == "learnable":
         params.update({f"fe.{k}": v for k, v in frontend.params.items()})
-    if transitions.trainable:
-        params["transitions"] = transitions.g
+    params["transitions"] = transitions.g
     optimizer = SgdOptimizer(settings.lr, settings.momentum, settings.clip)
     scheduler = PlateauScheduler(optimizer, settings.lr_factor, settings.lr_patience)
 
@@ -164,8 +160,7 @@ def train_acoustic(
                 if frontend_kind == "learnable":
                     for k, v in frontend.backward(fe_cache, d_feat).items():
                         grads[f"fe.{k}"] += v
-                if transitions.trainable:
-                    grads["transitions"] += d_g
+                grads["transitions"] += d_g
             scale = 1.0 / len(batch)
             optimizer.step(params, {k: g * scale for k, g in grads.items()})
         record = {
@@ -210,7 +205,6 @@ def save_system(path, system: SpeechSystem):
             "silence": system.alphabet.silence_token,
             "repetition": system.alphabet.repetition_token,
         },
-        "transitions_trainable": system.transitions.trainable,
     }
     arrays = {f"am.{k}": v for k, v in system.model.params.items()}
     arrays.update({f"fe.{k}": v for k, v in system.frontend.params.items()})
@@ -239,8 +233,8 @@ def load_system(path) -> SpeechSystem:
         config["alphabet"]["silence"],
         config["alphabet"]["repetition"],
     )
-    transitions = TransitionTable(arrays["transitions"], config["transitions_trainable"])
-    return SpeechSystem(frontend, model, transitions, alphabet, config["frontend_kind"])
+    return SpeechSystem(frontend, model, TransitionTable(arrays["transitions"]), alphabet,
+                        config["frontend_kind"])
 
 
 def save_gcnn(path, lm: GcnnLm):

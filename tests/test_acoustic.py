@@ -24,18 +24,18 @@ def tiny_model(seed=0, dropout=0.0, alphabet=4):
 def test_glu_zero_gate_halves():
     a = np.random.default_rng(0).normal(size=(2, 6))
     pre = np.concatenate([a, np.zeros_like(a)], axis=0)
-    assert np.allclose(ac.glu(pre), a / 2.0)
+    assert np.allclose(ac.glu(pre)[0], a / 2.0)
 
 
 def test_glu_saturated_gate_passes_through():
     a = np.random.default_rng(1).normal(size=(2, 6))
     pre = np.concatenate([a, np.full_like(a, 50.0)], axis=0)
-    assert np.allclose(ac.glu(pre), a, atol=1e-12)
+    assert np.allclose(ac.glu(pre)[0], a, atol=1e-12)
 
 
 def test_glu_matches_scalar_oracle():
     pre = np.random.default_rng(2).normal(size=(6, 9))
-    got = ac.glu(pre)
+    got = ac.glu(pre)[0]
     want = naive_glu(pre)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from convspeech.cli import main, parse_config_file
+from convspeech import synth
+from convspeech.cli import _load_task, _save_task, main, parse_config_file
 from convspeech.errors import ConfigurationError
 
 
@@ -78,7 +79,6 @@ def test_decode_emission_table(workspace, tmp_path, capsys):
 
     from convspeech.checkpoint import save_emissions
     from convspeech.acoustic import EmissionTable
-    from convspeech.cli import _load_task
 
     spec = _load_task(workspace / "task.json")
     alphabet = spec.alphabet
@@ -173,6 +173,44 @@ def test_config_file_defaults(workspace, tmp_path, capsys):
         "--beta", "1.0",  # explicit flag overrides the config value
     ])
     assert rc == 0
+
+
+def test_config_file_before_subcommand_and_false_switch(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("train=3\ndev=0\ntest=0\ncorpus-sentences=40\nmarkov=false\n")
+    assert parse_config_file(cfg)[-1] == "--no-markov"
+    corpora = {}
+    for name, argv in {
+        "config": ["--config", str(cfg), "synth-data", "--out-dir", str(tmp_path / "config")],
+        "flag": ["synth-data", "--out-dir", str(tmp_path / "flag"), "--train", "3",
+                 "--dev", "0", "--test", "0", "--corpus-sentences", "40", "--no-markov"],
+        "markov": ["synth-data", "--out-dir", str(tmp_path / "markov"), "--train", "3",
+                   "--dev", "0", "--test", "0", "--corpus-sentences", "40"],
+    }.items():
+        assert main(argv) == 0
+        corpora[name] = (tmp_path / name / "corpus.txt").read_text()
+    assert len((tmp_path / "config" / "train.jsonl").read_text().splitlines()) == 3
+    assert corpora["config"] == corpora["flag"] != corpora["markov"]
+
+
+def test_task_round_trip(tmp_path):
+    spec = synth.noisy_variant(synth.SyntheticTaskSpec(), 5.0)
+    _save_task(tmp_path / "task.json", spec)
+    assert _load_task(tmp_path / "task.json") == spec
+
+
+@pytest.mark.parametrize("change", ["missing", "unknown"])
+def test_task_rejects_key_mismatch(tmp_path, change):
+    path = tmp_path / "task.json"
+    _save_task(path, synth.SyntheticTaskSpec())
+    raw = json.loads(path.read_text())
+    if change == "missing":
+        del raw["tone_frequencies"]
+    else:
+        raw["tone_frequency"] = 440.0
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigurationError, match=r"task\.json.*tone_frequenc"):
+        _load_task(path)
 
 
 def test_config_file_rejects_garbage(tmp_path):

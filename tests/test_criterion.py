@@ -150,7 +150,7 @@ def test_gradients_single_letter_alphabet_degenerate():
     # only in the truly degenerate 1-letter case, which Alphabet forbids.
     emissions = np.zeros((3, 2))
     target = cr.Target(np.array([0, 1, 0]))
-    d_em, d_g = cr.asg_gradients(emissions, np.zeros((2, 2)), target)
+    _, d_em, d_g = cr.asg_loss_and_gradients(emissions, np.zeros((2, 2)), target)
     assert d_em.shape == (3, 2) and d_g.shape == (2, 2)
 
 
@@ -158,7 +158,7 @@ def test_emission_gradient_rows_sum_to_zero():
     rng = np.random.default_rng(2)
     emissions, transitions = random_instance(rng, 6, 4)
     target = cr.Target(np.array([0, 2, 1]))
-    d_em, _ = cr.asg_gradients(emissions, transitions, target)
+    _, d_em, _ = cr.asg_loss_and_gradients(emissions, transitions, target)
     assert np.max(np.abs(d_em.sum(axis=1))) <= 1e-8
 
 
@@ -170,7 +170,7 @@ def test_gradients_match_finite_differences():
         emissions, transitions = random_instance(rng, t, a)
         encoded = [0] if t == 1 else [0, 1]
         target = cr.Target(np.array(encoded[: min(t, 2)]))
-        d_em, d_g = cr.asg_gradients(emissions, transitions, target)
+        _, d_em, d_g = cr.asg_loss_and_gradients(emissions, transitions, target)
         arrays = {"emissions": emissions, "transitions": transitions}
         numeric = finite_difference(
             lambda: cr.asg_loss(arrays["emissions"], arrays["transitions"], target),

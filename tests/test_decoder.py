@@ -86,9 +86,18 @@ def test_build_trie_rejects_unknown_letter():
         dec.build_trie({"x": ["x"]}, AB)
 
 
+def _walk(trie, letters):
+    node = trie.root
+    for letter in letters:
+        node = node.children.get(int(letter))
+        if node is None:
+            return None
+    return node
+
+
 def test_build_trie_encodes_repeats():
     trie = dec.build_trie({"aa": ["a", "a"]}, AB)
-    node = trie.walk(encode_target(AB, ["a", "a"]).encoded)
+    node = _walk(trie, encode_target(AB, ["a", "a"]).encoded)
     assert node is not None and node.words == ["aa"]
 
 
@@ -101,7 +110,7 @@ def test_build_trie_random_words_findable():
         words[f"w{i}_" + "".join(spelling)] = spelling
     trie = dec.build_trie(words, AB)
     for word, spelling in words.items():
-        node = trie.walk(encode_target(AB, spelling).encoded)
+        node = _walk(trie, encode_target(AB, spelling).encoded)
         assert node is not None and word in node.words
 
 

@@ -90,6 +90,14 @@ def test_wav_missing_data_chunk(tmp_path):
         read_wav(path)
 
 
+def test_wav_rejects_short_data_chunk(tmp_path):
+    path = tmp_path / "cut.wav"
+    write_wav(path, np.zeros(1000))
+    path.write_bytes(path.read_bytes()[:-500])
+    with pytest.raises(AudioFormatError, match=r"cut\.wav.*declares 2000 bytes but only 1500"):
+        read_wav(path)
+
+
 def test_checkpoint_bit_exact_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     arrays = {
@@ -113,6 +121,32 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_text('{"format": "other"}')
     with pytest.raises(ConfigurationError):
         load_checkpoint(path)
+
+
+def _malformed_json(path):
+    save_checkpoint(path, "acoustic-system", {}, {"w": np.zeros(2)})
+    path.write_text(path.read_text()[:-10])
+
+
+def _missing_arrays(path):
+    path.write_text('{"format": "convspeech-checkpoint", "version": 1, "kind": "x", "config": {}}')
+
+
+def _truncated_emissions(path):
+    save_emissions(path, EmissionTable(np.zeros((5, 4))), AB)
+    path.write_bytes(path.read_bytes()[:-9])
+
+
+@pytest.mark.parametrize("corrupt, load", [
+    (_malformed_json, load_checkpoint),
+    (_missing_arrays, load_checkpoint),
+    (_truncated_emissions, load_emissions),
+])
+def test_corrupt_containers_raise_configuration_error(tmp_path, corrupt, load):
+    path = tmp_path / "corrupt.bin"
+    corrupt(path)
+    with pytest.raises(ConfigurationError, match="corrupt.bin"):
+        load(path)
 
 
 def test_emission_table_round_trip(tmp_path):

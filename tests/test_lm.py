@@ -171,17 +171,18 @@ def test_unknown_words_map_to_unk():
 def test_context_limit_matches_unrestricted_when_long():
     model = hand_model()
     v = model.vocab
-    history = ["<s>", "a", "b", "a"]
-    full = lmod.score_with_context_limit(model, history, "b", limit=10)
-    direct = model.score_window([v.id(t) for t in history], v.id("b"))
+    history = [v.id(t) for t in ["<s>", "a", "b", "a"]]
+    full = lmod.ContextLimitedLM(model, limit=10).score_window(history, v.id("b"))
+    direct = model.score_window(history, v.id("b"))
     assert full == direct
-    assert lmod.score_with_context_limit(model, history, "b", 4) == full
+    assert lmod.ContextLimitedLM(model, 4).score_window(history, v.id("b")) == full
 
 
 def test_context_limit_truncates():
     model = hand_model()
     # limit 1 after history ending in "b": context (b), P(a|b) backs off to unigram
-    got = lmod.score_with_context_limit(model, ["a", "b"], "a", limit=1)
+    v = model.vocab
+    got = lmod.ContextLimitedLM(model, limit=1).score_window([v.id("a"), v.id("b")], v.id("a"))
     assert got == pytest.approx(math.log(0.4), rel=1e-6)
 
 
@@ -197,9 +198,10 @@ def test_context_limited_wrapper_states():
 
 def test_constant_in_limit_once_covering():
     model = hand_model()
-    history = ["a", "b"]
+    v = model.vocab
+    history = [v.id("a"), v.id("b")]
     scores = {
-        limit: lmod.score_with_context_limit(model, history, "a", limit)
+        limit: lmod.ContextLimitedLM(model, limit).score_window(history, v.id("a"))
         for limit in (2, 3, 5, 50)
     }
     assert len(set(scores.values())) == 1

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from convspeech.frontend import FrontendConfig
 from convspeech.gcnn import GcnnConfig, GcnnLm
 from convspeech.lm import Vocabulary
 from convspeech.synth import transcript_letters
+
+BENCH_CHECKPOINTS = Path(__file__).resolve().parent.parent / "bench" / "checkpoints"
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +113,23 @@ def test_system_checkpoint_round_trip(tiny_system, tiny_task, tmp_path):
     assert loaded.alphabet == system.alphabet
     wave = pipeline.read_wav(manifests["dev"].entries[0].audio)
     assert np.array_equal(loaded.emissions(wave).scores, system.emissions(wave).scores)
+
+
+def test_load_system_accepts_transitions_trainable(tiny_system, tmp_path):
+    # checkpoints written before the flag was dropped carry it, some set to false
+    system, _ = tiny_system
+    path = tmp_path / "system.ckpt"
+    pipeline.save_system(path, system)
+    payload = json.loads(path.read_text())
+    payload["config"]["transitions_trainable"] = False
+    path.write_text(json.dumps(payload))
+    assert np.array_equal(pipeline.load_system(path).transitions.g, system.transitions.g)
+
+
+@pytest.mark.parametrize("name", ["am_trained.json", "am_untrained.json"])
+def test_load_system_reads_bench_checkpoints(name):
+    system = pipeline.load_system(BENCH_CHECKPOINTS / name)
+    assert system.transitions.g.shape == (len(system.alphabet), len(system.alphabet))
 
 
 def test_gcnn_checkpoint_round_trip(tmp_path):
