@@ -28,8 +28,12 @@ from .synth import SyntheticTaskSpec, load_manifest
 
 def parse_config_file(path) -> list[str]:
     """key=value lines -> CLI argument list ('#' starts a comment)."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ConfigurationError(f"{path}: config file not readable ({err.strerror})") from None
     args: list[str] = []
-    for no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -14,12 +14,26 @@ a hypothesis. Merging pools the silence-penalty-adjusted accumulator, which
 reduces to pooling raw acoustic scores when gamma = 0 and keeps the objective
 exact otherwise. An exhaustive enumeration oracle computes the identical
 objective on tiny instances.
+
+Which moves a hypothesis may make depends only on its trie node: a non-root
+node's last letter is its edge letter, and the root's is silence (or none
+before the first frame). `build_trie` therefore flattens the trie once into a
+move table that lists, per node, its children in insertion order, then the
+repeat of its edge letter, then its silence moves: a plain silence at the
+root, one silence-and-word move per homophone at a terminal. The beam is a
+`Beam` of parallel arrays, so a frame's expansion is one `np.repeat` plus
+gathers, `merge_hypotheses` pools groups with `reduceat` over one stable sort,
+and `prune` is a threshold plus one stable sort. Each frame keeps only its
+survivors' back-pointers (parent index, letter, word id), from which the best
+path is read back at the end. LM states are interned to integers per `decode`
+call, and (state, word) scores are memoised there, so the LM sees each
+distinct pair once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +60,20 @@ class TrieNode:
 
 @dataclass
 class LexiconTrie:
+    """The trie and its flattened move table.
+
+    Node 0 is the root. The moves of node n are `move_offsets[n]` up to
+    `move_offsets[n + 1]`; move m goes to node `move_dest[m]` on letter
+    `move_letter[m]` and emits word `words[move_word[m]]` (-1: no word).
+    """
+
     alphabet: Alphabet
     root: TrieNode
-    num_words: int
+    words: tuple[str, ...]
+    move_offsets: np.ndarray
+    move_dest: np.ndarray
+    move_letter: np.ndarray
+    move_word: np.ndarray
 
 
 def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> LexiconTrie:
@@ -59,7 +84,6 @@ def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> Lexicon
     encoding the acoustic model is trained on. Homophones share a terminal.
     """
     root = TrieNode()
-    count = 0
     for word, spelling in lexicon.items():
         if len(spelling) == 0:
             raise VocabularyError(f"word {word!r} has an empty spelling")
@@ -70,8 +94,26 @@ def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> Lexicon
         for letter in encoded:
             node = node.children.setdefault(int(letter), TrieNode())
         node.words.append(word)
-        count += 1
-    return LexiconTrie(alphabet, root, count)
+    words = tuple(lexicon)
+    word_index = {word: i for i, word in enumerate(words)}
+    sil = alphabet.silence_index
+    nodes, edge = [root], [sil]
+    moves: list[tuple[int, int, int]] = []
+    offsets = [0]
+    for n, node in enumerate(nodes):  # breadth first; `nodes` grows as it goes
+        for letter, child in node.children.items():
+            moves.append((len(nodes), letter, -1))
+            nodes.append(child)
+            edge.append(letter)
+        if n == 0:
+            moves.append((0, sil, -1))
+        else:
+            moves.append((n, edge[n], -1))
+            moves.extend((0, sil, word_index[word]) for word in node.words)
+        offsets.append(len(moves))
+    dest, letter, word = (np.array(column, dtype=np.int64) for column in zip(*moves))
+    return LexiconTrie(alphabet, root, words,
+                       np.array(offsets, dtype=np.int64), dest, letter, word)
 
 
 @dataclass
@@ -96,31 +138,51 @@ class DecoderOptions:
 
 
 @dataclass
-class Hypothesis:
-    """One beam entry.
+class Beam:
+    """Hypotheses as parallel arrays, one entry each.
 
-    `acc` pools the acoustic path scores (emissions plus transitions) with the
-    per-frame silence penalty already folded in; the reported acoustic
-    component adds gamma * silence_count back. `lm_raw` is the unweighted LM
-    log probability of the words emitted so far.
+    `node` is the trie node id, `state` the LM state id interned by `decode`,
+    `last` the last letter (-1 before the first frame). `acc` pools the
+    acoustic path scores (emissions plus transitions) with the per-frame
+    silence penalty already folded in; the reported acoustic component adds
+    gamma * silence_count back. `lm_raw` is the unweighted LM log probability
+    of the words emitted so far. `parent` indexes the previous frame's beam
+    and `word` is the id of the word the last step emitted (-1: none).
     """
 
-    trie_node: TrieNode
-    lm_state: tuple
-    last_letter: int | None
-    acc: float = 0.0
-    lm_raw: float = 0.0
-    word_count: int = 0
-    silence_count: int = 0
-    parent: "Hypothesis | None" = None
-    step_letter: int | None = None
-    step_words: tuple[str, ...] = ()
+    node: np.ndarray
+    state: np.ndarray
+    last: np.ndarray
+    acc: np.ndarray
+    lm_raw: np.ndarray
+    word_count: np.ndarray
+    silence_count: np.ndarray
+    parent: np.ndarray
+    word: np.ndarray
 
-    def total(self, opts: DecoderOptions) -> float:
+    @classmethod
+    def of(cls, **columns) -> "Beam":
+        """A beam from per-column sequences of one length.
+
+        Omitted columns are 0, except `last`, `parent` and `word`, which are
+        -1; so `Beam.of(acc=[0.0])` is the start of a search.
+        """
+        size = len(next(iter(columns.values())))
+        filled = {}
+        for f in fields(cls):
+            dtype = np.float64 if f.name in ("acc", "lm_raw") else np.int64
+            default = -1 if f.name in ("last", "parent", "word") else 0
+            filled[f.name] = np.asarray(columns.get(f.name, [default] * size), dtype=dtype)
+        return cls(**filled)
+
+    def __len__(self) -> int:
+        return len(self.acc)
+
+    def take(self, index) -> "Beam":
+        return Beam(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def totals(self, opts: DecoderOptions) -> np.ndarray:
         return self.acc + opts.alpha * self.lm_raw + opts.beta * self.word_count
-
-    def merge_key(self):
-        return (id(self.trie_node), self.lm_state, self.last_letter)
 
 
 @dataclass
@@ -134,52 +196,59 @@ class DecodeResult:
     silence_count: int
 
 
-def merge_hypotheses(beam: list[Hypothesis], opts: DecoderOptions,
-                     key=Hypothesis.merge_key) -> list[Hypothesis]:
-    """Pool hypotheses with identical (trie node, LM state, last letter).
+def merge_key(beam: Beam) -> np.ndarray:
+    """(trie node, LM state, last letter), packed into one integer per entry."""
+    states = int(beam.state.max()) + 1
+    letters = int(beam.last.max()) + 2
+    return (beam.node * states + beam.state) * letters + (beam.last + 1)
+
+
+def merge_hypotheses(beam: Beam, opts: DecoderOptions, key=merge_key) -> Beam:
+    """Pool hypotheses whose `key(beam)` entries are equal.
 
     The pooled accumulator is the log-add of the members' accumulators (or the
-    max in "max" mode); every other field comes from the highest-total member.
-    Beam order follows each group's first appearance.
+    max in "max" mode); every other field comes from the first member with the
+    highest total. Beam order follows each group's first appearance.
     """
-    if opts.merge_mode == "off":
+    if opts.merge_mode == "off" or len(beam) < 2:
         return beam
-    groups: dict = {}
-    order: list = []
-    for hyp in beam:
-        k = key(hyp)
-        if k in groups:
-            groups[k].append(hyp)
-        else:
-            groups[k] = [hyp]
-            order.append(k)
-    merged = []
-    for k in order:
-        members = groups[k]
-        if len(members) == 1:
-            merged.append(members[0])
-            continue
-        winner = max(members, key=lambda h: h.total(opts))
-        if opts.merge_mode == "logadd":
-            pooled = logsumexp(np.array([h.acc for h in members]))
-        else:
-            pooled = max(h.acc for h in members)
-        merged.append(replace(winner, acc=float(pooled)))
+    keys = key(beam)
+    order = np.argsort(keys, kind="stable")  # members stay in beam order
+    keys = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    if len(first) == len(keys):
+        return beam
+    group = np.cumsum(starts) - 1
+    totals = beam.totals(opts)[order]
+    best = totals == np.maximum.reduceat(totals, first)[group]
+    winners = np.minimum.reduceat(np.where(best, np.arange(len(keys)), len(keys)), first)
+    acc = beam.acc[order]
+    pooled = np.maximum.reduceat(acc, first)
+    if opts.merge_mode == "logadd":  # as util.logsumexp, one group at a time
+        with np.errstate(invalid="ignore"):
+            summed = np.log(np.add.reduceat(np.exp(acc - pooled[group]), first)) + pooled
+        # an infinite peak gives nan above (inf - inf); the pool is then the peak
+        pooled = np.where(np.isnan(summed), pooled, summed)
+    by_appearance = np.argsort(order[first])
+    merged = beam.take(order[winners[by_appearance]])
+    merged.acc = pooled[by_appearance]
     return merged
 
 
-def prune(beam: list[Hypothesis], opts: DecoderOptions) -> list[Hypothesis]:
+def prune(beam: Beam, opts: DecoderOptions) -> Beam:
     """Drop hypotheses below best - beam_score, then keep the top beam_size.
 
-    Ties break deterministically by insertion order (stable sort).
+    Ties break deterministically by beam order (stable sort).
     """
-    if not beam:
+    if not len(beam):
         return beam
-    totals = [h.total(opts) for h in beam]
-    best = max(totals)
-    kept = [h for h, t in zip(beam, totals) if t >= best - opts.beam_score]
-    kept.sort(key=lambda h: -h.total(opts))
-    return kept[: opts.beam_size]
+    totals = beam.totals(opts)
+    kept = np.flatnonzero(totals >= totals.max() - opts.beam_score)
+    kept = kept[np.argsort(-totals[kept], kind="stable")]
+    return beam.take(kept[: opts.beam_size])
 
 
 def _maybe_log_softmax(emissions, opts: DecoderOptions) -> np.ndarray:
@@ -192,103 +261,139 @@ def _maybe_log_softmax(emissions, opts: DecoderOptions) -> np.ndarray:
     return f
 
 
+class _LmMemo:
+    """One decode's LM lookups over interned states.
+
+    State id 0 is the LM's start state. `emit` and `finish` call the LM only
+    for a (state, word) pair or a state they have not seen yet.
+    """
+
+    def __init__(self, lm, trie: LexiconTrie):
+        vocab = lm.vocab
+        self.token_ids = [vocab.id(word) for word in trie.words]
+        missing = [word for word, token in zip(trie.words, self.token_ids)
+                   if token == vocab.unknown_id and word != vocab.unknown_token]
+        if missing:
+            raise VocabularyError(
+                f"lexicon words missing from the LM vocabulary: {', '.join(missing)}")
+        self.lm = lm
+        self.states = [lm.start_state()]
+        self.ids = {self.states[0]: 0}
+        self.logp = np.zeros((8, len(trie.words)))
+        self.next = np.full((8, len(trie.words)), -1, dtype=np.int64)
+        self.end = np.full(8, np.nan)
+
+    def _intern(self, state) -> int:
+        sid = self.ids.get(state)
+        if sid is None:
+            sid = self.ids[state] = len(self.states)
+            self.states.append(state)
+            rows = len(self.end)
+            if sid == rows:
+                self.logp = np.concatenate([self.logp, np.zeros_like(self.logp)])
+                self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
+                self.end = np.concatenate([self.end, np.full(rows, np.nan)])
+        return sid
+
+    def emit(self, word: np.ndarray, state: np.ndarray, lm_raw: np.ndarray):
+        """Score the moves that emit a word (`word` >= 0) into `state` and `lm_raw`."""
+        at = np.flatnonzero(word >= 0)
+        states, words = state[at], word[at]
+        miss = self.next[states, words] < 0
+        for s, w in zip(states[miss].tolist(), words[miss].tolist()):
+            if self.next[s, w] < 0:  # a pair can miss twice in one batch
+                logp, next_state = self.lm.score(self.states[s], self.token_ids[w])
+                self.logp[s, w] = logp
+                self.next[s, w] = self._intern(next_state)
+        lm_raw[at] += self.logp[states, words]
+        state[at] = self.next[states, words]
+
+    def finish(self, states: np.ndarray) -> np.ndarray:
+        for s in states[np.isnan(self.end[states])].tolist():
+            if np.isnan(self.end[s]):  # a state can miss twice in one batch
+                self.end[s] = self.lm.finish(self.states[s])
+        return self.end[states]
+
+
+def _moves(trie: LexiconTrie, beam: Beam):
+    """(move index, parent index) of every move of every hypothesis, in beam order."""
+    start = trie.move_offsets[beam.node]
+    count = trie.move_offsets[beam.node + 1] - start
+    parent = np.repeat(np.arange(len(beam)), count)
+    move = np.arange(len(parent)) + np.repeat(start - (np.cumsum(count) - count), count)
+    return move, parent
+
+
 def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeResult:
     """Frame-synchronous beam search over the lexicon trie.
 
     Word emission happens on the silence step after a terminal node (or at
     finalization); the sentence-end LM probability is added at the end and
     hypotheses stuck mid-word are dropped. Raises EmptyBeamError with the
-    offending frame if nothing survives.
+    offending frame if nothing survives, and VocabularyError if a lexicon
+    word is missing from the LM vocabulary.
     """
     f = _maybe_log_softmax(emissions, opts)
     gmat = as_transitions(g)
     t_total = f.shape[0]
     if t_total < 1:
         raise EmptyBeamError(0, "no frames to decode")
+    memo = _LmMemo(lm, trie)
     sil = trie.alphabet.silence_index
-    root = trie.root
-    gamma = opts.gamma
-    beam = [Hypothesis(root, lm.start_state(), None)]
+    # the row of last letter -1 (no letter yet) adds no transition score
+    gext = np.vstack([gmat, np.zeros((1, gmat.shape[1]))])
+    beam = Beam.of(acc=[0.0])
+    history = []  # per frame: the survivors' (parent, last letter, word)
     for t in range(t_total):
-        candidates: list[Hypothesis] = []
-        for hyp in beam:
-            last = hyp.last_letter
-            # (a) advance to a trie child
-            for letter, child in hyp.trie_node.children.items():
-                step = f[t, letter] + (gmat[last, letter] if last is not None else 0.0)
-                candidates.append(
-                    Hypothesis(child, hyp.lm_state, letter, hyp.acc + step,
-                               hyp.lm_raw, hyp.word_count, hyp.silence_count,
-                               hyp, letter)
-                )
-            # (b) repeat the last letter in place (mid-word only)
-            if last is not None and last != sil:
-                step = f[t, last] + gmat[last, last]
-                candidates.append(
-                    Hypothesis(hyp.trie_node, hyp.lm_state, last, hyp.acc + step,
-                               hyp.lm_raw, hyp.word_count, hyp.silence_count,
-                               hyp, last)
-                )
-            # (c) silence: plain at the root, word-emitting at a terminal
-            sil_step = f[t, sil] + (gmat[last, sil] if last is not None else 0.0) - gamma
-            if hyp.trie_node is root:
-                candidates.append(
-                    Hypothesis(root, hyp.lm_state, sil, hyp.acc + sil_step,
-                               hyp.lm_raw, hyp.word_count, hyp.silence_count + 1,
-                               hyp, sil)
-                )
-            elif hyp.trie_node.words:
-                for word in hyp.trie_node.words:
-                    logp, state = lm.score(hyp.lm_state, lm.vocab.id(word))
-                    candidates.append(
-                        Hypothesis(root, state, sil, hyp.acc + sil_step,
-                                   hyp.lm_raw + logp, hyp.word_count + 1,
-                                   hyp.silence_count + 1, hyp, sil, (word,))
-                    )
-        if not candidates:
-            raise EmptyBeamError(t)
+        move, parent = _moves(trie, beam)
+        letter = trie.move_letter[move]
+        word = trie.move_word[move]
+        silent = letter == sil
+        step = f[t, letter] + gext[beam.last[parent], letter] - opts.gamma * silent
+        state = beam.state[parent]
+        lm_raw = beam.lm_raw[parent]
+        memo.emit(word, state, lm_raw)
+        candidates = Beam(trie.move_dest[move], state, letter, beam.acc[parent] + step,
+                          lm_raw, beam.word_count[parent] + (word >= 0),
+                          beam.silence_count[parent] + silent, parent, word)
         beam = prune(merge_hypotheses(candidates, opts), opts)
-        if not beam:
+        if not len(beam):
             raise EmptyBeamError(t)
+        history.append((beam.parent, beam.last, beam.word))
 
-    finals: list[Hypothesis] = []
-    for hyp in beam:
-        if hyp.trie_node is root:
-            finals.append(replace(hyp, lm_raw=hyp.lm_raw + lm.finish(hyp.lm_state),
-                                  parent=hyp, step_letter=None, step_words=()))
-        elif hyp.trie_node.words:
-            for word in hyp.trie_node.words:
-                logp, state = lm.score(hyp.lm_state, lm.vocab.id(word))
-                finals.append(
-                    Hypothesis(root, state, hyp.last_letter,
-                               hyp.acc, hyp.lm_raw + logp + lm.finish(state),
-                               hyp.word_count + 1, hyp.silence_count,
-                               hyp, None, (word,))
-                )
-    if not finals:
+    # finalize: a hypothesis at the root ends as it is, one at a terminal
+    # emits each of its words; both then score the sentence end
+    move, parent = _moves(trie, beam)
+    ending = trie.move_letter[move] == sil
+    move, parent = move[ending], parent[ending]
+    if not len(move):
         raise EmptyBeamError(t_total, "no hypothesis ends at a word boundary")
+    word = trie.move_word[move]
+    state = beam.state[parent]
+    lm_raw = beam.lm_raw[parent]
+    memo.emit(word, state, lm_raw)
+    finals = Beam(np.zeros_like(move), state, beam.last[parent], beam.acc[parent],
+                  lm_raw + memo.finish(state), beam.word_count[parent] + (word >= 0),
+                  beam.silence_count[parent], parent, word)
     # pool complete hypotheses that spelled the same word history
-    finals = merge_hypotheses(finals, opts, key=lambda h: h.lm_state)
-    best = max(finals, key=lambda h: h.total(opts))
-    return _result_from(best, opts)
-
-
-def _result_from(best: Hypothesis, opts: DecoderOptions) -> DecodeResult:
-    words: list[str] = []
-    letters: list[int] = []
-    node = best
-    while node is not None and node.parent is not node:
-        if node.step_words:
-            words.extend(reversed(node.step_words))
-        if node.step_letter is not None:
-            letters.append(node.step_letter)
-        node = node.parent
+    finals = merge_hypotheses(finals, opts, key=lambda b: b.state)
+    totals = finals.totals(opts)
+    best = int(np.argmax(totals))
+    words = [trie.words[finals.word[best]]] if finals.word[best] >= 0 else []
+    letters = []
+    at = finals.parent[best]
+    for parents, lasts, step_words in reversed(history):
+        letters.append(int(lasts[at]))
+        if step_words[at] >= 0:
+            words.append(trie.words[step_words[at]])
+        at = parents[at]
     words.reverse()
     letters.reverse()
-    am = best.acc + opts.gamma * best.silence_count
-    objective = best.total(opts)
-    return DecodeResult(words, letters, float(objective), float(am),
-                        float(best.lm_raw), best.word_count, best.silence_count)
+    acc = float(finals.acc[best])
+    silences = int(finals.silence_count[best])
+    return DecodeResult(words, letters, float(totals[best]),
+                        acc + opts.gamma * silences, float(finals.lm_raw[best]),
+                        int(finals.word_count[best]), silences)
 
 
 def _alignment_scores(f, gmat, letters_by_frame, sil, gamma):
@@ -315,7 +420,7 @@ def exhaustive_decode(
     f = _maybe_log_softmax(emissions, opts)
     gmat = as_transitions(g)
     t_total = f.shape[0]
-    if t_total > 20 or trie.num_words > 8:
+    if t_total > 20 or len(trie.words) > 8:
         raise CapacityError(
             f"exhaustive decode limited to T <= 20 and 8 words, got T={t_total}"
         )

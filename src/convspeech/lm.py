@@ -34,33 +34,32 @@ class Vocabulary:
     sentence_end: str = "</s>"
 
     def __post_init__(self):
-        if len(set(self.tokens)) != len(self.tokens):
+        index = {token: i for i, token in enumerate(self.tokens)}
+        if len(index) != len(self.tokens):
             raise ConfigurationError("vocabulary tokens must be unique")
         for special in (self.unknown_token, self.sentence_begin, self.sentence_end):
-            if special not in self.tokens:
+            if special not in index:
                 raise ConfigurationError(f"special token {special!r} missing")
+        object.__setattr__(self, "_index", index)  # token -> id, outside the fields
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     @property
     def unknown_id(self) -> int:
-        return self.tokens.index(self.unknown_token)
+        return self._index[self.unknown_token]
 
     @property
     def begin_id(self) -> int:
-        return self.tokens.index(self.sentence_begin)
+        return self._index[self.sentence_begin]
 
     @property
     def end_id(self) -> int:
-        return self.tokens.index(self.sentence_end)
+        return self._index[self.sentence_end]
 
     def id(self, token: str) -> int:
         """Index of `token`, falling back to the unknown token."""
-        try:
-            return self.tokens.index(token)
-        except ValueError:
-            return self.unknown_id
+        return self._index.get(token, self._index[self.unknown_token])
 
 
 class NGramModel:

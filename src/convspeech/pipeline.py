@@ -216,25 +216,29 @@ def load_system(path) -> SpeechSystem:
     kind, config, arrays = ckpt.load_checkpoint(path)
     if kind != "acoustic-system":
         raise ConfigurationError(f"{path} holds a {kind!r} checkpoint, not an acoustic system")
-    fcfg = FrontendConfig(**config["frontend"])
-    rate = config["sample_rate"]
-    fe_params = {k[3:]: v for k, v in arrays.items() if k.startswith("fe.")}
-    if config["frontend_kind"] == "learnable":
-        frontend = LearnableFrontend(fcfg, rate, params=fe_params)
-    else:
-        frontend = MelFrontend(fcfg, rate)
-    mcfg = AcousticModelConfig(
-        layers=[ConvLayerSpec(**layer) for layer in config["model"]["layers"]],
-        alphabet_size=config["model"]["alphabet_size"],
-    )
-    model = AcousticModel(mcfg, params={k[3:]: v for k, v in arrays.items() if k.startswith("am.")})
-    alphabet = Alphabet(
-        tuple(config["alphabet"]["letters"]),
-        config["alphabet"]["silence"],
-        config["alphabet"]["repetition"],
-    )
-    return SpeechSystem(frontend, model, TransitionTable(arrays["transitions"]), alphabet,
-                        config["frontend_kind"])
+    try:
+        fcfg = FrontendConfig(**config["frontend"])
+        rate = config["sample_rate"]
+        fe_params = {k[3:]: v for k, v in arrays.items() if k.startswith("fe.")}
+        if config["frontend_kind"] == "learnable":
+            frontend = LearnableFrontend(fcfg, rate, params=fe_params)
+        else:
+            frontend = MelFrontend(fcfg, rate)
+        mcfg = AcousticModelConfig(
+            layers=[ConvLayerSpec(**layer) for layer in config["model"]["layers"]],
+            alphabet_size=config["model"]["alphabet_size"],
+        )
+        model = AcousticModel(mcfg, params={k[3:]: v for k, v in arrays.items()
+                                            if k.startswith("am.")})
+        alphabet = Alphabet(
+            tuple(config["alphabet"]["letters"]),
+            config["alphabet"]["silence"],
+            config["alphabet"]["repetition"],
+        )
+        transitions = TransitionTable(arrays["transitions"])
+    except KeyError as err:
+        raise ConfigurationError(f"{path}: acoustic-system checkpoint lacks key {err}") from None
+    return SpeechSystem(frontend, model, transitions, alphabet, config["frontend_kind"])
 
 
 def save_gcnn(path, lm: GcnnLm):

@@ -220,6 +220,15 @@ def test_config_file_rejects_garbage(tmp_path):
         parse_config_file(cfg)
 
 
+def test_missing_config_file_is_an_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(ConfigurationError, match="missing.cfg"):
+        parse_config_file(missing)
+    assert main(["--config", str(missing), "evaluate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err and "Traceback" not in err
+
+
 def test_cli_error_reporting(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "u", "audio": "/nonexistent/file.wav", "text": "a"}\n')

@@ -149,38 +149,37 @@ def test_large_gamma_reduces_silence():
     assert taxed.silence_count <= free.silence_count
 
 
+def _entries(beam):
+    """The beam as one tuple of column values per hypothesis."""
+    return list(zip(*(getattr(beam, name).tolist() for name in
+                      ("node", "state", "last", "acc", "lm_raw", "word_count",
+                       "silence_count", "parent", "word"))))
+
+
 def test_merge_logadd_of_accumulators():
-    node = dec.TrieNode()
-    a = dec.Hypothesis(node, (), 0, acc=math.log(0.25))
-    b = dec.Hypothesis(node, (), 0, acc=math.log(0.5))
-    merged = dec.merge_hypotheses([a, b], dec.DecoderOptions())
+    beam = dec.Beam.of(last=[0, 0], acc=[math.log(0.25), math.log(0.5)])
+    merged = dec.merge_hypotheses(beam, dec.DecoderOptions())
     assert len(merged) == 1
-    assert merged[0].acc == pytest.approx(math.log(0.75), rel=1e-12)
+    assert merged.acc[0] == pytest.approx(math.log(0.75), rel=1e-12)
 
 
 def test_merge_keeps_distinct_keys():
-    n1, n2 = dec.TrieNode(), dec.TrieNode()
-    beam = [dec.Hypothesis(n1, (), 0), dec.Hypothesis(n2, (), 0),
-            dec.Hypothesis(n1, (1,), 0), dec.Hypothesis(n1, (), 1)]
+    beam = dec.Beam.of(node=[1, 2, 1, 1], state=[0, 0, 1, 0], last=[0, 0, 0, 1])
     merged = dec.merge_hypotheses(beam, dec.DecoderOptions())
-    assert merged == beam
+    assert _entries(merged) == _entries(beam)
 
 
 def test_merge_winner_carries_fields():
-    node = dec.TrieNode()
-    lo = dec.Hypothesis(node, (), 0, acc=0.0, word_count=1)
-    hi = dec.Hypothesis(node, (), 0, acc=2.0, word_count=3)
-    merged = dec.merge_hypotheses([lo, hi], dec.DecoderOptions())[0]
-    assert merged.word_count == 3
-    assert merged.acc == pytest.approx(np.logaddexp(0.0, 2.0))
+    beam = dec.Beam.of(last=[0, 0], acc=[0.0, 2.0], word_count=[1, 3])
+    merged = dec.merge_hypotheses(beam, dec.DecoderOptions())
+    assert merged.word_count[0] == 3
+    assert merged.acc[0] == pytest.approx(np.logaddexp(0.0, 2.0))
 
 
 def test_max_merge_mode():
-    node = dec.TrieNode()
-    a = dec.Hypothesis(node, (), 0, acc=1.0)
-    b = dec.Hypothesis(node, (), 0, acc=2.0)
+    beam = dec.Beam.of(last=[0, 0], acc=[1.0, 2.0])
     opts = dec.DecoderOptions(merge_mode="max")
-    assert dec.merge_hypotheses([a, b], opts)[0].acc == 2.0
+    assert dec.merge_hypotheses(beam, opts).acc[0] == 2.0
 
 
 def test_merged_and_unmerged_agree():
@@ -203,26 +202,23 @@ def test_merged_and_unmerged_agree():
 
 
 def test_prune_noop_when_generous():
-    node = dec.TrieNode()
-    beam = [dec.Hypothesis(node, (), i, acc=float(-i)) for i in range(5)]
+    beam = dec.Beam.of(last=list(range(5)), acc=[float(-i) for i in range(5)])
     opts = dec.DecoderOptions(beam_size=10, beam_score=math.inf)
-    assert dec.prune(list(beam), opts) == beam
+    assert _entries(dec.prune(beam, opts)) == _entries(beam)
 
 
 def test_prune_threshold():
-    node = dec.TrieNode()
-    beam = [dec.Hypothesis(node, (), i, acc=v) for i, v in enumerate([0.0, -10.0, -30.0])]
+    beam = dec.Beam.of(last=[0, 1, 2], acc=[0.0, -10.0, -30.0])
     opts = dec.DecoderOptions(beam_size=10, beam_score=26.0)
     kept = dec.prune(beam, opts)
-    assert [h.acc for h in kept] == [0.0, -10.0]
+    assert kept.acc.tolist() == [0.0, -10.0]
 
 
 def test_prune_respects_beam_size_and_ties():
-    node = dec.TrieNode()
-    beam = [dec.Hypothesis(node, (), i, acc=1.0) for i in range(4)]
+    beam = dec.Beam.of(last=list(range(4)), acc=[1.0] * 4)
     opts = dec.DecoderOptions(beam_size=2, beam_score=math.inf)
     kept = dec.prune(beam, opts)
-    assert [h.last_letter for h in kept] == [0, 1]  # insertion order on ties
+    assert kept.last.tolist() == [0, 1]  # beam order on ties
 
 
 def test_pruned_decode_equals_unpruned_on_small_instances():
@@ -311,6 +307,66 @@ def test_empty_beam_reports_frame():
     with pytest.raises(EmptyBeamError) as err:
         dec.decode(f, np.zeros((len(AB), len(AB))), trie, lm, opts)
     assert err.value.frame == 1
+
+
+def test_merge_and_prune_run_once_per_frame(monkeypatch):
+    rng = np.random.default_rng(12)
+    emissions, g, trie, lm, opts = make_instance(rng, t=6)
+    calls = {"merge": 0, "prune": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dec, "merge_hypotheses", counted("merge", dec.merge_hypotheses))
+    monkeypatch.setattr(dec, "prune", counted("prune", dec.prune))
+    dec.decode(emissions, g, trie, lm, opts)
+    assert calls == {"merge": 6 + 1, "prune": 6}  # merge once more at finalization
+
+
+class ProtocolOnlyLm:
+    """Exposes exactly start_state/score/finish/vocab and logs every lookup."""
+
+    def __init__(self, base):
+        self.vocab = base.vocab
+        self._base = base
+        self.scored = []
+        self.finished = []
+
+    def start_state(self):
+        return self._base.start_state()
+
+    def score(self, state, token_id):
+        self.scored.append((state, token_id))
+        return self._base.score(state, token_id)
+
+    def finish(self, state):
+        self.finished.append(state)
+        return self._base.finish(state)
+
+
+def test_decode_scores_each_state_and_word_once():
+    rng = np.random.default_rng(13)
+    for trial in range(10):
+        emissions, g, trie, base, opts = make_instance(rng, t=6)
+        lm = ProtocolOnlyLm(base)
+        got = dec.decode(emissions, g, trie, lm, opts)
+        assert lm.scored and len(set(lm.scored)) == len(lm.scored), trial
+        assert len(set(lm.finished)) == len(lm.finished), trial
+        want = dec.decode(emissions, g, trie, base, opts)
+        assert (got.words, got.objective) == (want.words, want.objective)
+
+
+def test_lexicon_word_missing_from_lm_is_rejected():
+    trie = dec.build_trie({"a": ["a"], "b": ["b"], "<unk>": ["c"]}, AB)
+    lm = HistoryLm(["a"])  # has no "b"; the unknown token itself is in every vocabulary
+    f = np.zeros((2, len(AB)))
+    with pytest.raises(VocabularyError, match="missing from the LM vocabulary: b$"):
+        dec.decode(f, np.zeros((len(AB), len(AB))), trie, lm, dec.DecoderOptions())
+    dec.decode(f, np.zeros((len(AB), len(AB))), trie, HistoryLm(["a", "b"]),
+               dec.DecoderOptions())
 
 
 def test_exhaustive_single_word_lexicon():

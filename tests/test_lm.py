@@ -168,6 +168,14 @@ def test_unknown_words_map_to_unk():
     assert logp == pytest.approx(math.log(0.1), rel=1e-6)
 
 
+def test_vocabulary_ids_match_token_positions():
+    vocab = lmod.Vocabulary(("b", "</s>", "a", "<unk>", "<s>", "c"))
+    for position, token in enumerate(vocab.tokens):
+        assert vocab.id(token) == position
+    assert vocab.id("zzz") == vocab.unknown_id == 3
+    assert (vocab.begin_id, vocab.end_id) == (4, 1)
+
+
 def test_context_limit_matches_unrestricted_when_long():
     model = hand_model()
     v = model.vocab

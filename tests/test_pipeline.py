@@ -126,6 +126,19 @@ def test_load_system_accepts_transitions_trainable(tiny_system, tmp_path):
     assert np.array_equal(pipeline.load_system(path).transitions.g, system.transitions.g)
 
 
+@pytest.mark.parametrize("section,key", [("config", "frontend"), ("config", "model"),
+                                         ("arrays", "transitions")])
+def test_load_system_names_missing_key(tiny_system, tmp_path, section, key):
+    system, _ = tiny_system
+    path = tmp_path / "system.ckpt"
+    pipeline.save_system(path, system)
+    payload = json.loads(path.read_text())
+    del payload[section][key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match=f"system.ckpt.*lacks key '{key}'"):
+        pipeline.load_system(path)
+
+
 @pytest.mark.parametrize("name", ["am_trained.json", "am_untrained.json"])
 def test_load_system_reads_bench_checkpoints(name):
     system = pipeline.load_system(BENCH_CHECKPOINTS / name)
