@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from convspeech import synth
-from convspeech.decoder import DecoderOptions, build_trie, items_wer
+from convspeech.decoder import DecoderOptions, build_trie, items_wer_and_failures
 from convspeech.frontend import FrontendConfig
 from convspeech.lm import fit_bigram_arpa, load_arpa
 from convspeech.pipeline import TrainSettings, eval_items, train_acoustic, write_csv
@@ -53,10 +53,11 @@ def main():
                 frontend_kind=kind, frontend_config=FrontendConfig(num_filters=8),
                 settings=TrainSettings(epochs=args.epochs, lr=0.3, batch_size=4, seed=seed),
             )
-            w = items_wer(eval_items(manifests["test"], system), trie, lm, opts)
+            w, failures = items_wer_and_failures(eval_items(manifests["test"], system),
+                                                 trie, lm, opts)
             wers[(kind, seed)] = w
-            rows.append({"frontend": kind, "seed": seed, "wer": w})
-            print(f"{kind:10s} seed {seed}: test WER {w:.2f}%")
+            rows.append({"frontend": kind, "seed": seed, "wer": w, "failures": failures})
+            print(f"{kind:10s} seed {seed}: test WER {w:.2f}% ({failures} failed decodes)")
     diffs = [wers[("learnable", s)] - wers[("mel", s)] for s in seeds]
     print(f"median paired difference (learnable - mel): {statistics.median(diffs):+.2f}")
     write_csv(out / "noise_contrast.csv", rows)

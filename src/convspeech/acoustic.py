@@ -186,9 +186,9 @@ def conv1d_backward(cache: dict, d_out: np.ndarray):
     d_cols = d_cols.reshape(c_in, kw, t_out)
     d_padded = np.zeros((c_in, cache["padded_len"]))
     stride = cache["stride"]
-    positions = stride * np.arange(t_out)
-    for w in range(kw):
-        np.add.at(d_padded, (slice(None), positions + w), d_cols[:, w, :])
+    span = stride * (t_out - 1) + 1
+    for w in range(kw):  # the t_out positions of one tap are distinct
+        d_padded[:, w : w + span : stride] += d_cols[:, w, :]
     pl = cache["pad_left"]
     return d_weight, d_bias, d_padded[:, pl : pl + cache["t_in"]]
 

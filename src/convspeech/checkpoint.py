@@ -2,7 +2,8 @@
 
 Checkpoints are versioned JSON with base64-encoded raw array bytes, so values
 round-trip bit-exactly. Emission tables use a small little-endian binary
-format for decoder-only interchange.
+format for decoder-only interchange; version 2 adds the transition table, so
+a decode from the table scores paths as the system that wrote it does.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .acoustic import EmissionTable
-from .criterion import Alphabet
+from .criterion import Alphabet, as_transitions
 from .errors import ConfigurationError, VocabularyError
 
 CHECKPOINT_FORMAT = "convspeech-checkpoint"
 CHECKPOINT_VERSION = 1
 
 _EMISSION_MAGIC = b"CSEM"
-_EMISSION_VERSION = 1
+_EMISSION_VERSION = 2
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -76,14 +77,18 @@ def load_checkpoint(path):
         raise ConfigurationError(f"{path}: malformed checkpoint ({type(err).__name__}: {err})") from None
 
 
-def save_emissions(path, emissions: EmissionTable, alphabet: Alphabet):
-    """Binary emission table: little-endian header + float64 scores."""
+def save_emissions(path, emissions: EmissionTable, alphabet: Alphabet, transitions):
+    """Binary emission table (format v2): little-endian header, float64 scores,
+    then the float64 (|A|, |A|) transition table the scores are decoded with."""
     scores = np.ascontiguousarray(emissions.scores, dtype="<f8")
     t, a = scores.shape
     if a != len(alphabet):
         raise ConfigurationError(
             f"emission table has {a} letters but alphabet has {len(alphabet)}"
         )
+    g = np.ascontiguousarray(as_transitions(transitions), dtype="<f8")
+    if g.shape != (a, a):
+        raise ConfigurationError(f"transition table of shape {g.shape} does not match {a} letters")
     chunks = [
         _EMISSION_MAGIC,
         struct.pack("<HBB", _EMISSION_VERSION, 1 if emissions.normalized else 0, 0),
@@ -94,17 +99,21 @@ def save_emissions(path, emissions: EmissionTable, alphabet: Alphabet):
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
     chunks.append(scores.tobytes())
+    chunks.append(g.tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 
 def load_emissions(path):
-    """Inverse of save_emissions; returns (EmissionTable, Alphabet)."""
+    """Inverse of save_emissions; returns (EmissionTable, Alphabet, transitions).
+
+    Version 1 files carry no transition table; for them `transitions` is None.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != _EMISSION_MAGIC:
         raise ConfigurationError(f"{path}: bad emission-table magic {raw[:4]!r}")
     try:
         version, normalized, _ = struct.unpack_from("<HBB", raw, 4)
-        if version != _EMISSION_VERSION:
+        if version not in (1, _EMISSION_VERSION):
             raise ConfigurationError(f"{path}: unsupported emission format version {version}")
         t, a, sil_idx, rep_idx = struct.unpack_from("<IIHH", raw, 8)
         offset = 20
@@ -115,10 +124,15 @@ def load_emissions(path):
             letters.append(raw[offset : offset + length].decode("utf-8"))
             offset += length
         scores = np.frombuffer(raw, dtype="<f8", count=t * a, offset=offset).reshape(t, a)
+        transitions = None
+        if version >= 2:
+            offset += 8 * t * a
+            transitions = np.frombuffer(raw, dtype="<f8", count=a * a, offset=offset)
+            transitions = transitions.reshape(a, a).copy()
         alphabet = Alphabet(tuple(letters), letters[sil_idx], letters[rep_idx])
     except (struct.error, ValueError, IndexError) as err:
         raise ConfigurationError(f"{path}: truncated or corrupt emission table ({err})") from None
-    return EmissionTable(scores.copy(), normalized=bool(normalized)), alphabet
+    return EmissionTable(scores.copy(), normalized=bool(normalized)), alphabet, transitions
 
 
 def write_lexicon(path, lexicon: dict[str, list[str]]):

@@ -158,7 +158,8 @@ def cmd_train_am(args):
     for record in history:
         dev_part = f"  dev {record['dev_loss']:8.3f}" if "dev_loss" in record else ""
         print(f"epoch {record['epoch']:3d}  loss {record['train_loss']:8.3f}{dev_part}"
-              f"  lr {record['lr']:.4f}")
+              f"  lr {record['lr']:.4f}  grad norm {record['grad_norm']:.3f}"
+              f"  clipped {record['clip_frac']:.0%}")
     print(f"checkpoint written to {args.checkpoint}")
 
 
@@ -204,11 +205,14 @@ def _decode_setup(args):
 def cmd_decode(args):
     opts = _decoder_opts(args)
     if args.emissions:
-        emissions, alphabet = ckpt.load_emissions(args.emissions)
+        emissions, alphabet, g = ckpt.load_emissions(args.emissions)
+        if g is None:
+            print(f"note: {args.emissions} is a version 1 emission table without a "
+                  "transition table; decoding with zero transitions", file=sys.stderr)
+            g = np.zeros((len(alphabet), len(alphabet)))
         lexicon = ckpt.read_lexicon(args.lexicon)
         trie = build_trie(lexicon, alphabet)
         lm = _load_lm(args.lm)
-        g = np.zeros((len(alphabet), len(alphabet)))
         result = decode(emissions, g, trie, lm, opts)
         print(" ".join(result.words))
         return
@@ -263,7 +267,7 @@ def cmd_tune(args):
         pipeline.write_csv(args.out, rows)
     print(f"best: alpha={best.alpha} beta={best.beta} gamma={best.gamma} "
           f"(beam {best.beam_size}/{best.beam_score})")
-    print(f"stage-2 WER {rows[-1]['wer']:.2f}%")
+    print(f"stage-2 WER {rows[-1]['wer']:.2f}% (failures={rows[-1]['failures']})")
 
 
 def cmd_analyze_frontend(args):

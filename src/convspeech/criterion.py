@@ -233,38 +233,77 @@ def _check_feasible(target: Target, num_frames: int):
         )
 
 
+def _target_tables(f: np.ndarray, g: np.ndarray, target: Target):
+    """Band of the target graph: emissions (T, S), stay (S,) and advance (S-1,) scores."""
+    letters = np.asarray(target.encoded, dtype=np.int64)
+    return f[:, letters], g[letters, letters], g[letters[:-1], letters[1:]]
+
+
+def _target_forward(em, stay, advance):
+    """alpha over the target graph, where state s is entered from s or s-1."""
+    t_total, s = em.shape
+    alpha = np.full((t_total, s), NEG_INF)
+    alpha[0, 0] = em[0, 0]
+    for t in range(1, t_total):
+        prev = alpha[t - 1]
+        row = alpha[t]
+        np.add(prev, stay, out=row)
+        np.logaddexp(row[1:], prev[:-1] + advance, out=row[1:])
+        row += em[t]
+    return alpha
+
+
+def _target_backward(em, stay, advance):
+    """beta over the target graph, where state s leaves to s or s+1."""
+    t_total, s = em.shape
+    beta = np.full((t_total, s), NEG_INF)
+    beta[-1, -1] = 0.0
+    for t in range(t_total - 1, 0, -1):
+        ahead = em[t] + beta[t]
+        row = beta[t - 1]
+        np.add(ahead, stay, out=row)
+        np.logaddexp(row[:-1], ahead[1:] + advance, out=row[:-1])
+    return beta
+
+
 def asg_loss(emissions, g, target: Target) -> float:
     """Unconstrained minus target-constrained graph score; always >= 0."""
     f = as_scores(emissions)
+    gmat = as_transitions(g)
     _check_feasible(target, f.shape[0])
-    full = forward_score(f, g, full_graph(f.shape[1]))
-    constrained = forward_score(f, g, target_graph(target))
-    return full - constrained
+    full = forward_score(f, gmat, full_graph(f.shape[1]))
+    return full - float(_target_forward(*_target_tables(f, gmat, target))[-1, -1])
 
 
-def _graph_marginals(f, gmat, graph):
-    """Posterior letter marginals (T, |A|) and transition marginals (|A|, |A|)."""
-    em, score_mat = _graph_tables(f, gmat, graph)
-    alpha = _forward_pass(em, score_mat, graph.start)
-    beta = _backward_pass(em, score_mat, graph.final)
-    z = logsumexp(np.where(graph.final, alpha[-1], NEG_INF))
-    t_total = em.shape[0]
-    letters = graph.state_letters
+def _full_marginals(f, gmat):
+    """Unconstrained graph: letter marginals (T, |A|), transition marginals
+    (|A|, |A|) and the log partition."""
+    everywhere = np.ones(f.shape[1], dtype=bool)
+    alpha = _forward_pass(f, gmat, everywhere)
+    beta = _backward_pass(f, gmat, everywhere)
+    z = logsumexp(alpha[-1])
+    log_edges = alpha[:-1, :, None] + gmat + (f[1:] + beta[1:])[:, None, :]
+    log_edges -= z
+    trans_marg = np.exp(log_edges, out=log_edges).sum(axis=0)
+    return np.exp(alpha + beta - z), trans_marg, float(z)
+
+
+def _target_marginals(f, gmat, target: Target):
+    """The same three quantities for the target graph, from its band."""
+    letters = np.asarray(target.encoded, dtype=np.int64)
+    em, stay, advance = _target_tables(f, gmat, target)
+    alpha = _target_forward(em, stay, advance)
+    beta = _target_backward(em, stay, advance)
+    z = alpha[-1, -1]
     post = np.exp(alpha + beta - z)  # (T, S)
-    letter_marg = np.zeros((t_total, f.shape[1]))
+    letter_marg = np.zeros_like(f)
     np.add.at(letter_marg, (slice(None), letters), post)
-    edge_total = np.zeros_like(score_mat)
-    for t in range(1, t_total):
-        with np.errstate(invalid="ignore"):
-            log_edges = alpha[t - 1][:, None] + score_mat + (em[t] + beta[t])[None, :] - z
-        edges = np.exp(log_edges)
-        edges[~np.isfinite(log_edges)] = 0.0
-        edge_total += edges
+    ahead = em[1:] + beta[1:] - z
+    stays = np.exp(alpha[:-1] + stay + ahead).sum(axis=0)
+    advances = np.exp(alpha[:-1, :-1] + advance + ahead[:, 1:]).sum(axis=0)
     trans_marg = np.zeros_like(gmat)
-    s = len(letters)
-    rows = np.broadcast_to(letters[:, None], (s, s))
-    cols = np.broadcast_to(letters[None, :], (s, s))
-    np.add.at(trans_marg, (rows, cols), edge_total)
+    np.add.at(trans_marg, (letters, letters), stays)
+    np.add.at(trans_marg, (letters[:-1], letters[1:]), advances)
     return letter_marg, trans_marg, float(z)
 
 
@@ -278,8 +317,8 @@ def asg_loss_and_gradients(emissions, g, target: Target):
     f = as_scores(emissions)
     gmat = as_transitions(g)
     _check_feasible(target, f.shape[0])
-    full_letter, full_trans, z_full = _graph_marginals(f, gmat, full_graph(f.shape[1]))
-    con_letter, con_trans, z_con = _graph_marginals(f, gmat, target_graph(target))
+    full_letter, full_trans, z_full = _full_marginals(f, gmat)
+    con_letter, con_trans, z_con = _target_marginals(f, gmat, target)
     return z_full - z_con, full_letter - con_letter, full_trans - con_trans
 
 

@@ -537,7 +537,7 @@ def tune_grid(
     Stage 1 evaluates every (alpha, beta, gamma) on the validation utterances
     with the smaller beam budget; the winner is re-evaluated once with the
     larger one. Returns (chosen options, grid rows); each row is a dict with
-    the candidate point and its WER.
+    the candidate point, its WER and its count of failed decodes.
     """
     if not alphas or not betas or not gammas:
         raise ConfigurationError("tuning grids must be non-empty")
@@ -552,31 +552,43 @@ def tune_grid(
             for gamma in gammas:
                 opts = replace(base, alpha=alpha, beta=beta, gamma=gamma,
                                beam_size=stage1[0], beam_score=stage1[1])
-                w = items_wer(validation, trie, lm, opts)
+                w, failures = items_wer_and_failures(validation, trie, lm, opts)
                 rows.append({"alpha": alpha, "beta": beta, "gamma": gamma,
                              "beam_size": stage1[0], "beam_score": stage1[1],
-                             "wer": w, "stage": 1})
+                             "wer": w, "failures": failures, "stage": 1})
                 if best_wer is None or w < best_wer:
                     best_wer = w
                     best_point = (alpha, beta, gamma)
     final = replace(base, alpha=best_point[0], beta=best_point[1],
                     gamma=best_point[2], beam_size=stage2[0], beam_score=stage2[1])
+    w, failures = items_wer_and_failures(validation, trie, lm, final)
     rows.append({"alpha": final.alpha, "beta": final.beta, "gamma": final.gamma,
                  "beam_size": stage2[0], "beam_score": stage2[1],
-                 "wer": items_wer(validation, trie, lm, final), "stage": 2})
+                 "wer": w, "failures": failures, "stage": 2})
     return final, rows
 
 
-def items_wer(items, trie: LexiconTrie, lm, opts: DecoderOptions) -> float:
-    """WER over (emissions, transitions, reference words) triples."""
+def items_wer_and_failures(items, trie: LexiconTrie, lm, opts: DecoderOptions):
+    """(WER, decode failures) over (emissions, transitions, reference words) triples.
+
+    An utterance whose beam empties (EmptyBeamError) is scored as an empty
+    hypothesis and counted as a failure, as `pipeline.evaluate` does.
+    """
     errors = 0
     ref_len = 0
+    failures = 0
     for emissions, g, reference in items:
         try:
             hyp = decode(emissions, g, trie, lm, opts).words
         except EmptyBeamError:
             hyp = []
+            failures += 1
         s, d, ins = edit_distance_alignment(list(reference), hyp)
         errors += s + d + ins
         ref_len += len(reference)
-    return 100.0 * errors / max(ref_len, 1)
+    return 100.0 * errors / max(ref_len, 1), failures
+
+
+def items_wer(items, trie: LexiconTrie, lm, opts: DecoderOptions) -> float:
+    """WER over (emissions, transitions, reference words) triples."""
+    return items_wer_and_failures(items, trie, lm, opts)[0]

@@ -125,67 +125,36 @@ def preemphasize(x: Waveform, kernel: np.ndarray) -> Waveform:
     return Waveform(y, x.sample_rate)
 
 
-def _next_pow2(n: int) -> int:
-    size = 1
-    while size < n:
-        size *= 2
-    return size
+def fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c that is >= n: a length numpy's FFT handles fast."""
+    best = 1
+    while best < n:
+        best *= 2
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < n:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
-_FFT_THRESHOLD = 2_000_000  # direct multiply-accumulate count
+def correlate_rows(signal_spec: np.ndarray, row_spec: np.ndarray, n_fft: int,
+                   lags: int) -> np.ndarray:
+    """First `lags` lags of the cross-correlation of one signal with a stack of rows.
 
-
-def correlate_rows(samples: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of one signal with a stack of kernels.
-
-    out[t, f] = sum_w kernels[f, w] * samples[t + w]. Small workloads use a
-    direct matrix product; large ones go through rfft (identical up to float
-    rounding, checked in the test suite).
+    From rfft spectra of length `n_fft`: out[f, t] = sum_w rows[f, w] * signal[t + w]
+    for 0 <= t < lags. There is no wrap-around while lags + row length - 1 <= n_fft,
+    which holds for valid correlations when n_fft >= len(signal).
+    `row_spec` (rows, n_fft // 2 + 1) is overwritten with the product spectrum.
     """
-    k, width = kernels.shape
-    t_conv = samples.size - width + 1
-    if k * width * t_conv <= _FFT_THRESHOLD:
-        windows = np.lib.stride_tricks.sliding_window_view(samples, width)
-        return np.ascontiguousarray(windows) @ kernels.T
-    n_fft = _next_pow2(samples.size)
-    spec = np.fft.rfft(samples, n_fft)
-    kspec = np.fft.rfft(kernels, n_fft, axis=1)
-    return np.fft.irfft(spec[None, :] * kspec.conj(), n_fft, axis=1)[:, :t_conv].T
-
-
-def convolve_rows_sum(rows: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Sum over rows of the full convolution rows[f] * kernels[f]."""
-    k, t_len = rows.shape
-    width = kernels.shape[1]
-    out_len = t_len + width - 1
-    if k * width * t_len <= _FFT_THRESHOLD:
-        out = np.zeros(out_len)
-        for f in range(k):
-            out += np.convolve(rows[f], kernels[f], mode="full")
-        return out
-    n_fft = _next_pow2(out_len)
-    spec = (np.fft.rfft(rows, n_fft, axis=1) * np.fft.rfft(kernels, n_fft, axis=1)).sum(axis=0)
-    return np.fft.irfft(spec, n_fft)[:out_len]
-
-
-def complex_conv_power(
-    samples: np.ndarray, filter_real: np.ndarray, filter_imag: np.ndarray
-) -> np.ndarray:
-    """Squared modulus of a valid complex convolution, stride 1.
-
-    Returns a (k, len(samples) - W + 1) table; every entry is >= 0.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    k, width = filter_real.shape
-    if filter_imag.shape != (k, width):
-        raise DimensionError("real and imaginary filter parts must share a shape")
-    if samples.size < width:
-        raise InsufficientInputError(
-            f"signal of {samples.size} samples is shorter than the {width}-tap filter"
-        )
-    c_re = correlate_rows(samples, filter_real)  # (T_conv, k)
-    c_im = correlate_rows(samples, filter_imag)
-    return (c_re**2 + c_im**2).T
+    np.conjugate(row_spec, out=row_spec)
+    row_spec *= signal_spec
+    return np.fft.irfft(row_spec, n_fft, axis=1)[:, :lags]
 
 
 def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.ndarray:
@@ -200,6 +169,25 @@ def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.n
     t_out = (t_conv - width) // stride + 1
     frames = np.lib.stride_tricks.sliding_window_view(power, width, axis=1)[:, ::stride, :]
     return frames[:, :t_out, :] @ window
+
+
+def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
+                      length: int) -> np.ndarray:
+    """Adjoint of lowpass_decimate: out[f, n*stride + w] += window[w] * grad[f, n].
+
+    Tap w = j*stride + r of frame n lands on position (n + j)*stride + r, so
+    the scatter is one vectorised add per phase j. The last phase goes first,
+    which adds in the order of a loop over frames: the result is bit-identical
+    to that loop.
+    """
+    k, t_out = grad.shape
+    phases = -(-window.size // stride)
+    win = np.zeros(phases * stride)
+    win[: window.size] = window
+    out = np.zeros((k, max(t_out + phases - 1, -(-length // stride)), stride))
+    for j in reversed(range(phases)):
+        out[:, j : j + t_out, :] += grad[:, :, None] * win[j * stride : (j + 1) * stride]
+    return out.reshape(k, -1)[:, :length]
 
 
 def log_compress(values: np.ndarray, epsilon: float) -> np.ndarray:
@@ -281,10 +269,23 @@ class LearnableFrontend:
             raise InsufficientInputError(
                 f"{len(x.samples)} samples yield no output frame"
             )
-        pre = preemphasize(x, self.params["preemphasis"])
-        c_re = correlate_rows(pre.samples, self.params["filter_real"]).T
-        c_im = correlate_rows(pre.samples, self.params["filter_imag"]).T
-        power = c_re**2 + c_im**2
+        pre = preemphasize(x, self.params["preemphasis"]).samples
+        real, imag = self.params["filter_real"], self.params["filter_imag"]
+        k, width = real.shape
+        # one spectrum of the signal, one of the stacked real+imaginary bank
+        n_fft = fft_length(pre.size)
+        pre_spec = np.fft.rfft(pre, n_fft)
+        bank_spec = np.fft.rfft(np.concatenate([real, imag]), n_fft, axis=1)
+        lags = pre.size - width + 1
+        if want_cache:  # backward needs the bank spectrum and the correlations
+            corr = correlate_rows(pre_spec, bank_spec.copy(), n_fft, lags)
+            squares = corr**2
+        else:  # nothing does: multiply and square in place
+            corr = correlate_rows(pre_spec, bank_spec, n_fft, lags)
+            del bank_spec
+            squares = np.square(corr, out=corr)
+        power = squares[:k]
+        power += squares[k:]
         pooled = lowpass_decimate(power, self.lowpass_window, stride)
         logged = log_compress(pooled, cfg.log_epsilon)
         normed = instance_normalize(logged, cfg.norm_epsilon)
@@ -293,9 +294,10 @@ class LearnableFrontend:
             return feat
         cache = {
             "x": x.samples,
-            "pre": pre.samples,
-            "c_re": c_re,
-            "c_im": c_im,
+            "pre_spec": pre_spec,
+            "bank_spec": bank_spec,
+            "n_fft": n_fft,
+            "corr": corr,
             "pooled": pooled,
             "logged": logged,
             "normed": normed,
@@ -324,33 +326,29 @@ class LearnableFrontend:
         ) / std
         # log compression
         d_pooled = d_logged / (cache["pooled"] + cfg.log_epsilon)
-        # low-pass decimation (window fixed; scatter over strided frames)
-        c_re, c_im = cache["c_re"], cache["c_im"]
-        d_power = np.zeros_like(c_re)
-        win = self.lowpass_window
-        width_lp = win.shape[0]
-        stride = cache["stride"]
-        for n in range(d_pooled.shape[1]):
-            d_power[:, n * stride : n * stride + width_lp] += win * d_pooled[:, n : n + 1]
-        # squared modulus
-        pre = cache["pre"]
-        width = self.params["filter_real"].shape[1]
-        d_re = 2.0 * c_re * d_power
-        d_im = 2.0 * c_im * d_power
-        # complex convolution: filter gradients are correlations of the input
-        # with the upstream rows; the signal gradient sums full convolutions
-        g_filter_real = correlate_rows(pre, d_re).T[:, :width]
-        g_filter_imag = correlate_rows(pre, d_im).T[:, :width]
-        d_pre = convolve_rows_sum(d_re, self.params["filter_real"])
-        d_pre += convolve_rows_sum(d_im, self.params["filter_imag"])
-        # pre-emphasis: y[t] = k1*x[t] + k0*x[t-1]
+        # low-pass decimation (window fixed, so no gradient of its own)
+        corr = cache["corr"]
+        two_k, t_conv = corr.shape
+        k = two_k // 2
+        d_power = lowpass_transpose(d_pooled, self.lowpass_window, cache["stride"], t_conv)
+        # squared modulus: upstream rows for the stacked real+imaginary bank
+        d_power *= 2.0
+        d_rows = (corr.reshape(2, k, t_conv) * d_power).reshape(two_k, t_conv)
+        del d_power  # the dels keep at most two row stacks alive at once
+        # complex convolution, from one spectrum of the upstream rows: the
+        # signal gradient sums the full convolutions d_f * K_f, and the filter
+        # gradients are the first W lags of the correlation of the input with d_f
+        n_fft = cache["n_fft"]
         x = cache["x"]
+        width = self.params["filter_real"].shape[1]
+        d_spec = np.fft.rfft(d_rows, n_fft, axis=1)
+        del d_rows
+        d_pre_spec = np.einsum("fb,fb->b", d_spec, cache["bank_spec"])
+        d_pre = np.fft.irfft(d_pre_spec, n_fft)[: x.size]
+        g_bank = correlate_rows(cache["pre_spec"], d_spec, n_fft, width).copy()
+        # pre-emphasis: y[t] = k1*x[t] + k0*x[t-1]
         g_pre = np.array([np.dot(d_pre[1:], x[:-1]), np.dot(d_pre, x)])
-        return {
-            "preemphasis": g_pre,
-            "filter_real": g_filter_real,
-            "filter_imag": g_filter_imag,
-        }
+        return {"preemphasis": g_pre, "filter_real": g_bank[:k], "filter_imag": g_bank[k:]}
 
 
 def hz_to_mel(f):

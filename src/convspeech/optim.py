@@ -42,9 +42,9 @@ class SgdOptimizer:
         self.nesterov = nesterov
         self.buffers: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        """Update `params` in place; returns them for convenience."""
-        grads, _ = clip_gradients(grads, self.clip)
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
+        """Update `params` in place; returns the global gradient norm before clipping."""
+        grads, norm = clip_gradients(grads, self.clip)
         for key, p in params.items():
             g = grads[key]
             buf = self.buffers.get(key)
@@ -57,7 +57,7 @@ class SgdOptimizer:
                 p -= self.lr * (g + self.momentum * buf)
             else:
                 p -= self.lr * buf
-        return params
+        return norm
 
 
 class PlateauScheduler:

@@ -17,7 +17,7 @@ from .criterion import (
     asg_loss_and_gradients,
     encode_target,
 )
-from .decoder import DecoderOptions, LexiconTrie, decode, items_wer, tune_grid
+from .decoder import DecoderOptions, LexiconTrie, decode, items_wer_and_failures, tune_grid
 from .errors import ConfigurationError, EmptyBeamError
 from .frontend import (
     FrontendConfig,
@@ -101,8 +101,10 @@ def train_acoustic(
     """Joint training of front-end (when learnable), network, and transitions.
 
     Returns (SpeechSystem, history); history has one record per epoch with the
-    mean training loss, optional dev loss, learning rate, and the count of
-    transcripts skipped as infeasible.
+    mean training loss, optional dev loss, learning rate, the count of
+    transcripts skipped as infeasible, the mean global gradient norm before
+    clipping (`grad_norm`) and the fraction of steps that were clipped
+    (`clip_frac`).
     """
     if frontend_kind not in ("learnable", "mel"):
         raise ConfigurationError(f"unknown front-end kind {frontend_kind!r}")
@@ -138,6 +140,7 @@ def train_acoustic(
     for epoch in range(settings.epochs):
         order = rng.permutation(len(train_items))
         epoch_loss = 0.0
+        norms = []
         for start in range(0, len(order), settings.batch_size):
             batch = order[start : start + settings.batch_size]
             grads = {k: np.zeros_like(v) for k, v in params.items()}
@@ -161,13 +164,16 @@ def train_acoustic(
                     for k, v in frontend.backward(fe_cache, d_feat).items():
                         grads[f"fe.{k}"] += v
                 grads["transitions"] += d_g
+                del fe_cache, am_cache  # freed before the next forward pass: lower peak memory
             scale = 1.0 / len(batch)
-            optimizer.step(params, {k: g * scale for k, g in grads.items()})
+            norms.append(optimizer.step(params, {k: g * scale for k, g in grads.items()}))
         record = {
             "epoch": epoch,
             "train_loss": epoch_loss / len(train_items),
             "lr": optimizer.lr,
             "skipped": skipped,
+            "grad_norm": float(np.mean(norms)),
+            "clip_frac": float(np.mean(np.asarray(norms) > settings.clip)),
         }
         if dev_items is not None:
             record["dev_loss"] = _mean_loss(dev_items, frontend, model, transitions)
@@ -321,13 +327,9 @@ def perplexity_wer_study(checkpoints, items, trie, opts: DecoderOptions, corpus)
         raise ConfigurationError("perplexity study needs at least 3 checkpoints")
     rows = []
     for label, lm in checkpoints:
-        rows.append(
-            {
-                "checkpoint": label,
-                "perplexity": perplexity(lm, corpus),
-                "wer": items_wer(items, trie, lm, opts),
-            }
-        )
+        wer, failures = items_wer_and_failures(items, trie, lm, opts)
+        rows.append({"checkpoint": label, "perplexity": perplexity(lm, corpus),
+                     "wer": wer, "failures": failures})
     return rows
 
 
@@ -339,8 +341,8 @@ def context_wer_study(lm, limits, items, trie, opts: DecoderOptions):
         raise ConfigurationError("context limits must be ascending")
     rows = []
     for limit in limits:
-        limited = ContextLimitedLM(lm, limit)
-        rows.append({"context": limit, "wer": items_wer(items, trie, limited, opts)})
+        wer, failures = items_wer_and_failures(items, trie, ContextLimitedLM(lm, limit), opts)
+        rows.append({"context": limit, "wer": wer, "failures": failures})
     return rows
 
 

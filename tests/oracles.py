@@ -105,6 +105,30 @@ def brute_force_graph_score(emissions, transitions, graph):
     return logsumexp(scores)
 
 
+def brute_force_graph_marginals(emissions, transitions, graph):
+    """(log partition, letter marginals (T, |A|), expected transition counts
+    (|A|, |A|)) by weighting every path of the graph."""
+    T, A = emissions.shape
+    letters = graph.state_letters
+    paths = [[int(letters[s]) for s in seq] for seq in enumerate_graph_paths(graph, T)]
+    scores = []
+    for path in paths:
+        s = emissions[0, path[0]]
+        for t in range(1, T):
+            s += emissions[t, path[t]] + transitions[path[t - 1], path[t]]
+        scores.append(s)
+    log_z = logsumexp(scores)
+    letter_marg = np.zeros((T, A))
+    trans_marg = np.zeros((A, A))
+    for path, s in zip(paths, scores):
+        weight = math.exp(s - log_z)
+        for t in range(T):
+            letter_marg[t, path[t]] += weight
+            if t:
+                trans_marg[path[t - 1], path[t]] += weight
+    return log_z, letter_marg, trans_marg
+
+
 def brute_force_best_path(emissions, transitions, graph):
     """Max-scoring path (letters) with ties toward lower letter index."""
     T = emissions.shape[0]

@@ -69,6 +69,23 @@ def test_conv1d_matches_naive():
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
 
 
+@pytest.mark.parametrize("stride, t_in", [(1, 11), (2, 11), (2, 12), (3, 10)])
+def test_conv1d_backward_input_gradient_bit_equal_to_scatter(stride, t_in):
+    rng = np.random.default_rng(40 + stride + t_in)
+    weight = rng.normal(size=(4, 3, 5))
+    out, cache = ac.conv1d(rng.normal(size=(3, t_in)), weight, np.zeros(4), stride=stride,
+                           want_cache=True)
+    d_out = rng.normal(size=out.shape)
+    _, _, d_x = ac.conv1d_backward(cache, d_out)
+    # the per-tap scatter formula with np.add.at
+    d_cols = (weight.reshape(4, -1).T @ d_out).reshape(3, 5, -1)
+    d_padded = np.zeros((3, cache["padded_len"]))
+    positions = stride * np.arange(out.shape[1])
+    for w in range(5):
+        np.add.at(d_padded, (slice(None), positions + w), d_cols[:, w, :])
+    assert np.array_equal(d_x, d_padded[:, 2 : 2 + t_in])
+
+
 def test_conv1d_channel_mismatch():
     with pytest.raises(DimensionError):
         ac.conv1d(np.zeros((2, 5)), np.zeros((1, 3, 3)), np.zeros(1))
@@ -223,6 +240,16 @@ def test_sgd_two_steps_hand_computed():
     assert params["w"][0] == pytest.approx(0.9)
     opt.step(params, {"w": np.array([1.0])})
     assert params["w"][0] == pytest.approx(0.71)
+
+
+def test_sgd_step_returns_norm_before_clipping():
+    opt = SgdOptimizer(lr=0.1, momentum=0.0, clip=0.2)
+    params = {"a": np.array([1.0, 1.0]), "b": np.array([0.0])}
+    norm = opt.step(params, {"a": np.array([0.6, 0.0]), "b": np.array([0.8])})
+    assert norm == pytest.approx(1.0)
+    # the update itself used the clipped gradient (norm 0.2)
+    assert np.allclose(params["a"], [1.0 - 0.1 * 0.12, 1.0])
+    assert np.allclose(params["b"], [-0.1 * 0.16])
 
 
 def test_sgd_rejects_non_finite():

@@ -73,6 +73,16 @@ def test_decode_prints_transcripts(workspace, capsys):
     assert all("\t" in line for line in lines)
 
 
+def _emission_decode(workspace, path, capsys):
+    rc = main([
+        "decode", "--emissions", str(path), "--lm", str(workspace / "bigram.arpa"),
+        "--lexicon", str(workspace / "lexicon.txt"), "--beam-size", "50",
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    return captured.out.strip(), captured.err
+
+
 def test_decode_emission_table(workspace, tmp_path, capsys):
     # export an emission table by hand and decode it standalone
     import numpy as np
@@ -86,13 +96,34 @@ def test_decode_emission_table(workspace, tmp_path, capsys):
     for t in range(4):
         scores[t, alphabet.index("a")] = 10.0
     path = tmp_path / "emit.bin"
-    save_emissions(path, EmissionTable(scores), alphabet)
-    rc = main([
-        "decode", "--emissions", str(path), "--lm", str(workspace / "bigram.arpa"),
-        "--lexicon", str(workspace / "lexicon.txt"), "--beam-size", "50",
-    ])
-    assert rc == 0
-    assert capsys.readouterr().out.strip() == "a"
+    save_emissions(path, EmissionTable(scores), alphabet, np.zeros((len(alphabet),) * 2))
+    out, err = _emission_decode(workspace, path, capsys)
+    assert out == "a" and err == ""
+
+
+def test_decode_emission_table_applies_its_transitions(workspace, tmp_path, capsys):
+    import numpy as np
+
+    from convspeech.acoustic import EmissionTable
+    from convspeech.checkpoint import save_emissions
+    from test_io import as_version1
+
+    spec = _load_task(workspace / "task.json")
+    alphabet = spec.alphabet
+    a, b = alphabet.index("a"), alphabet.index("b")
+    # "a" and "b" tie on every frame; only the transitions tell them apart
+    scores = np.full((4, len(alphabet)), -10.0)
+    scores[:, [a, b]] = 10.0
+    g = np.zeros((len(alphabet), len(alphabet)))
+    g[a, b] = g[b, a] = -30.0
+    path = tmp_path / "emit.bin"
+    save_emissions(path, EmissionTable(scores), alphabet, g)
+    out, err = _emission_decode(workspace, path, capsys)
+    assert out in ("a", "b") and err == ""
+    as_version1(path, len(alphabet))
+    out_v1, err_v1 = _emission_decode(workspace, path, capsys)
+    assert out_v1 == "ab"  # free to switch letters, the bigram prefers the longer word
+    assert len(err_v1.strip().splitlines()) == 1 and "transition table" in err_v1
 
 
 def test_tune_cli(workspace, capsys):
@@ -147,7 +178,7 @@ def test_gcnn_and_studies_cli(workspace, capsys):
     ])
     assert rc == 0
     rows = (workspace / "ppl_wer.csv").read_text().strip().splitlines()
-    assert rows[0] == "checkpoint,perplexity,wer"
+    assert rows[0] == "checkpoint,perplexity,wer,failures"
     assert len(rows) == 4
     rc = main([
         "context-wer", "--manifest", str(workspace / "dev.jsonl"),
@@ -158,7 +189,7 @@ def test_gcnn_and_studies_cli(workspace, capsys):
     ])
     assert rc == 0
     rows = (workspace / "context_wer.csv").read_text().strip().splitlines()
-    assert rows[0] == "context,wer"
+    assert rows[0] == "context,wer,failures"
     assert len(rows) == 4
 
 

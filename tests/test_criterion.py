@@ -11,6 +11,7 @@ from convspeech.errors import ConfigurationError, InfeasibleAlignmentError, Voca
 
 from oracles import (
     brute_force_best_path,
+    brute_force_graph_marginals,
     brute_force_graph_score,
     finite_difference,
     grad_close,
@@ -142,6 +143,42 @@ def test_asg_loss_matches_enumeration():
 def test_asg_loss_infeasible_target():
     with pytest.raises(InfeasibleAlignmentError):
         cr.asg_loss(np.zeros((1, 3)), np.zeros((3, 3)), cr.Target(np.array([0, 1])))
+
+
+def _rel_err(got, want):
+    want = np.asarray(want, dtype=np.float64)
+    return np.max(np.abs(np.asarray(got) - want)) / max(np.max(np.abs(want)), 1e-12)
+
+
+@pytest.mark.parametrize(
+    "letters, t",
+    [
+        (list("abba"), 6),  # doubled letter -> repetition token
+        (list("aaa"), 5),  # alternating letter / repetition token
+        (["c"], 4),  # one-letter target
+        (list("ab|c"), 4),  # T == S: a single path
+        (list("b|a"), 7),
+    ],
+)
+def test_banded_asg_matches_brute_force(letters, t):
+    rng = np.random.default_rng(len(letters) * 10 + t)
+    emissions, transitions = random_instance(rng, t, len(AB))
+    target = cr.encode_target(AB, letters)
+    z_full, full_letter, full_trans = brute_force_graph_marginals(
+        emissions, transitions, cr.full_graph(len(AB)))
+    z_con, con_letter, con_trans = brute_force_graph_marginals(
+        emissions, transitions, cr.target_graph(target))
+    loss, d_em, d_g = cr.asg_loss_and_gradients(emissions, transitions, target)
+    assert _rel_err(loss, z_full - z_con) <= 1e-10
+    assert _rel_err(cr.asg_loss(emissions, transitions, target), z_full - z_con) <= 1e-10
+    assert _rel_err(d_em, full_letter - con_letter) <= 1e-10
+    assert _rel_err(d_g, full_trans - con_trans) <= 1e-10
+
+
+def test_asg_gradients_infeasible_target():
+    target = cr.encode_target(AB, list("abc"))
+    with pytest.raises(InfeasibleAlignmentError):
+        cr.asg_loss_and_gradients(np.zeros((2, len(AB))), np.zeros((len(AB),) * 2), target)
 
 
 def test_gradients_single_letter_alphabet_degenerate():

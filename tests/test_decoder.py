@@ -430,6 +430,21 @@ def test_tune_grid_finds_planted_optimum():
     assert by_point[(4.0, 1)] < by_point[(0.0, 1)]
 
 
+def test_decode_failures_are_counted():
+    rng = np.random.default_rng(12)
+    emissions, g, trie, lm, opts = make_instance(rng, t=5, lexicon={"a": ["a"], "b": ["b"]})
+    empty = np.zeros((0, len(AB)))  # no frames: the beam is empty from the start
+    items = [(emissions, g, ["a"]), (empty, g, ["a", "b"])]
+    wer, failures = dec.items_wer_and_failures(items, trie, lm, opts)
+    assert failures == 1
+    assert wer == dec.items_wer(items, trie, lm, opts)
+    # the failed item is scored as an empty hypothesis: both its words deleted
+    alone, _ = dec.items_wer_and_failures(items[:1], trie, lm, opts)
+    assert wer == pytest.approx(100.0 * (alone / 100.0 * 1 + 2) / 3)
+    _, rows = dec.tune_grid(items, [0.5, 1.0], [0.1], [0.2], trie, lm)
+    assert [row["failures"] for row in rows] == [1, 1, 1]
+
+
 def test_tune_grid_rejects_empty():
     with pytest.raises(ConfigurationError):
         dec.tune_grid([], [1.0], [0.0], [0.0], None, None)

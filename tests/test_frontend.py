@@ -58,6 +58,15 @@ def test_preemphasize_empty_signal():
                         np.array([-0.97, 1.0]))
 
 
+def bank_power(x, real, imag):
+    """Squared modulus of the valid complex correlation, through fe.correlate_rows."""
+    k, width = real.shape
+    n_fft = fe.fft_length(x.size)
+    bank_spec = np.fft.rfft(np.concatenate([real, imag]), n_fft, axis=1)
+    corr = fe.correlate_rows(np.fft.rfft(x, n_fft), bank_spec, n_fft, x.size - width + 1)
+    return corr[:k] ** 2 + corr[k:] ** 2
+
+
 def test_complex_conv_power_matched_tone_is_flat():
     # complex exponential filter at 1 kHz applied to a 1 kHz sinusoid: the
     # squared modulus is the (approximately constant) envelope
@@ -67,14 +76,14 @@ def test_complex_conv_power_matched_tone_is_flat():
     imag = np.sin(2 * np.pi * 1000 * t)[None, :]
     n = np.arange(RATE // 10) / RATE
     x = np.sin(2 * np.pi * 1000 * n)
-    out = fe.complex_conv_power(x, real, imag)[0]
+    out = bank_power(x, real, imag)[0]
     core = out[width : -width if out.size > 2 * width else None]
     assert (core.max() - core.min()) / core.max() <= 0.05
 
 
 def test_complex_conv_power_zero_signal():
     real = np.ones((2, 8))
-    out = fe.complex_conv_power(np.zeros(32), real, real)
+    out = bank_power(np.zeros(32), real, real)
     assert out.shape == (2, 25)
     assert np.all(out == 0.0)
 
@@ -84,14 +93,15 @@ def test_complex_conv_power_matches_naive():
     x = rng.normal(size=50)
     real = rng.normal(size=(3, 7))
     imag = rng.normal(size=(3, 7))
-    got = fe.complex_conv_power(x, real, imag)
+    got = bank_power(x, real, imag)
     want = naive_complex_conv_power(x, real, imag)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
 
 
 def test_complex_conv_power_short_signal():
+    # fewer samples than filter taps
     with pytest.raises(InsufficientInputError):
-        fe.complex_conv_power(np.zeros(5), np.ones((1, 8)), np.ones((1, 8)))
+        toy_frontend().forward(fe.Waveform(np.zeros(5), RATE))
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,7 +113,7 @@ def test_complex_conv_power_non_negative(x, seed):
     rng = np.random.default_rng(seed)
     real = rng.normal(size=(3, 9))
     imag = rng.normal(size=(3, 9))
-    assert np.all(fe.complex_conv_power(x, real, imag) >= 0.0)
+    assert np.all(bank_power(x, real, imag) >= 0.0)
 
 
 def test_correlate_rows_fft_path_matches_direct():
@@ -111,9 +121,114 @@ def test_correlate_rows_fft_path_matches_direct():
     x = rng.normal(size=12000)
     kernels = rng.normal(size=(8, 300))
     direct = np.lib.stride_tricks.sliding_window_view(x, 300) @ kernels.T
-    assert 8 * 300 * (12000 - 299) > fe._FFT_THRESHOLD  # exercises the rfft path
-    got = fe.correlate_rows(x, kernels)
+    n_fft = fe.fft_length(x.size)
+    got = fe.correlate_rows(np.fft.rfft(x, n_fft), np.fft.rfft(kernels, n_fft, axis=1),
+                            n_fft, x.size - 299).T
     assert np.max(np.abs(got - direct)) / np.max(np.abs(direct)) <= 1e-12
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=200_000))
+def test_fft_length_is_smallest_5_smooth_at_least_n(n):
+    size = fe.fft_length(n)
+    assert size >= n and _is_5_smooth(size)
+    assert not any(_is_5_smooth(m) for m in range(n, size))
+
+
+def test_fft_length_beats_next_power_of_two():
+    assert fe.fft_length(8193) == 8640 and fe.fft_length(9120) == 9216
+    assert fe.fft_length(16385) == 16875 and fe.fft_length(16384) == 16384
+
+
+# Long signals whose smooth FFT length differs from the next power of two,
+# checked against direct time-domain formulas (np.correlate / np.convolve and
+# a scatter loop for the low-pass), which share no code with the front-end.
+LONG_LENGTHS = (8193, 9120, 16385)
+
+
+def _direct_forward(front, samples):
+    p = front.params
+    cfg = front.config
+    pre = p["preemphasis"][1] * samples
+    pre[1:] += p["preemphasis"][0] * samples[:-1]
+    c_re = np.stack([np.correlate(pre, h, "valid") for h in p["filter_real"]])
+    c_im = np.stack([np.correlate(pre, h, "valid") for h in p["filter_imag"]])
+    win = front.lowpass_window
+    stride = cfg.stride(RATE)
+    t_out = (c_re.shape[1] - win.size) // stride + 1
+    power = c_re**2 + c_im**2
+    pooled = np.stack([power[:, n * stride : n * stride + win.size] @ win for n in range(t_out)], 1)
+    logged = np.log(pooled + cfg.log_epsilon)
+    std = np.sqrt(logged.var(axis=1, keepdims=True) + cfg.norm_epsilon)
+    normed = (logged - logged.mean(axis=1, keepdims=True)) / std
+    return normed, (pre, c_re, c_im, pooled, std)
+
+
+def _direct_backward(front, samples, upstream):
+    p = front.params
+    cfg = front.config
+    normed, (pre, c_re, c_im, pooled, std) = _direct_forward(front, samples)
+    d_logged = (upstream - upstream.mean(axis=1, keepdims=True)
+                - normed * (upstream * normed).mean(axis=1, keepdims=True)) / std
+    d_pooled = d_logged / (pooled + cfg.log_epsilon)
+    win = front.lowpass_window
+    stride = cfg.stride(RATE)
+    d_power = np.zeros_like(c_re)
+    for n in range(d_pooled.shape[1]):
+        d_power[:, n * stride : n * stride + win.size] += win * d_pooled[:, n : n + 1]
+    d_re, d_im = 2 * c_re * d_power, 2 * c_im * d_power
+    width = p["filter_real"].shape[1]
+    g_real = np.stack([np.correlate(pre, d, "valid")[:width] for d in d_re])
+    g_imag = np.stack([np.correlate(pre, d, "valid")[:width] for d in d_im])
+    d_pre = sum(np.convolve(d, h) for d, h in zip(d_re, p["filter_real"]))
+    d_pre = d_pre + sum(np.convolve(d, h) for d, h in zip(d_im, p["filter_imag"]))
+    g_pre = np.array([np.dot(d_pre[1:], samples[:-1]), np.dot(d_pre, samples)])
+    # the pre-emphasis gradients are dot products that cancel heavily; their
+    # rounding scales with the sum of the absolute terms, not with the result
+    pre_scale = np.abs(d_pre * samples).sum()
+    return ({"preemphasis": g_pre, "filter_real": g_real, "filter_imag": g_imag},
+            {"preemphasis": pre_scale, "filter_real": np.max(np.abs(g_real)),
+             "filter_imag": np.max(np.abs(g_imag))})
+
+
+@pytest.mark.parametrize("n", LONG_LENGTHS)
+def test_forward_and_backward_match_direct_formulas_on_long_signals(n):
+    assert fe.fft_length(n) < 2 ** int(np.ceil(np.log2(n)))
+    rng = np.random.default_rng(n)
+    front = fe.LearnableFrontend(fe.FrontendConfig(num_filters=4), RATE, rng=rng)
+    samples = 0.3 * rng.normal(size=n)
+    feat, cache = front.forward(fe.Waveform(samples, RATE), want_cache=True)
+    want, _ = _direct_forward(front, samples)
+    assert np.max(np.abs(feat.values - want)) <= 1e-10
+    upstream = rng.normal(size=feat.values.shape)
+    got = front.backward(cache, upstream)
+    expected, scale = _direct_backward(front, samples, upstream)
+    for key in front.PARAM_KEYS:
+        assert np.max(np.abs(got[key] - expected[key])) / scale[key] <= 1e-10, key
+
+
+@pytest.mark.parametrize("n", LONG_LENGTHS)
+def test_backward_matches_finite_differences_on_long_signals(n):
+    rng = np.random.default_rng(n + 1)
+    front = fe.LearnableFrontend(
+        fe.FrontendConfig(num_filters=2, filter_width_ms=1.25, lowpass_width_ms=1.25,
+                          stride_ms=0.5), RATE, rng=rng)
+    x = fe.Waveform(0.3 * rng.normal(size=n), RATE)
+    feat, cache = front.forward(x, want_cache=True)
+    weights = rng.normal(size=feat.values.shape)
+    grads = front.backward(cache, weights)
+    numeric = finite_difference(
+        lambda: _frontend_loss(front, x, weights), front.params, step=1e-5
+    )
+    for key in front.PARAM_KEYS:
+        assert grad_close(grads[key], numeric[key], 1e-4), key
 
 
 def test_lowpass_constant_input():
@@ -136,6 +251,22 @@ def test_lowpass_matches_naive():
     got = fe.lowpass_decimate(p, window, 3)
     want = naive_lowpass_decimate(p, window, 3)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
+
+
+@pytest.mark.parametrize("width, stride, t_conv", [(9, 3, 57), (400, 160, 15601), (8, 8, 64), (5, 7, 40)])
+def test_lowpass_transpose_bit_equal_to_scatter_loop(width, stride, t_conv):
+    rng = np.random.default_rng(width + stride)
+    window = fe.squared_hanning(width)
+    t_out = (t_conv - width) // stride + 1
+    grad = rng.normal(size=(3, t_out))
+    want = np.zeros((3, t_conv))
+    for n in range(t_out):
+        want[:, n * stride : n * stride + width] += window * grad[:, n : n + 1]
+    assert np.array_equal(fe.lowpass_transpose(grad, window, stride, t_conv), want)
+    # adjoint of the forward decimation: <decimate(p), g> == <p, transpose(g)>
+    p = rng.normal(size=(3, t_conv))
+    lhs = (fe.lowpass_decimate(p, window, stride) * grad).sum()
+    assert lhs == pytest.approx((p * want).sum(), rel=1e-12)
 
 
 def test_lowpass_too_short():

@@ -13,7 +13,7 @@ from convspeech.checkpoint import (
     save_emissions,
     write_lexicon,
 )
-from convspeech.criterion import Alphabet
+from convspeech.criterion import Alphabet, TransitionTable
 from convspeech.errors import AudioFormatError, ConfigurationError, VocabularyError
 
 AB = Alphabet(("a", "b", "|", "2"))
@@ -133,14 +133,26 @@ def _missing_arrays(path):
 
 
 def _truncated_emissions(path):
-    save_emissions(path, EmissionTable(np.zeros((5, 4))), AB)
+    save_emissions(path, EmissionTable(np.zeros((5, 4))), AB, np.zeros((4, 4)))
     path.write_bytes(path.read_bytes()[:-9])
+
+
+def _truncated_emission_scores(path):
+    save_emissions(path, EmissionTable(np.zeros((5, 4))), AB, np.zeros((4, 4)))
+    path.write_bytes(path.read_bytes()[: -8 * 16 - 9])
+
+
+def as_version1(path, alphabet_size):
+    """Rewrite a saved emission table as format v1: no transition table."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6 : len(raw) - 8 * alphabet_size**2])
 
 
 @pytest.mark.parametrize("corrupt, load", [
     (_malformed_json, load_checkpoint),
     (_missing_arrays, load_checkpoint),
     (_truncated_emissions, load_emissions),
+    (_truncated_emission_scores, load_emissions),
 ])
 def test_corrupt_containers_raise_configuration_error(tmp_path, corrupt, load):
     path = tmp_path / "corrupt.bin"
@@ -152,14 +164,32 @@ def test_corrupt_containers_raise_configuration_error(tmp_path, corrupt, load):
 def test_emission_table_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     table = EmissionTable(rng.normal(size=(11, 4)), normalized=False)
+    transitions = rng.normal(size=(4, 4))
     path = tmp_path / "e.bin"
-    save_emissions(path, table, AB)
-    loaded, alphabet = load_emissions(path)
+    save_emissions(path, table, AB, TransitionTable(transitions))
+    loaded, alphabet, g = load_emissions(path)
     assert np.array_equal(loaded.scores, table.scores)
+    assert np.array_equal(g, transitions)
     assert loaded.normalized == table.normalized
     assert alphabet.letters == AB.letters
     assert alphabet.silence_index == AB.silence_index
     assert alphabet.repetition_index == AB.repetition_index
+
+
+def test_emission_table_version1_still_readable(tmp_path):
+    table = EmissionTable(np.random.default_rng(3).normal(size=(6, 4)), normalized=True)
+    path = tmp_path / "e.bin"
+    save_emissions(path, table, AB, np.ones((4, 4)))
+    as_version1(path, 4)
+    loaded, alphabet, g = load_emissions(path)
+    assert g is None
+    assert np.array_equal(loaded.scores, table.scores) and loaded.normalized
+    assert alphabet.letters == AB.letters
+
+
+def test_emission_table_rejects_mismatched_transitions(tmp_path):
+    with pytest.raises(ConfigurationError, match="transition"):
+        save_emissions(tmp_path / "e.bin", EmissionTable(np.zeros((3, 4))), AB, np.zeros((3, 3)))
 
 
 def test_emission_table_bad_magic(tmp_path):

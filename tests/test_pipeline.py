@@ -43,6 +43,30 @@ def test_training_reduces_loss(tiny_system):
     assert history[0]["skipped"] == 0
 
 
+def test_history_records_grad_norm_and_clip_rate(tiny_task):
+    spec, manifests, _ = tiny_task
+
+    def history_with(clip, lr):
+        _, history = pipeline.train_acoustic(
+            manifests["train"], spec.lexicon, spec.alphabet,
+            frontend_config=FrontendConfig(num_filters=4),
+            settings=pipeline.TrainSettings(epochs=2, lr=lr, batch_size=3, seed=0, clip=clip),
+        )
+        return history
+
+    tight, loose = history_with(1e-6, 1e-3), history_with(1e6, 1e-3)
+    for record in tight + loose:
+        assert math.isfinite(record["grad_norm"]) and record["grad_norm"] > 1e-6
+    assert [r["clip_frac"] for r in tight] == [1.0, 1.0]
+    assert [r["clip_frac"] for r in loose] == [0.0, 0.0]
+    # lr 0 keeps the parameters, so every run sees the same two pre-clip
+    # norms per epoch; clipping at their mean clips exactly one of them
+    frozen = history_with(1e6, 0.0)
+    at_mean = history_with(frozen[0]["grad_norm"], 0.0)
+    assert [r["grad_norm"] for r in at_mean] == [r["grad_norm"] for r in frozen]
+    assert [r["clip_frac"] for r in at_mean] == [0.5, 0.5]
+
+
 def test_end_to_end_gradient_reaches_frontend(tiny_task):
     spec, manifests, _ = tiny_task
     seed_front = pipeline.LearnableFrontend(
