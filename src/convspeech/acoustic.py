@@ -45,17 +45,6 @@ class AcousticModelConfig:
                 )
 
 
-def desk_scale_config(input_channels: int, alphabet_size: int) -> AcousticModelConfig:
-    """Default architecture: 4 conv-GLU layers with growing channel counts."""
-    widths = [32, 64, 96, 128]
-    layers = []
-    prev = input_channels
-    for w in widths:
-        layers.append(ConvLayerSpec(prev, w, kernel_width=13, dropout_rate=0.25))
-        prev = w
-    return AcousticModelConfig(layers, alphabet_size)
-
-
 @dataclass
 class EmissionTable:
     """Per-frame, per-letter acoustic scores (T x |A|)."""
@@ -257,7 +246,6 @@ class AcousticModel:
         features: FeatureMap | np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        normalized: bool = False,
         want_cache: bool = False,
     ):
         h = features.values if isinstance(features, FeatureMap) else np.asarray(features)
@@ -274,17 +262,10 @@ class AcousticModel:
             h, glu_cache = glu_dropout(pre, spec.dropout_rate, rng if training else None)
             layer_caches.append((conv_cache, glu_cache))
         scores_ct, proj_cache = wn_conv(self.params, "proj", h)
-        softmax = None
-        if normalized:
-            shifted = scores_ct - scores_ct.max(axis=0, keepdims=True)
-            expo = np.exp(shifted)
-            softmax = expo / expo.sum(axis=0, keepdims=True)
-            scores_ct = shifted - np.log(expo.sum(axis=0, keepdims=True))
-        emissions = EmissionTable(scores_ct.T.copy(), normalized=normalized)
+        emissions = EmissionTable(scores_ct.T.copy())
         if not want_cache:
             return emissions
-        cache = {"layers": layer_caches, "proj": proj_cache, "softmax": softmax}
-        return emissions, cache
+        return emissions, {"layers": layer_caches, "proj": proj_cache}
 
     def backward(self, cache: dict, d_scores: np.ndarray):
         """Backprop from d(loss)/d(emissions) of shape (T, |A|).
@@ -299,8 +280,6 @@ class AcousticModel:
                 f"upstream gradient shape {d_scores.shape} does not match emissions "
                 f"{expected[::-1]}"
             )
-        if cache["softmax"] is not None:
-            d = d - cache["softmax"] * d.sum(axis=0, keepdims=True)
         grads: dict[str, np.ndarray] = {}
         d = wn_conv_backward(self.params, cache["proj"], d, grads)
         for conv_cache, glu_cache in reversed(cache["layers"]):

@@ -122,10 +122,6 @@ class AlignmentGraph:
     start: np.ndarray  # (S,) bool
     final: np.ndarray  # (S,) bool
 
-    @property
-    def num_states(self) -> int:
-        return len(self.state_letters)
-
 
 def full_graph(alphabet_size: int) -> AlignmentGraph:
     """Unconstrained graph: any letter at any frame (|A|^T paths over T frames)."""

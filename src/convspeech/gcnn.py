@@ -3,8 +3,12 @@
 Residual blocks bracket a causal mid convolution with width-1 bottleneck
 convolutions on both sides; every convolution is weight-normalized and gated
 (GLU). Position t's output depends only on tokens at positions <= t, so the
-model can score beam-search continuations incrementally; score rows are
-memoized per history window in a bounded LRU cache.
+model can score beam-search continuations incrementally.
+
+GcnnLm implements the LM protocol of `lm.py` (start_state, score, finish,
+vocab). A state is a tuple of token ids; `score` reads only its last
+`receptive_field` tokens, the whole context the network can see, and memoizes
+one score row per such window in a bounded LRU cache.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .lm import LruCache, Vocabulary
 from .optim import SgdOptimizer
 
+ROW_CACHE_CAPACITY = 4096  # score rows kept per model, one per context window
+
 
 @dataclass
 class GcnnConfig:
@@ -26,7 +32,6 @@ class GcnnConfig:
     bottleneck_dim: int = 64
     mid_kernel_width: int = 5
     dropout_rate: float = 0.0
-    context_limit: int | None = None
 
     def __post_init__(self):
         if min(self.num_blocks, self.embed_dim, self.bottleneck_dim) < 1:
@@ -35,8 +40,6 @@ class GcnnConfig:
             raise ConfigurationError("mid kernel width must be odd")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError("dropout_rate must be in [0, 1)")
-        if self.context_limit is not None and self.context_limit < 1:
-            raise ConfigurationError("context_limit must be >= 1 when set")
 
     @property
     def receptive_field(self) -> int:
@@ -52,28 +55,43 @@ class GcnnLm:
         config: GcnnConfig | None = None,
         rng: np.random.Generator | None = None,
         params: dict[str, np.ndarray] | None = None,
-        cache_capacity: int = 4096,
     ):
         self.vocab = vocab
         self.config = config or GcnnConfig()
-        self.params = params if params is not None else self._init_params(
-            rng or np.random.default_rng(0)
-        )
-        self._row_cache = LruCache(cache_capacity)
+        if params is None:
+            params = self._init_params(rng or np.random.default_rng(0))
+        else:
+            self._check_params(params)
+        self.params = params
+        self._row_cache = LruCache(ROW_CACHE_CAPACITY)
+
+    def _conv_layers(self):
+        """(name, c_out, c_in, kernel width) of every weight-normed conv, in init order."""
+        cfg = self.config
+        e, b = cfg.embed_dim, cfg.bottleneck_dim
+        for i in range(cfg.num_blocks):
+            yield f"block{i}_down", 2 * b, e, 1
+            yield f"block{i}_mid", 2 * b, b, cfg.mid_kernel_width
+            yield f"block{i}_up", 2 * e, b, 1
+        yield "out", len(self.vocab), e, 1
 
     def _init_params(self, rng) -> dict[str, np.ndarray]:
-        cfg = self.config
-        v_size, e, b = len(self.vocab), cfg.embed_dim, cfg.bottleneck_dim
-        params = {"embed": rng.normal(0.0, 0.1, (v_size, e))}
-        for i in range(cfg.num_blocks):
-            for name, (c_out, c_in, kw) in {
-                "down": (2 * b, e, 1),
-                "mid": (2 * b, b, cfg.mid_kernel_width),
-                "up": (2 * e, b, 1),
-            }.items():
-                init_wn_conv(params, f"block{i}_{name}", rng, c_out, c_in, kw)
-        init_wn_conv(params, "out", rng, v_size, e, 1)
+        params = {"embed": rng.normal(0.0, 0.1, (len(self.vocab), self.config.embed_dim))}
+        for name, c_out, c_in, kw in self._conv_layers():
+            init_wn_conv(params, name, rng, c_out, c_in, kw)
         return params
+
+    def _check_params(self, params: dict[str, np.ndarray]):
+        """Every array the config and vocabulary call for must be there, at its shape."""
+        shapes = {"embed": (len(self.vocab), self.config.embed_dim)}
+        for name, c_out, c_in, kw in self._conv_layers():
+            shapes |= {f"{name}_v": (c_out, c_in, kw), f"{name}_g": (c_out,), f"{name}_b": (c_out,)}
+        for key, shape in shapes.items():
+            if key not in params:
+                raise ConfigurationError(f"conv LM parameters lack array {key!r}")
+            if params[key].shape != shape:
+                raise ConfigurationError(
+                    f"conv LM array {key!r} has shape {params[key].shape}, not {shape}")
 
     # -- forward / backward --------------------------------------------------
     def forward(
@@ -135,14 +153,8 @@ class GcnnLm:
         return grads
 
     # -- scoring protocol ------------------------------------------------------
-    @property
-    def window_size(self) -> int:
-        limit = self.config.context_limit
-        field = self.config.receptive_field
-        return field if limit is None else min(field, limit)
-
     def start_state(self) -> tuple[int, ...]:
-        return (self.vocab.begin_id,)[-self.window_size:]
+        return (self.vocab.begin_id,)
 
     def _row(self, window: tuple[int, ...]) -> np.ndarray:
         if not window:
@@ -154,18 +166,15 @@ class GcnnLm:
         return row
 
     def score(self, state: tuple[int, ...], token_id: int):
-        logp = float(self._row(state)[token_id])
-        return logp, (state + (token_id,))[-self.window_size:]
-
-    def score_window(self, window, token_id: int) -> float:
-        trimmed = tuple(int(t) for t in window)[-self.window_size:]
-        return float(self._row(trimmed)[token_id])
+        field = self.config.receptive_field
+        logp = float(self._row(state[-field:])[token_id])
+        return logp, (state + (token_id,))[-field:]
 
     def finish(self, state) -> float:
         return self.score(state, self.vocab.end_id)[0]
 
     def clear_cache(self):
-        self._row_cache = LruCache(self._row_cache.capacity)
+        self._row_cache = LruCache(ROW_CACHE_CAPACITY)
 
 
 def sentence_nll(lm: GcnnLm, sentence_ids, training=False, rng=None, want_cache=False):

@@ -1,16 +1,18 @@
 """Word-level language models for decoding.
 
-Every model implements the protocol the decoder calls:
+Every model implements the one protocol the decoder calls:
 
-    start_state()              -> opaque state whose equality key is itself
+    start_state()              -> tuple of token ids
     score(state, token_id)     -> (natural-log probability, next state)
     finish(state)              -> log probability of the sentence end
     vocab                      -> Vocabulary
 
-States with equal keys must score every continuation identically; the decoder
-relies on that to merge hypotheses and cache scores. The n-gram and conv
-models also offer score_window(ids, token_id), the log probability given a
-raw history window; only ContextLimitedLM needs it, from its base model.
+A state is a tuple of token ids, the history so far. `score` accepts any such
+tuple but reads only its last N tokens: order-1 for an n-gram, none for a
+unigram, the receptive field for the conv LM. States that agree on those
+tokens therefore score every continuation identically; the decoder relies on
+that to merge hypotheses and cache scores, and ContextLimitedLM relies on it
+to cut any model's context.
 """
 
 from __future__ import annotations
@@ -85,17 +87,12 @@ class NGramModel:
             return logp, ()
         return logp, (state + (token_id,))[-(self.order - 1):]
 
-    def score_window(self, window: Sequence[int], token_id: int) -> float:
-        context = tuple(window)[-(self.order - 1):] if self.order > 1 else ()
-        return self._conditional(context, token_id)
-
     def finish(self, state) -> float:
         return self.score(state, self.vocab.end_id)[0]
 
     # -- internals ----------------------------------------------------------
     def _conditional(self, context: tuple[int, ...], token_id: int) -> float:
-        if self.order > 1:
-            context = context[-(self.order - 1):]
+        context = context[-(self.order - 1):] if self.order > 1 else ()
         acc = 0.0
         while context:
             full = tuple(context) + (token_id,)
@@ -211,7 +208,7 @@ def load_arpa(stream: TextIO | Iterable[str]) -> NGramModel:
 
 
 class ContextLimitedLM:
-    """Scores as if only the last `limit` history tokens existed."""
+    """Scores as if only the last `limit` history tokens existed, over any protocol model."""
 
     def __init__(self, base, limit: int):
         if limit < 1:
@@ -221,14 +218,11 @@ class ContextLimitedLM:
         self.vocab = base.vocab
 
     def start_state(self) -> tuple[int, ...]:
-        return (self.vocab.begin_id,)[-self.limit:]
+        return (self.vocab.begin_id,)
 
     def score(self, state: tuple[int, ...], token_id: int):
-        logp = self.base.score_window(state, token_id)
+        logp = self.base.score(state[-self.limit:], token_id)[0]
         return logp, (state + (token_id,))[-self.limit:]
-
-    def score_window(self, window: Sequence[int], token_id: int) -> float:
-        return self.base.score_window(tuple(window)[-self.limit:], token_id)
 
     def finish(self, state) -> float:
         return self.score(state, self.vocab.end_id)[0]

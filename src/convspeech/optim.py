@@ -60,15 +60,16 @@ class SgdOptimizer:
         return norm
 
 
+PLATEAU_FACTOR = 0.5  # lr multiplier once the loss has stalled
+PLATEAU_PATIENCE = 2  # stale updates tolerated before the cut
+MIN_LR = 1e-6  # the cuts stop here
+
+
 class PlateauScheduler:
     """Halve the learning rate when validation loss stops improving."""
 
-    def __init__(self, optimizer: SgdOptimizer, factor: float = 0.5,
-                 patience: int = 2, min_lr: float = 1e-6):
+    def __init__(self, optimizer: SgdOptimizer):
         self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.min_lr = min_lr
         self.best = np.inf
         self.stale = 0
 
@@ -78,7 +79,7 @@ class PlateauScheduler:
             self.stale = 0
         else:
             self.stale += 1
-            if self.stale > self.patience:
-                self.optimizer.lr = max(self.optimizer.lr * self.factor, self.min_lr)
+            if self.stale > PLATEAU_PATIENCE:
+                self.optimizer.lr = max(self.optimizer.lr * PLATEAU_FACTOR, MIN_LR)
                 self.stale = 0
         return self.optimizer.lr

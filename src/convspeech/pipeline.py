@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -55,8 +55,6 @@ class TrainSettings:
     clip: float = 0.2
     batch_size: int = 8
     seed: int = 0
-    lr_patience: int = 2
-    lr_factor: float = 0.5
 
 
 def small_model_config(input_channels: int, alphabet_size: int) -> AcousticModelConfig:
@@ -133,7 +131,7 @@ def train_acoustic(
         params.update({f"fe.{k}": v for k, v in frontend.params.items()})
     params["transitions"] = transitions.g
     optimizer = SgdOptimizer(settings.lr, settings.momentum, settings.clip)
-    scheduler = PlateauScheduler(optimizer, settings.lr_factor, settings.lr_patience)
+    scheduler = PlateauScheduler(optimizer)
 
     mel_cache: dict[int, object] = {}
     history = []
@@ -256,8 +254,24 @@ def load_gcnn(path) -> GcnnLm:
     kind, config, arrays = ckpt.load_checkpoint(path)
     if kind != "gcnn-lm":
         raise ConfigurationError(f"{path} holds a {kind!r} checkpoint, not a conv LM")
-    vocab = Vocabulary(tuple(config["vocab"]))
-    return GcnnLm(vocab, GcnnConfig(**config["gcnn"]), params=arrays)
+    try:
+        tokens, gcnn = tuple(config["vocab"]), dict(config["gcnn"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigurationError(
+            f"{path}: malformed gcnn-lm config ({type(err).__name__}: {err})") from None
+    # Earlier checkpoints carry the removed GcnnConfig.context_limit, always null.
+    if gcnn.pop("context_limit", None) is not None:
+        raise ConfigurationError(f"{path}: context_limit is gone; wrap the LM in ContextLimitedLM")
+    names = {f.name for f in fields(GcnnConfig)}
+    if gcnn.keys() != names:
+        raise ConfigurationError(
+            f"{path}: gcnn-lm config is missing {sorted(names - gcnn.keys())} "
+            f"and has unknown keys {sorted(gcnn.keys() - names)}"
+        )
+    try:
+        return GcnnLm(Vocabulary(tokens), GcnnConfig(**gcnn), params=arrays)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from None
 
 
 # -- evaluation ---------------------------------------------------------------

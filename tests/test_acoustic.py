@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from convspeech import acoustic as ac
 from convspeech.errors import ConfigurationError, DimensionError, TrainingDivergenceError
-from convspeech.optim import SgdOptimizer, clip_gradients, global_norm
+from convspeech.optim import PlateauScheduler, SgdOptimizer, clip_gradients, global_norm
 
 from oracles import finite_difference, grad_close, naive_conv1d, naive_glu
 
@@ -128,15 +128,6 @@ def test_forward_matches_layerwise_oracle():
     assert np.max(np.abs(emissions.scores - want)) / denom <= 1e-8
 
 
-def test_normalized_rows_logsumexp_zero():
-    model = tiny_model(seed=11)
-    x = np.random.default_rng(12).normal(size=(3, 6))
-    emissions = model.forward(x, normalized=True)
-    lse = np.log(np.exp(emissions.scores).sum(axis=1))
-    assert np.max(np.abs(lse)) <= 1e-6
-    assert emissions.normalized
-
-
 def test_weight_norm_scale_invariance():
     model = tiny_model(seed=13)
     x = np.random.default_rng(14).normal(size=(3, 6))
@@ -155,17 +146,16 @@ def test_backward_zero_upstream():
     assert np.allclose(d_input, 0.0)
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_backward_matches_finite_differences(normalized):
+def test_backward_matches_finite_differences():
     model = tiny_model(seed=17)
     rng = np.random.default_rng(18)
     x = rng.normal(size=(3, 7))
     weights = rng.normal(size=(7, 4))
 
     def loss():
-        return float((model.forward(x, normalized=normalized).scores * weights).sum())
+        return float((model.forward(x).scores * weights).sum())
 
-    emissions, cache = model.forward(x, normalized=normalized, want_cache=True)
+    emissions, cache = model.forward(x, want_cache=True)
     grads, _ = model.backward(cache, weights)
     numeric = finite_difference(loss, model.params, step=1e-5)
     for key in model.params:
@@ -276,3 +266,17 @@ def test_forward_finite_on_random_inputs(frames, seed):
     emissions = model.forward(x)
     assert np.all(np.isfinite(emissions.scores))
     assert emissions.scores.shape == (frames, 4)
+
+
+def test_plateau_scheduler_halves_resets_and_floors():
+    opt = SgdOptimizer(lr=0.4)
+    scheduler = PlateauScheduler(opt)
+    assert scheduler.update(1.0) == 0.4
+    # patience 2: the third stale update in a row halves the rate
+    assert [scheduler.update(1.0) for _ in range(3)] == [0.4, 0.4, 0.2]
+    assert scheduler.update(2.0) == 0.2
+    # an improvement resets the stale count
+    assert scheduler.update(0.5) == 0.2
+    assert [scheduler.update(0.5) for _ in range(3)] == [0.2, 0.2, 0.1]
+    opt.lr = 1.5e-6
+    assert [scheduler.update(0.5) for _ in range(6)][2::3] == [1e-6, 1e-6]

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from convspeech import decoder as dec
+from convspeech.acoustic import EmissionTable
 from convspeech.criterion import Alphabet, encode_target
 from convspeech.errors import CapacityError, ConfigurationError, EmptyBeamError, VocabularyError
 from convspeech.lm import Vocabulary
@@ -34,9 +36,6 @@ class HistoryLm:
 
     def score(self, state, token_id):
         return self._logp(state, token_id), state + (token_id,)
-
-    def score_window(self, window, token_id):
-        return self._logp(tuple(window), token_id)
 
     def finish(self, state):
         return self._logp(state, self.vocab.end_id)
@@ -199,6 +198,24 @@ def test_merged_and_unmerged_agree():
                                             beam_score=math.inf, merge_mode="off"))
         assert on.words == off.words
         assert on.objective == pytest.approx(off.objective, rel=1e-10)
+
+
+def test_normalized_emissions_log_softmax_once():
+    rng = np.random.default_rng(21)
+    for trial in range(10):
+        emissions, g, trie, lm, opts = make_instance(rng, t=5)
+        emissions = emissions * 3.0 + 1.5  # rows far from log-normalized
+        log_softmax = emissions - np.logaddexp.reduce(emissions, axis=1, keepdims=True)
+        norm_opts = dataclasses.replace(opts, normalized_emissions=True)
+        got = dec.decode(emissions, g, trie, lm, norm_opts)
+        want = dec.decode(log_softmax, g, trie, lm, opts)
+        assert (got.words, got.letter_path) == (want.words, want.letter_path), trial
+        assert got.objective == pytest.approx(want.objective, rel=1e-12), trial
+        as_is = dec.decode(emissions, g, trie, lm, opts)
+        assert got.objective != as_is.objective
+        # a table already marked normalized is decoded as it stands
+        marked = EmissionTable(emissions, normalized=True)
+        assert dec.decode(marked, g, trie, lm, norm_opts) == as_is
 
 
 def test_prune_noop_when_generous():

@@ -3,7 +3,7 @@ import pytest
 
 from convspeech.errors import ConfigurationError, DimensionError
 from convspeech.gcnn import GcnnConfig, GcnnLm, sentence_nll, train_gcnn
-from convspeech.lm import Vocabulary, perplexity
+from convspeech.lm import ContextLimitedLM, Vocabulary, perplexity
 from convspeech.optim import SgdOptimizer
 
 from oracles import finite_difference, grad_close
@@ -94,32 +94,29 @@ def test_state_window_is_bounded_by_receptive_field():
     state = lm.start_state()
     for tok in (1, 2, 3, 4, 5, 6, 1, 2):
         _, state = lm.score(state, tok)
-    assert len(state) == lm.window_size == lm.config.receptive_field
+    assert len(state) == lm.config.receptive_field
 
 
 def test_equal_windows_score_identically():
     lm = toy_lm(seed=7)
     window = (4, 5, 6)
-    a = lm.score_window((1, 2, 3) + window[-lm.window_size:], 2)
-    b = lm.score_window((6, 6, 6, 1) + window[-lm.window_size:], 2)
-    # only the last window_size tokens matter
-    w = lm.window_size
-    if len((1, 2, 3) + window) >= w and len((6, 6, 6, 1) + window) >= w:
-        full_a = ((1, 2, 3) + window)[-w:]
-        full_b = ((6, 6, 6, 1) + window)[-w:]
-        if full_a == full_b:
-            assert a == b
+    a = lm.score((1, 2, 3) + window, 2)[0]
+    b = lm.score((6, 6, 6, 1) + window, 2)[0]
+    # only the last receptive_field tokens matter
+    w = lm.config.receptive_field
+    assert ((1, 2, 3) + window)[-w:] == ((6, 6, 6, 1) + window)[-w:]
+    assert a == b
 
 
 def test_context_limit_truncates_state():
-    lm = GcnnLm(VOCAB, GcnnConfig(num_blocks=2, embed_dim=6, bottleneck_dim=3,
-                                  mid_kernel_width=3, context_limit=1),
-                rng=np.random.default_rng(8))
+    lm = ContextLimitedLM(GcnnLm(VOCAB, GcnnConfig(num_blocks=2, embed_dim=6, bottleneck_dim=3,
+                                                   mid_kernel_width=3),
+                                 rng=np.random.default_rng(8)), 1)
     state = lm.start_state()
     _, state = lm.score(state, 2)
     assert state == (2,)
     # scoring from a context-1 window ignores anything earlier
-    assert lm.score_window((5, 4, 2), 3) == lm.score_window((0, 2), 3)
+    assert lm.score((5, 4, 2), 3)[0] == lm.score((0, 2), 3)[0]
 
 
 def test_row_cache_hits():

@@ -1,12 +1,14 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convspeech import lm as lmod
 from convspeech.errors import ArpaParseError, DomainError
+from convspeech.gcnn import GcnnConfig, GcnnLm
 
 # Hand-built consistent back-off bigram. Unigrams: a=0.4, b=0.3, </s>=0.2,
 # <unk>=0.1. Observed bigrams: P(a|<s>)=0.9, P(b|a)=0.6. Back-off weights make
@@ -121,7 +123,7 @@ def test_conditionals_sum_to_one():
     v = model.vocab
     for context in ((), (v.begin_id,), (v.id("a"),), (v.id("b"),)):
         total = sum(
-            math.exp(model.score_window(context, v.id(tok)))
+            math.exp(model.score(context, v.id(tok))[0])
             for tok in v.tokens
             if tok != v.sentence_begin
         )
@@ -179,18 +181,18 @@ def test_vocabulary_ids_match_token_positions():
 def test_context_limit_matches_unrestricted_when_long():
     model = hand_model()
     v = model.vocab
-    history = [v.id(t) for t in ["<s>", "a", "b", "a"]]
-    full = lmod.ContextLimitedLM(model, limit=10).score_window(history, v.id("b"))
-    direct = model.score_window(history, v.id("b"))
+    history = tuple(v.id(t) for t in ["<s>", "a", "b", "a"])
+    full = lmod.ContextLimitedLM(model, limit=10).score(history, v.id("b"))[0]
+    direct = model.score(history, v.id("b"))[0]
     assert full == direct
-    assert lmod.ContextLimitedLM(model, 4).score_window(history, v.id("b")) == full
+    assert lmod.ContextLimitedLM(model, 4).score(history, v.id("b"))[0] == full
 
 
 def test_context_limit_truncates():
     model = hand_model()
     # limit 1 after history ending in "b": context (b), P(a|b) backs off to unigram
     v = model.vocab
-    got = lmod.ContextLimitedLM(model, limit=1).score_window([v.id("a"), v.id("b")], v.id("a"))
+    got = lmod.ContextLimitedLM(model, limit=1).score((v.id("a"), v.id("b")), v.id("a"))[0]
     assert got == pytest.approx(math.log(0.4), rel=1e-6)
 
 
@@ -207,9 +209,9 @@ def test_context_limited_wrapper_states():
 def test_constant_in_limit_once_covering():
     model = hand_model()
     v = model.vocab
-    history = [v.id("a"), v.id("b")]
+    history = (v.id("a"), v.id("b"))
     scores = {
-        limit: lmod.ContextLimitedLM(model, limit).score_window(history, v.id("a"))
+        limit: lmod.ContextLimitedLM(model, limit).score(history, v.id("a"))[0]
         for limit in (2, 3, 5, 50)
     }
     assert len(set(scores.values())) == 1
@@ -227,7 +229,42 @@ def test_equal_state_keys_score_identically(h1, h2, token):
     s1 = tuple(ids1)[-(model.order - 1):]
     s2 = tuple(ids2)[-(model.order - 1):]
     if s1 == s2:
-        assert model.score_window(ids1, v.id(token)) == model.score_window(ids2, v.id(token))
+        assert model.score(tuple(ids1), v.id(token))[0] == model.score(tuple(ids2), v.id(token))[0]
+
+
+def fitted_bigram():
+    corpus = [["go", "north"], ["go", "south"], ["stop"], ["go", "north", "fast"]]
+    return lmod.load_arpa(io.StringIO(lmod.fit_bigram_arpa(corpus)))
+
+
+def conv_lm():
+    config = GcnnConfig(num_blocks=2, embed_dim=6, bottleneck_dim=3, mid_kernel_width=3)
+    return GcnnLm(fitted_bigram().vocab, config, rng=np.random.default_rng(0))
+
+
+# each model with N, the number of trailing history tokens its score reads
+PROTOCOL_MODELS = {
+    "bigram": lambda: (fitted_bigram(), 1),
+    "unigram": lambda: (uniform_unigram(6), 0),
+    "gcnn": lambda: (conv_lm(), 5),
+}
+
+
+@pytest.mark.parametrize("limit", [None, 1, 3, 8])
+@pytest.mark.parametrize("name", sorted(PROTOCOL_MODELS))
+def test_score_reads_only_last_n_tokens(name, limit):
+    model, n = PROTOCOL_MODELS[name]()
+    if limit is not None:
+        base, model, n = model, lmod.ContextLimitedLM(model, limit), min(n, limit)
+    rng = np.random.default_rng(1)
+    size = len(model.vocab)
+    for _ in range(40):
+        history = tuple(int(t) for t in rng.integers(0, size, int(rng.integers(0, 16))))
+        token = int(rng.integers(0, size))
+        logp = model.score(history, token)[0]
+        assert logp == model.score(history[-n:] if n else (), token)[0]
+        if limit is not None:
+            assert logp == base.score(history[-limit:], token)[0]
 
 
 def test_lru_cache_evicts_oldest():
@@ -247,13 +284,13 @@ def test_fit_bigram_round_trips_and_sums_to_one():
     v = model.vocab
     for context in ((), (v.begin_id,), (v.id("go"),), (v.id("north"),)):
         total = sum(
-            math.exp(model.score_window(context, v.id(tok)))
+            math.exp(model.score(context, v.id(tok))[0])
             for tok in v.tokens
             if tok != v.sentence_begin
         )
         assert total == pytest.approx(1.0, abs=1e-3)
     # seen continuations outweigh unseen ones
-    assert model.score_window((v.id("go"),), v.id("north")) > model.score_window(
+    assert model.score((v.id("go"),), v.id("north"))[0] > model.score(
         (v.id("go"),), v.id("stop")
-    )
+    )[0]
     assert lmod.perplexity(model, corpus) < lmod.perplexity(model, [["north", "go"]])

@@ -169,19 +169,57 @@ def test_load_system_reads_bench_checkpoints(name):
     assert system.transitions.g.shape == (len(system.alphabet), len(system.alphabet))
 
 
-def test_gcnn_checkpoint_round_trip(tmp_path):
+def _saved_gcnn_payload(tmp_path):
     vocab = Vocabulary(("w0", "w1", "<s>", "</s>", "<unk>"))
     lm = GcnnLm(vocab, GcnnConfig(num_blocks=1, embed_dim=6, bottleneck_dim=3,
                                   mid_kernel_width=3),
                 rng=np.random.default_rng(0))
     path = tmp_path / "lm.ckpt"
     pipeline.save_gcnn(path, lm)
+    return lm, path, json.loads(path.read_text())
+
+
+def test_gcnn_checkpoint_round_trip(tmp_path):
+    lm, path, _ = _saved_gcnn_payload(tmp_path)
     loaded = pipeline.load_gcnn(path)
-    assert loaded.vocab.tokens == vocab.tokens
+    assert loaded.vocab.tokens == lm.vocab.tokens
     for key in lm.params:
         assert np.array_equal(loaded.params[key], lm.params[key])
     ids = np.array([0, 1, 0])
     assert np.array_equal(loaded.forward(ids), lm.forward(ids))
+
+
+def test_gcnn_checkpoint_with_null_context_limit_loads(tmp_path):
+    # every checkpoint written before GcnnConfig lost context_limit stored it as null
+    lm, path, payload = _saved_gcnn_payload(tmp_path)
+    payload["config"]["gcnn"]["context_limit"] = None
+    path.write_text(json.dumps(payload))
+    loaded = pipeline.load_gcnn(path)
+    assert loaded.config == lm.config
+    assert loaded.score((2, 0, 1), 3) == lm.score((2, 0, 1), 3)
+
+
+GCNN_CORRUPTIONS = [
+    (lambda p: p["config"].pop("vocab"), "vocab"),
+    (lambda p: p["config"].pop("gcnn"), "gcnn"),
+    (lambda p: p["config"]["gcnn"].pop("embed_dim"), "embed_dim"),
+    (lambda p: p["config"]["gcnn"].update(kernel=3), "kernel"),
+    (lambda p: p["config"]["gcnn"].update(context_limit=2), "context_limit"),
+    (lambda p: p["arrays"].pop("embed"), "embed"),
+    (lambda p: p["arrays"].pop("block0_mid_g"), "block0_mid_g"),
+    (lambda p: p["arrays"].update(out_b=p["arrays"]["block0_up_b"]), "out_b"),
+]
+
+
+@pytest.mark.parametrize("corrupt, key", GCNN_CORRUPTIONS,
+                         ids=[key for _, key in GCNN_CORRUPTIONS])
+def test_load_gcnn_rejects_incomplete_checkpoints(tmp_path, corrupt, key):
+    _, path, payload = _saved_gcnn_payload(tmp_path)
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match=key) as info:
+        pipeline.load_gcnn(path)
+    assert str(path) in str(info.value)
 
 
 class StubSystem:
@@ -221,9 +259,6 @@ def test_evaluate_perfect_emissions_zero_wer(tiny_task):
 
         def score(self, state, token_id):
             return -1.0, state + (token_id,)
-
-        def score_window(self, window, token_id):
-            return -1.0
 
         def finish(self, state):
             return -1.0
