@@ -193,7 +193,9 @@ def cmd_train_lm(args):
         pipeline.write_csv(args.history, history)
     for record in history:
         val_part = f"  val ppl {record['val_ppl']:8.3f}" if "val_ppl" in record else ""
-        print(f"epoch {record['epoch']:3d}  train ppl {record['train_ppl']:8.3f}{val_part}")
+        print(f"epoch {record['epoch']:3d}  train ppl {record['train_ppl']:8.3f}{val_part}"
+              f"  lr {record['lr']:.4f}  grad norm {record['grad_norm']:.3f}"
+              f"  clipped {record['clip_frac']:.0%}")
     print(f"checkpoint written to {args.checkpoint}")
 
 

@@ -9,6 +9,16 @@ GcnnLm implements the LM protocol of `lm.py` (start_state, score, finish,
 vocab). A state is a tuple of token ids; `score` reads only its last
 `receptive_field` tokens, the whole context the network can see, and memoizes
 one score row per such window in a bounded LRU cache.
+
+`forward` scores a batch of sequences in one pass. The sequences sit side by
+side in one (channels, columns) block, with `mid_kernel_width - 1` zero gap
+columns between neighbours; the first one gets its gap from the causal conv's
+own left padding. Width-1 convolutions leave gap columns to themselves, and
+the input of every causal mid convolution is multiplied by a 0/1 mask of the
+real columns, so what a gap column holds never reaches a real one: every
+sequence is scored as if it were alone. `train_gcnn` runs one forward and one
+backward per optimiser step, and its validation perplexity uses the same
+batched pass.
 """
 
 from __future__ import annotations
@@ -97,58 +107,82 @@ class GcnnLm:
     def forward(
         self,
         token_ids,
+        lengths=None,
         training: bool = False,
         rng: np.random.Generator | None = None,
         want_cache: bool = False,
     ):
-        """Per-position next-token log-probability rows, shape (len(ids), |V|)."""
+        """Per-position next-token log-probability rows, shape (len(ids), |V|).
+
+        `token_ids` is one sequence, or several concatenated with their
+        `lengths`; the rows come back in input order, each sequence's computed
+        as if it stood alone.
+        """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
             raise DimensionError("token sequence must be a non-empty 1-d array")
         if ids.min() < 0 or ids.max() >= len(self.vocab):
             raise DimensionError("token id outside the vocabulary")
+        lengths = np.asarray([ids.size] if lengths is None else lengths, dtype=np.int64)
+        if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != ids.size:
+            raise DimensionError(
+                f"sequence lengths {lengths.tolist()} must be >= 1 and sum to {ids.size}")
         if training and rng is None:
             rng = np.random.default_rng(0)
+        drop_rng = rng if training else None
         cfg = self.config
-        kw = cfg.mid_kernel_width
-        h = self.params["embed"][ids].T  # (E, L)
+        gap = cfg.mid_kernel_width - 1
+        # column of each token in the block: every sequence after the first
+        # starts `gap` columns after the end of the one before
+        real = np.arange(ids.size) + gap * np.repeat(np.arange(lengths.size), lengths)
+        mask = np.zeros(ids.size + gap * (lengths.size - 1))
+        mask[real] = 1.0
+        h = np.zeros((cfg.embed_dim, mask.size))
+        h[:, real] = self.params["embed"][ids].T
         caches: list[tuple[dict, dict]] = []
         for i in range(cfg.num_blocks):
-            out = h
-            for name, pad_left in (("down", 0), ("mid", kw - 1), ("up", 0)):
-                pre, conv_cache = wn_conv(self.params, f"block{i}_{name}", out,
-                                          pad_left=pad_left, pad_right=0)
-                out, glu_cache = glu_dropout(pre, cfg.dropout_rate, rng if training else None)
-                caches.append((conv_cache, glu_cache))
-            h = h + out
-        logits, out_cache = wn_conv(self.params, "out", h, pad_left=0, pad_right=0)
+            down = self._conv_glu(f"block{i}_down", h, 0, drop_rng, caches) * mask
+            mid = self._conv_glu(f"block{i}_mid", down, gap, drop_rng, caches)
+            h = h + self._conv_glu(f"block{i}_up", mid, 0, drop_rng, caches)
+        logits, out_cache = wn_conv(self.params, "out", h[:, real], pad_left=0, pad_right=0)
         shifted = logits - logits.max(axis=0, keepdims=True)
         expo = np.exp(shifted)
         denom = expo.sum(axis=0, keepdims=True)
         log_rows = (shifted - np.log(denom)).T  # (L, V)
         if not want_cache:
             return log_rows
-        cache = {"ids": ids, "convs": caches, "out": out_cache,
+        cache = {"ids": ids, "real": real, "mask": mask, "convs": caches, "out": out_cache,
                  "softmax": expo / denom}
         return log_rows, cache
 
+    def _conv_glu(self, name, x, pad_left, rng, caches):
+        pre, conv_cache = wn_conv(self.params, name, x, pad_left=pad_left, pad_right=0)
+        out, glu_cache = glu_dropout(pre, self.config.dropout_rate, rng)
+        caches.append((conv_cache, glu_cache))
+        return out
+
+    def _conv_glu_backward(self, layer_cache, d_out, grads):
+        conv_cache, glu_cache = layer_cache
+        return wn_conv_backward(self.params, conv_cache, glu_dropout_backward(glu_cache, d_out),
+                                grads)
+
     def backward(self, cache: dict, d_rows: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients for every parameter given d(loss)/d(log rows)."""
-        cfg = self.config
         d = np.asarray(d_rows).T  # (V, L)
         d = d - cache["softmax"] * d.sum(axis=0, keepdims=True)
         grads: dict[str, np.ndarray] = {}
-        d_h = wn_conv_backward(self.params, cache["out"], d, grads)
-        convs = cache["convs"]
-        for i in reversed(range(cfg.num_blocks)):
-            d_inner = d_h  # the block output feeds both the residual and the inner path
-            for conv_cache, glu_cache in reversed(convs[3 * i : 3 * i + 3]):
-                d_inner = wn_conv_backward(
-                    self.params, conv_cache, glu_dropout_backward(glu_cache, d_inner), grads
-                )
-            d_h = d_h + d_inner
+        d_real = wn_conv_backward(self.params, cache["out"], d, grads)
+        real, mask, convs = cache["real"], cache["mask"], cache["convs"]
+        d_h = np.zeros((d_real.shape[0], mask.size))
+        d_h[:, real] = d_real
+        for i in reversed(range(self.config.num_blocks)):
+            down, mid, up = convs[3 * i : 3 * i + 3]
+            # the block output feeds both the residual and the inner path
+            d_mid = self._conv_glu_backward(up, d_h, grads)
+            d_down = self._conv_glu_backward(mid, d_mid, grads) * mask
+            d_h = d_h + self._conv_glu_backward(down, d_down, grads)
         d_embed = np.zeros_like(self.params["embed"])
-        np.add.at(d_embed, cache["ids"], d_h.T)
+        np.add.at(d_embed, cache["ids"], d_h[:, real].T)
         grads["embed"] = d_embed
         return grads
 
@@ -177,13 +211,18 @@ class GcnnLm:
         self._row_cache = LruCache(ROW_CACHE_CAPACITY)
 
 
-def sentence_nll(lm: GcnnLm, sentence_ids, training=False, rng=None, want_cache=False):
-    """Negative log likelihood of one sentence including the end token."""
+def batch_nll(lm: GcnnLm, sentences, training=False, rng=None, want_cache=False):
+    """Summed negative log likelihood of token-id sentences, end tokens included.
+
+    One forward pass scores the whole batch. Returns (nll, targets) or, with
+    `want_cache`, (nll, targets, cache); `targets` holds every sentence's next
+    tokens, concatenated in the order of the forward rows.
+    """
     v = lm.vocab
-    seq = [v.begin_id, *sentence_ids, v.end_id]
-    inputs = np.asarray(seq[:-1])
-    targets = np.asarray(seq[1:])
-    result = lm.forward(inputs, training=training, rng=rng, want_cache=want_cache)
+    inputs = np.concatenate([[v.begin_id, *s] for s in sentences])
+    targets = np.concatenate([[*s, v.end_id] for s in sentences])
+    result = lm.forward(inputs, [len(s) + 1 for s in sentences], training=training, rng=rng,
+                        want_cache=want_cache)
     rows = result[0] if want_cache else result
     nll = -float(rows[np.arange(len(targets)), targets].sum())
     if want_cache:
@@ -206,16 +245,17 @@ def train_gcnn(
     """Nesterov-accelerated training on tokenized sentences.
 
     Minimizes mean next-token negative log likelihood with gradient-norm
-    clipping. Returns a history of dicts with train/validation perplexity;
-    `epoch_callback(epoch, lm, record)` runs after each epoch (checkpointing
-    hook for the perplexity studies).
+    clipping, one batched forward and backward per step. Returns a history of
+    dicts with train/validation perplexity, the mean global gradient norm
+    before clipping (`grad_norm`) and the fraction of steps that were clipped
+    (`clip_frac`); `epoch_callback(epoch, lm, record)` runs after each epoch
+    (checkpointing hook for the perplexity studies).
     """
-    from .lm import perplexity  # local import to avoid a cycle at module load
-
     vocab = lm.vocab
     train_ids = [[vocab.id(t) for t in s] for s in train_sentences]
     if not train_ids:
         raise ConfigurationError("training corpus is empty")
+    val_ids = [[vocab.id(t) for t in s] for s in val_sentences or ()]
     optimizer = SgdOptimizer(lr=lr, momentum=momentum, clip=clip, nesterov=True)
     rng = np.random.default_rng(seed)
     history = []
@@ -223,35 +263,31 @@ def train_gcnn(
         order = rng.permutation(len(train_ids))
         total_nll = 0.0
         total_tokens = 0
+        norms = []
         for batch_start in range(0, len(order), batch_size):
-            batch = order[batch_start : batch_start + batch_size]
-            grads_acc: dict[str, np.ndarray] = {}
-            batch_tokens = sum(len(train_ids[j]) + 1 for j in batch)
-            for j in batch:
-                nll, targets, cache = sentence_nll(
-                    lm, train_ids[j], training=lm.config.dropout_rate > 0.0,
-                    rng=rng, want_cache=True,
-                )
-                if not np.isfinite(nll):
-                    raise TrainingDivergenceError(f"non-finite loss at epoch {epoch}")
-                total_nll += nll
-                total_tokens += len(targets)
-                d_rows = np.zeros((len(targets), len(vocab)))
-                d_rows[np.arange(len(targets)), targets] = -1.0 / batch_tokens
-                for key, g in lm.backward(cache, d_rows).items():
-                    if key in grads_acc:
-                        grads_acc[key] += g
-                    else:
-                        grads_acc[key] = g
-            optimizer.step(lm.params, grads_acc)
+            batch = [train_ids[j] for j in order[batch_start : batch_start + batch_size]]
+            nll, targets, cache = batch_nll(
+                lm, batch, training=lm.config.dropout_rate > 0.0, rng=rng, want_cache=True
+            )
+            if not np.isfinite(nll):
+                raise TrainingDivergenceError(f"non-finite loss at epoch {epoch}")
+            total_nll += nll
+            total_tokens += len(targets)
+            d_rows = np.zeros((len(targets), len(vocab)))
+            d_rows[np.arange(len(targets)), targets] = -1.0 / len(targets)
+            norms.append(optimizer.step(lm.params, lm.backward(cache, d_rows)))
         lm.clear_cache()
         record = {
             "epoch": epoch,
             "lr": optimizer.lr,
             "train_ppl": float(np.exp(total_nll / total_tokens)),
+            "grad_norm": float(np.mean(norms)),
+            "clip_frac": float(np.mean(np.asarray(norms) > clip)),
         }
-        if val_sentences:
-            record["val_ppl"] = perplexity(lm, val_sentences)
+        if val_ids:
+            val_nll = sum(batch_nll(lm, val_ids[k : k + batch_size])[0]
+                          for k in range(0, len(val_ids), batch_size))
+            record["val_ppl"] = float(np.exp(val_nll / sum(len(s) + 1 for s in val_ids)))
         history.append(record)
         if epoch_callback is not None:
             epoch_callback(epoch, lm, record)

@@ -216,22 +216,62 @@ def save_system(path, system: SpeechSystem):
     ckpt.save_checkpoint(path, "acoustic-system", config, arrays)
 
 
+def _from_fields(cls, entry, what: str):
+    """`cls(**entry)`, naming a missing or unknown key in a ConfigurationError."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{what} is a {type(entry).__name__}, not an object")
+    names = {f.name for f in fields(cls)}
+    if entry.keys() != names:
+        raise ConfigurationError(
+            f"{what} is missing {sorted(names - entry.keys())} "
+            f"and has unknown keys {sorted(entry.keys() - names)}"
+        )
+    return cls(**entry)
+
+
+def _system_array_shapes(fcfg: FrontendConfig, rate: int, mcfg: AcousticModelConfig,
+                         learnable: bool) -> dict[str, tuple]:
+    """Every array an acoustic-system checkpoint of this config holds, with its shape."""
+    shapes = {}
+    for i, spec in enumerate(mcfg.layers):
+        c = 2 * spec.out_channels
+        shapes |= {f"am.layer{i}_v": (c, spec.in_channels, spec.kernel_width),
+                   f"am.layer{i}_g": (c,), f"am.layer{i}_b": (c,)}
+    a = mcfg.alphabet_size
+    shapes |= {"am.proj_v": (a, mcfg.layers[-1].out_channels, 1), "am.proj_g": (a,),
+               "am.proj_b": (a,), "transitions": (a, a)}
+    if learnable:
+        bank = (fcfg.num_filters, fcfg.filter_width(rate))
+        shapes |= {"fe.preemphasis": (2,), "fe.filter_real": bank, "fe.filter_imag": bank}
+    return shapes
+
+
 def load_system(path) -> SpeechSystem:
     kind, config, arrays = ckpt.load_checkpoint(path)
     if kind != "acoustic-system":
         raise ConfigurationError(f"{path} holds a {kind!r} checkpoint, not an acoustic system")
     try:
-        fcfg = FrontendConfig(**config["frontend"])
+        fcfg = _from_fields(FrontendConfig, config["frontend"], "frontend config")
         rate = config["sample_rate"]
-        fe_params = {k[3:]: v for k, v in arrays.items() if k.startswith("fe.")}
-        if config["frontend_kind"] == "learnable":
-            frontend = LearnableFrontend(fcfg, rate, params=fe_params)
-        else:
-            frontend = MelFrontend(fcfg, rate)
+        if config["frontend_kind"] not in ("learnable", "mel"):
+            raise ConfigurationError(f"unknown front-end kind {config['frontend_kind']!r}")
+        learnable = config["frontend_kind"] == "learnable"
+        layers = config["model"]["layers"]
+        if not isinstance(layers, list) or not layers:
+            raise ConfigurationError("model needs a non-empty list of layers")
         mcfg = AcousticModelConfig(
-            layers=[ConvLayerSpec(**layer) for layer in config["model"]["layers"]],
+            layers=[_from_fields(ConvLayerSpec, layer, f"model layer {i}")
+                    for i, layer in enumerate(layers)],
             alphabet_size=config["model"]["alphabet_size"],
         )
+        for key, shape in _system_array_shapes(fcfg, rate, mcfg, learnable).items():
+            if arrays[key].shape != shape:
+                raise ConfigurationError(f"array {key!r} has shape {arrays[key].shape}, not {shape}")
+        if learnable:
+            frontend = LearnableFrontend(
+                fcfg, rate, params={k[3:]: v for k, v in arrays.items() if k.startswith("fe.")})
+        else:
+            frontend = MelFrontend(fcfg, rate)
         model = AcousticModel(mcfg, params={k[3:]: v for k, v in arrays.items()
                                             if k.startswith("am.")})
         alphabet = Alphabet(
@@ -239,9 +279,14 @@ def load_system(path) -> SpeechSystem:
             config["alphabet"]["silence"],
             config["alphabet"]["repetition"],
         )
+        if len(alphabet) != mcfg.alphabet_size:
+            raise ConfigurationError(
+                f"alphabet has {len(alphabet)} letters but the model emits {mcfg.alphabet_size}")
         transitions = TransitionTable(arrays["transitions"])
     except KeyError as err:
         raise ConfigurationError(f"{path}: acoustic-system checkpoint lacks key {err}") from None
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from None
     return SpeechSystem(frontend, model, transitions, alphabet, config["frontend_kind"])
 
 
@@ -262,14 +307,9 @@ def load_gcnn(path) -> GcnnLm:
     # Earlier checkpoints carry the removed GcnnConfig.context_limit, always null.
     if gcnn.pop("context_limit", None) is not None:
         raise ConfigurationError(f"{path}: context_limit is gone; wrap the LM in ContextLimitedLM")
-    names = {f.name for f in fields(GcnnConfig)}
-    if gcnn.keys() != names:
-        raise ConfigurationError(
-            f"{path}: gcnn-lm config is missing {sorted(names - gcnn.keys())} "
-            f"and has unknown keys {sorted(gcnn.keys() - names)}"
-        )
     try:
-        return GcnnLm(Vocabulary(tokens), GcnnConfig(**gcnn), params=arrays)
+        return GcnnLm(Vocabulary(tokens), _from_fields(GcnnConfig, gcnn, "gcnn-lm config"),
+                      params=arrays)
     except ConfigurationError as err:
         raise ConfigurationError(f"{path}: {err}") from None
 

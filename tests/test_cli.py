@@ -166,6 +166,11 @@ def test_gcnn_and_studies_cli(workspace, capsys):
         "--history", str(workspace / "lm_history.csv"),
     ])
     assert rc == 0
+    epoch_lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("epoch")]
+    assert len(epoch_lines) == 3
+    assert all("val ppl" in ln and "grad norm" in ln and "clipped" in ln for ln in epoch_lines)
+    header = (workspace / "lm_history.csv").read_text().splitlines()[0]
+    assert header == "epoch,lr,train_ppl,grad_norm,clip_frac,val_ppl"
     checkpoints = sorted(ckpt_dir.glob("epoch*.ckpt"))
     assert len(checkpoints) == 3
     rc = main([

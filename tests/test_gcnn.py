@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convspeech.errors import ConfigurationError, DimensionError
-from convspeech.gcnn import GcnnConfig, GcnnLm, sentence_nll, train_gcnn
+from convspeech.gcnn import GcnnConfig, GcnnLm, batch_nll, train_gcnn
 from convspeech.lm import ContextLimitedLM, Vocabulary, perplexity
 from convspeech.optim import SgdOptimizer
 
@@ -11,6 +11,7 @@ from oracles import finite_difference, grad_close
 WORDS = tuple(f"w{i}" for i in range(7))
 VOCAB = Vocabulary(WORDS + ("<s>", "</s>", "<unk>"))
 TOY = GcnnConfig(num_blocks=1, embed_dim=6, bottleneck_dim=3, mid_kernel_width=3)
+TWO_BLOCKS = GcnnConfig(num_blocks=2, embed_dim=6, bottleneck_dim=3, mid_kernel_width=3)
 
 
 def toy_lm(seed=0, config=TOY):
@@ -173,10 +174,113 @@ def test_validation_perplexity_improves_on_markov_corpus():
     assert history[-1]["val_ppl"] < history[0]["val_ppl"]
 
 
-def test_sentence_nll_matches_row_lookup():
+def test_batch_nll_matches_row_lookup():
     lm = toy_lm(seed=14)
-    nll, targets = sentence_nll(lm, [1, 2])
-    seq = np.array([VOCAB.begin_id, 1, 2])
-    rows = lm.forward(seq)
+    nll, targets = batch_nll(lm, [[1, 2], [4]])
+    rows = lm.forward(np.array([VOCAB.begin_id, 1, 2]))
     want = -(rows[0, 1] + rows[1, 2] + rows[2, VOCAB.end_id])
-    assert nll == pytest.approx(float(want))
+    rows = lm.forward(np.array([VOCAB.begin_id, 4]))
+    want -= rows[0, 4] + rows[1, VOCAB.end_id]
+    assert list(targets) == [1, 2, VOCAB.end_id, 4, VOCAB.end_id]
+    assert nll == pytest.approx(float(want), rel=1e-12)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def _random_sentences(rng, lengths):
+    return [list(rng.integers(0, len(WORDS), n)) for n in lengths]
+
+
+def test_batch_loss_and_gradients_match_per_sentence_loop():
+    lm = toy_lm(seed=15, config=TWO_BLOCKS)
+    rng = np.random.default_rng(16)
+    # 1 up to two tokens beyond the receptive field, inputs including <s>
+    field = lm.config.receptive_field
+    sentences = _random_sentences(rng, [0, field + 1, 3, 1, field - 1, 2])
+    nll, targets, cache = batch_nll(lm, sentences, want_cache=True)
+    d_rows = rng.normal(size=(len(targets), len(VOCAB)))
+    grads = lm.backward(cache, d_rows)
+
+    loop_nll, loop_grads, row = 0.0, {}, 0
+    for sentence in sentences:
+        one_nll, one_targets, one_cache = batch_nll(lm, [sentence], want_cache=True)
+        loop_nll += one_nll
+        rows = slice(row, row + len(one_targets))
+        assert np.array_equal(one_targets, targets[rows])
+        for key, g in lm.backward(one_cache, d_rows[rows]).items():
+            loop_grads[key] = loop_grads.get(key, 0.0) + g
+        row += len(one_targets)
+    assert row == len(targets)
+    assert _rel(nll, loop_nll) <= 1e-12
+    assert grads.keys() == loop_grads.keys() == lm.params.keys()
+    for key in grads:
+        assert _rel(grads[key], loop_grads[key]) <= 1e-12, key
+
+
+def test_batch_rows_are_isolated_per_sentence():
+    lm = toy_lm(seed=17, config=TWO_BLOCKS)
+    rng = np.random.default_rng(18)
+    sentences = _random_sentences(rng, [4, 7, 1, 5])
+    lengths = [len(s) + 1 for s in sentences]
+    ends = np.cumsum(lengths)
+    ids = np.concatenate([[VOCAB.begin_id, *s] for s in sentences])
+    base = lm.forward(ids, lengths)
+    for k, (start, end) in enumerate(zip(ends - lengths, ends)):
+        changed = ids.copy()
+        changed[start:end] = (changed[start:end] + 3) % len(WORDS)
+        rows = lm.forward(changed, lengths)
+        others = np.r_[0:start, end:len(ids)]
+        assert np.array_equal(rows[others], base[others]), k
+        assert not np.array_equal(rows[start:end], base[start:end]), k
+
+
+def test_batch_gradients_match_finite_differences():
+    lm = toy_lm(seed=19, config=TWO_BLOCKS)
+    rng = np.random.default_rng(20)
+    ids = rng.integers(0, len(VOCAB), 9)
+    lengths = [3, 5, 1]
+    weights = rng.normal(size=(len(ids), len(VOCAB)))
+
+    _, cache = lm.forward(ids, lengths, want_cache=True)
+    grads = lm.backward(cache, weights)
+    numeric = finite_difference(
+        lambda: float((lm.forward(ids, lengths) * weights).sum()), lm.params, step=1e-5
+    )
+    for key in lm.params:
+        assert grad_close(grads[key], numeric[key], 1e-4), key
+
+
+def test_validation_perplexity_matches_protocol_perplexity():
+    lm = toy_lm(seed=21, config=TWO_BLOCKS)
+    rng = np.random.default_rng(22)
+    field = lm.config.receptive_field
+    val = [[WORDS[i] for i in s] for s in _random_sentences(rng, [2, field + 3, 0, 1, 6])]
+    train = [["w0", "w1"], ["w2"]]
+    # lr 0 keeps the parameters, so the recorded perplexity is the model's own
+    history = train_gcnn(lm, train, val, epochs=1, lr=0.0, batch_size=2, seed=0)
+    assert _rel(history[0]["val_ppl"], perplexity(lm, val)) <= 1e-12
+
+
+def test_forward_rejects_inconsistent_lengths():
+    lm = toy_lm()
+    ids = np.array([1, 2, 3, 4])
+    for lengths in ([3], [2, 3], [4, 0], [0, 4], [], [[2, 2]], [-1, 5]):
+        with pytest.raises(DimensionError):
+            lm.forward(ids, lengths)
+
+
+def test_history_records_grad_norm_and_clip_rate():
+    corpus = [["w0", "w1", "w2"], ["w3"], ["w4", "w5"], ["w6", "w0"]]
+
+    def history(clip):
+        return train_gcnn(toy_lm(seed=23), corpus, epochs=2, lr=0.1, clip=clip,
+                          batch_size=2, seed=3)
+
+    tight, loose = history(1e-9), history(1e9)
+    for record in tight:
+        assert np.isfinite(record["grad_norm"]) and record["grad_norm"] > 1e-6
+    assert [r["clip_frac"] for r in tight] == [1.0, 1.0]
+    assert [r["clip_frac"] for r in loose] == [0.0, 0.0]
+    assert history(1e-9) == tight  # deterministic, so runs compare as wholes

@@ -1,15 +1,20 @@
+import base64
 import json
 import math
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convspeech import pipeline, synth
-from convspeech.acoustic import EmissionTable
+from convspeech.acoustic import ConvLayerSpec, EmissionTable
 from convspeech.criterion import TransitionTable, encode_target
 from convspeech.decoder import DecoderOptions, build_trie
-from convspeech.errors import ConfigurationError
+from convspeech.errors import ConfigurationError, ConvSpeechError
 from convspeech.frontend import FrontendConfig
 from convspeech.gcnn import GcnnConfig, GcnnLm
 from convspeech.lm import Vocabulary
@@ -167,6 +172,75 @@ def test_load_system_names_missing_key(tiny_system, tmp_path, section, key):
 def test_load_system_reads_bench_checkpoints(name):
     system = pipeline.load_system(BENCH_CHECKPOINTS / name)
     assert system.transitions.g.shape == (len(system.alphabet), len(system.alphabet))
+
+
+UNTRAINED_PAYLOAD = json.loads((BENCH_CHECKPOINTS / "am_untrained.json").read_text())
+LAYER_KEYS = sorted(f.name for f in fields(ConvLayerSpec))
+
+
+def _copy_payload():
+    return json.loads(json.dumps(UNTRAINED_PAYLOAD))
+
+
+def _shrink_array(payload, name):
+    """Drop the array's first row: a readable array of the wrong shape."""
+    entry = payload["arrays"][name]
+    raw = base64.b64decode(entry["data"])
+    entry["data"] = base64.b64encode(raw[len(raw) // entry["shape"][0]:]).decode("ascii")
+    entry["shape"][0] -= 1
+
+
+SYSTEM_CORRUPTIONS = [
+    (lambda p: p["arrays"].pop("am.layer0_v"), "am.layer0_v"),
+    (lambda p: p["arrays"].pop("am.proj_b"), "am.proj_b"),
+    (lambda p: p["arrays"].pop("fe.filter_imag"), "fe.filter_imag"),
+    (lambda p: _shrink_array(p, "am.layer1_g"), "am.layer1_g"),
+    (lambda p: _shrink_array(p, "fe.preemphasis"), "fe.preemphasis"),
+    (lambda p: _shrink_array(p, "transitions"), "transitions"),
+    (lambda p: p["config"]["model"]["layers"][0].update(foo=1), "foo"),
+    (lambda p: p["config"]["model"]["layers"][1].pop("kernel_width"), "kernel_width"),
+    (lambda p: p["config"]["model"]["layers"].__setitem__(0, 3), "layer 0"),
+    (lambda p: p["config"]["model"].update(layers=[]), "layers"),
+    (lambda p: p["config"]["frontend"].pop("num_filters"), "num_filters"),
+    (lambda p: p["config"]["frontend"].update(window="hann"), "window"),
+    (lambda p: p["config"]["alphabet"]["letters"].remove("e"), "alphabet has 6 letters"),
+    (lambda p: p["config"].update(frontend_kind="lernable"), "lernable"),
+]
+
+
+@pytest.mark.parametrize("corrupt, key", SYSTEM_CORRUPTIONS,
+                         ids=[key for _, key in SYSTEM_CORRUPTIONS])
+def test_load_system_rejects_incomplete_checkpoints(tmp_path, corrupt, key):
+    payload = _copy_payload()
+    corrupt(payload)
+    path = tmp_path / "am.ckpt"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match=key) as info:
+        pipeline.load_system(path)
+    assert str(path) in str(info.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_load_system_fuzz_names_the_file(data):
+    payload = _copy_payload()
+    layers = payload["config"]["model"]["layers"]
+    action = data.draw(st.sampled_from(["drop array", "add layer key", "drop layer key"]))
+    if action == "drop array":
+        del payload["arrays"][data.draw(st.sampled_from(sorted(payload["arrays"])))]
+    else:
+        layer = layers[data.draw(st.integers(0, len(layers) - 1))]
+        if action == "add layer key":
+            key = data.draw(st.text(min_size=1, max_size=12).filter(lambda k: k not in layer))
+            layer[key] = data.draw(st.one_of(st.none(), st.integers(), st.floats(), st.text()))
+        else:
+            del layer[data.draw(st.sampled_from(LAYER_KEYS))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "am.ckpt"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConvSpeechError) as info:
+            pipeline.load_system(path)
+    assert str(path) in str(info.value)
 
 
 def _saved_gcnn_payload(tmp_path):
