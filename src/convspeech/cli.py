@@ -1,8 +1,13 @@
-"""Command-line interface.
+"""Command-line interface: the one way to run the toolkit and its experiments.
 
 Subcommands: synth-data, train-am, train-lm, decode, evaluate, tune,
-analyze-frontend, ppl-wer, context-wer. A line-oriented key=value config file
-(--config) supplies defaults for any long flag; explicit flags win.
+analyze-frontend, ppl-wer, context-wer; README.md chains them into the clean,
+noisy and LM-study experiments. Each flag is declared once: flag groups that
+several subcommands share come from one helper each, and list-valued flags are
+parsed by their argparse `type`, so a malformed value is a usage error. A
+line-oriented key=value config file (--config) supplies defaults for any long
+flag; explicit flags win. A bad or missing input file ends the run with one
+`error:` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import pipeline, synth
 from .acoustic import AcousticModelConfig, ConvLayerSpec
+from .audio_io import read_wav
 from .decoder import DecoderOptions, build_trie, decode
 from .errors import ConfigurationError, ConvSpeechError, EmptyBeamError
 from .frontend import FrontendConfig, analyze_filters
@@ -54,6 +60,45 @@ def parse_config_file(path) -> list[str]:
 
 # switch flags -> their value when absent; a config value equal to it adds nothing
 _BOOL_DEFAULTS = {"normalized-emissions": False, "markov": True, "no-markov": False}
+
+
+def _comma_list(cast):
+    """argparse type: comma-separated values, each parsed by `cast`."""
+    def parse(text: str) -> list:
+        return [cast(item) for item in text.split(",") if item != ""]
+
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
+
+
+def _int_pair(text: str) -> tuple[int, int]:
+    first, second = text.split(":")
+    return int(first), int(second)
+
+
+def _beam_budget(text: str) -> tuple[int, float]:
+    size, score = text.split(":")
+    return int(size), float(score)
+
+
+def _add_inputs(p: argparse.ArgumentParser, audio_required: bool = True, lm: bool = True):
+    """The --manifest/--am/--lm/--lexicon group of the decoding subcommands."""
+    p.add_argument("--manifest", required=audio_required)
+    p.add_argument("--am", required=audio_required, help="acoustic system checkpoint")
+    if lm:
+        p.add_argument("--lm", required=True, help="ARPA file or conv-LM checkpoint")
+    p.add_argument("--lexicon", required=True)
+
+
+def _add_training_flags(p: argparse.ArgumentParser, lr: float, clip: float, batch_size: int):
+    """The optimisation group of train-am and train-lm, with that subcommand's defaults."""
+    p.add_argument("--epochs", type=int, default=12)
+    p.add_argument("--lr", type=float, default=lr)
+    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--clip", type=float, default=clip)
+    p.add_argument("--batch-size", type=int, default=batch_size)
+    p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--checkpoint", required=True)
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser):
@@ -102,28 +147,42 @@ def _read_corpus(path) -> list[list[str]]:
     return [line.split() for line in Path(path).read_text().splitlines() if line.strip()]
 
 
-def cmd_synth_data(args):
-    spec = SyntheticTaskSpec()
-    if args.condition == "other":
-        spec = synth.noisy_variant(spec, args.snr_db)
-    elif args.noise_level:
-        from dataclasses import replace
+def _write_corpus(path, sentences):
+    Path(path).write_text("\n".join(" ".join(s) for s in sentences) + "\n")
 
-        spec = replace(spec, noise_level=args.noise_level)
+
+def cmd_synth_data(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bias = synth.markov_bias(spec) if args.markov else None
     counts = {"train": args.train, "dev": args.dev, "test": args.test}
     counts = {k: v for k, v in counts.items() if v > 0}
-    manifests = synth.synthesize_dataset(spec, out, counts, seed=args.seed, transition_bias=bias)
+    val_count = max(args.corpus_sentences // 10, 10)
+    if args.condition == "homophone":
+        # the LM-study task, its sentences drawn as in acceptance criterion 7
+        spec = synth.homophone_study_spec()
+        offsets = {"train": 10, "dev": 11, "test": 12}
+        manifests = {
+            split: synth.synthesize_from_sentences(
+                spec, synth.homophone_study_sentences(count, args.seed + offsets[split]),
+                out, split, seed=args.seed)
+            for split, count in counts.items()
+        }
+        corpus = synth.homophone_study_sentences(args.corpus_sentences, args.seed + 20)
+        val = synth.homophone_study_sentences(val_count, args.seed + 21)
+    else:
+        spec = SyntheticTaskSpec()
+        if args.condition == "other":
+            spec = synth.noisy_variant(spec, args.snr_db)
+        bias = synth.markov_bias(spec) if args.markov else None
+        manifests = synth.synthesize_dataset(spec, out, counts, seed=args.seed,
+                                             transition_bias=bias)
+        corpus = synth.synthesize_corpus(spec, args.corpus_sentences, seed=args.seed + 1,
+                                         transition_bias=bias)
+        val = synth.synthesize_corpus(spec, val_count, seed=args.seed + 2, transition_bias=bias)
     ckpt.write_lexicon(out / "lexicon.txt", spec.lexicon)
     _save_task(out / "task.json", spec)
-    corpus = synth.synthesize_corpus(spec, args.corpus_sentences, seed=args.seed + 1,
-                                     transition_bias=bias)
-    (out / "corpus.txt").write_text("\n".join(" ".join(s) for s in corpus) + "\n")
-    val = synth.synthesize_corpus(spec, max(args.corpus_sentences // 10, 10),
-                                  seed=args.seed + 2, transition_bias=bias)
-    (out / "corpus-dev.txt").write_text("\n".join(" ".join(s) for s in val) + "\n")
+    _write_corpus(out / "corpus.txt", corpus)
+    _write_corpus(out / "corpus-dev.txt", val)
     for split, manifest in manifests.items():
         print(f"{split}: {len(manifest)} utterances")
     print(f"task spec, lexicon, and LM corpora written under {out}")
@@ -136,13 +195,11 @@ def cmd_train_am(args):
     fcfg = FrontendConfig(num_filters=args.filters)
     model_config = None
     if args.layers:
-        layer_specs = []
-        prev = args.filters
-        for part in args.layers.split(","):
-            channels, width = (int(x) for x in part.split(":"))
-            layer_specs.append(ConvLayerSpec(prev, channels, width, dropout_rate=args.dropout))
-            prev = channels
-        model_config = AcousticModelConfig(layer_specs, len(spec.alphabet))
+        inputs = [args.filters] + [channels for channels, _ in args.layers]
+        model_config = AcousticModelConfig(
+            [ConvLayerSpec(c_in, c_out, width, dropout_rate=args.dropout)
+             for c_in, (c_out, width) in zip(inputs, args.layers)],
+            len(spec.alphabet))
     settings = pipeline.TrainSettings(
         epochs=args.epochs, lr=args.lr, momentum=args.momentum, clip=args.clip,
         batch_size=args.batch_size, seed=args.seed,
@@ -200,8 +257,10 @@ def cmd_train_lm(args):
 
 
 def _decode_setup(args):
+    """The acoustic system, the lexicon trie over its alphabet, and the manifest."""
     system = pipeline.load_system(args.am)
-    return system, build_trie(ckpt.read_lexicon(args.lexicon), system.alphabet)
+    trie = build_trie(ckpt.read_lexicon(args.lexicon), system.alphabet)
+    return system, trie, load_manifest(args.manifest)
 
 
 def cmd_decode(args):
@@ -218,11 +277,12 @@ def cmd_decode(args):
         result = decode(emissions, g, trie, lm, opts)
         print(" ".join(result.words))
         return
-    system, trie = _decode_setup(args)
+    if not args.manifest:
+        raise ConfigurationError("decode needs --emissions, or --manifest with --am")
+    if not args.am:
+        raise ConfigurationError("decoding a --manifest needs --am")
+    system, trie, manifest = _decode_setup(args)
     lm = _load_lm(args.lm)
-    from .audio_io import read_wav
-
-    manifest = load_manifest(args.manifest)
     for entry in manifest.entries:
         try:
             result = decode(system.emissions(read_wav(entry.audio)), system.transitions,
@@ -234,8 +294,7 @@ def cmd_decode(args):
 
 
 def cmd_evaluate(args):
-    system, trie = _decode_setup(args)
-    manifest = load_manifest(args.manifest)
+    system, trie, manifest = _decode_setup(args)
     report = pipeline.evaluate(manifest, system, trie, _load_lm(args.lm), _decoder_opts(args))
     print(f"WER {report.wer:.2f}%  CER {report.cer:.2f}%  "
           f"(S={report.substitutions} D={report.deletions} I={report.insertions} "
@@ -250,21 +309,11 @@ def cmd_evaluate(args):
         pipeline.write_csv(args.report, rows)
 
 
-def _grid(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
-
-
 def cmd_tune(args):
-    system, trie = _decode_setup(args)
-    lm = _load_lm(args.lm)
-    manifest = load_manifest(args.manifest)
-    stage1 = tuple(float(x) for x in args.stage1.split(":"))
-    stage2 = tuple(float(x) for x in args.stage2.split(":"))
-    best, rows = pipeline.tune(
-        manifest, system, trie, lm,
-        _grid(args.alpha_grid), _grid(args.beta_grid), _grid(args.gamma_grid),
-        stage1=(int(stage1[0]), stage1[1]), stage2=(int(stage2[0]), stage2[1]),
-    )
+    system, trie, manifest = _decode_setup(args)
+    best, rows = pipeline.tune(manifest, system, trie, _load_lm(args.lm), args.alpha_grid,
+                               args.beta_grid, args.gamma_grid,
+                               stage1=args.stage1, stage2=args.stage2)
     if args.out:
         pipeline.write_csv(args.out, rows)
     print(f"best: alpha={best.alpha} beta={best.beta} gamma={best.gamma} "
@@ -293,13 +342,10 @@ def cmd_analyze_frontend(args):
 
 
 def cmd_ppl_wer(args):
-    system, trie = _decode_setup(args)
-    manifest = load_manifest(args.manifest)
+    system, trie, manifest = _decode_setup(args)
     items = pipeline.eval_items(manifest, system)
     corpus = _read_corpus(args.corpus)
-    checkpoints = []
-    for path in args.checkpoints.split(","):
-        checkpoints.append((Path(path).stem, pipeline.load_gcnn(path)))
+    checkpoints = [(Path(path).stem, pipeline.load_gcnn(path)) for path in args.checkpoints]
     rows = pipeline.perplexity_wer_study(checkpoints, items, trie, _decoder_opts(args), corpus)
     pipeline.write_csv(args.out, rows)
     for row in rows:
@@ -307,12 +353,10 @@ def cmd_ppl_wer(args):
 
 
 def cmd_context_wer(args):
-    system, trie = _decode_setup(args)
-    lm = _load_lm(args.lm)
-    manifest = load_manifest(args.manifest)
+    system, trie, manifest = _decode_setup(args)
     items = pipeline.eval_items(manifest, system)
-    limits = [int(x) for x in args.limits.split(",")]
-    rows = pipeline.context_wer_study(lm, limits, items, trie, _decoder_opts(args))
+    rows = pipeline.context_wer_study(_load_lm(args.lm), args.limits, items, trie,
+                                      _decoder_opts(args))
     pipeline.write_csv(args.out, rows)
     for row in rows:
         print(f"context {row['context']:3d}: wer {row['wer']:.2f}%")
@@ -325,44 +369,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value defaults file")
         p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth-data", help="render the synthetic tone task")
-    common(p)
+    p = command("synth-data", cmd_synth_data, "render the synthetic tone task")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--train", type=int, default=500)
     p.add_argument("--dev", type=int, default=50)
     p.add_argument("--test", type=int, default=50)
-    p.add_argument("--condition", choices=["clean", "other"], default="clean")
+    p.add_argument("--condition", choices=["clean", "other", "homophone"], default="clean",
+                   help="clean tones, tones under noise at --snr-db, or the LM-study task")
     p.add_argument("--snr-db", type=float, default=5.0)
-    p.add_argument("--noise-level", type=float, default=0.0)
     p.add_argument("--corpus-sentences", type=int, default=2000)
-    p.add_argument("--markov", action="store_true", default=True)
-    p.add_argument("--no-markov", dest="markov", action="store_false")
-    p.set_defaults(func=cmd_synth_data)
+    p.add_argument("--no-markov", dest="markov", action="store_false",
+                   help="draw words independently instead of from a Markov chain")
 
-    p = sub.add_parser("train-am", help="train the acoustic model end to end")
-    common(p)
+    p = command("train-am", cmd_train_am, "train the acoustic model end to end")
     p.add_argument("--manifest", required=True)
     p.add_argument("--dev-manifest")
     p.add_argument("--task", required=True, help="task.json from synth-data")
     p.add_argument("--frontend", choices=["learnable", "mel"], default="learnable")
     p.add_argument("--filters", type=int, default=8)
-    p.add_argument("--layers", help="conv-GLU stack as channels:width,... (e.g. 24:9,32:9)")
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=12)
-    p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--clip", type=float, default=0.2)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--layers", type=_comma_list(_int_pair),
+                   help="conv-GLU stack as channels:width,... (e.g. 24:9,32:9)")
+    _add_training_flags(p, lr=0.3, clip=0.2, batch_size=4)
     p.add_argument("--loss-curve", help="CSV output for the loss history")
-    p.set_defaults(func=cmd_train_am)
 
-    p = sub.add_parser("train-lm", help="train a language model")
-    common(p)
+    p = command("train-lm", cmd_train_lm, "train a language model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--val-corpus")
     p.add_argument("--arch", choices=["gcnn", "bigram"], default="gcnn")
@@ -370,79 +407,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-dim", type=int, default=24)
     p.add_argument("--bottleneck-dim", type=int, default=12)
     p.add_argument("--kernel-width", type=int, default=5)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=12)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--clip", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--checkpoint", required=True)
+    _add_training_flags(p, lr=0.5, clip=0.1, batch_size=8)
     p.add_argument("--checkpoint-dir", help="save per-epoch checkpoints here")
     p.add_argument("--history", help="CSV output for perplexity history")
-    p.set_defaults(func=cmd_train_lm)
 
-    p = sub.add_parser("decode", help="beam-decode a manifest or an emission table")
-    common(p)
-    p.add_argument("--manifest")
+    p = command("decode", cmd_decode, "beam-decode a manifest or an emission table")
+    _add_inputs(p, audio_required=False)
     p.add_argument("--emissions", help="binary emission table instead of audio")
-    p.add_argument("--am", help="acoustic system checkpoint")
-    p.add_argument("--lm", required=True)
-    p.add_argument("--lexicon", required=True)
     _add_decoder_flags(p)
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("evaluate", help="WER/CER over a manifest")
-    common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--am", required=True)
-    p.add_argument("--lm", required=True)
-    p.add_argument("--lexicon", required=True)
+    p = command("evaluate", cmd_evaluate, "WER/CER over a manifest")
+    _add_inputs(p)
     p.add_argument("--report", help="per-utterance CSV output")
     _add_decoder_flags(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("tune", help="two-stage grid search for alpha/beta/gamma")
-    common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--am", required=True)
-    p.add_argument("--lm", required=True)
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--alpha-grid", default="0,0.5,1")
-    p.add_argument("--beta-grid", default="0,0.5,1")
-    p.add_argument("--gamma-grid", default="0,0.5")
-    p.add_argument("--stage1", default="2500:26")
-    p.add_argument("--stage2", default="3000:50")
+    p = command("tune", cmd_tune, "two-stage grid search for alpha/beta/gamma")
+    _add_inputs(p)
+    p.add_argument("--alpha-grid", type=_comma_list(float), default="0,0.5,1")
+    p.add_argument("--beta-grid", type=_comma_list(float), default="0,0.5,1")
+    p.add_argument("--gamma-grid", type=_comma_list(float), default="0,0.5")
+    p.add_argument("--stage1", type=_beam_budget, default="2500:26",
+                   help="beam size:beam score of the grid stage")
+    p.add_argument("--stage2", type=_beam_budget, default="3000:50",
+                   help="beam size:beam score of the re-evaluation")
     p.add_argument("--out", help="CSV output for the WER grid")
     _add_decoder_flags(p)
-    p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("analyze-frontend", help="center frequencies and filter heatmap")
-    common(p)
+    p = command("analyze-frontend", cmd_analyze_frontend,
+                "center frequencies and filter heatmap")
     p.add_argument("--am", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_analyze_frontend)
 
-    p = sub.add_parser("ppl-wer", help="perplexity vs WER across LM checkpoints")
-    common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--am", required=True)
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--checkpoints", required=True, help="comma-separated GCNN checkpoints")
+    p = command("ppl-wer", cmd_ppl_wer, "perplexity vs WER across LM checkpoints")
+    _add_inputs(p, lm=False)
+    p.add_argument("--checkpoints", type=_comma_list(str), required=True,
+                   help="comma-separated GCNN checkpoints")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     _add_decoder_flags(p)
-    p.set_defaults(func=cmd_ppl_wer)
 
-    p = sub.add_parser("context-wer", help="WER as a function of LM context size")
-    common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--am", required=True)
-    p.add_argument("--lm", required=True)
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--limits", default="1,2,4,8,16")
+    p = command("context-wer", cmd_context_wer, "WER as a function of LM context size")
+    _add_inputs(p)
+    p.add_argument("--limits", type=_comma_list(int), default="1,2,4,8,16")
     p.add_argument("--out", required=True)
     _add_decoder_flags(p)
-    p.set_defaults(func=cmd_context_wer)
 
     return parser
 
@@ -464,6 +472,10 @@ def main(argv=None) -> int:
         args.func(args)
     except ConvSpeechError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:  # a missing or unreadable file
+        where = f"{err.filename}: " if err.filename else ""
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
         return 1
     return 0
 

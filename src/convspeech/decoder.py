@@ -17,7 +17,7 @@ objective on tiny instances.
 
 Which moves a hypothesis may make depends only on its trie node: a non-root
 node's last letter is its edge letter, and the root's is silence (or none
-before the first frame). `build_trie` therefore flattens the trie once into a
+before the first frame). `build_trie` therefore holds the trie only as a
 move table that lists, per node, its children in insertion order, then the
 repeat of its edge letter, then its silence moves: a plain silence at the
 root, one silence-and-word move per homophone at a terminal. The beam is a
@@ -46,29 +46,22 @@ from .errors import (
     EmptyBeamError,
     VocabularyError,
 )
-from .metrics import edit_distance_alignment
+from .metrics import EvalReport, aggregate, score_utterance
 from .util import NEG_INF, logsumexp
-
-
-class TrieNode:
-    __slots__ = ("children", "words")
-
-    def __init__(self):
-        self.children: dict[int, TrieNode] = {}
-        self.words: list[str] = []
 
 
 @dataclass
 class LexiconTrie:
-    """The trie and its flattened move table.
+    """The lexicon trie, held only as its move table.
 
     Node 0 is the root. The moves of node n are `move_offsets[n]` up to
     `move_offsets[n + 1]`; move m goes to node `move_dest[m]` on letter
     `move_letter[m]` and emits word `words[move_word[m]]` (-1: no word).
+    Nodes are numbered breadth first, so the child moves of node n are its
+    moves to nodes greater than n.
     """
 
     alphabet: Alphabet
-    root: TrieNode
     words: tuple[str, ...]
     move_offsets: np.ndarray
     move_dest: np.ndarray
@@ -77,43 +70,42 @@ class LexiconTrie:
 
 
 def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> LexiconTrie:
-    """Prefix trie over repetition-encoded word spellings.
+    """Move table of the prefix trie over repetition-encoded word spellings.
 
     Spellings are given as plain letter sequences; doubled letters are
     rewritten with the repetition token before insertion, matching the target
     encoding the acoustic model is trained on. Homophones share a terminal.
+    A node's children keep the order in which the lexicon first reaches them.
     """
-    root = TrieNode()
-    for word, spelling in lexicon.items():
+    children: dict[tuple, dict[int, None]] = {}  # prefix -> child letters, ordered
+    ending: dict[tuple, list[int]] = {}  # prefix -> ids of the words spelled by it
+    words = tuple(lexicon)
+    for w, word in enumerate(words):
+        spelling = lexicon[word]
         if len(spelling) == 0:
             raise VocabularyError(f"word {word!r} has an empty spelling")
         if alphabet.silence_token in spelling:
             raise VocabularyError(f"word {word!r} spelling contains the silence token")
-        encoded = encode_target(alphabet, list(spelling)).encoded
-        node = root
-        for letter in encoded:
-            node = node.children.setdefault(int(letter), TrieNode())
-        node.words.append(word)
-    words = tuple(lexicon)
-    word_index = {word: i for i, word in enumerate(words)}
+        code = tuple(int(x) for x in encode_target(alphabet, list(spelling)).encoded)
+        for depth, letter in enumerate(code):
+            children.setdefault(code[:depth], {})[letter] = None
+        ending.setdefault(code, []).append(w)
     sil = alphabet.silence_index
-    nodes, edge = [root], [sil]
+    prefixes: list[tuple] = [()]
     moves: list[tuple[int, int, int]] = []
     offsets = [0]
-    for n, node in enumerate(nodes):  # breadth first; `nodes` grows as it goes
-        for letter, child in node.children.items():
-            moves.append((len(nodes), letter, -1))
-            nodes.append(child)
-            edge.append(letter)
+    for n, prefix in enumerate(prefixes):  # breadth first; `prefixes` grows as it goes
+        for letter in children.get(prefix, ()):
+            moves.append((len(prefixes), letter, -1))
+            prefixes.append(prefix + (letter,))
         if n == 0:
             moves.append((0, sil, -1))
         else:
-            moves.append((n, edge[n], -1))
-            moves.extend((0, sil, word_index[word]) for word in node.words)
+            moves.append((n, prefix[-1], -1))
+            moves.extend((0, sil, w) for w in ending.get(prefix, ()))
         offsets.append(len(moves))
     dest, letter, word = (np.array(column, dtype=np.int64) for column in zip(*moves))
-    return LexiconTrie(alphabet, root, words,
-                       np.array(offsets, dtype=np.int64), dest, letter, word)
+    return LexiconTrie(alphabet, words, np.array(offsets, dtype=np.int64), dest, letter, word)
 
 
 @dataclass
@@ -425,7 +417,7 @@ def exhaustive_decode(
             f"exhaustive decode limited to T <= 20 and 8 words, got T={t_total}"
         )
     sil = trie.alphabet.silence_index
-    lexicon = _trie_words(trie)
+    lexicon = _spellings(trie)
     vocab_words = list(lexicon)
 
     best = None
@@ -473,17 +465,17 @@ def exhaustive_decode(
     return best
 
 
-def _trie_words(trie: LexiconTrie) -> dict[str, list[int]]:
-    words: dict[str, list[int]] = {}
-
-    def visit(node: TrieNode, prefix: list[int]):
-        for w in node.words:
-            words[w] = list(prefix)
-        for letter, child in node.children.items():
-            visit(child, prefix + [letter])
-
-    visit(trie.root, [])
-    return words
+def _spellings(trie: LexiconTrie) -> dict[str, list[int]]:
+    """Each word's encoded spelling, read back from the move table, in lexicon order."""
+    paths: list[list[int]] = [[]]  # per node, breadth first: a child follows its parent
+    spellings: dict[str, list[int]] = {}
+    for n in range(len(trie.move_offsets) - 1):
+        for m in range(trie.move_offsets[n], trie.move_offsets[n + 1]):
+            if trie.move_dest[m] > n:
+                paths.append(paths[n] + [int(trie.move_letter[m])])
+            if trie.move_word[m] >= 0:
+                spellings[trie.words[trie.move_word[m]]] = paths[n]
+    return {word: spellings[word] for word in trie.words}
 
 
 def _unit_sequence(spells: list[list[int]], sil: int):
@@ -539,56 +531,52 @@ def tune_grid(
     larger one. Returns (chosen options, grid rows); each row is a dict with
     the candidate point, its WER and its count of failed decodes.
     """
+    def row(opts: DecoderOptions, stage: int) -> dict:
+        report = decode_and_score(validation, trie, lm, opts)
+        return {"alpha": opts.alpha, "beta": opts.beta, "gamma": opts.gamma,
+                "beam_size": opts.beam_size, "beam_score": opts.beam_score,
+                "wer": report.wer, "failures": report.decode_failures, "stage": stage}
+
     if not alphas or not betas or not gammas:
         raise ConfigurationError("tuning grids must be non-empty")
     if not validation:
         raise ConfigurationError("validation set is empty")
     base = base_opts or DecoderOptions()
-    rows = []
-    best_point = None
-    best_wer = None
-    for alpha in alphas:
-        for beta in betas:
-            for gamma in gammas:
-                opts = replace(base, alpha=alpha, beta=beta, gamma=gamma,
-                               beam_size=stage1[0], beam_score=stage1[1])
-                w, failures = items_wer_and_failures(validation, trie, lm, opts)
-                rows.append({"alpha": alpha, "beta": beta, "gamma": gamma,
-                             "beam_size": stage1[0], "beam_score": stage1[1],
-                             "wer": w, "failures": failures, "stage": 1})
-                if best_wer is None or w < best_wer:
-                    best_wer = w
-                    best_point = (alpha, beta, gamma)
-    final = replace(base, alpha=best_point[0], beta=best_point[1],
-                    gamma=best_point[2], beam_size=stage2[0], beam_score=stage2[1])
-    w, failures = items_wer_and_failures(validation, trie, lm, final)
-    rows.append({"alpha": final.alpha, "beta": final.beta, "gamma": final.gamma,
-                 "beam_size": stage2[0], "beam_score": stage2[1],
-                 "wer": w, "failures": failures, "stage": 2})
+    rows = [row(replace(base, alpha=alpha, beta=beta, gamma=gamma,
+                        beam_size=stage1[0], beam_score=stage1[1]), 1)
+            for alpha in alphas for beta in betas for gamma in gammas]
+    best = min(rows, key=lambda r: r["wer"])  # the first point of the lowest WER
+    final = replace(base, alpha=best["alpha"], beta=best["beta"], gamma=best["gamma"],
+                    beam_size=stage2[0], beam_score=stage2[1])
+    rows.append(row(final, 2))
     return final, rows
 
 
-def items_wer_and_failures(items, trie: LexiconTrie, lm, opts: DecoderOptions):
-    """(WER, decode failures) over (emissions, transitions, reference words) triples.
+def decode_and_score(items, trie: LexiconTrie, lm, opts: DecoderOptions,
+                     ids=None) -> EvalReport:
+    """Decode (emissions, transitions, reference words) triples and score them.
 
     An utterance whose beam empties (EmptyBeamError) is scored as an empty
-    hypothesis and counted as a failure, as `pipeline.evaluate` does.
+    hypothesis and counted in `decode_failures`. `ids` names the utterances
+    (default: their positions). `items` may be any iterable, so emissions can
+    be computed one utterance at a time.
     """
-    errors = 0
-    ref_len = 0
+    scores = []
+    char_pairs = []
     failures = 0
-    for emissions, g, reference in items:
+    for i, (emissions, g, reference) in enumerate(items):
         try:
-            hyp = decode(emissions, g, trie, lm, opts).words
+            hypothesis = decode(emissions, g, trie, lm, opts).words
         except EmptyBeamError:
-            hyp = []
+            hypothesis = []
             failures += 1
-        s, d, ins = edit_distance_alignment(list(reference), hyp)
-        errors += s + d + ins
-        ref_len += len(reference)
-    return 100.0 * errors / max(ref_len, 1), failures
+        scores.append(score_utterance(str(i) if ids is None else ids[i], reference, hypothesis))
+        char_pairs.append((list(" ".join(reference)), list(" ".join(hypothesis))))
+    report = aggregate(scores, char_pairs)
+    report.decode_failures = failures
+    return report
 
 
 def items_wer(items, trie: LexiconTrie, lm, opts: DecoderOptions) -> float:
     """WER over (emissions, transitions, reference words) triples."""
-    return items_wer_and_failures(items, trie, lm, opts)[0]
+    return decode_and_score(items, trie, lm, opts).wer

@@ -22,7 +22,11 @@ class UtteranceScore:
 
 @dataclass
 class EvalReport:
-    """Aggregated error counts; wer = 100 * (S+D+I) / reference length."""
+    """Aggregated error counts; wer = 100 * (S+D+I) / reference length.
+
+    With no reference words at all, the rates divide by 1, so insertions
+    still count as errors.
+    """
 
     substitutions: int = 0
     deletions: int = 0
@@ -35,15 +39,12 @@ class EvalReport:
 
     @property
     def wer(self) -> float:
-        if self.reference_length == 0:
-            return 0.0
-        return 100.0 * (self.substitutions + self.deletions + self.insertions) / self.reference_length
+        errors = self.substitutions + self.deletions + self.insertions
+        return 100.0 * errors / max(self.reference_length, 1)
 
     @property
     def cer(self) -> float:
-        if self.cer_reference_length == 0:
-            return 0.0
-        return 100.0 * self.cer_errors / self.cer_reference_length
+        return 100.0 * self.cer_errors / max(self.cer_reference_length, 1)
 
 
 def edit_distance_alignment(reference: Sequence, hypothesis: Sequence):

@@ -17,8 +17,8 @@ from .criterion import (
     asg_loss_and_gradients,
     encode_target,
 )
-from .decoder import DecoderOptions, LexiconTrie, decode, items_wer_and_failures, tune_grid
-from .errors import ConfigurationError, EmptyBeamError
+from .decoder import DecoderOptions, LexiconTrie, decode_and_score, tune_grid
+from .errors import ConfigurationError
 from .frontend import (
     FrontendConfig,
     LearnableFrontend,
@@ -28,7 +28,7 @@ from .frontend import (
 )
 from .gcnn import GcnnConfig, GcnnLm
 from .lm import Vocabulary, perplexity
-from .metrics import EvalReport, aggregate, score_utterance
+from .metrics import EvalReport
 from .optim import PlateauScheduler, SgdOptimizer
 from .synth import DatasetManifest, normalize_transcript, transcript_letters
 
@@ -316,15 +316,16 @@ def load_gcnn(path) -> GcnnLm:
 
 # -- evaluation ---------------------------------------------------------------
 
-def eval_items(manifest: DatasetManifest, system: SpeechSystem):
-    """Precompute (emissions, transitions, reference) triples for decoding."""
-    items = []
+def _emission_items(manifest: DatasetManifest, system: SpeechSystem):
+    """(emissions, transitions, reference) per utterance, computed as they are read."""
     for entry in manifest.entries:
         wave = read_wav(entry.audio)
-        items.append(
-            (system.emissions(wave), system.transitions, normalize_transcript(entry.text))
-        )
-    return items
+        yield system.emissions(wave), system.transitions, normalize_transcript(entry.text)
+
+
+def eval_items(manifest: DatasetManifest, system: SpeechSystem):
+    """Precompute (emissions, transitions, reference) triples for decoding."""
+    return list(_emission_items(manifest, system))
 
 
 def evaluate(
@@ -335,22 +336,8 @@ def evaluate(
     opts: DecoderOptions,
 ) -> EvalReport:
     """Decode every utterance and aggregate WER/CER; deterministic."""
-    scores = []
-    char_pairs = []
-    failures = 0
-    for entry in manifest.entries:
-        wave = read_wav(entry.audio)
-        reference = normalize_transcript(entry.text)
-        try:
-            hypothesis = decode(system.emissions(wave), system.transitions, trie, lm, opts).words
-        except EmptyBeamError:
-            hypothesis = []
-            failures += 1
-        scores.append(score_utterance(entry.utt_id, reference, hypothesis))
-        char_pairs.append((list(" ".join(reference)), list(" ".join(hypothesis))))
-    report = aggregate(scores, char_pairs)
-    report.decode_failures = failures
-    return report
+    return decode_and_score(_emission_items(manifest, system), trie, lm, opts,
+                            ids=[entry.utt_id for entry in manifest.entries])
 
 
 def tune(
@@ -381,9 +368,9 @@ def perplexity_wer_study(checkpoints, items, trie, opts: DecoderOptions, corpus)
         raise ConfigurationError("perplexity study needs at least 3 checkpoints")
     rows = []
     for label, lm in checkpoints:
-        wer, failures = items_wer_and_failures(items, trie, lm, opts)
+        report = decode_and_score(items, trie, lm, opts)
         rows.append({"checkpoint": label, "perplexity": perplexity(lm, corpus),
-                     "wer": wer, "failures": failures})
+                     "wer": report.wer, "failures": report.decode_failures})
     return rows
 
 
@@ -395,8 +382,8 @@ def context_wer_study(lm, limits, items, trie, opts: DecoderOptions):
         raise ConfigurationError("context limits must be ascending")
     rows = []
     for limit in limits:
-        wer, failures = items_wer_and_failures(items, trie, ContextLimitedLM(lm, limit), opts)
-        rows.append({"context": limit, "wer": wer, "failures": failures})
+        report = decode_and_score(items, trie, ContextLimitedLM(lm, limit), opts)
+        rows.append({"context": limit, "wer": report.wer, "failures": report.decode_failures})
     return rows
 
 

@@ -1,9 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from convspeech import synth
-from convspeech.cli import _load_task, _save_task, main, parse_config_file
+from convspeech.checkpoint import read_lexicon
+from convspeech.cli import _load_task, _save_task, build_parser, main, parse_config_file
 from convspeech.errors import ConfigurationError
 
 
@@ -275,3 +278,96 @@ def test_cli_error_reporting(workspace, tmp_path, capsys):
     ])
     assert rc == 1
     assert "not readable" in capsys.readouterr().err
+
+
+def _study_inputs(workspace):
+    return ["--manifest", str(workspace / "dev.jsonl"), "--am", str(workspace / "am.ckpt"),
+            "--lexicon", str(workspace / "lexicon.txt")]
+
+
+@pytest.mark.parametrize("flag", ["--am", "--lm arpa", "--lm checkpoint", "--manifest",
+                                  "--lexicon", "--corpus", "--checkpoints"])
+def test_missing_input_file_is_an_error_line(workspace, tmp_path, capsys, flag):
+    missing = str(tmp_path / ("missing.arpa" if flag == "--lm arpa" else "missing.ckpt"))
+    evaluate = ["evaluate", *_study_inputs(workspace), "--lm", str(workspace / "bigram.arpa")]
+    if flag in ("--am", "--manifest", "--lexicon", "--lm arpa"):
+        argv = evaluate + [flag.split()[0], missing]  # a repeated flag: the last one wins
+    elif flag == "--lm checkpoint":
+        argv = ["context-wer", *_study_inputs(workspace), "--lm", missing,
+                "--out", str(tmp_path / "ctx.csv")]
+    elif flag == "--corpus":
+        argv = ["train-lm", "--corpus", missing, "--arch", "bigram",
+                "--checkpoint", str(tmp_path / "lm.arpa")]
+    else:
+        argv = ["ppl-wer", *_study_inputs(workspace), "--corpus", str(workspace / "corpus.txt"),
+                "--checkpoints", f"{missing},{missing},{missing}",
+                "--out", str(tmp_path / "ppl.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("with_manifest, flag", [(False, "--emissions"), (True, "--am")])
+def test_decode_without_input_source_is_an_error_line(workspace, capsys, with_manifest, flag):
+    argv = ["decode", "--lm", str(workspace / "bigram.arpa"),
+            "--lexicon", str(workspace / "lexicon.txt")]
+    if with_manifest:
+        argv += ["--manifest", str(workspace / "dev.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["tune", "--manifest", "m", "--am", "a", "--lm", "l", "--lexicon", "x",
+      "--stage1", "2500"], "--stage1"),
+    (["tune", "--manifest", "m", "--am", "a", "--lm", "l", "--lexicon", "x",
+      "--alpha-grid", "a"], "--alpha-grid"),
+    (["context-wer", "--manifest", "m", "--am", "a", "--lm", "l", "--lexicon", "x",
+      "--out", "o", "--limits", "a"], "--limits"),
+    (["train-am", "--manifest", "m", "--task", "t", "--checkpoint", "c",
+      "--layers", "24:9,x"], "--layers"),
+])
+def test_bad_list_values_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and flag in err
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every `convspeech ...` command in README.md, continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for line in text.replace("\\\n", " ").splitlines():
+        line = line.split(" #", 1)[0].strip()
+        if line.startswith("convspeech "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_recipes_parse():
+    commands = _readme_commands()
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error exits with code 2 and fails the test
+    assert {argv[0] for argv in commands} == {
+        "synth-data", "train-am", "train-lm", "decode", "evaluate", "tune",
+        "analyze-frontend", "ppl-wer", "context-wer"}
+
+
+def test_synth_data_homophone(tmp_path):
+    rc = main(["synth-data", "--condition", "homophone", "--out-dir", str(tmp_path),
+               "--train", "3", "--dev", "2", "--test", "0", "--corpus-sentences", "20"])
+    assert rc == 0
+    assert _load_task(tmp_path / "task.json") == synth.homophone_study_spec()
+    lexicon = read_lexicon(tmp_path / "lexicon.txt")
+    assert lexicon["ab1"] == lexicon["ab2"] == ["a", "b"]
+    for split, count, seed in (("train", 3, 10), ("dev", 2, 11)):
+        texts = [entry.text for entry in synth.load_manifest(tmp_path / f"{split}.jsonl").entries]
+        assert texts == [" ".join(s) for s in synth.homophone_study_sentences(count, seed)]
+    assert not (tmp_path / "test.jsonl").exists()
+    for name, count, seed in (("corpus.txt", 20, 20), ("corpus-dev.txt", 10, 21)):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines == [" ".join(s) for s in synth.homophone_study_sentences(count, seed)]

@@ -67,17 +67,33 @@ def make_instance(rng, t=None, lexicon=None, opts=None):
     return emissions, transitions, trie, lm, opts
 
 
+def _node_moves(trie, node):
+    """(destination, letter, word id) of each move of `node`, in table order."""
+    lo, hi = trie.move_offsets[node], trie.move_offsets[node + 1]
+    return list(zip(trie.move_dest[lo:hi].tolist(), trie.move_letter[lo:hi].tolist(),
+                    trie.move_word[lo:hi].tolist()))
+
+
+def _children(trie, node):
+    """letter -> child node; nodes are numbered breadth first, so children come later."""
+    return {letter: dest for dest, letter, _ in _node_moves(trie, node) if dest > node}
+
+
+def _words_at(trie, node):
+    return [trie.words[word] for _, _, word in _node_moves(trie, node) if word >= 0]
+
+
 def test_build_trie_single_word():
     trie = dec.build_trie({"a": ["a"]}, AB)
-    assert list(trie.root.children) == [AB.index("a")]
-    assert trie.root.children[AB.index("a")].words == ["a"]
+    assert list(_children(trie, 0)) == [AB.index("a")]
+    assert _words_at(trie, _children(trie, 0)[AB.index("a")]) == ["a"]
 
 
 def test_build_trie_shared_prefix():
     trie = dec.build_trie({"ab": ["a", "b"], "ac": ["a", "c"]}, AB)
-    a_node = trie.root.children[AB.index("a")]
-    assert set(a_node.children) == {AB.index("b"), AB.index("c")}
-    assert a_node.words == []
+    a_node = _children(trie, 0)[AB.index("a")]
+    assert set(_children(trie, a_node)) == {AB.index("b"), AB.index("c")}
+    assert _words_at(trie, a_node) == []
 
 
 def test_build_trie_rejects_unknown_letter():
@@ -86,9 +102,9 @@ def test_build_trie_rejects_unknown_letter():
 
 
 def _walk(trie, letters):
-    node = trie.root
+    node = 0
     for letter in letters:
-        node = node.children.get(int(letter))
+        node = _children(trie, node).get(int(letter))
         if node is None:
             return None
     return node
@@ -97,7 +113,7 @@ def _walk(trie, letters):
 def test_build_trie_encodes_repeats():
     trie = dec.build_trie({"aa": ["a", "a"]}, AB)
     node = _walk(trie, encode_target(AB, ["a", "a"]).encoded)
-    assert node is not None and node.words == ["aa"]
+    assert node is not None and _words_at(trie, node) == ["aa"]
 
 
 def test_build_trie_random_words_findable():
@@ -110,7 +126,7 @@ def test_build_trie_random_words_findable():
     trie = dec.build_trie(words, AB)
     for word, spelling in words.items():
         node = _walk(trie, encode_target(AB, spelling).encoded)
-        assert node is not None and word in node.words
+        assert node is not None and word in _words_at(trie, node)
 
 
 def test_decode_single_word_hand_sum():
@@ -452,12 +468,14 @@ def test_decode_failures_are_counted():
     emissions, g, trie, lm, opts = make_instance(rng, t=5, lexicon={"a": ["a"], "b": ["b"]})
     empty = np.zeros((0, len(AB)))  # no frames: the beam is empty from the start
     items = [(emissions, g, ["a"]), (empty, g, ["a", "b"])]
-    wer, failures = dec.items_wer_and_failures(items, trie, lm, opts)
-    assert failures == 1
+    report = dec.decode_and_score(items, trie, lm, opts)
+    wer = report.wer
+    assert report.decode_failures == 1
     assert wer == dec.items_wer(items, trie, lm, opts)
     # the failed item is scored as an empty hypothesis: both its words deleted
-    alone, _ = dec.items_wer_and_failures(items[:1], trie, lm, opts)
+    alone = dec.decode_and_score(items[:1], trie, lm, opts).wer
     assert wer == pytest.approx(100.0 * (alone / 100.0 * 1 + 2) / 3)
+    assert report.utterances[1].hypothesis == [] and report.utterances[1].deletions == 2
     _, rows = dec.tune_grid(items, [0.5, 1.0], [0.1], [0.2], trie, lm)
     assert [row["failures"] for row in rows] == [1, 1, 1]
 
