@@ -8,7 +8,6 @@ from .criterion import (
     asg_loss,
     encode_target,
     forward_score,
-    viterbi,
 )
 from .decoder import DecoderOptions, DecodeResult, build_trie, decode, exhaustive_decode
 from .frontend import (

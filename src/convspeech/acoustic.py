@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .frontend import FeatureMap
+from .util import check_params
 
 
 @dataclass
@@ -36,6 +36,8 @@ class AcousticModelConfig:
     alphabet_size: int
 
     def __post_init__(self):
+        if not self.layers:
+            raise ConfigurationError("layers must hold at least one conv-GLU layer")
         if self.alphabet_size < 2:
             raise ConfigurationError("alphabet must have at least 2 letters")
         for prev, cur in zip(self.layers, self.layers[1:]):
@@ -55,10 +57,6 @@ class EmissionTable:
     @property
     def num_frames(self) -> int:
         return self.scores.shape[0]
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.scores.shape[1]
 
 
 def glu(pre_activation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +189,11 @@ def init_wn_conv(params: dict, name: str, rng: np.random.Generator,
     params[f"{name}_b"] = np.zeros(c_out)
 
 
+def wn_conv_shapes(name: str, c_out: int, c_in: int, kernel_width: int) -> dict[str, tuple]:
+    """Shapes of the three arrays init_wn_conv adds for `name`."""
+    return {f"{name}_v": (c_out, c_in, kernel_width), f"{name}_g": (c_out,), f"{name}_b": (c_out,)}
+
+
 def wn_conv(params: dict, name: str, x: np.ndarray, stride: int = 1,
             pad_left: int | None = None, pad_right: int | None = None):
     """conv1d with the weight-normed parameters `{name}_v/_g/_b`; returns (out, cache)."""
@@ -212,7 +215,7 @@ def wn_conv_backward(params: dict, cache: dict, d_out: np.ndarray, grads: dict) 
 
 
 class AcousticModel:
-    """Feature maps in, emission tables out, with exact parameter gradients.
+    """(channels, frames) features in, emission tables out, with exact parameter gradients.
 
     Parameters are a flat dict: layer{i}_v / layer{i}_g / layer{i}_b for each
     conv-GLU block and proj_v / proj_g / proj_b for the final width-1
@@ -226,29 +229,41 @@ class AcousticModel:
         params: dict[str, np.ndarray] | None = None,
     ):
         self.config = config
-        self.params = params if params is not None else self._init_params(
-            rng or np.random.default_rng(0)
-        )
+        if params is None:
+            params = self._init_params(rng or np.random.default_rng(0))
+        else:
+            check_params(params, self.param_shapes(config), "acoustic model")
+        self.params = params
+
+    @staticmethod
+    def _conv_layers(config: AcousticModelConfig):
+        """(name, c_out, c_in, kernel width) of every weight-normed conv, in init order."""
+        for i, spec in enumerate(config.layers):
+            yield f"layer{i}", 2 * spec.out_channels, spec.in_channels, spec.kernel_width
+        yield "proj", config.alphabet_size, config.layers[-1].out_channels, 1
+
+    @staticmethod
+    def param_shapes(config: AcousticModelConfig) -> dict[str, tuple]:
+        """Every parameter array a model of this config holds, with its shape."""
+        shapes = {}
+        for layer in AcousticModel._conv_layers(config):
+            shapes |= wn_conv_shapes(*layer)
+        return shapes
 
     def _init_params(self, rng) -> dict[str, np.ndarray]:
-        if not self.config.layers:
-            raise ConfigurationError("at least one conv-GLU layer is required")
         params: dict[str, np.ndarray] = {}
-        for i, spec in enumerate(self.config.layers):
-            init_wn_conv(params, f"layer{i}", rng, 2 * spec.out_channels,
-                         spec.in_channels, spec.kernel_width)
-        last = self.config.layers[-1].out_channels
-        init_wn_conv(params, "proj", rng, self.config.alphabet_size, last, 1)
+        for name, c_out, c_in, kw in self._conv_layers(self.config):
+            init_wn_conv(params, name, rng, c_out, c_in, kw)
         return params
 
     def forward(
         self,
-        features: FeatureMap | np.ndarray,
+        features: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
         want_cache: bool = False,
     ):
-        h = features.values if isinstance(features, FeatureMap) else np.asarray(features)
+        h = np.asarray(features)
         if h.shape[0] != self.config.layers[0].in_channels:
             raise DimensionError(
                 f"features have {h.shape[0]} channels, model expects "

@@ -71,6 +71,8 @@ def read_wav(path) -> Waveform:
         raise AudioFormatError(f"{path}: {channels} channels; only mono is supported")
     if bits != 16:
         raise AudioFormatError(f"{path}: {bits}-bit samples; only 16-bit PCM is supported")
+    if sample_rate == 0:
+        raise AudioFormatError(f"{path}: sample rate is 0")
     if len(data) % 2:
         raise AudioFormatError(f"{path}: data chunk has an odd byte count {len(data)}")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / _SCALE

@@ -53,11 +53,19 @@ def save_checkpoint(path, kind: str, config: dict, arrays: dict[str, np.ndarray]
     Path(path).write_text(json.dumps(payload))
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; other bytes raise ConfigurationError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({err})") from None
+
+
 def read_json(path):
     """Parse a JSON file; malformed text raises ConfigurationError naming the file."""
     try:
-        return json.loads(Path(path).read_text())
-    except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
+        return json.loads(read_text(path))
+    except ValueError as err:  # JSONDecodeError
         raise ConfigurationError(f"{path}: not valid JSON ({err})") from None
 
 
@@ -114,7 +122,7 @@ def load_emissions(path):
     try:
         version, normalized, _ = struct.unpack_from("<HBB", raw, 4)
         if version not in (1, _EMISSION_VERSION):
-            raise ConfigurationError(f"{path}: unsupported emission format version {version}")
+            raise ConfigurationError(f"unsupported emission format version {version}")
         t, a, sil_idx, rep_idx = struct.unpack_from("<IIHH", raw, 8)
         offset = 20
         letters = []
@@ -130,7 +138,7 @@ def load_emissions(path):
             transitions = np.frombuffer(raw, dtype="<f8", count=a * a, offset=offset)
             transitions = transitions.reshape(a, a).copy()
         alphabet = Alphabet(tuple(letters), letters[sil_idx], letters[rep_idx])
-    except (struct.error, ValueError, IndexError) as err:
+    except (struct.error, ValueError, IndexError, ConfigurationError) as err:
         raise ConfigurationError(f"{path}: truncated or corrupt emission table ({err})") from None
     return EmissionTable(scores.copy(), normalized=bool(normalized)), alphabet, transitions
 
@@ -143,7 +151,7 @@ def write_lexicon(path, lexicon: dict[str, list[str]]):
 
 def read_lexicon(path) -> dict[str, list[str]]:
     lexicon: dict[str, list[str]] = {}
-    for no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         if "\t" not in line:

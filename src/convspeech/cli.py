@@ -13,6 +13,7 @@ flag; explicit flags win. A bad or missing input file ends the run with one
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import asdict, fields
@@ -25,7 +26,7 @@ from . import pipeline, synth
 from .acoustic import AcousticModelConfig, ConvLayerSpec
 from .audio_io import read_wav
 from .decoder import DecoderOptions, build_trie, decode
-from .errors import ConfigurationError, ConvSpeechError, EmptyBeamError
+from .errors import ArpaParseError, ConfigurationError, ConvSpeechError, EmptyBeamError
 from .frontend import FrontendConfig, analyze_filters
 from .gcnn import GcnnConfig, GcnnLm, train_gcnn
 from .lm import Vocabulary, fit_bigram_arpa, load_arpa
@@ -35,7 +36,7 @@ from .synth import SyntheticTaskSpec, load_manifest
 def parse_config_file(path) -> list[str]:
     """key=value lines -> CLI argument list ('#' starts a comment)."""
     try:
-        text = Path(path).read_text()
+        text = ckpt.read_text(path)
     except OSError as err:
         raise ConfigurationError(f"{path}: config file not readable ({err.strerror})") from None
     args: list[str] = []
@@ -128,7 +129,11 @@ def _load_task(path) -> SyntheticTaskSpec:
             f"and has unknown keys {sorted(keys - names)}"
         )
     # JSON turns the spec's tuples into lists; the lexicon keeps list spellings
-    return SyntheticTaskSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    try:
+        return SyntheticTaskSpec(**{k: tuple(v) if isinstance(v, list) else v
+                                    for k, v in raw.items()})
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from None
 
 
 def _save_task(path, spec: SyntheticTaskSpec):
@@ -136,15 +141,18 @@ def _save_task(path, spec: SyntheticTaskSpec):
 
 
 def _load_lm(path):
-    text_head = Path(path).read_text(errors="ignore")[:64] if Path(path).suffix != ".bin" else ""
-    if str(path).endswith(".arpa") or text_head.lstrip().startswith("\\data\\"):
-        with open(path) as handle:
-            return load_arpa(handle)
+    head = Path(path).read_bytes()[:64]
+    if str(path).endswith(".arpa") or head.lstrip().startswith(b"\\data\\"):
+        try:
+            return load_arpa(io.StringIO(ckpt.read_text(path)))
+        except ArpaParseError as err:
+            err.args = (f"{path}: {err}",)
+            raise
     return pipeline.load_gcnn(path)
 
 
 def _read_corpus(path) -> list[list[str]]:
-    return [line.split() for line in Path(path).read_text().splitlines() if line.strip()]
+    return [line.split() for line in ckpt.read_text(path).splitlines() if line.strip()]
 
 
 def _write_corpus(path, sentences):
@@ -234,8 +242,9 @@ def cmd_train_lm(args):
     lm = GcnnLm(vocab, config, rng=np.random.default_rng(args.seed))
     val = _read_corpus(args.val_corpus) if args.val_corpus else None
     ckpt_dir = Path(args.checkpoint_dir) if args.checkpoint_dir else None
-    if ckpt_dir:
+    if ckpt_dir:  # the untrained model too: the start of the perplexity-WER trend
         ckpt_dir.mkdir(parents=True, exist_ok=True)
+        pipeline.save_gcnn(ckpt_dir / "epoch-start.ckpt", lm)
 
     def save_epoch(epoch, model, record):
         if ckpt_dir:
@@ -408,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bottleneck-dim", type=int, default=12)
     p.add_argument("--kernel-width", type=int, default=5)
     _add_training_flags(p, lr=0.5, clip=0.1, batch_size=8)
-    p.add_argument("--checkpoint-dir", help="save per-epoch checkpoints here")
+    p.add_argument("--checkpoint-dir",
+                   help="save the untrained model and per-epoch checkpoints here")
     p.add_argument("--history", help="CSV output for perplexity history")
 
     p = command("decode", cmd_decode, "beam-decode a manifest or an emission table")

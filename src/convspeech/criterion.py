@@ -2,8 +2,9 @@
 
 Scores letter paths by per-frame emissions plus input-independent transition
 scores, normalizing with a log-sum-exp over all paths of an alignment graph.
-The loss is the difference between the unconstrained (all paths) and the
-target-constrained graph scores. There is no blank symbol; doubled letters in
+There are two graphs, each with its own recursion: the unconstrained one (any
+letter at any frame) and the target one (monotonic alignments of the target).
+The loss is the difference between their scores. There is no blank symbol; doubled letters in
 targets are rewritten with a repetition token and silence is an ordinary
 letter.
 """
@@ -113,41 +114,6 @@ def decode_target(alphabet: Alphabet, target: Target) -> list[str]:
     return letters
 
 
-@dataclass
-class AlignmentGraph:
-    """Frame-unrolled path set: states with letters and allowed transitions."""
-
-    state_letters: np.ndarray  # (S,) letter index per state
-    allowed: np.ndarray  # (S, S) bool, allowed[p, s] permits p -> s
-    start: np.ndarray  # (S,) bool
-    final: np.ndarray  # (S,) bool
-
-
-def full_graph(alphabet_size: int) -> AlignmentGraph:
-    """Unconstrained graph: any letter at any frame (|A|^T paths over T frames)."""
-    s = alphabet_size
-    return AlignmentGraph(
-        state_letters=np.arange(s, dtype=np.int64),
-        allowed=np.ones((s, s), dtype=bool),
-        start=np.ones(s, dtype=bool),
-        final=np.ones(s, dtype=bool),
-    )
-
-
-def target_graph(target: Target) -> AlignmentGraph:
-    """Monotonic alignments of the target: each state stays or advances by one."""
-    s = len(target)
-    allowed = np.zeros((s, s), dtype=bool)
-    idx = np.arange(s)
-    allowed[idx, idx] = True
-    allowed[idx[:-1], idx[:-1] + 1] = True
-    start = np.zeros(s, dtype=bool)
-    final = np.zeros(s, dtype=bool)
-    start[0] = True
-    final[s - 1] = True
-    return AlignmentGraph(np.asarray(target.encoded, dtype=np.int64), allowed, start, final)
-
-
 def as_scores(emissions) -> np.ndarray:
     """The (T, |A|) score array of an EmissionTable or array-like."""
     if isinstance(emissions, EmissionTable):
@@ -160,14 +126,6 @@ def as_transitions(g) -> np.ndarray:
     if isinstance(g, TransitionTable):
         return g.g
     return np.asarray(g, dtype=np.float64)
-
-
-def _graph_tables(f: np.ndarray, g: np.ndarray, graph: AlignmentGraph):
-    letters = graph.state_letters
-    em = f[:, letters]  # (T, S)
-    score_mat = g[np.ix_(letters, letters)].copy()
-    score_mat[~graph.allowed] = NEG_INF
-    return em, score_mat
 
 
 def _lse_over(mat: np.ndarray, axis: int) -> np.ndarray:
@@ -190,34 +148,24 @@ def _lse_over(mat: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _forward_pass(em, score_mat, start):
-    t_total, s = em.shape
+def _forward_pass(f, g):
+    """alpha over the unconstrained graph, where any letter follows any letter."""
+    t_total, s = f.shape
     alpha = np.empty((t_total, s))
-    alpha[0] = np.where(start, em[0], NEG_INF)
+    alpha[0] = f[0]
     for t in range(1, t_total):
-        alpha[t] = em[t] + _lse_over(alpha[t - 1][:, None] + score_mat, axis=0)
+        alpha[t] = f[t] + _lse_over(alpha[t - 1][:, None] + g, axis=0)
     return alpha
 
 
-def _backward_pass(em, score_mat, final):
-    t_total, s = em.shape
+def _backward_pass(f, g):
+    """beta over the unconstrained graph: every letter may end a path."""
+    t_total, s = f.shape
     beta = np.empty((t_total, s))
-    beta[t_total - 1] = np.where(final, 0.0, NEG_INF)
+    beta[t_total - 1] = 0.0
     for t in range(t_total - 1, 0, -1):
-        beta[t - 1] = _lse_over(score_mat + (em[t] + beta[t])[None, :], axis=1)
+        beta[t - 1] = _lse_over(g + (f[t] + beta[t])[None, :], axis=1)
     return beta
-
-
-def forward_score(emissions, g, graph: AlignmentGraph) -> float:
-    """log-sum-exp over all graph paths of per-frame emission + transition sums.
-
-    The first frame contributes its emission only; transitions apply from the
-    second frame on. Returns -inf when the graph admits no path of length T.
-    """
-    f = as_scores(emissions)
-    em, score_mat = _graph_tables(f, as_transitions(g), graph)
-    alpha = _forward_pass(em, score_mat, graph.start)
-    return float(logsumexp(np.where(graph.final, alpha[-1], NEG_INF)))
 
 
 def _check_feasible(target: Target, num_frames: int):
@@ -262,21 +210,36 @@ def _target_backward(em, stay, advance):
     return beta
 
 
+def forward_score(emissions, g, target: Target | None = None) -> float:
+    """log-sum-exp over all paths of per-frame emission + transition sums.
+
+    With no target the paths are every letter sequence of T frames (the
+    unconstrained graph); with one, the monotonic alignments of the target,
+    where each frame stays on the current target letter or advances to the
+    next. The first frame contributes its emission only; transitions apply
+    from the second frame on. Returns -inf when the target has more letters
+    than there are frames.
+    """
+    f = as_scores(emissions)
+    gmat = as_transitions(g)
+    if target is None:
+        return float(logsumexp(_forward_pass(f, gmat)[-1]))
+    return float(_target_forward(*_target_tables(f, gmat, target))[-1, -1])
+
+
 def asg_loss(emissions, g, target: Target) -> float:
     """Unconstrained minus target-constrained graph score; always >= 0."""
     f = as_scores(emissions)
     gmat = as_transitions(g)
     _check_feasible(target, f.shape[0])
-    full = forward_score(f, gmat, full_graph(f.shape[1]))
-    return full - float(_target_forward(*_target_tables(f, gmat, target))[-1, -1])
+    return forward_score(f, gmat) - forward_score(f, gmat, target)
 
 
 def _full_marginals(f, gmat):
     """Unconstrained graph: letter marginals (T, |A|), transition marginals
     (|A|, |A|) and the log partition."""
-    everywhere = np.ones(f.shape[1], dtype=bool)
-    alpha = _forward_pass(f, gmat, everywhere)
-    beta = _backward_pass(f, gmat, everywhere)
+    alpha = _forward_pass(f, gmat)
+    beta = _backward_pass(f, gmat)
     z = logsumexp(alpha[-1])
     log_edges = alpha[:-1, :, None] + gmat + (f[1:] + beta[1:])[:, None, :]
     log_edges -= z
@@ -317,35 +280,3 @@ def asg_loss_and_gradients(emissions, g, target: Target):
     con_letter, con_trans, z_con = _target_marginals(f, gmat, target)
     return z_full - z_con, full_letter - con_letter, full_trans - con_trans
 
-
-def viterbi(emissions, g, graph: AlignmentGraph):
-    """Best single path (letter indices) and its score.
-
-    Ties are broken toward the lower letter index, then the lower state index.
-    Returns ([], -inf) when the graph admits no length-T path.
-    """
-    f = as_scores(emissions)
-    em, score_mat = _graph_tables(f, as_transitions(g), graph)
-    t_total, s = em.shape
-    letters = graph.state_letters
-    tie_key = letters.astype(np.float64) * (s + 1) + np.arange(s)
-    alpha = np.where(graph.start, em[0], NEG_INF)
-    back = np.zeros((t_total, s), dtype=np.int64)
-    for t in range(1, t_total):
-        cand = alpha[:, None] + score_mat  # (p, s)
-        best = cand.max(axis=0)
-        mask = cand == best[None, :]
-        pick = np.where(mask, tie_key[:, None], np.inf)
-        back[t] = np.argmin(pick, axis=0)
-        alpha = em[t] + best
-    finals = np.where(graph.final, alpha, NEG_INF)
-    best_score = finals.max()
-    if best_score == NEG_INF:
-        return [], NEG_INF
-    state = int(np.argmin(np.where(finals == best_score, tie_key, np.inf)))
-    path = [state]
-    for t in range(t_total - 1, 0, -1):
-        state = int(back[t, state])
-        path.append(state)
-    path.reverse()
-    return [int(letters[p]) for p in path], float(best_score)

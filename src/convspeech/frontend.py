@@ -21,6 +21,7 @@ from .errors import (
     InsufficientInputError,
     DimensionError,
 )
+from .util import check_params
 
 DEFAULT_SAMPLE_RATE = 16000
 
@@ -36,10 +37,6 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.sample_rate <= 0:
             raise ConfigurationError("sample_rate must be positive")
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 def _ms_to_samples(ms: float, sample_rate: int, what: str) -> int:
@@ -79,22 +76,6 @@ class FrontendConfig:
 
     def stride(self, sample_rate: int) -> int:
         return _ms_to_samples(self.stride_ms, sample_rate, "stride")
-
-
-@dataclass
-class FeatureMap:
-    """Channels-by-frames feature table with its hop duration."""
-
-    values: np.ndarray  # (channels, frames)
-    frame_stride_ms: float = 10.0
-
-    @property
-    def num_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -227,8 +208,6 @@ class LearnableFrontend:
     squared Hanning window and receives no gradient.
     """
 
-    PARAM_KEYS = ("preemphasis", "filter_real", "filter_imag")
-
     def __init__(
         self,
         config: FrontendConfig | None = None,
@@ -238,27 +217,28 @@ class LearnableFrontend:
     ):
         self.config = config or FrontendConfig()
         self.sample_rate = sample_rate
-        width = self.config.filter_width(sample_rate)
         self.lowpass_window = squared_hanning(self.config.lowpass_width(sample_rate))
+        shapes = self.param_shapes(self.config, sample_rate)
         if params is not None:
-            self.params = {k: np.asarray(params[k], dtype=np.float64) for k in self.PARAM_KEYS}
-            if self.params["filter_real"].shape != (self.config.num_filters, width):
-                raise DimensionError("filterbank shape does not match the config")
+            check_params(params, shapes, "front-end")
+            self.params = {k: np.asarray(params[k], dtype=np.float64) for k in shapes}
         else:
             rng = rng or np.random.default_rng(0)
-            scale = 1.0 / np.sqrt(width)
+            scale = 1.0 / np.sqrt(shapes["filter_real"][1])
             self.params = {
                 "preemphasis": np.array([-0.97, 1.0]),
-                "filter_real": rng.normal(0.0, scale, (self.config.num_filters, width)),
-                "filter_imag": rng.normal(0.0, scale, (self.config.num_filters, width)),
+                "filter_real": rng.normal(0.0, scale, shapes["filter_real"]),
+                "filter_imag": rng.normal(0.0, scale, shapes["filter_imag"]),
             }
 
-    @property
-    def num_channels(self) -> int:
-        return self.config.num_filters
+    @staticmethod
+    def param_shapes(config: FrontendConfig, sample_rate: int) -> dict[str, tuple]:
+        """Every parameter array a front-end of this config holds, with its shape."""
+        bank = (config.num_filters, config.filter_width(sample_rate))
+        return {"preemphasis": (2,), "filter_real": bank, "filter_imag": bank}
 
     def forward(self, x: Waveform, want_cache: bool = False):
-        """Run the full chain; returns a FeatureMap (and a cache for backward)."""
+        """Run the full chain; returns (channels, frames) features (and a cache for backward)."""
         if x.sample_rate != self.sample_rate:
             raise DimensionError(
                 f"waveform rate {x.sample_rate} != front-end rate {self.sample_rate}"
@@ -289,9 +269,8 @@ class LearnableFrontend:
         pooled = lowpass_decimate(power, self.lowpass_window, stride)
         logged = log_compress(pooled, cfg.log_epsilon)
         normed = instance_normalize(logged, cfg.norm_epsilon)
-        feat = FeatureMap(normed, cfg.stride_ms)
         if not want_cache:
-            return feat
+            return normed
         cache = {
             "x": x.samples,
             "pre_spec": pre_spec,
@@ -303,7 +282,7 @@ class LearnableFrontend:
             "normed": normed,
             "stride": stride,
         }
-        return feat, cache
+        return normed, cache
 
     def backward(self, cache: dict, upstream: np.ndarray) -> dict[str, np.ndarray]:
         """Chain-rule gradients for the trainable parameters.
@@ -373,7 +352,7 @@ def _mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
 
 def mel_frontend(
     x: Waveform, n_mels: int = 40, config: FrontendConfig | None = None
-) -> FeatureMap:
+) -> np.ndarray:
     """Fixed log-mel baseline with the learnable front-end's frame geometry.
 
     Hamming-windowed power spectra every `stride_ms`, triangular mel filters
@@ -399,7 +378,7 @@ def mel_frontend(
     spectra = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
     energies = spectra @ _mel_filterbank(n_mels, n_fft, rate).T  # (frames, mels)
     logged = log_compress(energies.T, cfg.log_epsilon)
-    return FeatureMap(instance_normalize(logged, cfg.norm_epsilon), cfg.stride_ms)
+    return instance_normalize(logged, cfg.norm_epsilon)
 
 
 class MelFrontend:
@@ -410,10 +389,6 @@ class MelFrontend:
         self.config = config or FrontendConfig()
         self.sample_rate = sample_rate
         self.params: dict[str, np.ndarray] = {}
-
-    @property
-    def num_channels(self) -> int:
-        return self.config.num_filters
 
     def forward(self, x: Waveform, want_cache: bool = False):
         feat = mel_frontend(x, self.config.num_filters, self.config)

@@ -27,10 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import glu_dropout, glu_dropout_backward, init_wn_conv, wn_conv, wn_conv_backward
+from .acoustic import (glu_dropout, glu_dropout_backward, init_wn_conv, wn_conv,
+                       wn_conv_backward, wn_conv_shapes)
 from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .lm import LruCache, Vocabulary
 from .optim import SgdOptimizer
+from .util import check_params
 
 ROW_CACHE_CAPACITY = 4096  # score rows kept per model, one per context window
 
@@ -94,14 +96,9 @@ class GcnnLm:
     def _check_params(self, params: dict[str, np.ndarray]):
         """Every array the config and vocabulary call for must be there, at its shape."""
         shapes = {"embed": (len(self.vocab), self.config.embed_dim)}
-        for name, c_out, c_in, kw in self._conv_layers():
-            shapes |= {f"{name}_v": (c_out, c_in, kw), f"{name}_g": (c_out,), f"{name}_b": (c_out,)}
-        for key, shape in shapes.items():
-            if key not in params:
-                raise ConfigurationError(f"conv LM parameters lack array {key!r}")
-            if params[key].shape != shape:
-                raise ConfigurationError(
-                    f"conv LM array {key!r} has shape {params[key].shape}, not {shape}")
+        for layer in self._conv_layers():
+            shapes |= wn_conv_shapes(*layer)
+        check_params(params, shapes, "conv LM")
 
     # -- forward / backward --------------------------------------------------
     def forward(

@@ -31,6 +31,7 @@ from .lm import Vocabulary, perplexity
 from .metrics import EvalReport
 from .optim import PlateauScheduler, SgdOptimizer
 from .synth import DatasetManifest, normalize_transcript, transcript_letters
+from .util import check_params
 
 
 @dataclass
@@ -229,23 +230,6 @@ def _from_fields(cls, entry, what: str):
     return cls(**entry)
 
 
-def _system_array_shapes(fcfg: FrontendConfig, rate: int, mcfg: AcousticModelConfig,
-                         learnable: bool) -> dict[str, tuple]:
-    """Every array an acoustic-system checkpoint of this config holds, with its shape."""
-    shapes = {}
-    for i, spec in enumerate(mcfg.layers):
-        c = 2 * spec.out_channels
-        shapes |= {f"am.layer{i}_v": (c, spec.in_channels, spec.kernel_width),
-                   f"am.layer{i}_g": (c,), f"am.layer{i}_b": (c,)}
-    a = mcfg.alphabet_size
-    shapes |= {"am.proj_v": (a, mcfg.layers[-1].out_channels, 1), "am.proj_g": (a,),
-               "am.proj_b": (a,), "transitions": (a, a)}
-    if learnable:
-        bank = (fcfg.num_filters, fcfg.filter_width(rate))
-        shapes |= {"fe.preemphasis": (2,), "fe.filter_real": bank, "fe.filter_imag": bank}
-    return shapes
-
-
 def load_system(path) -> SpeechSystem:
     kind, config, arrays = ckpt.load_checkpoint(path)
     if kind != "acoustic-system":
@@ -257,16 +241,19 @@ def load_system(path) -> SpeechSystem:
             raise ConfigurationError(f"unknown front-end kind {config['frontend_kind']!r}")
         learnable = config["frontend_kind"] == "learnable"
         layers = config["model"]["layers"]
-        if not isinstance(layers, list) or not layers:
-            raise ConfigurationError("model needs a non-empty list of layers")
+        if not isinstance(layers, list):
+            raise ConfigurationError("model layers must be a list")
         mcfg = AcousticModelConfig(
             layers=[_from_fields(ConvLayerSpec, layer, f"model layer {i}")
                     for i, layer in enumerate(layers)],
             alphabet_size=config["model"]["alphabet_size"],
         )
-        for key, shape in _system_array_shapes(fcfg, rate, mcfg, learnable).items():
-            if arrays[key].shape != shape:
-                raise ConfigurationError(f"array {key!r} has shape {arrays[key].shape}, not {shape}")
+        # the models check their own arrays too; this names each by its key in the file
+        shapes = {f"am.{k}": s for k, s in AcousticModel.param_shapes(mcfg).items()}
+        shapes["transitions"] = (mcfg.alphabet_size, mcfg.alphabet_size)
+        if learnable:
+            shapes |= {f"fe.{k}": s for k, s in LearnableFrontend.param_shapes(fcfg, rate).items()}
+        check_params(arrays, shapes, "acoustic-system checkpoint")
         if learnable:
             frontend = LearnableFrontend(
                 fcfg, rate, params={k[3:]: v for k, v in arrays.items() if k.startswith("fe.")})

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import write_wav
+from .checkpoint import read_text
 from .criterion import Alphabet
 from .errors import ConfigurationError, ConvSpeechError
 
@@ -250,16 +251,18 @@ def save_manifest(path, manifest: DatasetManifest):
 def load_manifest(path, split: str = "train", check_files: bool = True) -> DatasetManifest:
     entries = []
     seen = set()
-    for no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConvSpeechError(f"{path}:{no}: invalid JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise ConvSpeechError(f"{path}:{no}: expected a JSON object, got {line!r}")
         for key in ("id", "audio", "text"):
-            if key not in record:
-                raise ConvSpeechError(f"{path}:{no}: missing field {key!r}")
+            if not isinstance(record.get(key), str):
+                raise ConvSpeechError(f"{path}:{no}: field {key!r} is missing or not a string")
         if record["id"] in seen:
             raise ConvSpeechError(f"{path}:{no}: duplicate utterance id {record['id']!r}")
         seen.add(record["id"])

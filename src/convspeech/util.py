@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 NEG_INF = float("-inf")
 
 
@@ -19,3 +21,13 @@ def logsumexp(values: np.ndarray, axis=None):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def check_params(params: dict, shapes: dict[str, tuple], owner: str):
+    """Every array `shapes` names must be in `params`, at its shape; `owner` names them in errors."""
+    for key, shape in shapes.items():
+        if key not in params:
+            raise ConfigurationError(f"{owner} lacks key {key!r}")
+        if np.shape(params[key]) != shape:
+            raise ConfigurationError(
+                f"{owner} array {key!r} has shape {np.shape(params[key])}, not {shape}")

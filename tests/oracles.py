@@ -78,45 +78,45 @@ def logsumexp(values):
     return m + math.log(sum(math.exp(v - m) for v in values))
 
 
-def enumerate_graph_paths(graph, T):
-    """All valid state sequences of length T through an AlignmentGraph."""
-    S = len(graph.state_letters)
+def letter_paths(T, alphabet_size, target=None):
+    """Every letter path of length T: all alphabet_size**T sequences when
+    `target` is None, else each monotonic alignment of the target letter
+    list, which starts on its first letter, ends on its last and at each
+    frame boundary stays or advances by one. Alignments are enumerated by
+    the frames at which they advance, so a target with equal neighbours still
+    counts each alignment once."""
+    if target is None:
+        return list(itertools.product(range(alphabet_size), repeat=T))
     paths = []
-    for seq in itertools.product(range(S), repeat=T):
-        if not graph.start[seq[0]] or not graph.final[seq[-1]]:
-            continue
-        if all(graph.allowed[seq[t - 1], seq[t]] for t in range(1, T)):
-            paths.append(seq)
+    for advances in itertools.combinations(range(1, T), len(target) - 1):
+        states = [sum(1 for a in advances if a <= t) for t in range(T)]
+        paths.append(tuple(int(target[s]) for s in states))
     return paths
 
 
-def brute_force_graph_score(emissions, transitions, graph):
-    """log-sum-exp over every path's emission + transition score."""
-    T = emissions.shape[0]
-    letters = graph.state_letters
-    scores = []
-    for seq in enumerate_graph_paths(graph, T):
-        s = emissions[0, letters[seq[0]]]
-        for t in range(1, T):
-            s += emissions[t, letters[seq[t]]] + transitions[letters[seq[t - 1]], letters[seq[t]]]
-        scores.append(s)
+def path_score(emissions, transitions, path):
+    s = emissions[0, path[0]]
+    for t in range(1, len(path)):
+        s += emissions[t, path[t]] + transitions[path[t - 1], path[t]]
+    return s
+
+
+def brute_force_graph_score(emissions, transitions, target=None):
+    """log-sum-exp over every path's emission + transition score; the graph
+    is the unconstrained one, or the target's alignments when given."""
+    T, A = emissions.shape
+    scores = [path_score(emissions, transitions, p) for p in letter_paths(T, A, target)]
     if not scores:
         return NEG_INF
     return logsumexp(scores)
 
 
-def brute_force_graph_marginals(emissions, transitions, graph):
+def brute_force_graph_marginals(emissions, transitions, target=None):
     """(log partition, letter marginals (T, |A|), expected transition counts
     (|A|, |A|)) by weighting every path of the graph."""
     T, A = emissions.shape
-    letters = graph.state_letters
-    paths = [[int(letters[s]) for s in seq] for seq in enumerate_graph_paths(graph, T)]
-    scores = []
-    for path in paths:
-        s = emissions[0, path[0]]
-        for t in range(1, T):
-            s += emissions[t, path[t]] + transitions[path[t - 1], path[t]]
-        scores.append(s)
+    paths = letter_paths(T, A, target)
+    scores = [path_score(emissions, transitions, p) for p in paths]
     log_z = logsumexp(scores)
     letter_marg = np.zeros((T, A))
     trans_marg = np.zeros((A, A))
@@ -127,23 +127,6 @@ def brute_force_graph_marginals(emissions, transitions, graph):
             if t:
                 trans_marg[path[t - 1], path[t]] += weight
     return log_z, letter_marg, trans_marg
-
-
-def brute_force_best_path(emissions, transitions, graph):
-    """Max-scoring path (letters) with ties toward lower letter index."""
-    T = emissions.shape[0]
-    letters = graph.state_letters
-    best = None
-    best_score = NEG_INF
-    for seq in enumerate_graph_paths(graph, T):
-        s = emissions[0, letters[seq[0]]]
-        for t in range(1, T):
-            s += emissions[t, letters[seq[t]]] + transitions[letters[seq[t - 1]], letters[seq[t]]]
-        path = tuple(int(letters[q]) for q in seq)
-        if s > best_score or (s == best_score and best is not None and path < best):
-            best_score = s
-            best = path
-    return best, best_score
 
 
 def finite_difference(loss_fn, arrays, step=1e-5):

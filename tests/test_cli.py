@@ -2,12 +2,14 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from convspeech import synth
+from convspeech import pipeline, synth
 from convspeech.checkpoint import read_lexicon
 from convspeech.cli import _load_task, _save_task, build_parser, main, parse_config_file
 from convspeech.errors import ConfigurationError
+from convspeech.gcnn import GcnnLm
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +176,13 @@ def test_gcnn_and_studies_cli(workspace, capsys):
     assert all("val ppl" in ln and "grad norm" in ln and "clipped" in ln for ln in epoch_lines)
     header = (workspace / "lm_history.csv").read_text().splitlines()[0]
     assert header == "epoch,lr,train_ppl,grad_norm,clip_frac,val_ppl"
-    checkpoints = sorted(ckpt_dir.glob("epoch*.ckpt"))
+    checkpoints = sorted(ckpt_dir.glob("epoch0*.ckpt"))
     assert len(checkpoints) == 3
+    # epoch-start.ckpt holds the model as initialised, before any update
+    start = pipeline.load_gcnn(ckpt_dir / "epoch-start.ckpt")
+    fresh = GcnnLm(start.vocab, start.config, rng=np.random.default_rng(0))
+    assert all(np.array_equal(start.params[k], fresh.params[k]) for k in fresh.params)
+    checkpoints.insert(0, ckpt_dir / "epoch-start.ckpt")
     rc = main([
         "ppl-wer", "--manifest", str(workspace / "dev.jsonl"),
         "--am", str(workspace / "am.ckpt"), "--lexicon", str(workspace / "lexicon.txt"),
@@ -187,7 +194,7 @@ def test_gcnn_and_studies_cli(workspace, capsys):
     assert rc == 0
     rows = (workspace / "ppl_wer.csv").read_text().strip().splitlines()
     assert rows[0] == "checkpoint,perplexity,wer,failures"
-    assert len(rows) == 4
+    assert len(rows) == 5 and rows[1].startswith("epoch-start,")
     rc = main([
         "context-wer", "--manifest", str(workspace / "dev.jsonl"),
         "--am", str(workspace / "am.ckpt"), "--lm", str(workspace / "gcnn.ckpt"),
@@ -252,6 +259,16 @@ def test_task_rejects_key_mismatch(tmp_path, change):
         _load_task(path)
 
 
+def test_task_rejects_invalid_spec(tmp_path):
+    path = tmp_path / "task.json"
+    _save_task(path, synth.SyntheticTaskSpec())
+    raw = json.loads(path.read_text())
+    raw["sample_rate"] = 1000  # Nyquist 500 Hz, below the 2,400 Hz top tone
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigurationError, match=r"task\.json: tone frequencies must stay below"):
+        _load_task(path)
+
+
 def test_config_file_rejects_garbage(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not a pair\n")
@@ -305,6 +322,23 @@ def test_missing_input_file_is_an_error_line(workspace, tmp_path, capsys, flag):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and missing in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--manifest", "--lexicon", "--lm", "--corpus", "--config"])
+def test_non_utf8_input_is_an_error_line(workspace, tmp_path, capsys, flag):
+    bad = tmp_path / ("bad.arpa" if flag == "--lm" else "bad.txt")
+    bad.write_bytes(b"\\data\\\n\xff\xfe\n")
+    if flag == "--corpus":
+        argv = ["train-lm", "--corpus", str(bad), "--arch", "bigram",
+                "--checkpoint", str(tmp_path / "lm.arpa")]
+    elif flag == "--config":
+        argv = ["--config", str(bad), "evaluate"]
+    else:
+        argv = ["evaluate", *_study_inputs(workspace), "--lm", str(workspace / "bigram.arpa"),
+                flag, str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}: not UTF-8" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("with_manifest, flag", [(False, "--emissions"), (True, "--am")])

@@ -10,7 +10,6 @@ from convspeech import criterion as cr
 from convspeech.errors import ConfigurationError, InfeasibleAlignmentError, VocabularyError
 
 from oracles import (
-    brute_force_best_path,
     brute_force_graph_marginals,
     brute_force_graph_score,
     finite_difference,
@@ -70,12 +69,12 @@ def test_encode_decode_roundtrip_exhaustive():
 def test_forward_score_single_frame():
     emissions = np.zeros((1, 3))
     target = cr.Target(np.array([0]))
-    assert cr.forward_score(emissions, np.zeros((3, 3)), cr.target_graph(target)) == 0.0
+    assert cr.forward_score(emissions, np.zeros((3, 3)), target) == 0.0
 
 
 def test_forward_score_uniform_two_frames():
     emissions = np.zeros((2, 2))
-    score = cr.forward_score(emissions, np.zeros((2, 2)), cr.full_graph(2))
+    score = cr.forward_score(emissions, np.zeros((2, 2)))
     assert score == pytest.approx(math.log(4.0))
 
 
@@ -85,19 +84,17 @@ def test_forward_score_matches_enumeration():
         t = int(rng.integers(1, 6))
         a = int(rng.integers(2, 5))
         emissions, transitions = random_instance(rng, t, a)
-        for graph in (
-            cr.full_graph(a),
-            cr.target_graph(cr.Target(np.array([0, 1][: min(t, 2)]))),
-        ):
-            got = cr.forward_score(emissions, transitions, graph)
-            want = brute_force_graph_score(emissions, transitions, graph)
+        for letters in (None, [0, 1][: min(t, 2)]):
+            target = None if letters is None else cr.Target(np.array(letters))
+            got = cr.forward_score(emissions, transitions, target)
+            want = brute_force_graph_score(emissions, transitions, letters)
             assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_forward_score_infeasible_is_neg_inf():
     emissions = np.zeros((1, 3))
-    graph = cr.target_graph(cr.Target(np.array([0, 1])))
-    assert cr.forward_score(emissions, np.zeros((3, 3)), graph) == float("-inf")
+    target = cr.Target(np.array([0, 1]))
+    assert cr.forward_score(emissions, np.zeros((3, 3)), target) == float("-inf")
 
 
 def test_asg_loss_single_frame_uniform():
@@ -132,9 +129,8 @@ def test_asg_loss_matches_enumeration():
             if nxt != encoded[-1]:
                 encoded.append(nxt)
         target = cr.Target(np.array(encoded))
-        want = brute_force_graph_score(
-            emissions, transitions, cr.full_graph(a)
-        ) - brute_force_graph_score(emissions, transitions, cr.target_graph(target))
+        want = brute_force_graph_score(emissions, transitions) - brute_force_graph_score(
+            emissions, transitions, encoded)
         got = cr.asg_loss(emissions, transitions, target)
         assert got == pytest.approx(want, rel=1e-8)
         assert got >= -1e-12
@@ -164,10 +160,9 @@ def test_banded_asg_matches_brute_force(letters, t):
     rng = np.random.default_rng(len(letters) * 10 + t)
     emissions, transitions = random_instance(rng, t, len(AB))
     target = cr.encode_target(AB, letters)
-    z_full, full_letter, full_trans = brute_force_graph_marginals(
-        emissions, transitions, cr.full_graph(len(AB)))
+    z_full, full_letter, full_trans = brute_force_graph_marginals(emissions, transitions)
     z_con, con_letter, con_trans = brute_force_graph_marginals(
-        emissions, transitions, cr.target_graph(target))
+        emissions, transitions, target.encoded)
     loss, d_em, d_g = cr.asg_loss_and_gradients(emissions, transitions, target)
     assert _rel_err(loss, z_full - z_con) <= 1e-10
     assert _rel_err(cr.asg_loss(emissions, transitions, target), z_full - z_con) <= 1e-10
@@ -218,55 +213,6 @@ def test_gradients_match_finite_differences():
         assert grad_close(d_g, numeric["transitions"], 1e-4)
 
 
-def test_viterbi_zero_transitions_greedy():
-    rng = np.random.default_rng(4)
-    emissions = rng.normal(size=(7, 4))
-    path, score = cr.viterbi(emissions, np.zeros((4, 4)), cr.full_graph(4))
-    assert path == list(np.argmax(emissions, axis=1))
-    assert score == pytest.approx(emissions.max(axis=1).sum())
-
-
-def test_viterbi_dominant_transition():
-    # transitions reward a->b strongly; emissions mildly prefer a everywhere
-    a = 3
-    emissions = np.zeros((3, a))
-    emissions[:, 0] = 0.1
-    transitions = np.zeros((a, a))
-    transitions[0, 1] = 5.0
-    transitions[1, 1] = 5.0
-    path, score = cr.viterbi(emissions, transitions, cr.full_graph(a))
-    want_path, want_score = brute_force_best_path(emissions, transitions, cr.full_graph(a))
-    assert tuple(path) == want_path == (0, 1, 1)
-    assert score == pytest.approx(want_score)
-
-
-def test_viterbi_matches_enumeration():
-    rng = np.random.default_rng(5)
-    for trial in range(20):
-        t = int(rng.integers(1, 5))
-        a = int(rng.integers(2, 4))
-        emissions, transitions = random_instance(rng, t, a)
-        path, score = cr.viterbi(emissions, transitions, cr.full_graph(a))
-        want_path, want_score = brute_force_best_path(emissions, transitions, cr.full_graph(a))
-        assert score == pytest.approx(want_score, rel=1e-10)
-        assert tuple(path) == want_path
-
-
-def test_viterbi_below_forward_score():
-    rng = np.random.default_rng(6)
-    emissions, transitions = random_instance(rng, 5, 3)
-    graph = cr.full_graph(3)
-    _, vit = cr.viterbi(emissions, transitions, graph)
-    fwd = cr.forward_score(emissions, transitions, graph)
-    assert vit <= fwd
-    # equality only for single-path graphs
-    single = cr.target_graph(cr.Target(np.array([0, 1, 2, 0, 1])))
-    _, vit_single = cr.viterbi(emissions, transitions, single)
-    assert vit_single == pytest.approx(
-        cr.forward_score(emissions, transitions, single), rel=1e-12
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=5),
@@ -276,7 +222,6 @@ def test_viterbi_below_forward_score():
 def test_forward_score_enumeration_property(t, a, seed):
     rng = np.random.default_rng(seed)
     emissions, transitions = random_instance(rng, t, a)
-    graph = cr.full_graph(a)
-    got = cr.forward_score(emissions, transitions, graph)
-    want = brute_force_graph_score(emissions, transitions, graph)
+    got = cr.forward_score(emissions, transitions)
+    want = brute_force_graph_score(emissions, transitions)
     assert got == pytest.approx(want, rel=1e-10)

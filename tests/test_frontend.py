@@ -206,11 +206,11 @@ def test_forward_and_backward_match_direct_formulas_on_long_signals(n):
     samples = 0.3 * rng.normal(size=n)
     feat, cache = front.forward(fe.Waveform(samples, RATE), want_cache=True)
     want, _ = _direct_forward(front, samples)
-    assert np.max(np.abs(feat.values - want)) <= 1e-10
-    upstream = rng.normal(size=feat.values.shape)
+    assert np.max(np.abs(feat - want)) <= 1e-10
+    upstream = rng.normal(size=feat.shape)
     got = front.backward(cache, upstream)
     expected, scale = _direct_backward(front, samples, upstream)
-    for key in front.PARAM_KEYS:
+    for key in front.params:
         assert np.max(np.abs(got[key] - expected[key])) / scale[key] <= 1e-10, key
 
 
@@ -222,12 +222,12 @@ def test_backward_matches_finite_differences_on_long_signals(n):
                           stride_ms=0.5), RATE, rng=rng)
     x = fe.Waveform(0.3 * rng.normal(size=n), RATE)
     feat, cache = front.forward(x, want_cache=True)
-    weights = rng.normal(size=feat.values.shape)
+    weights = rng.normal(size=feat.shape)
     grads = front.backward(cache, weights)
     numeric = finite_difference(
         lambda: _frontend_loss(front, x, weights), front.params, step=1e-5
     )
-    for key in front.PARAM_KEYS:
+    for key in front.params:
         assert grad_close(grads[key], numeric[key], 1e-4), key
 
 
@@ -318,14 +318,14 @@ def test_forward_frame_count_formula():
     front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(0))
     x = fe.Waveform(np.random.default_rng(6).normal(size=RATE), RATE)
     feat = front.forward(x)
-    assert feat.values.shape == (4, 96)
-    assert feat.values.shape[1] == fe.num_output_frames(RATE, config, RATE)
+    assert feat.shape == (4, 96)
+    assert feat.shape[1] == fe.num_output_frames(RATE, config, RATE)
 
 
 def test_forward_silence_is_all_zero():
     front = toy_frontend()
     feat = front.forward(fe.Waveform(np.zeros(400), RATE))
-    assert np.allclose(feat.values, 0.0)
+    assert np.allclose(feat, 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -339,7 +339,7 @@ def test_forward_silence_is_all_zero():
 def test_forward_always_finite(samples):
     front = toy_frontend()
     feat = front.forward(fe.Waveform(samples, RATE))
-    assert np.all(np.isfinite(feat.values))
+    assert np.all(np.isfinite(feat))
 
 
 def test_forward_too_short():
@@ -349,14 +349,14 @@ def test_forward_too_short():
 
 def _frontend_loss(front, x, weights):
     feat = front.forward(x)
-    return float((feat.values * weights).sum())
+    return float((feat * weights).sum())
 
 
 def test_backward_zero_upstream():
     front = toy_frontend()
     x = fe.Waveform(np.random.default_rng(7).normal(size=300), RATE)
     feat, cache = front.forward(x, want_cache=True)
-    grads = front.backward(cache, np.zeros_like(feat.values))
+    grads = front.backward(cache, np.zeros_like(feat))
     assert all(np.allclose(g, 0.0) for g in grads.values())
 
 
@@ -365,12 +365,12 @@ def test_backward_matches_finite_differences():
     front = toy_frontend(seed=11)
     x = fe.Waveform(rng.normal(size=240), RATE)  # 15 ms probe
     feat, cache = front.forward(x, want_cache=True)
-    weights = rng.normal(size=feat.values.shape)
+    weights = rng.normal(size=feat.shape)
     grads = front.backward(cache, weights)
     numeric = finite_difference(
         lambda: _frontend_loss(front, x, weights), front.params, step=1e-5
     )
-    for key in front.PARAM_KEYS:
+    for key in front.params:
         assert grad_close(grads[key], numeric[key], 1e-4), key
 
 
@@ -381,7 +381,7 @@ def test_backward_shape_mismatch():
     from convspeech.errors import DimensionError
 
     with pytest.raises(DimensionError):
-        front.backward(cache, np.zeros((feat.values.shape[0], feat.values.shape[1] + 1)))
+        front.backward(cache, np.zeros((feat.shape[0], feat.shape[1] + 1)))
 
 
 def test_lowpass_window_never_trained():
@@ -390,8 +390,8 @@ def test_lowpass_window_never_trained():
     x = fe.Waveform(np.random.default_rng(10).normal(size=300), RATE)
     for _ in range(5):
         feat, cache = front.forward(x, want_cache=True)
-        grads = front.backward(cache, np.ones_like(feat.values))
-        for key in front.PARAM_KEYS:
+        grads = front.backward(cache, np.ones_like(feat))
+        for key in front.params:
             front.params[key] -= 0.01 * grads[key]
     assert np.array_equal(front.lowpass_window, before)
     assert "lowpass" not in {k.lower() for k in grads}
@@ -404,7 +404,7 @@ def test_mel_frontend_tone_peak():
     # the triangles' centers: the inner mel-spaced edges from 0 to Nyquist
     centers = fe.mel_to_hz(np.linspace(0.0, fe.hz_to_mel(RATE / 2.0), 42))[1:-1]
     # pre-normalization energies carry the peak; recompute them directly
-    energies = feat.values  # normalized, but the tone channel still dominates variance
+    energies = feat  # normalized, but the tone channel still dominates variance
     hot = int(np.argmax(energies.mean(axis=1)))
     spacing = np.diff(centers).max()
     assert abs(centers[hot] - 1000.0) <= spacing
@@ -412,7 +412,7 @@ def test_mel_frontend_tone_peak():
 
 def test_mel_frontend_silence():
     feat = fe.mel_frontend(fe.Waveform(np.zeros(RATE), RATE), n_mels=12)
-    assert np.allclose(feat.values, 0.0)
+    assert np.allclose(feat, 0.0)
 
 
 def test_mel_and_learnable_frame_counts_agree():
@@ -421,7 +421,7 @@ def test_mel_and_learnable_frame_counts_agree():
         x = fe.Waveform(rng.normal(size=n) * 0.1, RATE)
         learn = fe.LearnableFrontend(fe.FrontendConfig(num_filters=4), RATE).forward(x)
         mel = fe.mel_frontend(x, n_mels=40)
-        assert mel.values.shape == (40, learn.values.shape[1])
+        assert mel.shape == (40, learn.shape[1])
 
 
 def test_center_frequency_complex_exponential():

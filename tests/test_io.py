@@ -1,8 +1,13 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from convspeech import pipeline, synth
 from convspeech.acoustic import EmissionTable
 from convspeech.audio_io import read_wav, write_wav
 from convspeech.checkpoint import (
@@ -13,8 +18,11 @@ from convspeech.checkpoint import (
     save_emissions,
     write_lexicon,
 )
+from convspeech.cli import _load_lm, _load_task, _save_task, parse_config_file
 from convspeech.criterion import Alphabet, TransitionTable
-from convspeech.errors import AudioFormatError, ConfigurationError, VocabularyError
+from convspeech.errors import AudioFormatError, ConfigurationError, ConvSpeechError, VocabularyError
+from convspeech.gcnn import GcnnConfig, GcnnLm
+from convspeech.lm import Vocabulary, fit_bigram_arpa
 
 AB = Alphabet(("a", "b", "|", "2"))
 
@@ -78,6 +86,13 @@ def test_wav_rejects_8bit(tmp_path):
     path = tmp_path / "b8.wav"
     path.write_bytes(_wav_bytes(bits=8))
     with pytest.raises(AudioFormatError, match="16-bit"):
+        read_wav(path)
+
+
+def test_wav_rejects_zero_sample_rate(tmp_path):
+    path = tmp_path / "r0.wav"
+    path.write_bytes(_wav_bytes(rate=0))
+    with pytest.raises(AudioFormatError, match="r0.wav: sample rate is 0"):
         read_wav(path)
 
 
@@ -187,6 +202,14 @@ def test_emission_table_version1_still_readable(tmp_path):
     assert alphabet.letters == AB.letters
 
 
+def test_emission_table_rejects_duplicate_letters(tmp_path):
+    path = tmp_path / "e.bin"
+    save_emissions(path, EmissionTable(np.zeros((3, 4))), AB, np.zeros((4, 4)))
+    path.write_bytes(path.read_bytes().replace(b"\x01\x00b", b"\x01\x00a", 1))
+    with pytest.raises(ConfigurationError, match="e.bin: .*alphabet letters must be unique"):
+        load_emissions(path)
+
+
 def test_emission_table_rejects_mismatched_transitions(tmp_path):
     with pytest.raises(ConfigurationError, match="transition"):
         save_emissions(tmp_path / "e.bin", EmissionTable(np.zeros((3, 4))), AB, np.zeros((3, 3)))
@@ -211,3 +234,54 @@ def test_lexicon_rejects_missing_tab(tmp_path):
     path.write_text("word a b\n")
     with pytest.raises(VocabularyError, match="TAB"):
         read_lexicon(path)
+
+
+@pytest.fixture(scope="module")
+def pristine_files(tmp_path_factory):
+    """Per reader: (file suffix, the bytes of a valid file, the loader)."""
+    root = tmp_path_factory.mktemp("pristine")
+    rng = np.random.default_rng(20)
+    wav = root / "u1.wav"
+    write_wav(wav, rng.normal(0.0, 0.2, 200))
+    paths = {kind: root / f"{kind}{suffix}" for kind, suffix in
+             [("emissions", ".bin"), ("lexicon", ".txt"), ("manifest", ".jsonl"),
+              ("arpa", ".arpa"), ("gcnn", ".ckpt"), ("config", ".cfg"), ("task", ".json")]}
+    save_emissions(paths["emissions"], EmissionTable(rng.normal(size=(5, 4))), AB,
+                   rng.normal(size=(4, 4)))
+    write_lexicon(paths["lexicon"], {"ab": ["a", "b"], "ba": ["b", "a"], "a": ["a"]})
+    synth.save_manifest(paths["manifest"], synth.DatasetManifest(
+        [synth.ManifestEntry("u1", str(wav), "ab ba"), synth.ManifestEntry("u2", str(wav), "a")]))
+    paths["arpa"].write_text(fit_bigram_arpa([["ab", "ba"], ["a", "ab"], ["ba"]]))
+    vocab = Vocabulary(("ab", "ba", "<s>", "</s>", "<unk>"))
+    pipeline.save_gcnn(paths["gcnn"], GcnnLm(vocab, GcnnConfig(
+        num_blocks=1, embed_dim=4, bottleneck_dim=2, mid_kernel_width=3)))
+    paths["config"].write_text("alpha = 0.5\nmarkov = false  # a comment\nbeam_size=100\n")
+    _save_task(paths["task"], synth.SyntheticTaskSpec())
+    loaders = {"wav": read_wav, "emissions": load_emissions, "lexicon": read_lexicon,
+               "manifest": synth.load_manifest, "arpa": _load_lm, "gcnn": pipeline.load_gcnn,
+               "config": parse_config_file, "task": _load_task}
+    paths["wav"] = wav
+    return {kind: (paths[kind].suffix, paths[kind].read_bytes(), load)
+            for kind, load in loaders.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["wav", "emissions", "lexicon", "manifest", "arpa", "gcnn",
+                             "config", "task"]),
+       data=st.data())
+def test_damaged_files_load_or_name_the_file(pristine_files, kind, data):
+    suffix, raw, load = pristine_files[kind]
+    damaged = bytearray(raw)
+    if data.draw(st.booleans(), label="truncate"):
+        del damaged[data.draw(st.integers(0, len(raw) - 1), label="length"):]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            damaged[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+                st.integers(1, 255), label="xor")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"damaged{suffix}"
+        path.write_bytes(bytes(damaged))
+        try:
+            load(path)
+        except ConvSpeechError as err:
+            assert str(path) in str(err)

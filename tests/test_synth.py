@@ -92,6 +92,18 @@ def test_manifest_rejects_duplicates(tmp_path):
         synth.load_manifest(path, check_files=False)
 
 
+@pytest.mark.parametrize("line, problem", [
+    ("3", "JSON object"),
+    ('{"id": [1], "audio": "x", "text": "a"}', "'id' is missing or not a string"),
+    ('{"id": "u1", "audio": "x", "text": null}', "'text' is missing or not a string"),
+])
+def test_manifest_rejects_wrong_types(tmp_path, line, problem):
+    path = tmp_path / "m.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ConvSpeechError, match=f"m.jsonl:1: .*{problem}"):
+        synth.load_manifest(path, check_files=False)
+
+
 def test_manifest_rejects_missing_field(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text('{"id": "u1", "audio": "x"}\n')
