@@ -1,22 +1,14 @@
 """Desk-scale fully convolutional speech recognition toolkit."""
 
 from .acoustic import AcousticModel, AcousticModelConfig, ConvLayerSpec, EmissionTable
-from .criterion import (
-    Alphabet,
-    Target,
-    TransitionTable,
-    asg_loss,
-    encode_target,
-    forward_score,
-)
-from .decoder import DecoderOptions, DecodeResult, build_trie, decode, exhaustive_decode
+from .criterion import Alphabet, asg_loss, encode_target, forward_score
+from .decoder import DecoderOptions, DecodeResult, build_trie, decode
 from .frontend import (
     FrontendConfig,
     LearnableFrontend,
     MelFrontend,
     Waveform,
     analyze_filters,
-    center_frequency,
     mel_frontend,
 )
 from .gcnn import GcnnConfig, GcnnLm, train_gcnn

@@ -52,7 +52,6 @@ class EmissionTable:
     """Per-frame, per-letter acoustic scores (T x |A|)."""
 
     scores: np.ndarray
-    normalized: bool = False
 
     @property
     def num_frames(self) -> int:

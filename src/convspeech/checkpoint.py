@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .acoustic import EmissionTable
-from .criterion import Alphabet, as_transitions
+from .criterion import Alphabet
 from .errors import ConfigurationError, VocabularyError
 
 CHECKPOINT_FORMAT = "convspeech-checkpoint"
@@ -87,19 +87,22 @@ def load_checkpoint(path):
 
 def save_emissions(path, emissions: EmissionTable, alphabet: Alphabet, transitions):
     """Binary emission table (format v2): little-endian header, float64 scores,
-    then the float64 (|A|, |A|) transition table the scores are decoded with."""
+    then the float64 (|A|, |A|) transition table the scores are decoded with.
+
+    The two header bytes after the version are written as 0 and ignored on
+    reading; earlier writers put a "normalized" flag in the first of them."""
     scores = np.ascontiguousarray(emissions.scores, dtype="<f8")
     t, a = scores.shape
     if a != len(alphabet):
         raise ConfigurationError(
             f"emission table has {a} letters but alphabet has {len(alphabet)}"
         )
-    g = np.ascontiguousarray(as_transitions(transitions), dtype="<f8")
+    g = np.ascontiguousarray(transitions, dtype="<f8")
     if g.shape != (a, a):
         raise ConfigurationError(f"transition table of shape {g.shape} does not match {a} letters")
     chunks = [
         _EMISSION_MAGIC,
-        struct.pack("<HBB", _EMISSION_VERSION, 1 if emissions.normalized else 0, 0),
+        struct.pack("<HBB", _EMISSION_VERSION, 0, 0),
         struct.pack("<IIHH", t, a, alphabet.silence_index, alphabet.repetition_index),
     ]
     for letter in alphabet.letters:
@@ -120,7 +123,7 @@ def load_emissions(path):
     if raw[:4] != _EMISSION_MAGIC:
         raise ConfigurationError(f"{path}: bad emission-table magic {raw[:4]!r}")
     try:
-        version, normalized, _ = struct.unpack_from("<HBB", raw, 4)
+        (version,) = struct.unpack_from("<H", raw, 4)
         if version not in (1, _EMISSION_VERSION):
             raise ConfigurationError(f"unsupported emission format version {version}")
         t, a, sil_idx, rep_idx = struct.unpack_from("<IIHH", raw, 8)
@@ -140,7 +143,7 @@ def load_emissions(path):
         alphabet = Alphabet(tuple(letters), letters[sil_idx], letters[rep_idx])
     except (struct.error, ValueError, IndexError, ConfigurationError) as err:
         raise ConfigurationError(f"{path}: truncated or corrupt emission table ({err})") from None
-    return EmissionTable(scores.copy(), normalized=bool(normalized)), alphabet, transitions
+    return EmissionTable(scores.copy()), alphabet, transitions
 
 
 def write_lexicon(path, lexicon: dict[str, list[str]]):

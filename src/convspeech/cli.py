@@ -60,7 +60,7 @@ def parse_config_file(path) -> list[str]:
 
 
 # switch flags -> their value when absent; a config value equal to it adds nothing
-_BOOL_DEFAULTS = {"normalized-emissions": False, "markov": True, "no-markov": False}
+_BOOL_DEFAULTS = {"markov": True, "no-markov": False}
 
 
 def _comma_list(cast):
@@ -108,14 +108,12 @@ def _add_decoder_flags(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--beam-size", type=int, default=2500)
     p.add_argument("--beam-score", type=float, default=26.0)
-    p.add_argument("--normalized-emissions", action="store_true")
 
 
 def _decoder_opts(args) -> DecoderOptions:
     return DecoderOptions(
         alpha=args.alpha, beta=args.beta, gamma=args.gamma,
         beam_size=args.beam_size, beam_score=args.beam_score,
-        normalized_emissions=args.normalized_emissions,
     )
 
 

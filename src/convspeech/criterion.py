@@ -60,29 +60,8 @@ class Alphabet:
             raise VocabularyError(f"letter {letter!r} not in alphabet") from None
 
 
-@dataclass
-class TransitionTable:
-    """Letter-to-letter scores g[i, j] for moving from letter i to j."""
-
-    g: np.ndarray
-
-    @classmethod
-    def zeros(cls, alphabet_size: int) -> "TransitionTable":
-        return cls(np.zeros((alphabet_size, alphabet_size)))
-
-
-@dataclass
-class Target:
-    """Letter-index sequence after repetition encoding."""
-
-    encoded: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.encoded)
-
-
-def encode_target(alphabet: Alphabet, letters: Sequence[str]) -> Target:
-    """Rewrite immediate letter repeats with the repetition token.
+def encode_target(alphabet: Alphabet, letters: Sequence[str]) -> np.ndarray:
+    """Letter indices (int64) with immediate repeats rewritten as the repetition token.
 
     Runs alternate letter/repetition ("aaa" -> a 2 a), so the result never has
     identical adjacent indices and decodes back uniquely.
@@ -97,21 +76,7 @@ def encode_target(alphabet: Alphabet, letters: Sequence[str]) -> Target:
             out.append(rep)
         else:
             out.append(idx)
-    return Target(np.asarray(out, dtype=np.int64))
-
-
-def decode_target(alphabet: Alphabet, target: Target) -> list[str]:
-    """Inverse of encode_target."""
-    rep = alphabet.repetition_index
-    letters: list[str] = []
-    for idx in target.encoded:
-        if idx == rep:
-            if not letters:
-                raise VocabularyError("repetition token cannot start a target")
-            letters.append(letters[-1])
-        else:
-            letters.append(alphabet.letters[idx])
-    return letters
+    return np.asarray(out, dtype=np.int64)
 
 
 def as_scores(emissions) -> np.ndarray:
@@ -119,13 +84,6 @@ def as_scores(emissions) -> np.ndarray:
     if isinstance(emissions, EmissionTable):
         return emissions.scores
     return np.asarray(emissions, dtype=np.float64)
-
-
-def as_transitions(g) -> np.ndarray:
-    """The (|A|, |A|) score array of a TransitionTable or array-like."""
-    if isinstance(g, TransitionTable):
-        return g.g
-    return np.asarray(g, dtype=np.float64)
 
 
 def _lse_over(mat: np.ndarray, axis: int) -> np.ndarray:
@@ -168,19 +126,18 @@ def _backward_pass(f, g):
     return beta
 
 
-def _check_feasible(target: Target, num_frames: int):
-    if len(target) == 0:
-        raise InfeasibleAlignmentError("empty target")
+def _check_feasible(target: np.ndarray, num_frames: int):
     if len(target) > num_frames:
         raise InfeasibleAlignmentError(
             f"target of {len(target)} letters cannot align onto {num_frames} frames"
         )
 
 
-def _target_tables(f: np.ndarray, g: np.ndarray, target: Target):
+def _target_tables(f: np.ndarray, g: np.ndarray, target: np.ndarray):
     """Band of the target graph: emissions (T, S), stay (S,) and advance (S-1,) scores."""
-    letters = np.asarray(target.encoded, dtype=np.int64)
-    return f[:, letters], g[letters, letters], g[letters[:-1], letters[1:]]
+    if len(target) == 0:
+        raise InfeasibleAlignmentError("empty target")
+    return f[:, target], g[target, target], g[target[:-1], target[1:]]
 
 
 def _target_forward(em, stay, advance):
@@ -210,7 +167,7 @@ def _target_backward(em, stay, advance):
     return beta
 
 
-def forward_score(emissions, g, target: Target | None = None) -> float:
+def forward_score(emissions, g, target: np.ndarray | None = None) -> float:
     """log-sum-exp over all paths of per-frame emission + transition sums.
 
     With no target the paths are every letter sequence of T frames (the
@@ -218,19 +175,19 @@ def forward_score(emissions, g, target: Target | None = None) -> float:
     where each frame stays on the current target letter or advances to the
     next. The first frame contributes its emission only; transitions apply
     from the second frame on. Returns -inf when the target has more letters
-    than there are frames.
+    than there are frames; raises InfeasibleAlignmentError for an empty target.
     """
     f = as_scores(emissions)
-    gmat = as_transitions(g)
+    gmat = np.asarray(g, dtype=np.float64)
     if target is None:
         return float(logsumexp(_forward_pass(f, gmat)[-1]))
     return float(_target_forward(*_target_tables(f, gmat, target))[-1, -1])
 
 
-def asg_loss(emissions, g, target: Target) -> float:
+def asg_loss(emissions, g, target: np.ndarray) -> float:
     """Unconstrained minus target-constrained graph score; always >= 0."""
     f = as_scores(emissions)
-    gmat = as_transitions(g)
+    gmat = np.asarray(g, dtype=np.float64)
     _check_feasible(target, f.shape[0])
     return forward_score(f, gmat) - forward_score(f, gmat, target)
 
@@ -247,26 +204,25 @@ def _full_marginals(f, gmat):
     return np.exp(alpha + beta - z), trans_marg, float(z)
 
 
-def _target_marginals(f, gmat, target: Target):
+def _target_marginals(f, gmat, target: np.ndarray):
     """The same three quantities for the target graph, from its band."""
-    letters = np.asarray(target.encoded, dtype=np.int64)
     em, stay, advance = _target_tables(f, gmat, target)
     alpha = _target_forward(em, stay, advance)
     beta = _target_backward(em, stay, advance)
     z = alpha[-1, -1]
     post = np.exp(alpha + beta - z)  # (T, S)
     letter_marg = np.zeros_like(f)
-    np.add.at(letter_marg, (slice(None), letters), post)
+    np.add.at(letter_marg, (slice(None), target), post)
     ahead = em[1:] + beta[1:] - z
     stays = np.exp(alpha[:-1] + stay + ahead).sum(axis=0)
     advances = np.exp(alpha[:-1, :-1] + advance + ahead[:, 1:]).sum(axis=0)
     trans_marg = np.zeros_like(gmat)
-    np.add.at(trans_marg, (letters, letters), stays)
-    np.add.at(trans_marg, (letters[:-1], letters[1:]), advances)
+    np.add.at(trans_marg, (target, target), stays)
+    np.add.at(trans_marg, (target[:-1], target[1:]), advances)
     return letter_marg, trans_marg, float(z)
 
 
-def asg_loss_and_gradients(emissions, g, target: Target):
+def asg_loss_and_gradients(emissions, g, target: np.ndarray):
     """(loss, emission gradient, transition gradient) in one forward-backward.
 
     The emission gradient at frame t is the difference between the posterior
@@ -274,7 +230,7 @@ def asg_loss_and_gradients(emissions, g, target: Target):
     transition gradient is the analogous difference of expected edge counts.
     """
     f = as_scores(emissions)
-    gmat = as_transitions(g)
+    gmat = np.asarray(g, dtype=np.float64)
     _check_feasible(target, f.shape[0])
     full_letter, full_trans, z_full = _full_marginals(f, gmat)
     con_letter, con_trans, z_con = _target_marginals(f, gmat, target)

@@ -12,8 +12,8 @@ words. The search maximizes
 where the acoustic pool is the log-sum-exp over all letter paths merged into
 a hypothesis. Merging pools the silence-penalty-adjusted accumulator, which
 reduces to pooling raw acoustic scores when gamma = 0 and keeps the objective
-exact otherwise. An exhaustive enumeration oracle computes the identical
-objective on tiny instances.
+exact otherwise. The brute-force oracle in tests/oracles.py enumerates the
+same objective on tiny instances.
 
 Which moves a hypothesis may make depends only on its trie node: a non-root
 node's last letter is its edge letter, and the root's is silence (or none
@@ -32,22 +32,14 @@ distinct pair once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .acoustic import EmissionTable
-from .criterion import Alphabet, as_scores, as_transitions, encode_target
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    EmptyBeamError,
-    VocabularyError,
-)
+from .criterion import Alphabet, as_scores, encode_target
+from .errors import ConfigurationError, EmptyBeamError, VocabularyError
 from .metrics import EvalReport, aggregate, score_utterance
-from .util import NEG_INF, logsumexp
 
 
 @dataclass
@@ -86,7 +78,7 @@ def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> Lexicon
             raise VocabularyError(f"word {word!r} has an empty spelling")
         if alphabet.silence_token in spelling:
             raise VocabularyError(f"word {word!r} spelling contains the silence token")
-        code = tuple(int(x) for x in encode_target(alphabet, list(spelling)).encoded)
+        code = tuple(encode_target(alphabet, list(spelling)).tolist())
         for depth, letter in enumerate(code):
             children.setdefault(code[:depth], {})[letter] = None
         ending.setdefault(code, []).append(w)
@@ -115,7 +107,6 @@ class DecoderOptions:
     gamma: float = 0.0
     beam_size: int = 2500
     beam_score: float = 26.0
-    normalized_emissions: bool = False
     merge_mode: str = "logadd"  # "logadd" | "max" | "off"
 
     def __post_init__(self):
@@ -243,16 +234,6 @@ def prune(beam: Beam, opts: DecoderOptions) -> Beam:
     return beam.take(kept[: opts.beam_size])
 
 
-def _maybe_log_softmax(emissions, opts: DecoderOptions) -> np.ndarray:
-    """Score array; with opts.normalized_emissions, log-softmaxed per frame unless already."""
-    f = as_scores(emissions)
-    already = isinstance(emissions, EmissionTable) and emissions.normalized
-    if opts.normalized_emissions and not already:
-        shifted = f - f.max(axis=1, keepdims=True)
-        f = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return f
-
-
 class _LmMemo:
     """One decode's LM lookups over interned states.
 
@@ -325,8 +306,8 @@ def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeR
     offending frame if nothing survives, and VocabularyError if a lexicon
     word is missing from the LM vocabulary.
     """
-    f = _maybe_log_softmax(emissions, opts)
-    gmat = as_transitions(g)
+    f = as_scores(emissions)
+    gmat = np.asarray(g, dtype=np.float64)
     t_total = f.shape[0]
     if t_total < 1:
         raise EmptyBeamError(0, "no frames to decode")
@@ -386,131 +367,6 @@ def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeR
     return DecodeResult(words, letters, float(totals[best]),
                         acc + opts.gamma * silences, float(finals.lm_raw[best]),
                         int(finals.word_count[best]), silences)
-
-
-def _alignment_scores(f, gmat, letters_by_frame, sil, gamma):
-    score = f[0, letters_by_frame[0]] - (gamma if letters_by_frame[0] == sil else 0.0)
-    for t in range(1, len(letters_by_frame)):
-        cur, prev = letters_by_frame[t], letters_by_frame[t - 1]
-        score += f[t, cur] + gmat[prev, cur]
-        if cur == sil:
-            score -= gamma
-    return score
-
-
-def exhaustive_decode(
-    emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions, max_words: int = 4
-) -> DecodeResult:
-    """Enumerate every word sequence and alignment; exact Eq-style objective.
-
-    For each word sequence the acoustic term log-adds the scores of all
-    compatible letter paths (leading/trailing silence optional, at least one
-    silence frame between words, every spelling letter covering >= 1 frame,
-    silence penalty folded per frame). Intended as a test oracle; refuses
-    instances beyond small enumeration bounds.
-    """
-    f = _maybe_log_softmax(emissions, opts)
-    gmat = as_transitions(g)
-    t_total = f.shape[0]
-    if t_total > 20 or len(trie.words) > 8:
-        raise CapacityError(
-            f"exhaustive decode limited to T <= 20 and 8 words, got T={t_total}"
-        )
-    sil = trie.alphabet.silence_index
-    lexicon = _spellings(trie)
-    vocab_words = list(lexicon)
-
-    best = None
-    best_obj = NEG_INF
-    for n_words in range(0, max_words + 1):
-        for combo in itertools.product(vocab_words, repeat=n_words):
-            spells = [lexicon[w] for w in combo]
-            min_frames = sum(len(s) for s in spells) + max(0, n_words - 1)
-            if min_frames > t_total:
-                continue
-            path_scores = []
-            best_path = None
-            best_path_score = NEG_INF
-            best_sil_count = 0
-            units, optional = _unit_sequence(spells, sil)
-            for lengths in _enumerate_lengths(len(units), optional, t_total):
-                frame_letters = []
-                for letter, run in zip(units, lengths):
-                    frame_letters.extend([letter] * run)
-                score = _alignment_scores(f, gmat, frame_letters, sil, opts.gamma)
-                path_scores.append(score)
-                if score > best_path_score:
-                    best_path_score = score
-                    best_path = frame_letters
-                    best_sil_count = sum(1 for l in frame_letters if l == sil)
-            if not path_scores:
-                continue
-            pooled = logsumexp(np.array(path_scores))
-            state = lm.start_state()
-            lm_total = 0.0
-            for word in combo:
-                logp, state = lm.score(state, lm.vocab.id(word))
-                lm_total += logp
-            lm_total += lm.finish(state)
-            obj = pooled + opts.alpha * lm_total + opts.beta * n_words
-            if obj > best_obj:
-                best_obj = obj
-                best = DecodeResult(
-                    list(combo), best_path, float(obj),
-                    float(pooled + opts.gamma * best_sil_count), float(lm_total),
-                    n_words, best_sil_count,
-                )
-    if best is None:
-        raise EmptyBeamError(t_total, "no word sequence fits the frame budget")
-    return best
-
-
-def _spellings(trie: LexiconTrie) -> dict[str, list[int]]:
-    """Each word's encoded spelling, read back from the move table, in lexicon order."""
-    paths: list[list[int]] = [[]]  # per node, breadth first: a child follows its parent
-    spellings: dict[str, list[int]] = {}
-    for n in range(len(trie.move_offsets) - 1):
-        for m in range(trie.move_offsets[n], trie.move_offsets[n + 1]):
-            if trie.move_dest[m] > n:
-                paths.append(paths[n] + [int(trie.move_letter[m])])
-            if trie.move_word[m] >= 0:
-                spellings[trie.words[trie.move_word[m]]] = paths[n]
-    return {word: spellings[word] for word in trie.words}
-
-
-def _unit_sequence(spells: list[list[int]], sil: int):
-    """Units of consecutive identical letters: (letters, optional flags)."""
-    units: list[int] = [sil]
-    optional: list[bool] = [True]
-    for i, spelling in enumerate(spells):
-        if i > 0:
-            units.append(sil)
-            optional.append(False)
-        for letter in spelling:
-            units.append(letter)
-            optional.append(False)
-    units.append(sil)
-    optional.append(True)
-    if not spells:  # empty transcription: one all-silence unit
-        return [sil], [False]
-    return units, optional
-
-
-def _enumerate_lengths(n_units, optional, total):
-    """All run-length assignments; optional units may take 0 frames."""
-
-    def rec(i, remaining):
-        if i == n_units - 1:
-            if remaining >= 1 or (remaining == 0 and optional[i]):
-                yield (remaining,)
-            return
-        min_here = 0 if optional[i] else 1
-        left_min = sum(0 if optional[j] else 1 for j in range(i + 1, n_units))
-        for take in range(min_here, remaining - left_min + 1):
-            for rest in rec(i + 1, remaining - take):
-                yield (take,) + rest
-
-    yield from rec(0, total)
 
 
 def tune_grid(

@@ -30,7 +30,7 @@ class VocabularyError(ConvSpeechError):
 
 
 class InfeasibleAlignmentError(ConvSpeechError):
-    """Target cannot be aligned onto the available frames."""
+    """The target cannot be aligned onto the available frames."""
 
 
 class DegenerateFilterError(ConvSpeechError):
@@ -55,10 +55,6 @@ class EmptyBeamError(ConvSpeechError):
     def __init__(self, frame: int, message: str = ""):
         self.frame = frame
         super().__init__(message or f"no surviving hypothesis at frame {frame}")
-
-
-class CapacityError(ConvSpeechError):
-    """Instance exceeds the enumeration bounds of an exhaustive oracle."""
 
 
 class AudioFormatError(ConvSpeechError):

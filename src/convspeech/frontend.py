@@ -397,38 +397,21 @@ class MelFrontend:
         return feat
 
 
-def center_frequency(
-    filter_real: np.ndarray, filter_imag: np.ndarray, sample_rate: int
-) -> float:
-    """Frequency (Hz) at which the filter's power spectrum peaks.
-
-    Uses a zero-padded DFT of four times the kernel width; only bins between
-    0 and Nyquist are considered.
-    """
-    kernel = np.asarray(filter_real, dtype=np.float64) + 1j * np.asarray(
-        filter_imag, dtype=np.float64
-    )
-    if not np.any(kernel):
-        raise DegenerateFilterError("all-zero kernel has no center frequency")
-    n_fft = 4 * kernel.shape[0]
-    spectrum = np.abs(np.fft.fft(kernel, n_fft)) ** 2
-    freqs = np.fft.fftfreq(n_fft, 1.0 / sample_rate)
-    keep = (freqs >= 0.0) & (freqs <= sample_rate / 2.0)
-    idx = np.flatnonzero(keep)
-    return float(freqs[idx[np.argmax(spectrum[idx])]])
-
-
 def analyze_filters(fe: LearnableFrontend) -> FilterAnalysis:
-    """Center frequencies and power spectra of all filters, sorted ascending."""
-    real, imag = fe.params["filter_real"], fe.params["filter_imag"]
-    k, width = real.shape
-    n_fft = 4 * width
+    """Center frequencies and power spectra of all filters, sorted ascending.
+
+    A filter's power spectrum is a zero-padded DFT of four times the kernel
+    width, kept on the bins from 0 to Nyquist; its center frequency is the bin
+    where that spectrum peaks. An all-zero filter has no center frequency.
+    """
+    kernels = fe.params["filter_real"] + 1j * fe.params["filter_imag"]
+    silent = np.flatnonzero(~np.any(kernels, axis=1))
+    if len(silent):
+        raise DegenerateFilterError(f"filter {silent[0]} is all zero: no center frequency")
+    n_fft = 4 * kernels.shape[1]
     freqs = np.fft.fftfreq(n_fft, 1.0 / fe.sample_rate)
     keep = np.flatnonzero((freqs >= 0.0) & (freqs <= fe.sample_rate / 2.0))
-    spectra = np.abs(np.fft.fft(real + 1j * imag, n_fft, axis=1)) ** 2
-    spectra = spectra[:, keep]
-    centers = np.array(
-        [center_frequency(real[f], imag[f], fe.sample_rate) for f in range(k)]
-    )
+    spectra = np.abs(np.fft.fft(kernels, n_fft, axis=1)[:, keep]) ** 2
+    centers = freqs[keep][np.argmax(spectra, axis=1)]
     order = np.argsort(centers, kind="stable")
     return FilterAnalysis(centers[order], spectra[order], freqs[keep])

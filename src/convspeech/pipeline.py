@@ -10,13 +10,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .acoustic import AcousticModel, AcousticModelConfig, ConvLayerSpec, EmissionTable
 from .audio_io import read_wav
-from .criterion import (
-    Alphabet,
-    TransitionTable,
-    asg_loss,
-    asg_loss_and_gradients,
-    encode_target,
-)
+from .criterion import Alphabet, asg_loss, asg_loss_and_gradients, encode_target
 from .decoder import DecoderOptions, LexiconTrie, decode_and_score, tune_grid
 from .errors import ConfigurationError
 from .frontend import (
@@ -40,7 +34,7 @@ class SpeechSystem:
 
     frontend: LearnableFrontend | MelFrontend
     model: AcousticModel
-    transitions: TransitionTable
+    transitions: np.ndarray  # (|A|, |A|) letter-to-letter scores
     alphabet: Alphabet
     frontend_kind: str = "learnable"
 
@@ -116,7 +110,7 @@ def train_acoustic(
         frontend = MelFrontend(fcfg, sample_rate)
     mcfg = model_config or small_model_config(fcfg.num_filters, len(alphabet))
     model = AcousticModel(mcfg, rng=rng)
-    transitions = TransitionTable.zeros(len(alphabet))
+    transitions = np.zeros((len(alphabet), len(alphabet)))
 
     train_items, skipped = _load_training_items(
         train_manifest, lexicon, alphabet, fcfg, sample_rate
@@ -130,7 +124,7 @@ def train_acoustic(
     params = {f"am.{k}": v for k, v in model.params.items()}
     if frontend_kind == "learnable":
         params.update({f"fe.{k}": v for k, v in frontend.params.items()})
-    params["transitions"] = transitions.g
+    params["transitions"] = transitions
     optimizer = SgdOptimizer(settings.lr, settings.momentum, settings.clip)
     scheduler = PlateauScheduler(optimizer)
 
@@ -213,7 +207,7 @@ def save_system(path, system: SpeechSystem):
     }
     arrays = {f"am.{k}": v for k, v in system.model.params.items()}
     arrays.update({f"fe.{k}": v for k, v in system.frontend.params.items()})
-    arrays["transitions"] = system.transitions.g
+    arrays["transitions"] = system.transitions
     ckpt.save_checkpoint(path, "acoustic-system", config, arrays)
 
 
@@ -269,12 +263,11 @@ def load_system(path) -> SpeechSystem:
         if len(alphabet) != mcfg.alphabet_size:
             raise ConfigurationError(
                 f"alphabet has {len(alphabet)} letters but the model emits {mcfg.alphabet_size}")
-        transitions = TransitionTable(arrays["transitions"])
     except KeyError as err:
         raise ConfigurationError(f"{path}: acoustic-system checkpoint lacks key {err}") from None
     except ConfigurationError as err:
         raise ConfigurationError(f"{path}: {err}") from None
-    return SpeechSystem(frontend, model, transitions, alphabet, config["frontend_kind"])
+    return SpeechSystem(frontend, model, arrays["transitions"], alphabet, config["frontend_kind"])
 
 
 def save_gcnn(path, lm: GcnnLm):

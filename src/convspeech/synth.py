@@ -154,6 +154,25 @@ def markov_bias(spec: SyntheticTaskSpec, seed: int = 7, concentration: float = 6
     return raw
 
 
+def _write_split(spec: SyntheticTaskSpec, out_dir, split: str, utterances) -> DatasetManifest:
+    """Render, write and list each (words, rng) pair of `utterances`, then the manifest."""
+    audio_dir = Path(out_dir) / "audio" / split
+    audio_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for i, (words, rng) in enumerate(utterances):
+        samples = render_utterance(spec, words, rng)
+        utt_id = f"{split}-{i:05d}"
+        path = audio_dir / f"{utt_id}.wav"
+        try:
+            write_wav(path, samples, spec.sample_rate)
+        except OSError as exc:
+            raise ConvSpeechError(f"failed writing {path}: {exc}") from exc
+        entries.append(ManifestEntry(utt_id, str(path), " ".join(words)))
+    manifest = DatasetManifest(entries, split)
+    save_manifest(Path(out_dir) / f"{split}.jsonl", manifest)
+    return manifest
+
+
 def synthesize_dataset(
     spec: SyntheticTaskSpec,
     out_dir,
@@ -162,26 +181,12 @@ def synthesize_dataset(
     transition_bias: np.ndarray | None = None,
 ) -> dict[str, "DatasetManifest"]:
     """Render WAVs and JSONL manifests for each split; deterministic per seed."""
-    out_dir = Path(out_dir)
     manifests: dict[str, DatasetManifest] = {}
     for split_idx, (split, count) in enumerate(sorted(counts.items())):
-        audio_dir = out_dir / "audio" / split
-        audio_dir.mkdir(parents=True, exist_ok=True)
-        entries = []
-        for i in range(count):
-            rng = np.random.default_rng([seed, split_idx, i])
-            words = sample_sentence(spec, rng, transition_bias)
-            samples = render_utterance(spec, words, rng)
-            utt_id = f"{split}-{i:05d}"
-            path = audio_dir / f"{utt_id}.wav"
-            try:
-                write_wav(path, samples, spec.sample_rate)
-            except OSError as exc:
-                raise ConvSpeechError(f"failed writing {path}: {exc}") from exc
-            entries.append(ManifestEntry(utt_id, str(path), " ".join(words)))
-        manifest = DatasetManifest(entries, split)
-        manifests[split] = manifest
-        save_manifest(out_dir / f"{split}.jsonl", manifest)
+        rngs = (np.random.default_rng([seed, split_idx, i]) for i in range(count))
+        manifests[split] = _write_split(
+            spec, out_dir, split,
+            ((sample_sentence(spec, rng, transition_bias), rng) for rng in rngs))
     return manifests
 
 
@@ -189,19 +194,9 @@ def synthesize_from_sentences(
     spec: SyntheticTaskSpec, sentences, out_dir, split: str, seed: int = 0
 ) -> DatasetManifest:
     """Render explicit word sequences instead of sampled ones."""
-    audio_dir = Path(out_dir) / "audio" / split
-    audio_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, words in enumerate(sentences):
-        rng = np.random.default_rng([seed, i])
-        samples = render_utterance(spec, words, rng)
-        utt_id = f"{split}-{i:05d}"
-        path = audio_dir / f"{utt_id}.wav"
-        write_wav(path, samples, spec.sample_rate)
-        entries.append(ManifestEntry(utt_id, str(path), " ".join(words)))
-    manifest = DatasetManifest(entries, split)
-    save_manifest(Path(out_dir) / f"{split}.jsonl", manifest)
-    return manifest
+    return _write_split(spec, out_dir, split,
+                        ((words, np.random.default_rng([seed, i]))
+                         for i, words in enumerate(sentences)))
 
 
 def synthesize_corpus(spec: SyntheticTaskSpec, count: int, seed: int = 0,

@@ -6,6 +6,7 @@ shares no code with the package under test.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -156,6 +157,98 @@ def grad_close(analytic, numeric, rel_tol=1e-4):
     n = np.asarray(numeric, dtype=np.float64).ravel()
     denom = max(np.linalg.norm(a), np.linalg.norm(n), 1e-12)
     return np.linalg.norm(a - n) / denom <= rel_tol
+
+
+def repetition_encode(letters, alphabet):
+    """Letter indices with each immediate repeat spelled by the repetition
+    token; runs alternate letter and token ("aaa" -> a 2 a)."""
+    rep = alphabet.letters.index(alphabet.repetition_token)
+    out = []
+    for i, letter in enumerate(letters):
+        if i > 0 and letter == letters[i - 1] and out[-1] != rep:
+            out.append(rep)
+        else:
+            out.append(alphabet.letters.index(letter))
+    return out
+
+
+def _frame_lengths(optional, total):
+    """Every way to give each unit a run of frames summing to `total`; a unit
+    flagged optional may get 0 frames, every other unit at least 1."""
+    if len(optional) == 1:
+        if total >= 1 or (total == 0 and optional[0]):
+            yield (total,)
+        return
+    rest_min = sum(0 if o else 1 for o in optional[1:])
+    for take in range(0 if optional[0] else 1, total - rest_min + 1):
+        for rest in _frame_lengths(optional[1:], total - take):
+            yield (take,) + rest
+
+
+def _letter_paths(spellings, sil, total):
+    """Every frame-level letter path of `total` frames that spells the words:
+    optional leading and trailing silence, at least one silence frame between
+    words, each spelling letter held for one or more frames. No words: all
+    silence."""
+    if not spellings:
+        yield [sil] * total
+        return
+    units, optional = [sil], [True]
+    for i, spelling in enumerate(spellings):
+        if i:
+            units.append(sil)
+            optional.append(False)
+        units.extend(spelling)
+        optional.extend([False] * len(spelling))
+    units.append(sil)
+    optional.append(True)
+    for lengths in _frame_lengths(optional, total):
+        yield [letter for letter, run in zip(units, lengths) for _ in range(run)]
+
+
+def exhaustive_decode(emissions, transitions, lexicon, alphabet, lm, opts, max_words=4):
+    """The decoder's objective maximised by enumerating every word sequence of
+    at most `max_words` words and, per sequence, every letter path spelling it.
+
+    A sequence scores the log-sum-exp of its paths' emission + transition
+    scores (minus gamma per silence frame) plus alpha times its LM log
+    probability (sentence end included) plus beta per word. Returns a
+    DecodeResult-like object: words, letter_path (the best single path),
+    objective, am_component, lm_component, word_count, silence_count.
+    Refuses instances of more than 20 frames or 8 words.
+    """
+    f = np.asarray(emissions, dtype=np.float64)
+    g = np.asarray(transitions, dtype=np.float64)
+    T = f.shape[0]
+    if T > 20 or len(lexicon) > 8:
+        raise ValueError(f"exhaustive decode is limited to 20 frames and 8 words, "
+                         f"got {T} frames and {len(lexicon)} words")
+    sil = alphabet.letters.index(alphabet.silence_token)
+    spelled = {word: repetition_encode(list(s), alphabet) for word, s in lexicon.items()}
+    best = None
+    for n_words in range(max_words + 1):
+        for words in itertools.product(lexicon, repeat=n_words):
+            paths = list(_letter_paths([spelled[w] for w in words], sil, T))
+            if not paths:
+                continue
+            scores = [path_score(f, g, p) - opts.gamma * p.count(sil) for p in paths]
+            top = max(range(len(paths)), key=lambda i: scores[i])  # first best path
+            pooled = logsumexp(scores)
+            state, lm_total = lm.start_state(), 0.0
+            for word in words:
+                logp, state = lm.score(state, lm.vocab.id(word))
+                lm_total += logp
+            lm_total += lm.finish(state)
+            objective = pooled + opts.alpha * lm_total + opts.beta * n_words
+            if best is None or objective > best.objective:
+                silences = paths[top].count(sil)
+                best = SimpleNamespace(
+                    words=list(words), letter_path=paths[top], objective=objective,
+                    am_component=pooled + opts.gamma * silences, lm_component=lm_total,
+                    word_count=n_words, silence_count=silences)
+    if best is None:
+        raise ValueError(f"no word sequence fits {T} frames")
+    return best
 
 
 def brute_force_edit_counts(ref, hyp):

@@ -20,20 +20,17 @@ from convspeech.audio_io import read_wav, write_wav
 from convspeech.checkpoint import load_checkpoint, save_checkpoint
 from convspeech.criterion import (
     Alphabet,
-    Target,
-    TransitionTable,
     asg_loss,
     asg_loss_and_gradients,
     encode_target,
     forward_score,
 )
-from convspeech.decoder import DecoderOptions, build_trie, decode, exhaustive_decode, items_wer, tune_grid
+from convspeech.decoder import DecoderOptions, build_trie, decode, items_wer, tune_grid
 from convspeech.errors import AudioFormatError
 from convspeech.frontend import (
     FrontendConfig,
     LearnableFrontend,
     Waveform,
-    center_frequency,
     instance_normalize,
 )
 from convspeech.gcnn import GcnnConfig, GcnnLm, train_gcnn
@@ -45,10 +42,12 @@ from convspeech.optim import SgdOptimizer
 from oracles import (
     brute_force_edit_counts,
     brute_force_graph_score,
+    exhaustive_decode,
     finite_difference,
     grad_close,
 )
 from test_decoder import HistoryLm
+from test_frontend import kernel_centers
 
 RATE = 16000
 
@@ -79,7 +78,7 @@ def test_criterion_1_asg_oracle_suite():
                 nxt = int(rng.integers(0, a))
                 if nxt != letters[-1]:
                     letters.append(nxt)
-            target = Target(np.array(letters))
+            target = np.array(letters)
         got = forward_score(emissions, transitions, target)
         want = brute_force_graph_score(emissions, transitions, letters)
         worst = max(worst, abs(got - want) / max(abs(want), 1e-12))
@@ -102,7 +101,7 @@ def test_criterion_2_gradient_suite():
         a = int(rng.integers(2, 5))
         emissions = rng.normal(size=(t, a))
         transitions = rng.normal(size=(a, a)) * 0.5
-        target = Target(np.array([0, 1][: min(t, 2)]))
+        target = np.array([0, 1][: min(t, 2)])
         _, d_em, d_g = asg_loss_and_gradients(emissions, transitions, target)
         arrays = {"em": emissions, "tr": transitions}
         numeric = finite_difference(
@@ -180,7 +179,6 @@ def _random_decoder_instance(rng):
     pool = ["a", "b", "c", "ab", "ba", "cb", "aa", "bc"]
     picks = rng.choice(len(pool), size=int(rng.integers(2, 5)), replace=False)
     lexicon = {pool[i]: list(pool[i]) for i in picks}
-    trie = build_trie(lexicon, AB)
     lm = HistoryLm(list(lexicon))
     t = int(rng.integers(2, 7))
     emissions = rng.normal(size=(t, len(AB)))
@@ -189,7 +187,7 @@ def _random_decoder_instance(rng):
         alpha=float(rng.uniform(0, 1.5)), beta=float(rng.uniform(0, 1.0)),
         gamma=float(rng.uniform(0, 1.0)), beam_size=200000, beam_score=math.inf,
     )
-    return emissions, transitions, trie, lm, opts
+    return emissions, transitions, lexicon, lm, opts
 
 
 def test_criterion_3_decoder_oracle_suite():
@@ -198,9 +196,10 @@ def test_criterion_3_decoder_oracle_suite():
     worst = 0.0
     mismatches = []
     for trial in range(100):
-        emissions, g, trie, lm, opts = _random_decoder_instance(rng)
+        emissions, g, lexicon, lm, opts = _random_decoder_instance(rng)
+        trie = build_trie(lexicon, AB)
         got = decode(emissions, g, trie, lm, opts)
-        want = exhaustive_decode(emissions, g, trie, lm, opts)
+        want = exhaustive_decode(emissions, g, lexicon, AB, lm, opts)
         rel = abs(got.objective - want.objective) / max(abs(want.objective), 1e-12)
         worst = max(worst, rel)
         if got.words != want.words:
@@ -237,8 +236,7 @@ def test_criterion_4_frontend_dsp_suite():
     t = np.arange(width) / RATE
     bin_width = RATE / (4 * width)
     for freq in (250.0, 1000.0, 2713.0, 6100.0):
-        got = center_frequency(np.cos(2 * np.pi * freq * t),
-                               np.sin(2 * np.pi * freq * t), RATE)
+        got = kernel_centers(np.cos(2 * np.pi * freq * t), np.sin(2 * np.pi * freq * t))[0]
         if abs(got - freq) > bin_width:
             ok = False
             details.append(f"cf {freq}")

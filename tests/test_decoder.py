@@ -1,14 +1,14 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from convspeech import decoder as dec
-from convspeech.acoustic import EmissionTable
 from convspeech.criterion import Alphabet, encode_target
-from convspeech.errors import CapacityError, ConfigurationError, EmptyBeamError, VocabularyError
+from convspeech.errors import ConfigurationError, EmptyBeamError, VocabularyError
 from convspeech.lm import Vocabulary
+
+from oracles import exhaustive_decode
 
 AB = Alphabet.from_plain_letters(("a", "b", "c"))
 SIL = AB.silence_index
@@ -112,7 +112,7 @@ def _walk(trie, letters):
 
 def test_build_trie_encodes_repeats():
     trie = dec.build_trie({"aa": ["a", "a"]}, AB)
-    node = _walk(trie, encode_target(AB, ["a", "a"]).encoded)
+    node = _walk(trie, encode_target(AB, ["a", "a"]))
     assert node is not None and _words_at(trie, node) == ["aa"]
 
 
@@ -125,7 +125,7 @@ def test_build_trie_random_words_findable():
         words[f"w{i}_" + "".join(spelling)] = spelling
     trie = dec.build_trie(words, AB)
     for word, spelling in words.items():
-        node = _walk(trie, encode_target(AB, spelling).encoded)
+        node = _walk(trie, encode_target(AB, spelling))
         assert node is not None and word in _words_at(trie, node)
 
 
@@ -149,7 +149,8 @@ def test_decode_matches_exhaustive_oracle():
     for trial in range(40):
         emissions, g, trie, lm, opts = make_instance(rng)
         got = dec.decode(emissions, g, trie, lm, opts)
-        want = dec.exhaustive_decode(emissions, g, trie, lm, opts)
+        lexicon = {word: list(word) for word in trie.words}  # make_instance words spell themselves
+        want = exhaustive_decode(emissions, g, lexicon, AB, lm, opts)
         assert got.objective == pytest.approx(want.objective, rel=1e-8), trial
         assert got.words == want.words
 
@@ -214,24 +215,6 @@ def test_merged_and_unmerged_agree():
                                             beam_score=math.inf, merge_mode="off"))
         assert on.words == off.words
         assert on.objective == pytest.approx(off.objective, rel=1e-10)
-
-
-def test_normalized_emissions_log_softmax_once():
-    rng = np.random.default_rng(21)
-    for trial in range(10):
-        emissions, g, trie, lm, opts = make_instance(rng, t=5)
-        emissions = emissions * 3.0 + 1.5  # rows far from log-normalized
-        log_softmax = emissions - np.logaddexp.reduce(emissions, axis=1, keepdims=True)
-        norm_opts = dataclasses.replace(opts, normalized_emissions=True)
-        got = dec.decode(emissions, g, trie, lm, norm_opts)
-        want = dec.decode(log_softmax, g, trie, lm, opts)
-        assert (got.words, got.letter_path) == (want.words, want.letter_path), trial
-        assert got.objective == pytest.approx(want.objective, rel=1e-12), trial
-        as_is = dec.decode(emissions, g, trie, lm, opts)
-        assert got.objective != as_is.objective
-        # a table already marked normalized is decoded as it stands
-        marked = EmissionTable(emissions, normalized=True)
-        assert dec.decode(marked, g, trie, lm, norm_opts) == as_is
 
 
 def test_prune_noop_when_generous():
@@ -325,7 +308,7 @@ def test_homophones_fork():
     f[:, AB.index("a")] = 5.0
     opts = dec.DecoderOptions(alpha=1.0, beam_size=1000, beam_score=math.inf)
     got = dec.decode(f, np.zeros((len(AB), len(AB))), trie, lm, opts)
-    want = dec.exhaustive_decode(f, np.zeros((len(AB), len(AB))), trie, lm, opts)
+    want = exhaustive_decode(f, np.zeros((len(AB), len(AB))), lexicon, AB, lm, opts)
     assert got.words == want.words
     assert got.objective == pytest.approx(want.objective, rel=1e-10)
 
@@ -403,12 +386,11 @@ def test_lexicon_word_missing_from_lm_is_rejected():
 
 
 def test_exhaustive_single_word_lexicon():
-    trie = dec.build_trie({"b": ["b"]}, AB)
     lm = uniform_lm(["b"])
     f = np.full((1, len(AB)), -3.0)
     f[0, AB.index("b")] = 4.0
     opts = dec.DecoderOptions(alpha=1.0, beta=0.5, beam_size=10, beam_score=math.inf)
-    res = dec.exhaustive_decode(f, np.zeros((len(AB), len(AB))), trie, lm, opts)
+    res = exhaustive_decode(f, np.zeros((len(AB), len(AB))), {"b": ["b"]}, AB, lm, opts)
     lm_total = lm._logp((), lm.vocab.id("b")) + lm._logp((lm.vocab.id("b"),), lm.vocab.end_id)
     assert res.words == ["b"]
     assert res.objective == pytest.approx(4.0 + 1.0 * lm_total + 0.5, rel=1e-10)
@@ -418,19 +400,16 @@ def test_exhaustive_invariant_to_lexicon_order():
     rng = np.random.default_rng(10)
     emissions, g, _, _, opts = make_instance(rng, t=4, lexicon={"a": ["a"], "b": ["b"]})
     lm = HistoryLm(["a", "b"])
-    t1 = dec.build_trie({"a": ["a"], "b": ["b"]}, AB)
-    t2 = dec.build_trie({"b": ["b"], "a": ["a"]}, AB)
-    r1 = dec.exhaustive_decode(emissions, g, t1, lm, opts)
-    r2 = dec.exhaustive_decode(emissions, g, t2, lm, opts)
+    r1 = exhaustive_decode(emissions, g, {"a": ["a"], "b": ["b"]}, AB, lm, opts)
+    r2 = exhaustive_decode(emissions, g, {"b": ["b"], "a": ["a"]}, AB, lm, opts)
     assert r1.objective == pytest.approx(r2.objective, rel=1e-12)
 
 
 def test_exhaustive_capacity_guard():
-    trie = dec.build_trie({"a": ["a"]}, AB)
     lm = uniform_lm(["a"])
-    with pytest.raises(CapacityError):
-        dec.exhaustive_decode(np.zeros((25, len(AB))), np.zeros((len(AB), len(AB))),
-                              trie, lm, dec.DecoderOptions())
+    with pytest.raises(ValueError, match="limited to 20 frames"):
+        exhaustive_decode(np.zeros((25, len(AB))), np.zeros((len(AB), len(AB))),
+                          {"a": ["a"]}, AB, lm, dec.DecoderOptions())
 
 
 def test_tune_grid_singleton():

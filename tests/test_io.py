@@ -19,7 +19,7 @@ from convspeech.checkpoint import (
     write_lexicon,
 )
 from convspeech.cli import _load_lm, _load_task, _save_task, parse_config_file
-from convspeech.criterion import Alphabet, TransitionTable
+from convspeech.criterion import Alphabet
 from convspeech.errors import AudioFormatError, ConfigurationError, ConvSpeechError, VocabularyError
 from convspeech.gcnn import GcnnConfig, GcnnLm
 from convspeech.lm import Vocabulary, fit_bigram_arpa
@@ -178,27 +178,30 @@ def test_corrupt_containers_raise_configuration_error(tmp_path, corrupt, load):
 
 def test_emission_table_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    table = EmissionTable(rng.normal(size=(11, 4)), normalized=False)
+    table = EmissionTable(rng.normal(size=(11, 4)))
     transitions = rng.normal(size=(4, 4))
     path = tmp_path / "e.bin"
-    save_emissions(path, table, AB, TransitionTable(transitions))
+    save_emissions(path, table, AB, transitions)
+    raw = bytearray(path.read_bytes())
+    assert raw[6] == 0  # written as 0; older files may set it, and reading ignores it
+    raw[6] = 1
+    path.write_bytes(bytes(raw))
     loaded, alphabet, g = load_emissions(path)
     assert np.array_equal(loaded.scores, table.scores)
     assert np.array_equal(g, transitions)
-    assert loaded.normalized == table.normalized
     assert alphabet.letters == AB.letters
     assert alphabet.silence_index == AB.silence_index
     assert alphabet.repetition_index == AB.repetition_index
 
 
 def test_emission_table_version1_still_readable(tmp_path):
-    table = EmissionTable(np.random.default_rng(3).normal(size=(6, 4)), normalized=True)
+    table = EmissionTable(np.random.default_rng(3).normal(size=(6, 4)))
     path = tmp_path / "e.bin"
     save_emissions(path, table, AB, np.ones((4, 4)))
     as_version1(path, 4)
     loaded, alphabet, g = load_emissions(path)
     assert g is None
-    assert np.array_equal(loaded.scores, table.scores) and loaded.normalized
+    assert np.array_equal(loaded.scores, table.scores)
     assert alphabet.letters == AB.letters
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from convspeech import pipeline, synth
 from convspeech.acoustic import ConvLayerSpec, EmissionTable
-from convspeech.criterion import TransitionTable, encode_target
+from convspeech.criterion import encode_target
 from convspeech.decoder import DecoderOptions, build_trie
 from convspeech.errors import ConfigurationError, ConvSpeechError
 from convspeech.frontend import FrontendConfig
@@ -138,7 +138,7 @@ def test_system_checkpoint_round_trip(tiny_system, tiny_task, tmp_path):
         assert loaded.model.params[key].tobytes() == system.model.params[key].tobytes()
     for key in system.frontend.params:
         assert np.array_equal(loaded.frontend.params[key], system.frontend.params[key])
-    assert np.array_equal(loaded.transitions.g, system.transitions.g)
+    assert np.array_equal(loaded.transitions, system.transitions)
     assert loaded.alphabet == system.alphabet
     wave = pipeline.read_wav(manifests["dev"].entries[0].audio)
     assert np.array_equal(loaded.emissions(wave).scores, system.emissions(wave).scores)
@@ -152,7 +152,7 @@ def test_load_system_accepts_transitions_trainable(tiny_system, tmp_path):
     payload = json.loads(path.read_text())
     payload["config"]["transitions_trainable"] = False
     path.write_text(json.dumps(payload))
-    assert np.array_equal(pipeline.load_system(path).transitions.g, system.transitions.g)
+    assert np.array_equal(pipeline.load_system(path).transitions, system.transitions)
 
 
 @pytest.mark.parametrize("section,key", [("config", "frontend"), ("config", "model"),
@@ -171,7 +171,7 @@ def test_load_system_names_missing_key(tiny_system, tmp_path, section, key):
 @pytest.mark.parametrize("name", ["am_trained.json", "am_untrained.json"])
 def test_load_system_reads_bench_checkpoints(name):
     system = pipeline.load_system(BENCH_CHECKPOINTS / name)
-    assert system.transitions.g.shape == (len(system.alphabet), len(system.alphabet))
+    assert system.transitions.shape == (len(system.alphabet), len(system.alphabet))
 
 
 UNTRAINED_PAYLOAD = json.loads((BENCH_CHECKPOINTS / "am_untrained.json").read_text())
@@ -301,7 +301,7 @@ class StubSystem:
 
     def __init__(self, tables, alphabet):
         self.tables = list(tables)
-        self.transitions = TransitionTable.zeros(len(alphabet))
+        self.transitions = np.zeros((len(alphabet), len(alphabet)))
         self._next = 0
 
     def emissions(self, wave):
@@ -341,7 +341,7 @@ def test_evaluate_perfect_emissions_zero_wer(tiny_task):
     for entry in manifests["dev"].entries:
         words = synth.normalize_transcript(entry.text)
         letters = transcript_letters(words, spec.lexicon, alphabet.silence_token)
-        encoded = encode_target(alphabet, letters).encoded
+        encoded = encode_target(alphabet, letters)
         tables.append(_peaked_table(alphabet, [alphabet.letters[i] for i in encoded]))
     stub = StubSystem(tables, alphabet)
     opts = DecoderOptions(alpha=0.1, beta=0.1, beam_size=500, beam_score=math.inf)
@@ -388,7 +388,7 @@ def test_context_study_equal_limits(tiny_task):
                 rng=np.random.default_rng(1))
     items = [
 
-        (_peaked_table(alphabet, ["a", "b"]), TransitionTable.zeros(len(alphabet)), ["ab"])
+        (_peaked_table(alphabet, ["a", "b"]), np.zeros((len(alphabet), len(alphabet))), ["ab"])
     ]
     opts = DecoderOptions(alpha=0.3, beam_size=100, beam_score=26.0)
     rows = pipeline.context_wer_study(lm, [2, 2], items, trie, opts)
@@ -406,7 +406,7 @@ def test_perplexity_study_identical_checkpoints(tiny_task):
                                   mid_kernel_width=3),
                 rng=np.random.default_rng(2))
     items = [
-        (_peaked_table(alphabet, ["a"]), TransitionTable.zeros(len(alphabet)), ["a"])
+        (_peaked_table(alphabet, ["a"]), np.zeros((len(alphabet), len(alphabet))), ["a"])
     ]
     corpus = [["a", "ab"], ["b"]]
     opts = DecoderOptions(alpha=0.3, beam_size=50, beam_score=26.0)

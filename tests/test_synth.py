@@ -3,7 +3,8 @@ import pytest
 
 from convspeech import synth
 from convspeech.errors import ConfigurationError, ConvSpeechError
-from convspeech.frontend import center_frequency
+
+from test_frontend import kernel_centers
 
 
 def test_spec_defaults_are_consistent():
@@ -61,6 +62,19 @@ def test_transcript_letters_inserts_silence():
     assert letters == ["a", "b", "|", "c"]
     with pytest.raises(ConvSpeechError):
         synth.transcript_letters(["zz"], spec.lexicon, "|")
+
+
+@pytest.mark.parametrize("write", [
+    lambda spec, out: synth.synthesize_dataset(spec, out, {"dev": 2}),
+    lambda spec, out: synth.synthesize_from_sentences(spec, [["a"], ["b"]], out, "dev"),
+], ids=["dataset", "sentences"])
+def test_wav_write_failure_names_the_file(tmp_path, monkeypatch, write):
+    def disk_full(path, samples, sample_rate):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(synth, "write_wav", disk_full)
+    with pytest.raises(ConvSpeechError, match="dev-00000.wav: .*No space left"):
+        write(synth.SyntheticTaskSpec(), tmp_path)
 
 
 def test_dataset_determinism_and_manifest(tmp_path):
@@ -132,4 +146,4 @@ def test_front_end_sees_letter_tone(tmp_path):
     target_freq = spec.tone_frequencies[2]
     real[2] = np.cos(2 * np.pi * target_freq * t)
     imag[2] = np.sin(2 * np.pi * target_freq * t)
-    assert abs(center_frequency(real[2], imag[2], spec.sample_rate) - target_freq) <= 10.0
+    assert abs(kernel_centers(real[2], imag[2], spec.sample_rate)[0] - target_freq) <= 10.0
