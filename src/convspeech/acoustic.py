@@ -20,11 +20,10 @@ class ConvLayerSpec:
     in_channels: int
     out_channels: int  # post-GLU channels; the conv emits twice as many
     kernel_width: int
-    stride: int = 1
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        if min(self.in_channels, self.out_channels, self.kernel_width, self.stride) < 1:
+        if min(self.in_channels, self.out_channels, self.kernel_width) < 1:
             raise ConfigurationError("layer counts and widths must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError("dropout_rate must be in [0, 1)")
@@ -120,15 +119,13 @@ def conv1d(
     x: np.ndarray,
     weight: np.ndarray,
     bias: np.ndarray,
-    stride: int = 1,
     pad_left: int | None = None,
     pad_right: int | None = None,
-    want_cache: bool = False,
 ):
-    """1-D cross-correlation. x: (C_in, T), weight: (C_out, C_in, K).
+    """1-D cross-correlation at stride 1; returns (out, cache for conv1d_backward).
 
-    Default padding is floor(K/2) on each side, preserving frame alignment
-    at stride 1.
+    x: (C_in, T), weight: (C_out, C_in, K). Default padding is floor(K/2) on
+    each side, preserving frame alignment.
     """
     c_out, c_in_w, kw = weight.shape
     if x.shape[0] != c_in_w:
@@ -140,22 +137,17 @@ def conv1d(
     t_in = x.shape[1]
     padded = np.zeros((c_in_w, t_in + pad_left + pad_right))
     padded[:, pad_left : pad_left + t_in] = x
-    t_out = (padded.shape[1] - kw) // stride + 1
+    t_out = padded.shape[1] - kw + 1
     if t_out < 1:
         raise DimensionError(f"{t_in} frames too few for kernel width {kw}")
-    cols = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=1)[:, ::stride, :]
-    cols = cols[:, :t_out, :].transpose(1, 0, 2).reshape(t_out, c_in_w * kw)
+    cols = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=1)
+    cols = cols.transpose(1, 0, 2).reshape(t_out, c_in_w * kw)
     out = (cols @ weight.reshape(c_out, -1).T + bias).T
-    if not want_cache:
-        return out
     cache = {
         "cols": cols,
         "weight": weight,
-        "stride": stride,
         "pad_left": pad_left,
         "t_in": t_in,
-        "kw": kw,
-        "c_in": c_in_w,
         "padded_len": padded.shape[1],
     }
     return out, cache
@@ -171,10 +163,8 @@ def conv1d_backward(cache: dict, d_out: np.ndarray):
     d_cols = weight.reshape(c_out, -1).T @ d_out  # (c_in*kw, t_out)
     d_cols = d_cols.reshape(c_in, kw, t_out)
     d_padded = np.zeros((c_in, cache["padded_len"]))
-    stride = cache["stride"]
-    span = stride * (t_out - 1) + 1
     for w in range(kw):  # the t_out positions of one tap are distinct
-        d_padded[:, w : w + span : stride] += d_cols[:, w, :]
+        d_padded[:, w : w + t_out] += d_cols[:, w, :]
     pl = cache["pad_left"]
     return d_weight, d_bias, d_padded[:, pl : pl + cache["t_in"]]
 
@@ -193,11 +183,11 @@ def wn_conv_shapes(name: str, c_out: int, c_in: int, kernel_width: int) -> dict[
     return {f"{name}_v": (c_out, c_in, kernel_width), f"{name}_g": (c_out,), f"{name}_b": (c_out,)}
 
 
-def wn_conv(params: dict, name: str, x: np.ndarray, stride: int = 1,
+def wn_conv(params: dict, name: str, x: np.ndarray,
             pad_left: int | None = None, pad_right: int | None = None):
     """conv1d with the weight-normed parameters `{name}_v/_g/_b`; returns (out, cache)."""
     w = effective_weight(params[f"{name}_v"], params[f"{name}_g"])
-    out, cache = conv1d(x, w, params[f"{name}_b"], stride, pad_left, pad_right, want_cache=True)
+    out, cache = conv1d(x, w, params[f"{name}_b"], pad_left, pad_right)
     cache["name"] = name
     return out, cache
 
@@ -272,7 +262,7 @@ class AcousticModel:
             rng = np.random.default_rng(0)
         layer_caches = []
         for i, spec in enumerate(self.config.layers):
-            pre, conv_cache = wn_conv(self.params, f"layer{i}", h, stride=spec.stride)
+            pre, conv_cache = wn_conv(self.params, f"layer{i}", h)
             h, glu_cache = glu_dropout(pre, spec.dropout_rate, rng if training else None)
             layer_caches.append((conv_cache, glu_cache))
         scores_ct, proj_cache = wn_conv(self.params, "proj", h)

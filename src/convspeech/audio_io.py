@@ -23,7 +23,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = 16000):
     """Write mono PCM16; amplitudes are clipped to [-1, 1] first."""
     clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as out:
+    # wave.open on a path leaves a half-built writer whose __del__ fails when the open does
+    with open(path, "wb") as handle, wave.open(handle, "wb") as out:
         out.setnchannels(1)
         out.setsampwidth(2)
         out.setframerate(sample_rate)

@@ -4,10 +4,10 @@ Subcommands: synth-data, train-am, train-lm, decode, evaluate, tune,
 analyze-frontend, ppl-wer, context-wer; README.md chains them into the clean,
 noisy and LM-study experiments. Each flag is declared once: flag groups that
 several subcommands share come from one helper each, and list-valued flags are
-parsed by their argparse `type`, so a malformed value is a usage error. A
-line-oriented key=value config file (--config) supplies defaults for any long
-flag; explicit flags win. A bad or missing input file ends the run with one
-`error:` line and exit code 1.
+parsed by their argparse `type`, so a malformed value is a usage error, as is
+an abbreviated flag. A line-oriented key=value config file (--config)
+supplies defaults for any long flag; explicit flags win. A bad or missing
+input file ends the run with one `error:` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +25,13 @@ from . import checkpoint as ckpt
 from . import pipeline, synth
 from .acoustic import AcousticModelConfig, ConvLayerSpec
 from .audio_io import read_wav
-from .decoder import DecoderOptions, build_trie, decode
+from .decoder import DecoderOptions, build_trie, decode, tune_grid
 from .errors import ArpaParseError, ConfigurationError, ConvSpeechError, EmptyBeamError
-from .frontend import FrontendConfig, analyze_filters
+from .frontend import FrontendConfig, LearnableFrontend, analyze_filters
 from .gcnn import GcnnConfig, GcnnLm, train_gcnn
 from .lm import Vocabulary, fit_bigram_arpa, load_arpa
 from .synth import SyntheticTaskSpec, load_manifest
+from .util import from_fields
 
 
 def parse_config_file(path) -> list[str]:
@@ -99,6 +100,7 @@ def _add_training_flags(p: argparse.ArgumentParser, lr: float, clip: float, batc
     p.add_argument("--clip", type=float, default=clip)
     p.add_argument("--batch-size", type=int, default=batch_size)
     p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", required=True)
 
 
@@ -119,17 +121,11 @@ def _decoder_opts(args) -> DecoderOptions:
 
 def _load_task(path) -> SyntheticTaskSpec:
     raw = ckpt.read_json(path)
-    names = {f.name for f in fields(SyntheticTaskSpec)}
-    if not isinstance(raw, dict) or raw.keys() != names:
-        keys = set(raw) if isinstance(raw, dict) else set()
-        raise ConfigurationError(
-            f"{path}: task spec is missing {sorted(names - keys)} "
-            f"and has unknown keys {sorted(keys - names)}"
-        )
     # JSON turns the spec's tuples into lists; the lexicon keeps list spellings
+    if isinstance(raw, dict):
+        raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
     try:
-        return SyntheticTaskSpec(**{k: tuple(v) if isinstance(v, list) else v
-                                    for k, v in raw.items()})
+        return from_fields(SyntheticTaskSpec, raw, "task spec")
     except ConfigurationError as err:
         raise ConfigurationError(f"{path}: {err}") from None
 
@@ -197,15 +193,13 @@ def cmd_synth_data(args):
 def cmd_train_am(args):
     spec = _load_task(args.task)
     manifest = load_manifest(args.manifest)
-    dev = load_manifest(args.dev_manifest, "dev") if args.dev_manifest else None
+    dev = load_manifest(args.dev_manifest) if args.dev_manifest else None
     fcfg = FrontendConfig(num_filters=args.filters)
-    model_config = None
-    if args.layers:
-        inputs = [args.filters] + [channels for channels, _ in args.layers]
-        model_config = AcousticModelConfig(
-            [ConvLayerSpec(c_in, c_out, width, dropout_rate=args.dropout)
-             for c_in, (c_out, width) in zip(inputs, args.layers)],
-            len(spec.alphabet))
+    inputs = [args.filters] + [channels for channels, _ in args.layers]
+    model_config = AcousticModelConfig(
+        [ConvLayerSpec(c_in, c_out, width, dropout_rate=args.dropout)
+         for c_in, (c_out, width) in zip(inputs, args.layers)],
+        len(spec.alphabet))
     settings = pipeline.TrainSettings(
         epochs=args.epochs, lr=args.lr, momentum=args.momentum, clip=args.clip,
         batch_size=args.batch_size, seed=args.seed,
@@ -318,9 +312,9 @@ def cmd_evaluate(args):
 
 def cmd_tune(args):
     system, trie, manifest = _decode_setup(args)
-    best, rows = pipeline.tune(manifest, system, trie, _load_lm(args.lm), args.alpha_grid,
-                               args.beta_grid, args.gamma_grid,
-                               stage1=args.stage1, stage2=args.stage2)
+    lm = _load_lm(args.lm)
+    best, rows = tune_grid(pipeline.eval_items(manifest, system), args.alpha_grid,
+                           args.beta_grid, args.gamma_grid, trie, lm, args.stage1, args.stage2)
     if args.out:
         pipeline.write_csv(args.out, rows)
     print(f"best: alpha={best.alpha} beta={best.beta} gamma={best.gamma} "
@@ -330,7 +324,7 @@ def cmd_tune(args):
 
 def cmd_analyze_frontend(args):
     system = pipeline.load_system(args.am)
-    if system.frontend_kind != "learnable":
+    if not isinstance(system.frontend, LearnableFrontend):
         raise ConfigurationError("filter analysis requires a learnable front-end")
     analysis = analyze_filters(system.frontend)
     out = Path(args.out_dir)
@@ -370,16 +364,16 @@ def cmd_context_wer(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: `tune --alpha 1` would otherwise set --alpha-grid
     parser = argparse.ArgumentParser(
-        prog="convspeech",
+        prog="convspeech", allow_abbrev=False,
         description="Fully convolutional speech recognition at desk scale",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="key=value defaults file")
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=func)
         return p
 
@@ -392,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clean tones, tones under noise at --snr-db, or the LM-study task")
     p.add_argument("--snr-db", type=float, default=5.0)
     p.add_argument("--corpus-sentences", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-markov", dest="markov", action="store_false",
                    help="draw words independently instead of from a Markov chain")
 
@@ -401,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, help="task.json from synth-data")
     p.add_argument("--frontend", choices=["learnable", "mel"], default="learnable")
     p.add_argument("--filters", type=int, default=8)
-    p.add_argument("--layers", type=_comma_list(_int_pair),
-                   help="conv-GLU stack as channels:width,... (e.g. 24:9,32:9)")
+    p.add_argument("--layers", type=_comma_list(_int_pair), default="24:9,32:9",
+                   help="conv-GLU stack as channels:width,...")
     _add_training_flags(p, lr=0.3, clip=0.2, batch_size=4)
     p.add_argument("--loss-curve", help="CSV output for the loss history")
 
@@ -439,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage2", type=_beam_budget, default="3000:50",
                    help="beam size:beam score of the re-evaluation")
     p.add_argument("--out", help="CSV output for the WER grid")
-    _add_decoder_flags(p)
 
     p = command("analyze-frontend", cmd_analyze_frontend,
                 "center frequencies and filter heatmap")

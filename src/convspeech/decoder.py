@@ -32,7 +32,7 @@ distinct pair once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -376,7 +376,6 @@ def tune_grid(
     gammas: Sequence[float],
     trie: LexiconTrie,
     lm,
-    base_opts: DecoderOptions | None = None,
     stage1=(2500, 26.0),
     stage2=(3000, 50.0),
 ):
@@ -397,13 +396,12 @@ def tune_grid(
         raise ConfigurationError("tuning grids must be non-empty")
     if not validation:
         raise ConfigurationError("validation set is empty")
-    base = base_opts or DecoderOptions()
-    rows = [row(replace(base, alpha=alpha, beta=beta, gamma=gamma,
-                        beam_size=stage1[0], beam_score=stage1[1]), 1)
+    rows = [row(DecoderOptions(alpha=alpha, beta=beta, gamma=gamma,
+                               beam_size=stage1[0], beam_score=stage1[1]), 1)
             for alpha in alphas for beta in betas for gamma in gammas]
     best = min(rows, key=lambda r: r["wer"])  # the first point of the lowest WER
-    final = replace(base, alpha=best["alpha"], beta=best["beta"], gamma=best["gamma"],
-                    beam_size=stage2[0], beam_score=stage2[1])
+    final = DecoderOptions(alpha=best["alpha"], beta=best["beta"], gamma=best["gamma"],
+                           beam_size=stage2[0], beam_score=stage2[1])
     rows.append(row(final, 2))
     return final, rows
 

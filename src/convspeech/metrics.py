@@ -15,10 +15,6 @@ class UtteranceScore:
     deletions: int
     insertions: int
 
-    @property
-    def errors(self) -> int:
-        return self.substitutions + self.deletions + self.insertions
-
 
 @dataclass
 class EvalReport:
@@ -107,9 +103,3 @@ def aggregate(scores: Sequence[UtteranceScore],
             report.cer_reference_length += len(ref_chars)
     return report
 
-
-def wer(reference: Sequence[str], hypothesis: Sequence[str]) -> float:
-    if len(reference) == 0:
-        return 0.0 if len(hypothesis) == 0 else 100.0
-    s, d, ins = edit_distance_alignment(list(reference), list(hypothesis))
-    return 100.0 * (s + d + ins) / len(reference)

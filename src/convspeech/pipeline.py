@@ -1,9 +1,9 @@
-"""End-to-end orchestration: training, evaluation, tuning, and LM studies."""
+"""End-to-end orchestration: training, evaluation, and LM studies."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from . import checkpoint as ckpt
 from .acoustic import AcousticModel, AcousticModelConfig, ConvLayerSpec, EmissionTable
 from .audio_io import read_wav
 from .criterion import Alphabet, asg_loss, asg_loss_and_gradients, encode_target
-from .decoder import DecoderOptions, LexiconTrie, decode_and_score, tune_grid
+from .decoder import DecoderOptions, LexiconTrie, decode_and_score
 from .errors import ConfigurationError
 from .frontend import (
     FrontendConfig,
@@ -25,7 +25,7 @@ from .lm import Vocabulary, perplexity
 from .metrics import EvalReport
 from .optim import PlateauScheduler, SgdOptimizer
 from .synth import DatasetManifest, normalize_transcript, transcript_letters
-from .util import check_params
+from .util import check_params, from_fields
 
 
 @dataclass
@@ -36,7 +36,6 @@ class SpeechSystem:
     model: AcousticModel
     transitions: np.ndarray  # (|A|, |A|) letter-to-letter scores
     alphabet: Alphabet
-    frontend_kind: str = "learnable"
 
     def emissions(self, wave: Waveform) -> EmissionTable:
         return self.model.forward(self.frontend.forward(wave))
@@ -174,7 +173,7 @@ def train_acoustic(
         else:
             scheduler.update(record["train_loss"])
         history.append(record)
-    system = SpeechSystem(frontend, model, transitions, alphabet, frontend_kind)
+    system = SpeechSystem(frontend, model, transitions, alphabet)
     if checkpoint_path is not None:
         save_system(checkpoint_path, system)
     return system, history
@@ -192,7 +191,7 @@ def _mean_loss(items, frontend, model, transitions) -> float:
 
 def save_system(path, system: SpeechSystem):
     config = {
-        "frontend_kind": system.frontend_kind,
+        "frontend_kind": "learnable" if isinstance(system.frontend, LearnableFrontend) else "mel",
         "frontend": asdict(system.frontend.config),
         "sample_rate": system.frontend.sample_rate,
         "model": {
@@ -211,25 +210,12 @@ def save_system(path, system: SpeechSystem):
     ckpt.save_checkpoint(path, "acoustic-system", config, arrays)
 
 
-def _from_fields(cls, entry, what: str):
-    """`cls(**entry)`, naming a missing or unknown key in a ConfigurationError."""
-    if not isinstance(entry, dict):
-        raise ConfigurationError(f"{what} is a {type(entry).__name__}, not an object")
-    names = {f.name for f in fields(cls)}
-    if entry.keys() != names:
-        raise ConfigurationError(
-            f"{what} is missing {sorted(names - entry.keys())} "
-            f"and has unknown keys {sorted(entry.keys() - names)}"
-        )
-    return cls(**entry)
-
-
 def load_system(path) -> SpeechSystem:
     kind, config, arrays = ckpt.load_checkpoint(path)
     if kind != "acoustic-system":
         raise ConfigurationError(f"{path} holds a {kind!r} checkpoint, not an acoustic system")
     try:
-        fcfg = _from_fields(FrontendConfig, config["frontend"], "frontend config")
+        fcfg = from_fields(FrontendConfig, config["frontend"], "frontend config")
         rate = config["sample_rate"]
         if config["frontend_kind"] not in ("learnable", "mel"):
             raise ConfigurationError(f"unknown front-end kind {config['frontend_kind']!r}")
@@ -237,8 +223,14 @@ def load_system(path) -> SpeechSystem:
         layers = config["model"]["layers"]
         if not isinstance(layers, list):
             raise ConfigurationError("model layers must be a list")
+        for i, layer in enumerate(layers):
+            # checkpoints from before the conv stride was removed carry "stride": 1
+            stride = layer.pop("stride", 1) if isinstance(layer, dict) else 1
+            if stride != 1:
+                raise ConfigurationError(
+                    f"model layer {i} has stride {stride!r}; conv-GLU layers have stride 1")
         mcfg = AcousticModelConfig(
-            layers=[_from_fields(ConvLayerSpec, layer, f"model layer {i}")
+            layers=[from_fields(ConvLayerSpec, layer, f"model layer {i}")
                     for i, layer in enumerate(layers)],
             alphabet_size=config["model"]["alphabet_size"],
         )
@@ -267,7 +259,7 @@ def load_system(path) -> SpeechSystem:
         raise ConfigurationError(f"{path}: acoustic-system checkpoint lacks key {err}") from None
     except ConfigurationError as err:
         raise ConfigurationError(f"{path}: {err}") from None
-    return SpeechSystem(frontend, model, arrays["transitions"], alphabet, config["frontend_kind"])
+    return SpeechSystem(frontend, model, arrays["transitions"], alphabet)
 
 
 def save_gcnn(path, lm: GcnnLm):
@@ -288,7 +280,7 @@ def load_gcnn(path) -> GcnnLm:
     if gcnn.pop("context_limit", None) is not None:
         raise ConfigurationError(f"{path}: context_limit is gone; wrap the LM in ContextLimitedLM")
     try:
-        return GcnnLm(Vocabulary(tokens), _from_fields(GcnnConfig, gcnn, "gcnn-lm config"),
+        return GcnnLm(Vocabulary(tokens), from_fields(GcnnConfig, gcnn, "gcnn-lm config"),
                       params=arrays)
     except ConfigurationError as err:
         raise ConfigurationError(f"{path}: {err}") from None
@@ -318,23 +310,6 @@ def evaluate(
     """Decode every utterance and aggregate WER/CER; deterministic."""
     return decode_and_score(_emission_items(manifest, system), trie, lm, opts,
                             ids=[entry.utt_id for entry in manifest.entries])
-
-
-def tune(
-    manifest: DatasetManifest,
-    system: SpeechSystem,
-    trie: LexiconTrie,
-    lm,
-    alphas,
-    betas,
-    gammas,
-    base_opts: DecoderOptions | None = None,
-    stage1=(2500, 26.0),
-    stage2=(3000, 50.0),
-):
-    """Two-stage hyper-parameter search on a validation manifest."""
-    items = eval_items(manifest, system)
-    return tune_grid(items, alphas, betas, gammas, trie, lm, base_opts, stage1, stage2)
 
 
 # -- LM studies ----------------------------------------------------------------

@@ -33,7 +33,6 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry]
-    split: str = "train"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -168,7 +167,7 @@ def _write_split(spec: SyntheticTaskSpec, out_dir, split: str, utterances) -> Da
         except OSError as exc:
             raise ConvSpeechError(f"failed writing {path}: {exc}") from exc
         entries.append(ManifestEntry(utt_id, str(path), " ".join(words)))
-    manifest = DatasetManifest(entries, split)
+    manifest = DatasetManifest(entries)
     save_manifest(Path(out_dir) / f"{split}.jsonl", manifest)
     return manifest
 
@@ -243,7 +242,7 @@ def save_manifest(path, manifest: DatasetManifest):
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_manifest(path, split: str = "train", check_files: bool = True) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     entries = []
     seen = set()
     for no, line in enumerate(read_text(path).splitlines(), start=1):
@@ -261,7 +260,7 @@ def load_manifest(path, split: str = "train", check_files: bool = True) -> Datas
         if record["id"] in seen:
             raise ConvSpeechError(f"{path}:{no}: duplicate utterance id {record['id']!r}")
         seen.add(record["id"])
-        if check_files and not Path(record["audio"]).is_file():
+        if not Path(record["audio"]).is_file():
             raise ConvSpeechError(f"{path}:{no}: audio file {record['audio']} not readable")
         entries.append(ManifestEntry(record["id"], record["audio"], record["text"]))
-    return DatasetManifest(entries, split)
+    return DatasetManifest(entries)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -31,3 +33,16 @@ def check_params(params: dict, shapes: dict[str, tuple], owner: str):
         if np.shape(params[key]) != shape:
             raise ConfigurationError(
                 f"{owner} array {key!r} has shape {np.shape(params[key])}, not {shape}")
+
+
+def from_fields(cls, entry, what: str):
+    """`cls(**entry)` for a dataclass, naming a missing or unknown key in a ConfigurationError."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{what} is a {type(entry).__name__}, not an object")
+    names = {f.name for f in fields(cls)}
+    if entry.keys() != names:
+        raise ConfigurationError(
+            f"{what} is missing {sorted(names - entry.keys())} "
+            f"and has unknown keys {sorted(entry.keys() - names)}"
+        )
+    return cls(**entry)

@@ -47,20 +47,20 @@ def naive_lowpass_decimate(power, window, stride):
     return out
 
 
-def naive_conv1d(x, weight, bias, stride=1, pad_left=0, pad_right=0):
-    """Scalar-loop 1-D cross-correlation. x: (C_in, T); weight: (C_out, C_in, K)."""
+def naive_conv1d(x, weight, bias, pad_left=0, pad_right=0):
+    """Scalar-loop 1-D cross-correlation at stride 1. x: (C_in, T); weight: (C_out, C_in, K)."""
     c_in, t_in = x.shape
     c_out, _, kw = weight.shape
     padded = np.zeros((c_in, t_in + pad_left + pad_right))
     padded[:, pad_left : pad_left + t_in] = x
-    t_out = (padded.shape[1] - kw) // stride + 1
+    t_out = padded.shape[1] - kw + 1
     out = np.zeros((c_out, t_out))
     for o in range(c_out):
         for t in range(t_out):
             acc = bias[o]
             for i in range(c_in):
                 for w in range(kw):
-                    acc += weight[o, i, w] * padded[i, t * stride + w]
+                    acc += weight[o, i, w] * padded[i, t + w]
             out[o, t] = acc
     return out
 

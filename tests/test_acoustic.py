@@ -48,13 +48,13 @@ def test_glu_odd_channels_rejected():
 def test_conv1d_identity_kernel():
     x = np.random.default_rng(3).normal(size=(2, 7))
     weight = np.eye(2)[:, :, None]  # width-1 identity channel map
-    out = ac.conv1d(x, weight, np.zeros(2))
+    out, _ = ac.conv1d(x, weight, np.zeros(2))
     assert np.allclose(out, x)
 
 
 def test_conv1d_zero_weights_give_bias():
     x = np.random.default_rng(4).normal(size=(3, 5))
-    out = ac.conv1d(x, np.zeros((2, 3, 3)), np.array([1.5, -0.5]))
+    out, _ = ac.conv1d(x, np.zeros((2, 3, 3)), np.array([1.5, -0.5]))
     assert np.allclose(out[0], 1.5) and np.allclose(out[1], -0.5)
 
 
@@ -63,27 +63,24 @@ def test_conv1d_matches_naive():
     x = rng.normal(size=(3, 11))
     weight = rng.normal(size=(4, 3, 5))
     bias = rng.normal(size=4)
-    for stride in (1, 2):
-        got = ac.conv1d(x, weight, bias, stride=stride)
-        want = naive_conv1d(x, weight, bias, stride=stride, pad_left=2, pad_right=2)
-        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
+    got, _ = ac.conv1d(x, weight, bias)
+    want = naive_conv1d(x, weight, bias, pad_left=2, pad_right=2)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
 
 
-@pytest.mark.parametrize("stride, t_in", [(1, 11), (2, 11), (2, 12), (3, 10)])
-def test_conv1d_backward_input_gradient_bit_equal_to_scatter(stride, t_in):
-    rng = np.random.default_rng(40 + stride + t_in)
+def test_conv1d_backward_input_gradient_bit_equal_to_scatter():
+    rng = np.random.default_rng(52)
     weight = rng.normal(size=(4, 3, 5))
-    out, cache = ac.conv1d(rng.normal(size=(3, t_in)), weight, np.zeros(4), stride=stride,
-                           want_cache=True)
+    out, cache = ac.conv1d(rng.normal(size=(3, 11)), weight, np.zeros(4))
     d_out = rng.normal(size=out.shape)
     _, _, d_x = ac.conv1d_backward(cache, d_out)
     # the per-tap scatter formula with np.add.at
     d_cols = (weight.reshape(4, -1).T @ d_out).reshape(3, 5, -1)
     d_padded = np.zeros((3, cache["padded_len"]))
-    positions = stride * np.arange(out.shape[1])
+    positions = np.arange(out.shape[1])
     for w in range(5):
         np.add.at(d_padded, (slice(None), positions + w), d_cols[:, w, :])
-    assert np.array_equal(d_x, d_padded[:, 2 : 2 + t_in])
+    assert np.array_equal(d_x, d_padded[:, 2 : 2 + 11])
 
 
 def test_conv1d_channel_mismatch():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from convspeech import pipeline, synth
-from convspeech.checkpoint import read_lexicon
+from convspeech.checkpoint import load_checkpoint, read_lexicon
 from convspeech.cli import _load_task, _save_task, build_parser, main, parse_config_file
 from convspeech.errors import ConfigurationError
 from convspeech.gcnn import GcnnLm
@@ -48,6 +48,18 @@ def test_train_am_outputs(workspace):
     loss_lines = (workspace / "loss.csv").read_text().strip().splitlines()
     assert loss_lines[0].startswith("epoch")
     assert len(loss_lines) == 3
+
+
+def test_train_am_dropout_reaches_the_default_layers(workspace, tmp_path):
+    path = tmp_path / "am.ckpt"
+    rc = main(["train-am", "--manifest", str(workspace / "train.jsonl"),
+               "--task", str(workspace / "task.json"), "--filters", "4",
+               "--epochs", "0", "--dropout", "0.5", "--checkpoint", str(path)])
+    assert rc == 0
+    _, config, _ = load_checkpoint(path)
+    layers = config["model"]["layers"]
+    assert [(layer["out_channels"], layer["kernel_width"]) for layer in layers] == [(24, 9), (32, 9)]
+    assert [layer["dropout_rate"] for layer in layers] == [0.5, 0.5]
 
 
 def test_evaluate_and_report(workspace, capsys):
@@ -361,6 +373,11 @@ def test_decode_without_input_source_is_an_error_line(workspace, capsys, with_ma
       "--out", "o", "--limits", "a"], "--limits"),
     (["train-am", "--manifest", "m", "--task", "t", "--checkpoint", "c",
       "--layers", "24:9,x"], "--layers"),
+    # flags the subcommand does not take: tune picks the weights, decoding draws nothing
+    (["tune", "--manifest", "m", "--am", "a", "--lm", "l", "--lexicon", "x",
+      "--alpha", "1"], "--alpha"),
+    (["evaluate", "--manifest", "m", "--am", "a", "--lm", "l", "--lexicon", "x",
+      "--seed", "1"], "--seed"),
 ])
 def test_bad_list_values_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exit_info:

@@ -1,4 +1,6 @@
+import gc
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -37,6 +39,18 @@ def test_wav_round_trip(tmp_path):
     assert wave.samples.shape == (1600,)
     # PCM16 quantization error bound (write scales by 32767, read by 32768)
     assert np.max(np.abs(wave.samples - samples)) <= 1.5 / 32768 + 1e-9
+
+
+def test_wav_write_to_a_directory_raises_cleanly(tmp_path):
+    unraisable = []
+    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    try:
+        with pytest.raises(IsADirectoryError):
+            write_wav(tmp_path, np.zeros(4))
+        gc.collect()  # a half-built writer's __del__ would run here
+    finally:
+        sys.unraisablehook = hook
+    assert unraisable == []
 
 
 def test_wav_rejects_missing_riff(tmp_path):

@@ -15,7 +15,7 @@ from convspeech.acoustic import ConvLayerSpec, EmissionTable
 from convspeech.criterion import encode_target
 from convspeech.decoder import DecoderOptions, build_trie
 from convspeech.errors import ConfigurationError, ConvSpeechError
-from convspeech.frontend import FrontendConfig
+from convspeech.frontend import FrontendConfig, MelFrontend
 from convspeech.gcnn import GcnnConfig, GcnnLm
 from convspeech.lm import Vocabulary
 from convspeech.synth import transcript_letters
@@ -105,7 +105,6 @@ def test_infeasible_transcripts_are_skipped(tiny_task, tmp_path):
     bogus_words = " ".join(["abc"] * 40)  # far longer than any utterance
     bad = synth.DatasetManifest(
         entries=[entry, synth.ManifestEntry("bad", entry.audio, bogus_words)],
-        split="train",
     )
     system, history = pipeline.train_acoustic(
         bad, spec.lexicon, spec.alphabet,
@@ -115,7 +114,7 @@ def test_infeasible_transcripts_are_skipped(tiny_task, tmp_path):
     assert history[0]["skipped"] == 1
 
 
-def test_mel_frontend_training_runs(tiny_task):
+def test_mel_frontend_training_runs(tiny_task, tmp_path):
     spec, manifests, _ = tiny_task
     system, history = pipeline.train_acoustic(
         manifests["train"], spec.lexicon, spec.alphabet,
@@ -124,7 +123,10 @@ def test_mel_frontend_training_runs(tiny_task):
         settings=pipeline.TrainSettings(epochs=2, lr=0.3, batch_size=3, seed=0),
     )
     assert history[-1]["train_loss"] < history[0]["train_loss"]
-    assert system.frontend_kind == "mel"
+    assert isinstance(system.frontend, MelFrontend)
+    # the checkpoint records the kind of the front-end object it was given
+    pipeline.save_system(tmp_path / "mel.ckpt", system)
+    assert isinstance(pipeline.load_system(tmp_path / "mel.ckpt").frontend, MelFrontend)
 
 
 def test_system_checkpoint_round_trip(tiny_system, tiny_task, tmp_path):
@@ -199,6 +201,7 @@ SYSTEM_CORRUPTIONS = [
     (lambda p: _shrink_array(p, "transitions"), "transitions"),
     (lambda p: p["config"]["model"]["layers"][0].update(foo=1), "foo"),
     (lambda p: p["config"]["model"]["layers"][1].pop("kernel_width"), "kernel_width"),
+    (lambda p: p["config"]["model"]["layers"][0].update(stride=2), "stride"),
     (lambda p: p["config"]["model"]["layers"].__setitem__(0, 3), "layer 0"),
     (lambda p: p["config"]["model"].update(layers=[]), "layers"),
     (lambda p: p["config"]["frontend"].pop("num_filters"), "num_filters"),

@@ -86,7 +86,7 @@ def test_dataset_determinism_and_manifest(tmp_path):
         b1 = open(e1.audio, "rb").read()
         b2 = open(e2.audio, "rb").read()
         assert b1 == b2  # bit-identical audio under the same seed
-    loaded = synth.load_manifest(tmp_path / "run1" / "dev.jsonl", "dev")
+    loaded = synth.load_manifest(tmp_path / "run1" / "dev.jsonl")
     assert [e.utt_id for e in loaded.entries] == [e.utt_id for e in m1["dev"].entries]
     assert len(set(e.utt_id for e in loaded.entries)) == 4
 
@@ -98,12 +98,21 @@ def test_unique_ids_across_larger_set(tmp_path):
     assert len(set(ids)) == 20
 
 
-def test_manifest_rejects_duplicates(tmp_path):
-    path = tmp_path / "m.jsonl"
+@pytest.fixture
+def audio_dir(tmp_path, monkeypatch):
+    """tmp_path as the working directory, holding the audio files "x" and "y"."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("x", "y"):
+        (tmp_path / name).touch()
+    return tmp_path
+
+
+def test_manifest_rejects_duplicates(audio_dir):
+    path = audio_dir / "m.jsonl"
     path.write_text('{"id": "u1", "audio": "x", "text": "a"}\n'
                     '{"id": "u1", "audio": "y", "text": "b"}\n')
     with pytest.raises(ConvSpeechError, match="duplicate"):
-        synth.load_manifest(path, check_files=False)
+        synth.load_manifest(path)
 
 
 @pytest.mark.parametrize("line, problem", [
@@ -111,18 +120,18 @@ def test_manifest_rejects_duplicates(tmp_path):
     ('{"id": [1], "audio": "x", "text": "a"}', "'id' is missing or not a string"),
     ('{"id": "u1", "audio": "x", "text": null}', "'text' is missing or not a string"),
 ])
-def test_manifest_rejects_wrong_types(tmp_path, line, problem):
-    path = tmp_path / "m.jsonl"
+def test_manifest_rejects_wrong_types(audio_dir, line, problem):
+    path = audio_dir / "m.jsonl"
     path.write_text(line + "\n")
     with pytest.raises(ConvSpeechError, match=f"m.jsonl:1: .*{problem}"):
-        synth.load_manifest(path, check_files=False)
+        synth.load_manifest(path)
 
 
-def test_manifest_rejects_missing_field(tmp_path):
-    path = tmp_path / "m.jsonl"
+def test_manifest_rejects_missing_field(audio_dir):
+    path = audio_dir / "m.jsonl"
     path.write_text('{"id": "u1", "audio": "x"}\n')
     with pytest.raises(ConvSpeechError, match="text"):
-        synth.load_manifest(path, check_files=False)
+        synth.load_manifest(path)
 
 
 def test_markov_bias_rows_are_distributions():
