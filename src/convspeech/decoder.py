@@ -20,14 +20,22 @@ node's last letter is its edge letter, and the root's is silence (or none
 before the first frame). `build_trie` therefore holds the trie only as a
 move table that lists, per node, its children in insertion order, then the
 repeat of its edge letter, then its silence moves: a plain silence at the
-root, one silence-and-word move per homophone at a terminal. The beam is a
-`Beam` of parallel arrays, so a frame's expansion is one `np.repeat` plus
-gathers, `merge_hypotheses` pools groups with `reduceat` over one stable sort,
-and `prune` is a threshold plus one stable sort. Each frame keeps only its
-survivors' back-pointers (parent index, letter, word id), from which the best
-path is read back at the end. LM states are interned to integers per `decode`
-call, and (state, word) scores are memoised there, so the LM sees each
-distinct pair once.
+root, one silence-and-word move per homophone at a terminal. The table is a
+(nodes, most moves of a node) array of move ids padded with -1, so the moves
+of a whole beam are one gather of its nodes' rows and one mask.
+
+Since a node fixes the letter before each of its moves, the score of a move
+at frame t, emission plus transition minus the silence penalty, depends only
+on (t, move). `decode` computes it for every frame and move in one (T, moves)
+table before the first frame; the first frame's row has no transition score,
+as nothing precedes it. A frame's expansion is then a handful of gathers.
+The beam is a `Beam` of parallel arrays; `merge_hypotheses` pools groups with
+`reduceat` over one stable sort, and `prune` is a threshold plus one stable
+sort. Each frame keeps only its survivors' back-pointers (parent index,
+letter, word id), from which the best path is read back at the end. LM
+states are interned to integers and (state, word) scores are memoised once
+per `decode`, `decode_and_score` or `tune_grid` call, so the LM sees each
+distinct pair once per call, however many utterances or grid points share it.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from .criterion import Alphabet, as_scores, encode_target
-from .errors import ConfigurationError, EmptyBeamError, VocabularyError
+from .errors import (ConfigurationError, DimensionError, DomainError, EmptyBeamError,
+                     VocabularyError)
 from .metrics import EvalReport, aggregate, score_utterance
 
 
@@ -46,19 +55,22 @@ from .metrics import EvalReport, aggregate, score_utterance
 class LexiconTrie:
     """The lexicon trie, held only as its move table.
 
-    Node 0 is the root. The moves of node n are `move_offsets[n]` up to
-    `move_offsets[n + 1]`; move m goes to node `move_dest[m]` on letter
-    `move_letter[m]` and emits word `words[move_word[m]]` (-1: no word).
-    Nodes are numbered breadth first, so the child moves of node n are its
-    moves to nodes greater than n.
+    Node 0 is the root. Row n of `node_moves` lists the ids of node n's moves,
+    padded with -1 to the width of the node with the most moves. Move m goes
+    to node `move_dest[m]` on letter `move_letter[m]`, emits word
+    `words[move_word[m]]` (-1: no word), and starts from a hypothesis whose
+    last letter is `move_prev_letter[m]`: its node's edge letter, silence at
+    the root. Nodes are numbered breadth first, so the child moves of node n
+    are its moves to nodes greater than n.
     """
 
     alphabet: Alphabet
     words: tuple[str, ...]
-    move_offsets: np.ndarray
+    node_moves: np.ndarray
     move_dest: np.ndarray
     move_letter: np.ndarray
     move_word: np.ndarray
+    move_prev_letter: np.ndarray
 
 
 def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> LexiconTrie:
@@ -84,20 +96,25 @@ def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> Lexicon
         ending.setdefault(code, []).append(w)
     sil = alphabet.silence_index
     prefixes: list[tuple] = [()]
-    moves: list[tuple[int, int, int]] = []
-    offsets = [0]
+    moves: list[tuple[int, int, int, int]] = []  # (dest, letter, word, previous letter)
+    rows: list[range] = []
     for n, prefix in enumerate(prefixes):  # breadth first; `prefixes` grows as it goes
+        first = len(moves)
+        prev = prefix[-1] if prefix else sil
         for letter in children.get(prefix, ()):
-            moves.append((len(prefixes), letter, -1))
+            moves.append((len(prefixes), letter, -1, prev))
             prefixes.append(prefix + (letter,))
         if n == 0:
-            moves.append((0, sil, -1))
+            moves.append((0, sil, -1, prev))
         else:
-            moves.append((n, prefix[-1], -1))
-            moves.extend((0, sil, w) for w in ending.get(prefix, ()))
-        offsets.append(len(moves))
-    dest, letter, word = (np.array(column, dtype=np.int64) for column in zip(*moves))
-    return LexiconTrie(alphabet, words, np.array(offsets, dtype=np.int64), dest, letter, word)
+            moves.append((n, prev, -1, prev))
+            moves.extend((0, sil, w, prev) for w in ending.get(prefix, ()))
+        rows.append(range(first, len(moves)))
+    node_moves = np.full((len(rows), max(map(len, rows))), -1, dtype=np.int64)
+    for n, row in enumerate(rows):
+        node_moves[n, :len(row)] = row
+    dest, letter, word, prev = (np.array(column, dtype=np.int64) for column in zip(*moves))
+    return LexiconTrie(alphabet, words, node_moves, dest, letter, word, prev)
 
 
 @dataclass
@@ -124,7 +141,7 @@ class DecoderOptions:
 class Beam:
     """Hypotheses as parallel arrays, one entry each.
 
-    `node` is the trie node id, `state` the LM state id interned by `decode`,
+    `node` is the trie node id, `state` the LM state id interned by the search,
     `last` the last letter (-1 before the first frame). `acc` pools the
     acoustic path scores (emissions plus transitions) with the per-frame
     silence penalty already folded in; the reported acoustic component adds
@@ -162,7 +179,9 @@ class Beam:
         return len(self.acc)
 
     def take(self, index) -> "Beam":
-        return Beam(*(getattr(self, f.name)[index] for f in fields(self)))
+        return Beam(self.node[index], self.state[index], self.last[index], self.acc[index],
+                    self.lm_raw[index], self.word_count[index], self.silence_count[index],
+                    self.parent[index], self.word[index])
 
     def totals(self, opts: DecoderOptions) -> np.ndarray:
         return self.acc + opts.alpha * self.lm_raw + opts.beta * self.word_count
@@ -196,15 +215,15 @@ def merge_hypotheses(beam: Beam, opts: DecoderOptions, key=merge_key) -> Beam:
     if opts.merge_mode == "off" or len(beam) < 2:
         return beam
     keys = key(beam)
-    order = np.argsort(keys, kind="stable")  # members stay in beam order
+    order = keys.argsort(kind="stable")  # members stay in beam order
     keys = keys[order]
     starts = np.empty(len(keys), dtype=bool)
     starts[0] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
+    first = starts.nonzero()[0]
     if len(first) == len(keys):
         return beam
-    group = np.cumsum(starts) - 1
+    group = starts.cumsum() - 1
     totals = beam.totals(opts)[order]
     best = totals == np.maximum.reduceat(totals, first)[group]
     winners = np.minimum.reduceat(np.where(best, np.arange(len(keys)), len(keys)), first)
@@ -215,7 +234,7 @@ def merge_hypotheses(beam: Beam, opts: DecoderOptions, key=merge_key) -> Beam:
             summed = np.log(np.add.reduceat(np.exp(acc - pooled[group]), first)) + pooled
         # an infinite peak gives nan above (inf - inf); the pool is then the peak
         pooled = np.where(np.isnan(summed), pooled, summed)
-    by_appearance = np.argsort(order[first])
+    by_appearance = order[first].argsort()
     merged = beam.take(order[winners[by_appearance]])
     merged.acc = pooled[by_appearance]
     return merged
@@ -229,13 +248,13 @@ def prune(beam: Beam, opts: DecoderOptions) -> Beam:
     if not len(beam):
         return beam
     totals = beam.totals(opts)
-    kept = np.flatnonzero(totals >= totals.max() - opts.beam_score)
-    kept = kept[np.argsort(-totals[kept], kind="stable")]
+    kept = (totals >= totals.max() - opts.beam_score).nonzero()[0]
+    kept = kept[(-totals[kept]).argsort(kind="stable")]
     return beam.take(kept[: opts.beam_size])
 
 
 class _LmMemo:
-    """One decode's LM lookups over interned states.
+    """LM lookups over interned states, shared by the decodes of one call.
 
     State id 0 is the LM's start state. `emit` and `finish` call the LM only
     for a (state, word) pair or a state they have not seen yet.
@@ -268,18 +287,22 @@ class _LmMemo:
                 self.end = np.concatenate([self.end, np.full(rows, np.nan)])
         return sid
 
-    def emit(self, word: np.ndarray, state: np.ndarray, lm_raw: np.ndarray):
-        """Score the moves that emit a word (`word` >= 0) into `state` and `lm_raw`."""
-        at = np.flatnonzero(word >= 0)
+    def emit(self, word: np.ndarray, emits: np.ndarray, state: np.ndarray,
+             lm_raw: np.ndarray):
+        """Score the moves that emit a word (`emits`) into `state` and `lm_raw`."""
+        at = emits.nonzero()[0]
         states, words = state[at], word[at]
-        miss = self.next[states, words] < 0
-        for s, w in zip(states[miss].tolist(), words[miss].tolist()):
-            if self.next[s, w] < 0:  # a pair can miss twice in one batch
-                logp, next_state = self.lm.score(self.states[s], self.token_ids[w])
-                self.logp[s, w] = logp
-                self.next[s, w] = self._intern(next_state)
+        next_states = self.next[states, words]
+        miss = next_states < 0
+        if miss.any():
+            for s, w in zip(states[miss].tolist(), words[miss].tolist()):
+                if self.next[s, w] < 0:  # a pair can miss twice in one batch
+                    logp, next_state = self.lm.score(self.states[s], self.token_ids[w])
+                    self.logp[s, w] = logp
+                    self.next[s, w] = self._intern(next_state)
+            next_states = self.next[states, words]
         lm_raw[at] += self.logp[states, words]
-        state[at] = self.next[states, words]
+        state[at] = next_states
 
     def finish(self, states: np.ndarray) -> np.ndarray:
         for s in states[np.isnan(self.end[states])].tolist():
@@ -289,12 +312,22 @@ class _LmMemo:
 
 
 def _moves(trie: LexiconTrie, beam: Beam):
-    """(move index, parent index) of every move of every hypothesis, in beam order."""
-    start = trie.move_offsets[beam.node]
-    count = trie.move_offsets[beam.node + 1] - start
-    parent = np.repeat(np.arange(len(beam)), count)
-    move = np.arange(len(parent)) + np.repeat(start - (np.cumsum(count) - count), count)
-    return move, parent
+    """(move id, parent index) of every move of every hypothesis, in beam order."""
+    moves = trie.node_moves[beam.node]
+    real = moves >= 0
+    return moves[real], real.nonzero()[0]
+
+
+def _move_scores(f: np.ndarray, g: np.ndarray, trie: LexiconTrie, gamma: float) -> np.ndarray:
+    """(T, moves) step scores: emission + transition - gamma * silence.
+
+    Row 0 has no transition score: before the first frame there is no letter.
+    """
+    letter = trie.move_letter
+    scores = f[:, letter] + g[trie.move_prev_letter, letter]
+    scores[0] = f[0, letter]
+    scores -= gamma * (letter == trie.alphabet.silence_index)
+    return scores
 
 
 def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeResult:
@@ -302,34 +335,50 @@ def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeR
 
     Word emission happens on the silence step after a terminal node (or at
     finalization); the sentence-end LM probability is added at the end and
-    hypotheses stuck mid-word are dropped. Raises EmptyBeamError with the
-    offending frame if nothing survives, and VocabularyError if a lexicon
-    word is missing from the LM vocabulary.
+    hypotheses stuck mid-word are dropped. Raises DimensionError unless the
+    emissions are (T, |A|) and `g` is (|A|, |A|), DomainError on a NaN score,
+    EmptyBeamError with the offending frame if nothing survives, and
+    VocabularyError if a lexicon word is missing from the LM vocabulary.
     """
+    return _search(emissions, g, trie, _LmMemo(lm, trie), opts)
+
+
+def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions):
+    """`decode` with the LM lookups of `memo`."""
     f = as_scores(emissions)
     gmat = np.asarray(g, dtype=np.float64)
+    size = len(trie.alphabet)
+    if f.ndim != 2 or f.shape[1] != size or gmat.shape != (size, size):
+        raise DimensionError(
+            f"emissions {f.shape} and transitions {gmat.shape} do not fit an alphabet of "
+            f"{size} letters: expected (frames, {size}) and ({size}, {size})")
+    if np.isnan(f).any() or np.isnan(gmat).any():
+        raise DomainError("emissions or transitions contain NaN")
     t_total = f.shape[0]
     if t_total < 1:
         raise EmptyBeamError(0, "no frames to decode")
-    memo = _LmMemo(lm, trie)
     sil = trie.alphabet.silence_index
-    # the row of last letter -1 (no letter yet) adds no transition score
-    gext = np.vstack([gmat, np.zeros((1, gmat.shape[1]))])
+    scores = _move_scores(f, gmat, trie, opts.gamma)
+    nodes = len(trie.node_moves)
+
+    def state_and_node(beam: Beam) -> np.ndarray:  # a node fixes the last letter
+        return beam.state * nodes + beam.node
+
     beam = Beam.of(acc=[0.0])
     history = []  # per frame: the survivors' (parent, last letter, word)
     for t in range(t_total):
         move, parent = _moves(trie, beam)
         letter = trie.move_letter[move]
         word = trie.move_word[move]
-        silent = letter == sil
-        step = f[t, letter] + gext[beam.last[parent], letter] - opts.gamma * silent
+        emits = word >= 0
         state = beam.state[parent]
         lm_raw = beam.lm_raw[parent]
-        memo.emit(word, state, lm_raw)
-        candidates = Beam(trie.move_dest[move], state, letter, beam.acc[parent] + step,
-                          lm_raw, beam.word_count[parent] + (word >= 0),
-                          beam.silence_count[parent] + silent, parent, word)
-        beam = prune(merge_hypotheses(candidates, opts), opts)
+        memo.emit(word, emits, state, lm_raw)
+        candidates = Beam(trie.move_dest[move], state, letter,
+                          beam.acc[parent] + scores[t][move], lm_raw,
+                          beam.word_count[parent] + emits,
+                          beam.silence_count[parent] + (letter == sil), parent, word)
+        beam = prune(merge_hypotheses(candidates, opts, key=state_and_node), opts)
         if not len(beam):
             raise EmptyBeamError(t)
         history.append((beam.parent, beam.last, beam.word))
@@ -342,11 +391,12 @@ def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeR
     if not len(move):
         raise EmptyBeamError(t_total, "no hypothesis ends at a word boundary")
     word = trie.move_word[move]
+    emits = word >= 0
     state = beam.state[parent]
     lm_raw = beam.lm_raw[parent]
-    memo.emit(word, state, lm_raw)
+    memo.emit(word, emits, state, lm_raw)
     finals = Beam(np.zeros_like(move), state, beam.last[parent], beam.acc[parent],
-                  lm_raw + memo.finish(state), beam.word_count[parent] + (word >= 0),
+                  lm_raw + memo.finish(state), beam.word_count[parent] + emits,
                   beam.silence_count[parent], parent, word)
     # pool complete hypotheses that spelled the same word history
     finals = merge_hypotheses(finals, opts, key=lambda b: b.state)
@@ -387,7 +437,7 @@ def tune_grid(
     the candidate point, its WER and its count of failed decodes.
     """
     def row(opts: DecoderOptions, stage: int) -> dict:
-        report = decode_and_score(validation, trie, lm, opts)
+        report = _score(validation, trie, memo, opts)
         return {"alpha": opts.alpha, "beta": opts.beta, "gamma": opts.gamma,
                 "beam_size": opts.beam_size, "beam_score": opts.beam_score,
                 "wer": report.wer, "failures": report.decode_failures, "stage": stage}
@@ -396,6 +446,7 @@ def tune_grid(
         raise ConfigurationError("tuning grids must be non-empty")
     if not validation:
         raise ConfigurationError("validation set is empty")
+    memo = _LmMemo(lm, trie)  # LM scores depend on no decoder option
     rows = [row(DecoderOptions(alpha=alpha, beta=beta, gamma=gamma,
                                beam_size=stage1[0], beam_score=stage1[1]), 1)
             for alpha in alphas for beta in betas for gamma in gammas]
@@ -413,14 +464,20 @@ def decode_and_score(items, trie: LexiconTrie, lm, opts: DecoderOptions,
     An utterance whose beam empties (EmptyBeamError) is scored as an empty
     hypothesis and counted in `decode_failures`. `ids` names the utterances
     (default: their positions). `items` may be any iterable, so emissions can
-    be computed one utterance at a time.
+    be computed one utterance at a time. The utterances share one LM memo.
     """
+    return _score(items, trie, _LmMemo(lm, trie), opts, ids)
+
+
+def _score(items, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions,
+           ids=None) -> EvalReport:
+    """`decode_and_score` with the LM lookups of `memo`."""
     scores = []
     char_pairs = []
     failures = 0
     for i, (emissions, g, reference) in enumerate(items):
         try:
-            hypothesis = decode(emissions, g, trie, lm, opts).words
+            hypothesis = _search(emissions, g, trie, memo, opts).words
         except EmptyBeamError:
             hypothesis = []
             failures += 1

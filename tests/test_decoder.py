@@ -5,7 +5,8 @@ import pytest
 
 from convspeech import decoder as dec
 from convspeech.criterion import Alphabet, encode_target
-from convspeech.errors import ConfigurationError, EmptyBeamError, VocabularyError
+from convspeech.errors import (ConfigurationError, DimensionError, DomainError, EmptyBeamError,
+                               VocabularyError)
 from convspeech.lm import Vocabulary
 
 from oracles import exhaustive_decode
@@ -69,9 +70,10 @@ def make_instance(rng, t=None, lexicon=None, opts=None):
 
 def _node_moves(trie, node):
     """(destination, letter, word id) of each move of `node`, in table order."""
-    lo, hi = trie.move_offsets[node], trie.move_offsets[node + 1]
-    return list(zip(trie.move_dest[lo:hi].tolist(), trie.move_letter[lo:hi].tolist(),
-                    trie.move_word[lo:hi].tolist()))
+    moves = trie.node_moves[node]
+    moves = moves[moves >= 0]
+    return list(zip(trie.move_dest[moves].tolist(), trie.move_letter[moves].tolist(),
+                    trie.move_word[moves].tolist()))
 
 
 def _children(trie, node):
@@ -153,6 +155,78 @@ def test_decode_matches_exhaustive_oracle():
         want = exhaustive_decode(emissions, g, lexicon, AB, lm, opts)
         assert got.objective == pytest.approx(want.objective, rel=1e-8), trial
         assert got.words == want.words
+
+
+def test_decode_with_impossible_letters_matches_exhaustive_oracle():
+    # -inf emissions forbid a letter at a frame; a pool must skip exactly those paths
+    rng = np.random.default_rng(14)
+    compared = 0
+    for trial in range(40):
+        emissions, g, trie, lm, opts = make_instance(rng)
+        emissions[rng.random(emissions.shape) < 0.25] = -np.inf
+        lexicon = {word: list(word) for word in trie.words}
+        want = exhaustive_decode(emissions, g, lexicon, AB, lm, opts)
+        got = dec.decode(emissions, g, trie, lm, opts)
+        if math.isfinite(want.objective):
+            assert got.objective == pytest.approx(want.objective, rel=1e-8), trial
+            assert got.words == want.words, trial
+            compared += 1
+        else:
+            assert got.objective == want.objective, trial
+    assert compared >= 20
+
+
+def test_last_letter_is_fixed_by_the_node(monkeypatch):
+    # the per-move score table relies on this: after the first frame a
+    # hypothesis's last letter is its node's edge letter, or silence at the root
+    beams = []
+
+    def kept(beam, opts, original=dec.prune):
+        beams.append(original(beam, opts))
+        return beams[-1]
+
+    monkeypatch.setattr(dec, "prune", kept)
+    rng = np.random.default_rng(15)
+    homophones = {"won": ["a"], "one": ["a"], "aa": ["a", "a"], "ab": ["a", "b"]}
+    for trial in range(20):
+        emissions, g, trie, lm, opts = make_instance(
+            rng, t=7, lexicon=homophones if trial % 4 == 0 else None)
+        node_letter = {0: SIL}
+        for dest, letter in zip(trie.move_dest.tolist(), trie.move_letter.tolist()):
+            assert node_letter.setdefault(dest, letter) == letter
+        for node, moves in enumerate(trie.node_moves):
+            prev = trie.move_prev_letter[moves[moves >= 0]]
+            assert (prev == node_letter[node]).all()
+        beams.clear()
+        dec.decode(emissions, g, trie, lm, opts)
+        assert len(beams) == emissions.shape[0]
+        for beam in beams:
+            assert beam.last.tolist() == [node_letter[n] for n in beam.node.tolist()], trial
+
+
+@pytest.mark.parametrize("f_shape, g_shape", [
+    ((3, len(AB) - 1), (len(AB), len(AB))),
+    ((3, len(AB) + 2), (len(AB), len(AB))),
+    ((3, len(AB)), (len(AB) - 1, len(AB) - 1)),
+    ((3, len(AB)), (len(AB) + 1, len(AB) + 1)),
+    ((len(AB),), (len(AB), len(AB))),
+])
+def test_decode_rejects_misshapen_scores(f_shape, g_shape):
+    trie = dec.build_trie({"a": ["a"]}, AB)
+    with pytest.raises(DimensionError) as err:
+        dec.decode(np.zeros(f_shape), np.zeros(g_shape), trie, uniform_lm(["a"]),
+                   dec.DecoderOptions())
+    assert str(f_shape) in str(err.value) and str(g_shape) in str(err.value)
+
+
+@pytest.mark.parametrize("where", ["emissions", "transitions"])
+def test_decode_rejects_nan_scores(where):
+    f = np.zeros((3, len(AB)))
+    g = np.zeros((len(AB), len(AB)))
+    (f if where == "emissions" else g)[1, 0] = np.nan
+    trie = dec.build_trie({"a": ["a"]}, AB)
+    with pytest.raises(DomainError, match="NaN"):
+        dec.decode(f, g, trie, uniform_lm(["a"]), dec.DecoderOptions())
 
 
 def test_large_gamma_reduces_silence():
@@ -464,3 +538,28 @@ def test_tune_grid_rejects_empty():
         dec.tune_grid([], [1.0], [0.0], [0.0], None, None)
     with pytest.raises(ConfigurationError):
         dec.tune_grid([(None, None, ["a"])], [], [0.0], [0.0], None, None)
+
+
+def test_decode_and_score_shares_lm_lookups():
+    # one LM memo per call: across utterances, and across tune_grid's points
+    rng = np.random.default_rng(16)
+    lexicon = {"a": ["a"], "b": ["b"], "ab": ["a", "b"]}
+    trie = dec.build_trie(lexicon, AB)
+    base = HistoryLm(list(lexicon))
+    items = []
+    for _ in range(4):
+        emissions, g, _, _, opts = make_instance(rng, t=5, lexicon=lexicon)
+        items.append((emissions, g, ["a"]))
+    lm = ProtocolOnlyLm(base)
+    report = dec.decode_and_score(items, trie, lm, opts)
+    assert lm.scored and len(set(lm.scored)) == len(lm.scored)
+    assert len(set(lm.finished)) == len(lm.finished)
+    alone = [dec.decode(emissions, g, trie, base, opts).words for emissions, g, _ in items]
+    assert [utterance.hypothesis for utterance in report.utterances] == alone
+    lm = ProtocolOnlyLm(base)
+    _, rows = dec.tune_grid(items, [0.0, 1.0], [0.5], [0.0, 0.3], trie, lm)
+    assert len(set(lm.scored)) == len(lm.scored)
+    assert [row["wer"] for row in rows] == [
+        dec.decode_and_score(items, trie, base, dec.DecoderOptions(
+            alpha=row["alpha"], beta=row["beta"], gamma=row["gamma"],
+            beam_size=row["beam_size"], beam_score=row["beam_score"])).wer for row in rows]
