@@ -29,13 +29,18 @@ at frame t, emission plus transition minus the silence penalty, depends only
 on (t, move). `decode` computes it for every frame and move in one (T, moves)
 table before the first frame; the first frame's row has no transition score,
 as nothing precedes it. A frame's expansion is then a handful of gathers.
-The beam is a `Beam` of parallel arrays; `merge_hypotheses` pools groups with
-`reduceat` over one stable sort, and `prune` is a threshold plus one stable
-sort. Each frame keeps only its survivors' back-pointers (parent index,
-letter, word id), from which the best path is read back at the end. LM
-states are interned to integers and (state, word) scores are memoised once
-per `decode`, `decode_and_score` or `tune_grid` call, so the LM sees each
-distinct pair once per call, however many utterances or grid points share it.
+
+The beam is a `Beam` of parallel arrays. Hypotheses merge on (LM state,
+node): `merge_hypotheses` groups them by one stable sort of that key, which
+is cast to 16 bits where it fits so that numpy sorts it by radix, pools each
+group with `reduceat`, and returns the groups' representatives; `prune`
+selects the survivors among those and makes the frame's one `Beam.take`.
+Each frame keeps only its survivors' back-pointers (parent index, move id).
+A move fixes its letter and word, so the best path's letters, words and
+silence count are read back from them at the end. LM states are interned to
+integers and (state, word) scores are memoised once per `decode`,
+`decode_and_score` or `tune_grid` call, so the LM sees each distinct pair
+once per call, however many utterances or grid points share it.
 """
 
 from __future__ import annotations
@@ -141,37 +146,35 @@ class DecoderOptions:
 class Beam:
     """Hypotheses as parallel arrays, one entry each.
 
-    `node` is the trie node id, `state` the LM state id interned by the search,
-    `last` the last letter (-1 before the first frame). `acc` pools the
-    acoustic path scores (emissions plus transitions) with the per-frame
-    silence penalty already folded in; the reported acoustic component adds
-    gamma * silence_count back. `lm_raw` is the unweighted LM log probability
-    of the words emitted so far. `parent` indexes the previous frame's beam
-    and `word` is the id of the word the last step emitted (-1: none).
+    `node` is the trie node id, `state` the LM state id interned by the search.
+    `acc` pools the acoustic path scores (emissions plus transitions) with the
+    per-frame silence penalty already folded in; the reported acoustic
+    component adds gamma * (silence frames of the best path) back. `lm_raw` is
+    the unweighted LM log probability of the words emitted so far. `parent`
+    indexes the previous frame's beam and `move` is the trie move that led
+    here (-1: none), which fixes the letter and the word (if any) of the step.
     """
 
     node: np.ndarray
     state: np.ndarray
-    last: np.ndarray
     acc: np.ndarray
     lm_raw: np.ndarray
     word_count: np.ndarray
-    silence_count: np.ndarray
     parent: np.ndarray
-    word: np.ndarray
+    move: np.ndarray
 
     @classmethod
     def of(cls, **columns) -> "Beam":
         """A beam from per-column sequences of one length.
 
-        Omitted columns are 0, except `last`, `parent` and `word`, which are
-        -1; so `Beam.of(acc=[0.0])` is the start of a search.
+        Omitted columns are 0, except `parent` and `move`, which are -1; so
+        `Beam.of(acc=[0.0])` is the start of a search.
         """
         size = len(next(iter(columns.values())))
         filled = {}
         for f in fields(cls):
             dtype = np.float64 if f.name in ("acc", "lm_raw") else np.int64
-            default = -1 if f.name in ("last", "parent", "word") else 0
+            default = -1 if f.name in ("parent", "move") else 0
             filled[f.name] = np.asarray(columns.get(f.name, [default] * size), dtype=dtype)
         return cls(**filled)
 
@@ -179,12 +182,13 @@ class Beam:
         return len(self.acc)
 
     def take(self, index) -> "Beam":
-        return Beam(self.node[index], self.state[index], self.last[index], self.acc[index],
-                    self.lm_raw[index], self.word_count[index], self.silence_count[index],
-                    self.parent[index], self.word[index])
+        return Beam(self.node[index], self.state[index], self.acc[index], self.lm_raw[index],
+                    self.word_count[index], self.parent[index], self.move[index])
 
-    def totals(self, opts: DecoderOptions) -> np.ndarray:
-        return self.acc + opts.alpha * self.lm_raw + opts.beta * self.word_count
+    def totals(self, opts: DecoderOptions, index=slice(None)) -> np.ndarray:
+        """The objective so far of the hypotheses `index` (default: all)."""
+        return (self.acc[index] + opts.alpha * self.lm_raw[index]
+                + opts.beta * self.word_count[index])
 
 
 @dataclass
@@ -198,59 +202,56 @@ class DecodeResult:
     silence_count: int
 
 
-def merge_key(beam: Beam) -> np.ndarray:
-    """(trie node, LM state, last letter), packed into one integer per entry."""
-    states = int(beam.state.max()) + 1
-    letters = int(beam.last.max()) + 2
-    return (beam.node * states + beam.state) * letters + (beam.last + 1)
+def merge_hypotheses(beam: Beam, opts: DecoderOptions, key: np.ndarray) -> np.ndarray:
+    """Pool the hypotheses of `beam` whose `key` entries are equal.
 
-
-def merge_hypotheses(beam: Beam, opts: DecoderOptions, key=merge_key) -> Beam:
-    """Pool hypotheses whose `key(beam)` entries are equal.
-
-    The pooled accumulator is the log-add of the members' accumulators (or the
-    max in "max" mode); every other field comes from the first member with the
-    highest total. Beam order follows each group's first appearance.
+    Returns the index of each group's representative, the first member with
+    the highest total, in order of each group's first appearance, and writes
+    the group's pooled accumulator into `beam.acc` at it: the log-add of the
+    members' accumulators, or the max in "max" mode. numpy sorts a 16-bit
+    `key` by radix and a wider one by timsort; both group alike.
     """
-    if opts.merge_mode == "off" or len(beam) < 2:
-        return beam
-    keys = key(beam)
-    order = keys.argsort(kind="stable")  # members stay in beam order
-    keys = keys[order]
-    starts = np.empty(len(keys), dtype=bool)
+    size = len(beam)
+    if opts.merge_mode == "off" or size < 2:
+        return np.arange(size)
+    order = key.argsort(kind="stable")  # members stay in beam order
+    keys = key[order]
+    starts = np.empty(size, dtype=bool)
     starts[0] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     first = starts.nonzero()[0]
-    if len(first) == len(keys):
-        return beam
-    group = starts.cumsum() - 1
+    if len(first) == size:
+        return np.arange(size)
+    starts[0] = False
+    group = starts.cumsum()  # group id of each sorted member
     totals = beam.totals(opts)[order]
     best = totals == np.maximum.reduceat(totals, first)[group]
-    winners = np.minimum.reduceat(np.where(best, np.arange(len(keys)), len(keys)), first)
+    winners = np.minimum.reduceat(np.where(best, np.arange(size), size), first)
     acc = beam.acc[order]
     pooled = np.maximum.reduceat(acc, first)
     if opts.merge_mode == "logadd":  # as util.logsumexp, one group at a time
         with np.errstate(invalid="ignore"):
             summed = np.log(np.add.reduceat(np.exp(acc - pooled[group]), first)) + pooled
-        # an infinite peak gives nan above (inf - inf); the pool is then the peak
-        pooled = np.where(np.isnan(summed), pooled, summed)
-    by_appearance = order[first].argsort()
-    merged = beam.take(order[winners[by_appearance]])
-    merged.acc = pooled[by_appearance]
-    return merged
+        # an infinite peak gives nan above (inf - inf); the pool is then the peak,
+        # and otherwise summed >= peak, since the peak's own term is exp(0) = 1
+        pooled = np.fmax(summed, pooled)
+    representatives = order[winners]
+    beam.acc[representatives] = pooled
+    return representatives[order[first].argsort()]
 
 
-def prune(beam: Beam, opts: DecoderOptions) -> Beam:
-    """Drop hypotheses below best - beam_score, then keep the top beam_size.
+def prune(beam: Beam, index: np.ndarray, opts: DecoderOptions) -> Beam:
+    """The survivors among the hypotheses `index` of `beam`, best first.
 
-    Ties break deterministically by beam order (stable sort).
+    Drops those below best - beam_score, then keeps the top beam_size. Ties
+    break deterministically by their order in `index` (stable sort).
     """
-    if not len(beam):
-        return beam
-    totals = beam.totals(opts)
-    kept = (totals >= totals.max() - opts.beam_score).nonzero()[0]
-    kept = kept[(-totals[kept]).argsort(kind="stable")]
-    return beam.take(kept[: opts.beam_size])
+    totals = beam.totals(opts, index)
+    if len(index):
+        kept = np.count_nonzero(totals >= totals.max() - opts.beam_score)
+        # the kept totals lead the descending order, ties in `index` order
+        index = index[(-totals).argsort(kind="stable")[: min(kept, opts.beam_size)]]
+    return beam.take(index)
 
 
 class _LmMemo:
@@ -291,17 +292,17 @@ class _LmMemo:
              lm_raw: np.ndarray):
         """Score the moves that emit a word (`emits`) into `state` and `lm_raw`."""
         at = emits.nonzero()[0]
-        states, words = state[at], word[at]
-        next_states = self.next[states, words]
+        pair = state[at] * self.next.shape[1] + word[at]  # flat index into next and logp
+        next_states = self.next.ravel()[pair]
         miss = next_states < 0
         if miss.any():
-            for s, w in zip(states[miss].tolist(), words[miss].tolist()):
+            for s, w in zip(state[at[miss]].tolist(), word[at[miss]].tolist()):
                 if self.next[s, w] < 0:  # a pair can miss twice in one batch
                     logp, next_state = self.lm.score(self.states[s], self.token_ids[w])
                     self.logp[s, w] = logp
                     self.next[s, w] = self._intern(next_state)
-            next_states = self.next[states, words]
-        lm_raw[at] += self.logp[states, words]
+            next_states = self.next.ravel()[pair]
+        lm_raw[at] += self.logp.ravel()[pair]
         state[at] = next_states
 
     def finish(self, states: np.ndarray) -> np.ndarray:
@@ -361,27 +362,25 @@ def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions
     scores = _move_scores(f, gmat, trie, opts.gamma)
     nodes = len(trie.node_moves)
 
-    def state_and_node(beam: Beam) -> np.ndarray:  # a node fixes the last letter
-        return beam.state * nodes + beam.node
-
     beam = Beam.of(acc=[0.0])
-    history = []  # per frame: the survivors' (parent, last letter, word)
+    history = []  # per frame: the survivors' (parent, move)
     for t in range(t_total):
         move, parent = _moves(trie, beam)
-        letter = trie.move_letter[move]
         word = trie.move_word[move]
         emits = word >= 0
         state = beam.state[parent]
         lm_raw = beam.lm_raw[parent]
         memo.emit(word, emits, state, lm_raw)
-        candidates = Beam(trie.move_dest[move], state, letter,
-                          beam.acc[parent] + scores[t][move], lm_raw,
-                          beam.word_count[parent] + emits,
-                          beam.silence_count[parent] + (letter == sil), parent, word)
-        beam = prune(merge_hypotheses(candidates, opts, key=state_and_node), opts)
+        node = trie.move_dest[move]
+        candidates = Beam(node, state, beam.acc[parent] + scores[t][move], lm_raw,
+                          beam.word_count[parent] + emits, parent, move)
+        key = state * nodes + node  # (LM state, node): a node fixes the last letter
+        if len(memo.states) * nodes <= 1 << 16:
+            key = key.astype(np.uint16)  # a 16-bit key sorts by radix
+        beam = prune(candidates, merge_hypotheses(candidates, opts, key), opts)
         if not len(beam):
             raise EmptyBeamError(t)
-        history.append((beam.parent, beam.last, beam.word))
+        history.append((beam.parent, beam.move))
 
     # finalize: a hypothesis at the root ends as it is, one at a terminal
     # emits each of its words; both then score the sentence end
@@ -395,26 +394,26 @@ def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions
     state = beam.state[parent]
     lm_raw = beam.lm_raw[parent]
     memo.emit(word, emits, state, lm_raw)
-    finals = Beam(np.zeros_like(move), state, beam.last[parent], beam.acc[parent],
-                  lm_raw + memo.finish(state), beam.word_count[parent] + emits,
-                  beam.silence_count[parent], parent, word)
+    finals = Beam(np.zeros_like(move), state, beam.acc[parent], lm_raw + memo.finish(state),
+                  beam.word_count[parent] + emits, parent, move)
     # pool complete hypotheses that spelled the same word history
-    finals = merge_hypotheses(finals, opts, key=lambda b: b.state)
-    totals = finals.totals(opts)
-    best = int(np.argmax(totals))
-    words = [trie.words[finals.word[best]]] if finals.word[best] >= 0 else []
-    letters = []
+    index = merge_hypotheses(finals, opts, finals.state)
+    totals = finals.totals(opts, index)
+    pick = int(np.argmax(totals))
+    best = int(index[pick])
+    # read the best path back: its moves fix its letters, words and silences
+    path = []
     at = finals.parent[best]
-    for parents, lasts, step_words in reversed(history):
-        letters.append(int(lasts[at]))
-        if step_words[at] >= 0:
-            words.append(trie.words[step_words[at]])
+    for parents, moves in reversed(history):
+        path.append(moves[at])
         at = parents[at]
-    words.reverse()
-    letters.reverse()
+    path.reverse()
+    path_letters = trie.move_letter[path]
+    path_words = trie.move_word[path + [finals.move[best]]]
+    words = [trie.words[w] for w in path_words[path_words >= 0].tolist()]
     acc = float(finals.acc[best])
-    silences = int(finals.silence_count[best])
-    return DecodeResult(words, letters, float(totals[best]),
+    silences = int((path_letters == sil).sum())
+    return DecodeResult(words, path_letters.tolist(), float(totals[pick]),
                         acc + opts.gamma * silences, float(finals.lm_raw[best]),
                         int(finals.word_count[best]), silences)
 

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from oracles import exhaustive_decode
 
 AB = Alphabet.from_plain_letters(("a", "b", "c"))
 SIL = AB.silence_index
+GOLDEN = Path(__file__).with_name("decoder_golden.json")
 
 
 class HistoryLm:
@@ -178,11 +182,12 @@ def test_decode_with_impossible_letters_matches_exhaustive_oracle():
 
 def test_last_letter_is_fixed_by_the_node(monkeypatch):
     # the per-move score table relies on this: after the first frame a
-    # hypothesis's last letter is its node's edge letter, or silence at the root
+    # hypothesis's last letter, that of the move that led to it, is its node's
+    # edge letter, or silence at the root
     beams = []
 
-    def kept(beam, opts, original=dec.prune):
-        beams.append(original(beam, opts))
+    def kept(*args, original=dec.prune):
+        beams.append(original(*args))
         return beams[-1]
 
     monkeypatch.setattr(dec, "prune", kept)
@@ -201,7 +206,8 @@ def test_last_letter_is_fixed_by_the_node(monkeypatch):
         dec.decode(emissions, g, trie, lm, opts)
         assert len(beams) == emissions.shape[0]
         for beam in beams:
-            assert beam.last.tolist() == [node_letter[n] for n in beam.node.tolist()], trial
+            last = trie.move_letter[beam.move]
+            assert last.tolist() == [node_letter[n] for n in beam.node.tolist()], trial
 
 
 @pytest.mark.parametrize("f_shape, g_shape", [
@@ -242,34 +248,76 @@ def test_large_gamma_reduces_silence():
 def _entries(beam):
     """The beam as one tuple of column values per hypothesis."""
     return list(zip(*(getattr(beam, name).tolist() for name in
-                      ("node", "state", "last", "acc", "lm_raw", "word_count",
-                       "silence_count", "parent", "word"))))
+                      ("node", "state", "acc", "lm_raw", "word_count", "parent", "move"))))
+
+
+def _merged(beam, opts, key):
+    """merge_hypotheses as the beam it leaves: the representatives, pooled."""
+    return beam.take(dec.merge_hypotheses(beam, opts, np.asarray(key)))
 
 
 def test_merge_logadd_of_accumulators():
-    beam = dec.Beam.of(last=[0, 0], acc=[math.log(0.25), math.log(0.5)])
-    merged = dec.merge_hypotheses(beam, dec.DecoderOptions())
+    beam = dec.Beam.of(acc=[math.log(0.25), math.log(0.5)])
+    merged = _merged(beam, dec.DecoderOptions(), [0, 0])
     assert len(merged) == 1
     assert merged.acc[0] == pytest.approx(math.log(0.75), rel=1e-12)
 
 
 def test_merge_keeps_distinct_keys():
-    beam = dec.Beam.of(node=[1, 2, 1, 1], state=[0, 0, 1, 0], last=[0, 0, 0, 1])
-    merged = dec.merge_hypotheses(beam, dec.DecoderOptions())
+    beam = dec.Beam.of(node=[1, 2, 1, 1], state=[0, 0, 1, 0], move=[0, 0, 0, 1])
+    merged = _merged(beam, dec.DecoderOptions(), [0, 1, 2, 3])
     assert _entries(merged) == _entries(beam)
 
 
 def test_merge_winner_carries_fields():
-    beam = dec.Beam.of(last=[0, 0], acc=[0.0, 2.0], word_count=[1, 3])
-    merged = dec.merge_hypotheses(beam, dec.DecoderOptions())
-    assert merged.word_count[0] == 3
+    beam = dec.Beam.of(acc=[0.0, 2.0], word_count=[1, 3], move=[4, 5])
+    merged = _merged(beam, dec.DecoderOptions(), [7, 7])
+    assert (merged.word_count[0], merged.move[0]) == (3, 5)
     assert merged.acc[0] == pytest.approx(np.logaddexp(0.0, 2.0))
 
 
+def test_merge_returns_representatives_in_order_of_first_appearance():
+    # group 1 appears first but is won by its later member, after group 0's winner
+    beam = dec.Beam.of(acc=[0.0, 1.0, 5.0])
+    index = dec.merge_hypotheses(beam, dec.DecoderOptions(merge_mode="max"), np.array([1, 0, 1]))
+    assert index.tolist() == [2, 1]
+    assert beam.acc[index].tolist() == [5.0, 1.0]
+
+
 def test_max_merge_mode():
-    beam = dec.Beam.of(last=[0, 0], acc=[1.0, 2.0])
+    beam = dec.Beam.of(acc=[1.0, 2.0])
     opts = dec.DecoderOptions(merge_mode="max")
-    assert dec.merge_hypotheses(beam, opts).acc[0] == 2.0
+    assert _merged(beam, opts, [3, 3]).acc[0] == 2.0
+
+
+def _random_beam(rng, size):
+    """A beam with tied totals, impossible accumulators and clashing keys."""
+    acc = np.round(rng.normal(size=size), 1)
+    acc[rng.random(size) < 0.1] = -np.inf
+    return dec.Beam.of(node=rng.integers(0, 9, size), state=rng.integers(0, 5, size), acc=acc,
+                       lm_raw=np.round(rng.normal(size=size), 1),
+                       word_count=rng.integers(0, 3, size), parent=np.arange(size),
+                       move=rng.integers(0, 20, size))
+
+
+@pytest.mark.parametrize("mode", ["logadd", "max", "off"])
+def test_merge_groups_alike_for_16_and_64_bit_keys(mode):
+    # the search casts its keys to 16 bits where they fit, which numpy sorts by
+    # radix; wider keys sort as int64; both must pick the same representatives
+    rng = np.random.default_rng(17)
+    opts = dec.DecoderOptions(alpha=0.5, beta=0.5, merge_mode=mode)
+    for trial in range(20):
+        beam = _random_beam(rng, int(rng.integers(1, 400)))
+        key = (beam.state * 9 + beam.node).astype(np.uint16)
+        narrow, wide = (beam.take(np.arange(len(beam))) for _ in range(2))  # merge writes acc
+        index = dec.merge_hypotheses(narrow, opts, key)
+        assert dec.merge_hypotheses(wide, opts, key.astype(np.int64) + (1 << 16)).tolist() \
+            == index.tolist(), trial
+        assert narrow.acc[index].tobytes() == wide.acc[index].tobytes(), trial
+        if mode == "off":
+            assert index.tolist() == list(range(len(beam)))
+        else:
+            assert sorted(key[index].tolist()) == sorted(set(key.tolist())), trial
 
 
 def test_merged_and_unmerged_agree():
@@ -291,24 +339,35 @@ def test_merged_and_unmerged_agree():
         assert on.objective == pytest.approx(off.objective, rel=1e-10)
 
 
+def _pruned(beam, opts):
+    return dec.prune(beam, np.arange(len(beam)), opts)
+
+
 def test_prune_noop_when_generous():
-    beam = dec.Beam.of(last=list(range(5)), acc=[float(-i) for i in range(5)])
+    beam = dec.Beam.of(move=list(range(5)), acc=[float(-i) for i in range(5)])
     opts = dec.DecoderOptions(beam_size=10, beam_score=math.inf)
-    assert _entries(dec.prune(beam, opts)) == _entries(beam)
+    assert _entries(_pruned(beam, opts)) == _entries(beam)
 
 
 def test_prune_threshold():
-    beam = dec.Beam.of(last=[0, 1, 2], acc=[0.0, -10.0, -30.0])
+    beam = dec.Beam.of(move=[0, 1, 2], acc=[0.0, -10.0, -30.0])
     opts = dec.DecoderOptions(beam_size=10, beam_score=26.0)
-    kept = dec.prune(beam, opts)
+    kept = _pruned(beam, opts)
     assert kept.acc.tolist() == [0.0, -10.0]
 
 
 def test_prune_respects_beam_size_and_ties():
-    beam = dec.Beam.of(last=list(range(4)), acc=[1.0] * 4)
+    beam = dec.Beam.of(move=list(range(4)), acc=[1.0] * 4)
     opts = dec.DecoderOptions(beam_size=2, beam_score=math.inf)
-    kept = dec.prune(beam, opts)
-    assert kept.last.tolist() == [0, 1]  # beam order on ties
+    kept = _pruned(beam, opts)
+    assert kept.move.tolist() == [0, 1]  # beam order on ties
+
+
+def test_prune_selects_from_the_given_hypotheses():
+    beam = dec.Beam.of(move=list(range(5)), acc=[9.0, 1.0, 3.0, 1.0, 8.0])
+    opts = dec.DecoderOptions(beam_size=2, beam_score=math.inf)
+    kept = dec.prune(beam, np.array([3, 1, 2]), opts)
+    assert kept.move.tolist() == [2, 3]  # ties in the order given, not in beam order
 
 
 def test_pruned_decode_equals_unpruned_on_small_instances():
@@ -334,6 +393,19 @@ def test_objective_decomposition():
         assert res.objective == pytest.approx(recomposed, rel=1e-10)
         assert len(res.letter_path) == emissions.shape[0]
         assert res.word_count == len(res.words)
+
+
+def test_counts_read_back_from_the_path():
+    # the beam keeps no silence count: decode reads it back from the best path
+    rng = np.random.default_rng(18)
+    for trial in range(300):
+        emissions, g, trie, lm, opts = make_instance(rng)
+        opts = dataclasses.replace(opts, merge_mode=("logadd", "max", "off")[trial % 3])
+        if trial % 3 == 1:
+            emissions[rng.random(emissions.shape) < 0.25] = -np.inf
+        res = dec.decode(emissions, g, trie, lm, opts)
+        assert res.silence_count == res.letter_path.count(SIL), trial
+        assert res.word_count == len(res.words), trial
 
 
 def test_alpha_zero_invariant_to_lm():
@@ -563,3 +635,54 @@ def test_decode_and_score_shares_lm_lookups():
         dec.decode_and_score(items, trie, base, dec.DecoderOptions(
             alpha=row["alpha"], beta=row["beta"], gamma=row["gamma"],
             beam_size=row["beam_size"], beam_score=row["beam_score"])).wer for row in rows]
+
+
+def _golden_cases():
+    """40 seeded decodes over the merge modes, half with impossible letters, a
+    quarter with homophones, a fifth under a beam tight enough to fail."""
+    homophones = {"won": ["a"], "one": ["a"], "aa": ["a", "a"], "ab": ["a", "b"], "bc": ["b", "c"]}
+    long_words = {"ab": ["a", "b"], "bca": ["b", "c", "a"], "cab": ["c", "a", "b"]}
+    for case in range(40):
+        rng = np.random.default_rng(1000 + case)
+        lexicon = homophones if case % 4 == 3 else long_words if case % 5 == 4 else None
+        emissions, g, trie, lm, opts = make_instance(rng, t=int(rng.integers(2, 12)),
+                                                     lexicon=lexicon)
+        if case % 2:
+            emissions[rng.random(emissions.shape) < 0.2] = -np.inf
+        opts = dataclasses.replace(opts, merge_mode=("logadd", "max", "off")[case % 3])
+        if case % 5 == 4:
+            opts = dataclasses.replace(opts, beam_size=int(rng.integers(1, 4)),
+                                       beam_score=float(rng.uniform(1.0, 5.0)))
+        yield emissions, g, trie, lm, opts
+
+
+def _golden_row(emissions, g, trie, lm, opts) -> dict:
+    try:
+        res = dec.decode(emissions, g, trie, lm, opts)
+    except EmptyBeamError as err:
+        return {"empty_beam_at": err.frame}
+    return {"words": res.words, "letter_path": res.letter_path, "word_count": res.word_count,
+            "silence_count": res.silence_count, "objective": res.objective.hex(),
+            "am_component": res.am_component.hex(), "lm_component": res.lm_component.hex()}
+
+
+def test_decoder_outputs_match_golden_file():
+    # decoder_golden.json pins the decoder's outputs; regenerate it (run this
+    # file as a script) only for a change that is meant to alter them
+    want = json.loads(GOLDEN.read_text())
+    got = [_golden_row(*case) for case in _golden_cases()]
+    assert len(got) == len(want) == 40
+    assert sum("empty_beam_at" in row for row in want) >= 2
+    for case, (row, expected) in enumerate(zip(got, want)):
+        assert row.keys() == expected.keys(), case
+        for name, value in row.items():
+            if name in ("objective", "am_component", "lm_component"):
+                x, y = float.fromhex(value), float.fromhex(expected[name])
+                assert x == y or x == pytest.approx(y, rel=1e-12), (case, name)
+            else:
+                assert value == expected[name], (case, name)
+
+
+if __name__ == "__main__":
+    rows = [json.dumps(_golden_row(*case)) for case in _golden_cases()]
+    GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")
