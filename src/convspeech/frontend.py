@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    ConvSpeechError,
     DegenerateFilterError,
     DomainError,
     EmptySignalError,
@@ -125,17 +126,19 @@ def fft_length(n: int) -> int:
 
 
 def correlate_rows(signal_spec: np.ndarray, row_spec: np.ndarray, n_fft: int,
-                   lags: int) -> np.ndarray:
+                   lags: int, out: np.ndarray | None = None) -> np.ndarray:
     """First `lags` lags of the cross-correlation of one signal with a stack of rows.
 
     From rfft spectra of length `n_fft`: out[f, t] = sum_w rows[f, w] * signal[t + w]
     for 0 <= t < lags. There is no wrap-around while lags + row length - 1 <= n_fft,
     which holds for valid correlations when n_fft >= len(signal).
     `row_spec` (rows, n_fft // 2 + 1) is overwritten with the product spectrum.
+    The inverse transform is written into `out` (rows, n_fft) when it is given,
+    and the result is a view of its first `lags` columns.
     """
     np.conjugate(row_spec, out=row_spec)
     row_spec *= signal_spec
-    return np.fft.irfft(row_spec, n_fft, axis=1)[:, :lags]
+    return np.fft.irfft(row_spec, n_fft, axis=1, out=out)[:, :lags]
 
 
 def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.ndarray:
@@ -206,6 +209,17 @@ class LearnableFrontend:
     Parameters live in `params` under the keys "preemphasis" (2,),
     "filter_real" and "filter_imag" (k, W). The low-pass window is fixed to a
     squared Hanning window and receives no gradient.
+
+    The three (2k, ~n_fft) arrays of a pass (the bank spectrum, the product
+    spectrum and the correlation rows) live in buffers that the front-end
+    keeps from one pass to the next, so an utterance does not fault in fresh
+    pages. Each buffer is either in the front-end's pool or held by one
+    cache: a forward takes what it needs from the pool (allocating, or
+    growing, what is missing or too small), a forward without a cache gives
+    everything back at its end, and a forward with a cache gives back the
+    product buffer while `backward` gives back the other two. A second
+    forward before a backward therefore never writes into a live cache. One
+    instance runs one pass at a time.
     """
 
     def __init__(
@@ -230,12 +244,27 @@ class LearnableFrontend:
                 "filter_real": rng.normal(0.0, scale, shapes["filter_real"]),
                 "filter_imag": rng.normal(0.0, scale, shapes["filter_imag"]),
             }
+        self._pool: dict[str, np.ndarray] = {}  # buffer name -> flat array
 
     @staticmethod
     def param_shapes(config: FrontendConfig, sample_rate: int) -> dict[str, tuple]:
         """Every parameter array a front-end of this config holds, with its shape."""
         bank = (config.num_filters, config.filter_width(sample_rate))
         return {"preemphasis": (2,), "filter_real": bank, "filter_imag": bank}
+
+    def _take(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+        """A contiguous `shape` view of the pool's buffer `name`, taken out of the pool."""
+        size = shape[0] * shape[1]
+        flat = self._pool.pop(name, None)
+        if flat is None or flat.size < size:
+            flat = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def _give(self, name: str, view: np.ndarray):
+        """Put the buffer under `view` back in the pool, unless a larger one is there."""
+        flat = view.base
+        if name not in self._pool or self._pool[name].size < flat.size:
+            self._pool[name] = flat
 
     def forward(self, x: Waveform, want_cache: bool = False):
         """Run the full chain; returns (channels, frames) features (and a cache for backward)."""
@@ -254,19 +283,27 @@ class LearnableFrontend:
         k, width = real.shape
         # one spectrum of the signal, one of the stacked real+imaginary bank
         n_fft = fft_length(pre.size)
+        bins = n_fft // 2 + 1
         pre_spec = np.fft.rfft(pre, n_fft)
-        bank_spec = np.fft.rfft(np.concatenate([real, imag]), n_fft, axis=1)
+        bank_spec = np.fft.rfft(np.concatenate([real, imag]), n_fft, axis=1,
+                                out=self._take("bank", (2 * k, bins), np.complex128))
+        rows = self._take("rows", (2 * k, n_fft), np.float64)
         lags = pre.size - width + 1
         if want_cache:  # backward needs the bank spectrum and the correlations
-            corr = correlate_rows(pre_spec, bank_spec.copy(), n_fft, lags)
-            squares = corr**2
+            product = self._take("product", (2 * k, bins), np.complex128)
+            np.copyto(product, bank_spec)
+            corr = correlate_rows(pre_spec, product, n_fft, lags, out=rows)
+            self._give("product", product)
+            power = np.square(corr[:k]) + np.square(corr[k:])
         else:  # nothing does: multiply and square in place
-            corr = correlate_rows(pre_spec, bank_spec, n_fft, lags)
-            del bank_spec
+            corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, out=rows)
             squares = np.square(corr, out=corr)
-        power = squares[:k]
-        power += squares[k:]
+            power = squares[:k]
+            power += squares[k:]
         pooled = lowpass_decimate(power, self.lowpass_window, stride)
+        if not want_cache:
+            self._give("bank", bank_spec)
+            self._give("rows", rows)
         logged = log_compress(pooled, cfg.log_epsilon)
         normed = instance_normalize(logged, cfg.norm_epsilon)
         if not want_cache:
@@ -288,7 +325,9 @@ class LearnableFrontend:
         """Chain-rule gradients for the trainable parameters.
 
         The fixed low-pass window gets no gradient by construction. Returns a
-        dict keyed like `params`.
+        dict keyed like `params`. A cache serves one backward: it works in
+        the cache's correlation rows and hands its buffers back to the pool,
+        so a second call on the same cache raises ConvSpeechError.
         """
         cfg = self.config
         normed = cache["normed"]
@@ -296,6 +335,8 @@ class LearnableFrontend:
             raise DimensionError(
                 f"upstream gradient shape {upstream.shape} != output shape {normed.shape}"
             )
+        if "corr" not in cache:
+            raise ConvSpeechError("this front-end cache was already used by a backward pass")
         # instance normalization; std as instance_normalize computed it
         std = np.sqrt(cache["logged"].var(axis=1, keepdims=True) + cfg.norm_epsilon)
         d_logged = (
@@ -306,25 +347,33 @@ class LearnableFrontend:
         # log compression
         d_pooled = d_logged / (cache["pooled"] + cfg.log_epsilon)
         # low-pass decimation (window fixed, so no gradient of its own)
-        corr = cache["corr"]
+        corr = cache.pop("corr")
         two_k, t_conv = corr.shape
         k = two_k // 2
         d_power = lowpass_transpose(d_pooled, self.lowpass_window, cache["stride"], t_conv)
-        # squared modulus: upstream rows for the stacked real+imaginary bank
+        # squared modulus: upstream rows for the stacked real+imaginary bank,
+        # formed in the correlation rows themselves
         d_power *= 2.0
-        d_rows = (corr.reshape(2, k, t_conv) * d_power).reshape(two_k, t_conv)
-        del d_power  # the dels keep at most two row stacks alive at once
+        d_rows = corr
+        d_rows[:k] *= d_power
+        d_rows[k:] *= d_power
+        del d_power  # freed before the FFTs: lower peak memory
         # complex convolution, from one spectrum of the upstream rows: the
         # signal gradient sums the full convolutions d_f * K_f, and the filter
         # gradients are the first W lags of the correlation of the input with d_f
         n_fft = cache["n_fft"]
         x = cache["x"]
+        bank_spec = cache["bank_spec"]
         width = self.params["filter_real"].shape[1]
-        d_spec = np.fft.rfft(d_rows, n_fft, axis=1)
-        del d_rows
-        d_pre_spec = np.einsum("fb,fb->b", d_spec, cache["bank_spec"])
+        d_spec = np.fft.rfft(d_rows, n_fft, axis=1,
+                             out=self._take("product", bank_spec.shape, np.complex128))
+        d_pre_spec = np.einsum("fb,fb->b", d_spec, bank_spec)
         d_pre = np.fft.irfft(d_pre_spec, n_fft)[: x.size]
-        g_bank = correlate_rows(cache["pre_spec"], d_spec, n_fft, width).copy()
+        rows = d_rows.base[: two_k * n_fft].reshape(two_k, n_fft)
+        g_bank = correlate_rows(cache["pre_spec"], d_spec, n_fft, width, out=rows).copy()
+        self._give("product", d_spec)
+        self._give("bank", bank_spec)
+        self._give("rows", rows)
         # pre-emphasis: y[t] = k1*x[t] + k0*x[t-1]
         g_pre = np.array([np.dot(d_pre[1:], x[:-1]), np.dot(d_pre, x)])
         return {"preemphasis": g_pre, "filter_real": g_bank[:k], "filter_imag": g_bank[k:]}

@@ -212,7 +212,8 @@ def exhaustive_decode(emissions, transitions, lexicon, alphabet, lm, opts, max_w
 
     A sequence scores the log-sum-exp of its paths' emission + transition
     scores (minus gamma per silence frame) plus alpha times its LM log
-    probability (sentence end included) plus beta per word. Returns a
+    probability (sentence end included; left out when alpha is 0) plus beta
+    per word. Returns a
     DecodeResult-like object: words, letter_path (the best single path),
     objective, am_component, lm_component, word_count, silence_count.
     Refuses instances of more than 20 frames or 8 words.
@@ -239,7 +240,9 @@ def exhaustive_decode(emissions, transitions, lexicon, alphabet, lm, opts, max_w
                 logp, state = lm.score(state, lm.vocab.id(word))
                 lm_total += logp
             lm_total += lm.finish(state)
-            objective = pooled + opts.alpha * lm_total + opts.beta * n_words
+            # alpha 0 leaves the LM out: 0 * -inf would be NaN for a word it rules out
+            lm_term = opts.alpha * lm_total if opts.alpha else 0.0
+            objective = pooled + lm_term + opts.beta * n_words
             if best is None or objective > best.objective:
                 silences = paths[top].count(sil)
                 best = SimpleNamespace(

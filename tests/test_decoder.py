@@ -180,6 +180,36 @@ def test_decode_with_impossible_letters_matches_exhaustive_oracle():
     assert compared >= 20
 
 
+def test_alpha_zero_ignores_a_word_the_lm_rules_out():
+    # alpha 0 leaves the LM out, so a word scored -inf is as good as any
+    # other; 0 * -inf once made every merge group's total NaN
+    class NoB(HistoryLm):
+        def _logp(self, state, token_id):
+            if token_id == self.vocab.id("b"):
+                return -math.inf
+            return super()._logp(state, token_id)
+
+    lexicon = {"a": ["a"], "b": ["b"]}
+    trie = dec.build_trie(lexicon, AB)
+    spelled_b = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(6, len(AB)))
+        g = rng.normal(size=(len(AB), len(AB))) * 0.3
+        for alpha in (0.0, 0.5):
+            opts = dec.DecoderOptions(alpha=alpha, beta=0.3, gamma=0.2,
+                                      beam_size=100000, beam_score=math.inf)
+            got = dec.decode(f, g, trie, NoB(["a", "b"]), opts)
+            want = exhaustive_decode(f, g, lexicon, AB, NoB(["a", "b"]), opts)
+            assert got.words == want.words, (seed, alpha)
+            assert got.objective == pytest.approx(want.objective, rel=1e-8), (seed, alpha)
+            if alpha:
+                assert "b" not in got.words
+            else:
+                spelled_b += "b" in got.words
+    assert spelled_b >= 5
+
+
 def test_last_letter_is_fixed_by_the_node(monkeypatch):
     # the per-move score table relies on this: after the first frame a
     # hypothesis's last letter, that of the move that led to it, is its node's

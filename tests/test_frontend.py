@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from convspeech import frontend as fe
 from convspeech.errors import (
     ConfigurationError,
+    ConvSpeechError,
     DegenerateFilterError,
     DomainError,
     EmptySignalError,
@@ -24,6 +29,7 @@ from oracles import (
 )
 
 RATE = 16000
+GOLDEN = Path(__file__).with_name("frontend_golden.json")
 
 # small geometry used by unit tests (1.25 ms -> 20 taps, 0.5 ms -> 8-step stride)
 TOY = fe.FrontendConfig(
@@ -482,7 +488,7 @@ def test_analyze_filters_single_filter():
     front = toy_frontend()
     front.params["filter_real"] = front.params["filter_real"][:1]
     front.params["filter_imag"] = front.params["filter_imag"][:1]
-    front.config.num_filters = 1
+    front.config = dataclasses.replace(front.config, num_filters=1)  # TOY stays as it is
     analysis = fe.analyze_filters(front)
     assert analysis.center_frequencies.shape == (1,)
     assert analysis.power_spectra.shape[0] == 1
@@ -500,3 +506,118 @@ def test_analyze_filters_random_init_in_range():
 def test_config_rejects_fractional_samples():
     with pytest.raises(ConfigurationError):
         fe.FrontendConfig(filter_width_ms=25.3).filter_width(RATE)
+
+
+def _pass(front, samples, upstream):
+    """Features without a cache, then features and gradients with one."""
+    x = fe.Waveform(samples, RATE)
+    plain = front.forward(x)
+    feat, cache = front.forward(x, want_cache=True)
+    return plain, feat, front.backward(cache, upstream)
+
+
+def _upstream(rng, n, config=TOY):
+    return rng.normal(size=(config.num_filters, fe.num_output_frames(n, config, RATE)))
+
+
+def test_buffer_reuse_across_lengths_is_bit_equal_to_a_fresh_frontend():
+    # short, long, short, long: buffers grow, then serve shorter signals from their heads
+    rng = np.random.default_rng(30)
+    warm = toy_frontend(seed=3)
+    for n in (200, 1500, 260, 1400, 1500):
+        samples = 0.3 * rng.normal(size=n)
+        upstream = _upstream(rng, n)
+        got = _pass(warm, samples, upstream)
+        want = _pass(toy_frontend(seed=3), samples, upstream)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), n
+        assert np.array_equal(got[0], got[1]), n
+        for key in want[2]:
+            assert np.array_equal(got[2][key], want[2][key]), (n, key)
+
+
+@pytest.mark.parametrize("between", ["cached", "plain"])
+def test_a_pass_between_forward_and_backward_leaves_the_cache_intact(between):
+    rng = np.random.default_rng(31)
+    samples, other = 0.3 * rng.normal(size=900), 0.3 * rng.normal(size=1300)
+    upstream = _upstream(rng, 900)
+    front = toy_frontend(seed=4)
+    front.forward(fe.Waveform(other, RATE))  # fills the pool
+    feat, cache = front.forward(fe.Waveform(samples, RATE), want_cache=True)
+    if between == "cached":
+        _, other_cache = front.forward(fe.Waveform(other, RATE), want_cache=True)
+    else:
+        front.forward(fe.Waveform(other, RATE))
+    grads = front.backward(cache, upstream)
+    want_feat, want_cache = toy_frontend(seed=4).forward(fe.Waveform(samples, RATE),
+                                                         want_cache=True)
+    assert np.array_equal(feat, want_feat)
+    want = toy_frontend(seed=4).backward(want_cache, upstream)
+    for key in want:
+        assert np.array_equal(grads[key], want[key]), key
+    if between == "cached":  # the other cache is still whole too
+        other_up = _upstream(rng, 1300)
+        got = front.backward(other_cache, other_up)
+        want = _pass(toy_frontend(seed=4), other, other_up)[2]
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+
+def test_backward_twice_on_one_cache_is_refused():
+    front = toy_frontend()
+    feat, cache = front.forward(fe.Waveform(np.random.default_rng(32).normal(size=300), RATE),
+                                want_cache=True)
+    front.backward(cache, np.ones_like(feat))
+    with pytest.raises(ConvSpeechError, match="already"):
+        front.backward(cache, np.ones_like(feat))
+
+
+def test_warm_forward_allocates_less_than_one_row_stack():
+    config = fe.FrontendConfig(num_filters=8)
+    front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(33))
+    x = fe.Waveform(0.3 * np.random.default_rng(34).normal(size=16000), RATE)
+    front.forward(x)
+    tracemalloc.start()
+    try:
+        front.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = 2 * config.num_filters * fe.fft_length(x.samples.size) * 8
+    assert peak < stack
+
+
+def _golden_cases():
+    """6 seeded signals of 160 to 700 samples, short and long in turn, each with
+    its own seeded front-end and upstream gradient."""
+    for case in range(6):
+        rng = np.random.default_rng(2000 + case)
+        n = int(rng.integers(160, 400) if case % 2 == 0 else rng.integers(500, 700))
+        yield toy_frontend(seed=case), 0.3 * rng.normal(size=n), _upstream(rng, n)
+
+
+def _golden_row(front, samples, upstream) -> dict:
+    plain, feat, grads = _pass(front, samples, upstream)
+    hexes = lambda a: [float(v).hex() for v in a.ravel()]  # noqa: E731
+    return {"features": hexes(plain), "cached_features": hexes(feat),
+            **{key: hexes(g) for key, g in grads.items()}}
+
+
+def test_frontend_outputs_match_golden_file():
+    # frontend_golden.json pins the learnable front-end's features and
+    # gradients; regenerate it (run this file as a script) only for a change
+    # that is meant to alter them
+    want = json.loads(GOLDEN.read_text())
+    got = [_golden_row(*case) for case in _golden_cases()]
+    assert len(got) == len(want) == 6
+    for case, (row, expected) in enumerate(zip(got, want)):
+        assert row.keys() == expected.keys(), case
+        for name, values in row.items():
+            x = np.array([float.fromhex(v) for v in values])
+            y = np.array([float.fromhex(v) for v in expected[name]])
+            assert x.shape == y.shape, (case, name)
+            assert np.all((x == y) | (np.abs(x - y) <= 1e-12 * np.abs(y))), (case, name)
+
+
+if __name__ == "__main__":
+    rows = [json.dumps(_golden_row(*case)) for case in _golden_cases()]
+    GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")
