@@ -60,19 +60,18 @@ from .metrics import EvalReport, aggregate, score_utterance
 class LexiconTrie:
     """The lexicon trie, held only as its move table.
 
-    Node 0 is the root. Row n of `node_moves` lists the ids of node n's
-    `node_move_count[n]` moves, padded with -1 to the width of the node with
-    the most moves. Move m goes to node `move_dest[m]` on letter
-    `move_letter[m]`, emits word `words[move_word[m]]` (-1: no word), and
-    starts from a hypothesis whose last letter is `move_prev_letter[m]`: its
-    node's edge letter, silence at the root. Nodes are numbered breadth
-    first, so the child moves of node n are its moves to nodes greater than n.
+    Node 0 is the root. Row n of `node_moves` lists the ids of node n's moves,
+    padded with -1 to the width of the node with the most moves. Move m goes
+    to node `move_dest[m]` on letter `move_letter[m]`, emits word
+    `words[move_word[m]]` (-1: no word), and starts from a hypothesis whose
+    last letter is `move_prev_letter[m]`: its node's edge letter, silence at
+    the root. Nodes are numbered breadth first, so the child moves of node n
+    are its moves to nodes greater than n.
     """
 
     alphabet: Alphabet
     words: tuple[str, ...]
     node_moves: np.ndarray
-    node_move_count: np.ndarray
     move_dest: np.ndarray
     move_letter: np.ndarray
     move_word: np.ndarray
@@ -120,8 +119,7 @@ def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> Lexicon
     for n, row in enumerate(rows):
         node_moves[n, :len(row)] = row
     dest, letter, word, prev = (np.array(column, dtype=np.int64) for column in zip(*moves))
-    count = np.array([len(row) for row in rows], dtype=np.int64)
-    return LexiconTrie(alphabet, words, node_moves, count, dest, letter, word, prev)
+    return LexiconTrie(alphabet, words, node_moves, dest, letter, word, prev)
 
 
 @dataclass
@@ -323,7 +321,8 @@ class _LmMemo:
 def _moves(trie: LexiconTrie, beam: Beam):
     """(move id, parent index) of every move of every hypothesis, in beam order."""
     moves = trie.node_moves[beam.node]
-    return moves[moves >= 0], np.arange(len(beam)).repeat(trie.node_move_count[beam.node])
+    real = moves >= 0
+    return moves[real], real.nonzero()[0]
 
 
 def _move_scores(f: np.ndarray, g: np.ndarray, trie: LexiconTrie, gamma: float) -> np.ndarray:

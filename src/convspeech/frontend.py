@@ -25,6 +25,9 @@ from .errors import (
 from .util import check_params
 
 DEFAULT_SAMPLE_RATE = 16000
+# A LearnableFrontend keeps no pass buffer larger than this between passes, so
+# it retains at most three times this much; a longer pass allocates afresh.
+POOL_BUFFER_LIMIT = 8 * 2**20  # bytes
 
 
 @dataclass
@@ -126,15 +129,15 @@ def fft_length(n: int) -> int:
 
 
 def correlate_rows(signal_spec: np.ndarray, row_spec: np.ndarray, n_fft: int,
-                   lags: int, out: np.ndarray | None = None) -> np.ndarray:
+                   lags: int, out: np.ndarray) -> np.ndarray:
     """First `lags` lags of the cross-correlation of one signal with a stack of rows.
 
     From rfft spectra of length `n_fft`: out[f, t] = sum_w rows[f, w] * signal[t + w]
     for 0 <= t < lags. There is no wrap-around while lags + row length - 1 <= n_fft,
     which holds for valid correlations when n_fft >= len(signal).
     `row_spec` (rows, n_fft // 2 + 1) is overwritten with the product spectrum.
-    The inverse transform is written into `out` (rows, n_fft) when it is given,
-    and the result is a view of its first `lags` columns.
+    The inverse transform is written into `out` (rows, n_fft), and the result
+    is a view of its first `lags` columns.
     """
     np.conjugate(row_spec, out=row_spec)
     row_spec *= signal_spec
@@ -218,8 +221,10 @@ class LearnableFrontend:
     growing, what is missing or too small), a forward without a cache gives
     everything back at its end, and a forward with a cache gives back the
     product buffer while `backward` gives back the other two. A second
-    forward before a backward therefore never writes into a live cache. One
-    instance runs one pass at a time.
+    forward before a backward therefore never writes into a live cache. The
+    pool keeps no buffer over POOL_BUFFER_LIMIT bytes, so one long signal
+    does not pin its buffers for the life of the front-end. One instance
+    runs one pass at a time.
     """
 
     def __init__(
@@ -261,8 +266,11 @@ class LearnableFrontend:
         return flat[:size].reshape(shape)
 
     def _give(self, name: str, view: np.ndarray):
-        """Put the buffer under `view` back in the pool, unless a larger one is there."""
+        """Put the buffer under `view` back in the pool, unless it is over the
+        limit or a larger one is there."""
         flat = view.base
+        if flat.nbytes > POOL_BUFFER_LIMIT:
+            return
         if name not in self._pool or self._pool[name].size < flat.size:
             self._pool[name] = flat
 
@@ -326,8 +334,9 @@ class LearnableFrontend:
 
         The fixed low-pass window gets no gradient by construction. Returns a
         dict keyed like `params`. A cache serves one backward: it works in
-        the cache's correlation rows and hands its buffers back to the pool,
-        so a second call on the same cache raises ConvSpeechError.
+        the cache's correlation rows and hands them and the bank spectrum
+        back to the pool, removing both from the cache, so a second call on
+        the same cache raises ConvSpeechError.
         """
         cfg = self.config
         normed = cache["normed"]
@@ -363,7 +372,7 @@ class LearnableFrontend:
         # gradients are the first W lags of the correlation of the input with d_f
         n_fft = cache["n_fft"]
         x = cache["x"]
-        bank_spec = cache["bank_spec"]
+        bank_spec = cache.pop("bank_spec")
         width = self.params["filter_real"].shape[1]
         d_spec = np.fft.rfft(d_rows, n_fft, axis=1,
                              out=self._take("product", bank_spec.shape, np.complex128))

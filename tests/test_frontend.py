@@ -71,7 +71,8 @@ def bank_power(x, real, imag):
     k, width = real.shape
     n_fft = fe.fft_length(x.size)
     bank_spec = np.fft.rfft(np.concatenate([real, imag]), n_fft, axis=1)
-    corr = fe.correlate_rows(np.fft.rfft(x, n_fft), bank_spec, n_fft, x.size - width + 1)
+    corr = fe.correlate_rows(np.fft.rfft(x, n_fft), bank_spec, n_fft, x.size - width + 1,
+                             out=np.empty((2 * k, n_fft)))
     return corr[:k] ** 2 + corr[k:] ** 2
 
 
@@ -131,7 +132,7 @@ def test_correlate_rows_fft_path_matches_direct():
     direct = np.lib.stride_tricks.sliding_window_view(x, 300) @ kernels.T
     n_fft = fe.fft_length(x.size)
     got = fe.correlate_rows(np.fft.rfft(x, n_fft), np.fft.rfft(kernels, n_fft, axis=1),
-                            n_fft, x.size - 299).T
+                            n_fft, x.size - 299, out=np.empty((8, n_fft))).T
     assert np.max(np.abs(got - direct)) / np.max(np.abs(direct)) <= 1e-12
 
 
@@ -567,6 +568,8 @@ def test_backward_twice_on_one_cache_is_refused():
     feat, cache = front.forward(fe.Waveform(np.random.default_rng(32).normal(size=300), RATE),
                                 want_cache=True)
     front.backward(cache, np.ones_like(feat))
+    # the buffers went back to the pool: the cache no longer refers to them
+    assert "corr" not in cache and "bank_spec" not in cache
     with pytest.raises(ConvSpeechError, match="already"):
         front.backward(cache, np.ones_like(feat))
 
@@ -584,6 +587,31 @@ def test_warm_forward_allocates_less_than_one_row_stack():
         tracemalloc.stop()
     stack = 2 * config.num_filters * fe.fft_length(x.samples.size) * 8
     assert peak < stack
+
+
+def test_pool_keeps_no_buffer_over_the_limit():
+    # long, then short: the long passes' buffers are over the limit, so after
+    # the short pass the front-end holds no more than a short pass's buffers
+    config = fe.FrontendConfig(num_filters=64)
+    front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(35))
+    rng = np.random.default_rng(36)
+    n_long = fe.POOL_BUFFER_LIMIT // (2 * config.num_filters * 8) + 1
+    long_x = fe.Waveform(0.3 * rng.normal(size=n_long), RATE)
+    short_x = fe.Waveform(0.3 * rng.normal(size=1000), RATE)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        feat, cache = front.forward(long_x, want_cache=True)
+        front.backward(cache, np.ones_like(feat))
+        front.forward(long_x)
+        feat, cache = front.forward(short_x, want_cache=True)
+        front.backward(cache, np.ones_like(feat))
+        del feat, cache
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # each long buffer alone is over the limit; the short ones take ~3 MB
+    assert 0 < kept < fe.POOL_BUFFER_LIMIT
 
 
 def _golden_cases():
