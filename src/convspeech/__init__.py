@@ -9,7 +9,6 @@ from .frontend import (
     MelFrontend,
     Waveform,
     analyze_filters,
-    mel_frontend,
 )
 from .gcnn import GcnnConfig, GcnnLm, train_gcnn
 from .lm import ContextLimitedLM, NGramModel, Vocabulary, load_arpa, perplexity

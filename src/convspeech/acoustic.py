@@ -76,29 +76,6 @@ def _sigmoid(x):
     return out
 
 
-def glu_backward(a: np.ndarray, gate: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the pre-activation given the cached half/gate pair."""
-    return np.concatenate([d_out * gate, d_out * a * gate * (1.0 - gate)], axis=0)
-
-
-def glu_dropout(pre: np.ndarray, dropout_rate: float, rng: np.random.Generator | None):
-    """GLU, then inverted dropout when `rng` is given; returns (output, cache)."""
-    out, gate = glu(pre)
-    mask = None
-    if rng is not None and dropout_rate > 0.0:
-        keep = 1.0 - dropout_rate
-        mask = (rng.random(out.shape) < keep) / keep
-        out = out * mask
-    return out, {"a": pre[: gate.shape[0]], "gate": gate, "mask": mask}
-
-
-def glu_dropout_backward(cache: dict, d_out: np.ndarray) -> np.ndarray:
-    """Gradient of glu_dropout w.r.t. its pre-activation."""
-    if cache["mask"] is not None:
-        d_out = d_out * cache["mask"]
-    return glu_backward(cache["a"], cache["gate"], d_out)
-
-
 def effective_weight(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Weight-norm reparameterization: w_o = g_o * v_o / ||v_o||."""
     norms = np.sqrt((v.reshape(v.shape[0], -1) ** 2).sum(axis=1))
@@ -203,6 +180,30 @@ def wn_conv_backward(params: dict, cache: dict, d_out: np.ndarray, grads: dict) 
     return d_x
 
 
+def conv_glu(params: dict, name: str, x: np.ndarray, dropout_rate: float,
+             rng: np.random.Generator | None, pad_left: int | None = None,
+             pad_right: int | None = None):
+    """One conv-GLU block: the weight-normed conv `name`, GLU, then inverted
+    dropout when `rng` is given. Returns (output, cache for conv_glu_backward)."""
+    pre, conv_cache = wn_conv(params, name, x, pad_left, pad_right)
+    out, gate = glu(pre)
+    mask = None
+    if rng is not None and dropout_rate > 0.0:
+        keep = 1.0 - dropout_rate
+        mask = (rng.random(out.shape) < keep) / keep
+        out = out * mask
+    return out, (conv_cache, pre[: gate.shape[0]], gate, mask)
+
+
+def conv_glu_backward(params: dict, cache: tuple, d_out: np.ndarray, grads: dict) -> np.ndarray:
+    """Store the block's conv gradients in `grads`; return the input gradient."""
+    conv_cache, a, gate, mask = cache
+    if mask is not None:
+        d_out = d_out * mask
+    d_pre = np.concatenate([d_out * gate, d_out * a * gate * (1.0 - gate)], axis=0)
+    return wn_conv_backward(params, conv_cache, d_pre, grads)
+
+
 class AcousticModel:
     """(channels, frames) features in, emission tables out, with exact parameter gradients.
 
@@ -262,9 +263,9 @@ class AcousticModel:
             rng = np.random.default_rng(0)
         layer_caches = []
         for i, spec in enumerate(self.config.layers):
-            pre, conv_cache = wn_conv(self.params, f"layer{i}", h)
-            h, glu_cache = glu_dropout(pre, spec.dropout_rate, rng if training else None)
-            layer_caches.append((conv_cache, glu_cache))
+            h, layer_cache = conv_glu(self.params, f"layer{i}", h, spec.dropout_rate,
+                                      rng if training else None)
+            layer_caches.append(layer_cache)
         scores_ct, proj_cache = wn_conv(self.params, "proj", h)
         emissions = EmissionTable(scores_ct.T.copy())
         if not want_cache:
@@ -286,6 +287,6 @@ class AcousticModel:
             )
         grads: dict[str, np.ndarray] = {}
         d = wn_conv_backward(self.params, cache["proj"], d, grads)
-        for conv_cache, glu_cache in reversed(cache["layers"]):
-            d = wn_conv_backward(self.params, conv_cache, glu_dropout_backward(glu_cache, d), grads)
+        for layer_cache in reversed(cache["layers"]):
+            d = conv_glu_backward(self.params, layer_cache, d, grads)
         return grads, d

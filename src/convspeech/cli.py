@@ -27,7 +27,7 @@ from .acoustic import AcousticModelConfig, ConvLayerSpec
 from .audio_io import read_wav
 from .decoder import DecoderOptions, build_trie, decode, tune_grid
 from .errors import ArpaParseError, ConfigurationError, ConvSpeechError, EmptyBeamError
-from .frontend import FrontendConfig, LearnableFrontend, analyze_filters
+from .frontend import FRONTENDS, FrontendConfig, LearnableFrontend, analyze_filters
 from .gcnn import GcnnConfig, GcnnLm, train_gcnn
 from .lm import Vocabulary, fit_bigram_arpa, load_arpa
 from .synth import SyntheticTaskSpec, load_manifest
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--dev-manifest")
     p.add_argument("--task", required=True, help="task.json from synth-data")
-    p.add_argument("--frontend", choices=["learnable", "mel"], default="learnable")
+    p.add_argument("--frontend", choices=list(FRONTENDS), default=LearnableFrontend.kind)
     p.add_argument("--filters", type=int, default=8)
     p.add_argument("--layers", type=_comma_list(_int_pair), default="24:9,32:9",
                    help="conv-GLU stack as channels:width,...")

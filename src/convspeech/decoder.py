@@ -343,7 +343,7 @@ def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeR
     Word emission happens on the silence step after a terminal node (or at
     finalization); the sentence-end LM probability is added at the end and
     hypotheses stuck mid-word are dropped. Raises DimensionError unless the
-    emissions are (T, |A|) and `g` is (|A|, |A|), DomainError on a NaN score,
+    emissions are (T, |A|) and `g` is (|A|, |A|), DomainError on a NaN or +inf score,
     EmptyBeamError with the offending frame if nothing survives, and
     VocabularyError if a lexicon word is missing from the LM vocabulary.
     """
@@ -359,8 +359,9 @@ def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions
         raise DimensionError(
             f"emissions {f.shape} and transitions {gmat.shape} do not fit an alphabet of "
             f"{size} letters: expected (frames, {size}) and ({size}, {size})")
-    if np.isnan(f).any() or np.isnan(gmat).any():
-        raise DomainError("emissions or transitions contain NaN")
+    # -inf scores forbid a letter; NaN and +inf have no meaning in a path's sum
+    if not ((f < np.inf).all() and (gmat < np.inf).all()):
+        raise DomainError("emissions or transitions contain NaN or +inf")
     t_total = f.shape[0]
     if t_total < 1:
         raise EmptyBeamError(0, "no frames to decode")

@@ -5,6 +5,8 @@ complex filterbank (squared modulus taken after convolution), a fixed squared
 Hanning low-pass with decimation, log compression, and per-channel instance
 normalization. A fixed log-mel pipeline with identical frame geometry is
 provided as a baseline, plus power-spectrum analysis of learned filters.
+Both share one interface (`kind`, the constructor, `param_shapes`, `forward`
+and `backward`), and `FRONTENDS` maps each kind to its class.
 """
 
 from __future__ import annotations
@@ -206,6 +208,16 @@ def num_output_frames(num_samples: int, config: FrontendConfig, sample_rate: int
     return (t_conv - lp_width) // stride + 1
 
 
+def _check_input(x: Waveform, config: FrontendConfig, sample_rate: int) -> int:
+    """Frames a front-end at `sample_rate` makes of `x`: at least one, at that rate."""
+    if x.sample_rate != sample_rate:
+        raise DimensionError(f"waveform rate {x.sample_rate} != front-end rate {sample_rate}")
+    frames = num_output_frames(len(x.samples), config, sample_rate)
+    if frames < 1:
+        raise InsufficientInputError(f"{len(x.samples)} samples yield no output frame")
+    return frames
+
+
 class LearnableFrontend:
     """Trainable front-end: pre-emphasis + complex filterbank + fixed low-pass.
 
@@ -226,6 +238,8 @@ class LearnableFrontend:
     does not pin its buffers for the life of the front-end. One instance
     runs one pass at a time.
     """
+
+    kind = "learnable"
 
     def __init__(
         self,
@@ -276,16 +290,9 @@ class LearnableFrontend:
 
     def forward(self, x: Waveform, want_cache: bool = False):
         """Run the full chain; returns (channels, frames) features (and a cache for backward)."""
-        if x.sample_rate != self.sample_rate:
-            raise DimensionError(
-                f"waveform rate {x.sample_rate} != front-end rate {self.sample_rate}"
-            )
         cfg = self.config
+        _check_input(x, cfg, self.sample_rate)
         stride = cfg.stride(self.sample_rate)
-        if num_output_frames(len(x.samples), cfg, self.sample_rate) < 1:
-            raise InsufficientInputError(
-                f"{len(x.samples)} samples yield no output frame"
-            )
         pre = preemphasize(x, self.params["preemphasis"]).samples
         real, imag = self.params["filter_real"], self.params["filter_imag"]
         k, width = real.shape
@@ -396,63 +403,64 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def _mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
-    bin_freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
-    bank = np.zeros((n_mels, bin_freqs.size))
-    for m in range(n_mels):
-        lo, center, hi = edges[m], edges[m + 1], edges[m + 2]
-        up = (bin_freqs - lo) / max(center - lo, 1e-12)
-        down = (hi - bin_freqs) / max(hi - center, 1e-12)
-        bank[m] = np.clip(np.minimum(up, down), 0.0, None)
-    return bank
-
-
-def mel_frontend(
-    x: Waveform, n_mels: int = 40, config: FrontendConfig | None = None
-) -> np.ndarray:
-    """Fixed log-mel baseline with the learnable front-end's frame geometry.
+class MelFrontend:
+    """Fixed log-mel baseline behind the learnable front-end's interface.
 
     Hamming-windowed power spectra every `stride_ms`, triangular mel filters
     spanning 0..Nyquist, log compression, instance normalization. Frame count
     matches LearnableFrontend on the same input so acoustic models built on
     either front-end are interchangeable.
     """
-    cfg = config or FrontendConfig(num_filters=n_mels)
-    rate = x.sample_rate
-    window_len = cfg.filter_width(rate)
-    stride = cfg.stride(rate)
-    n_frames = num_output_frames(len(x.samples), cfg, rate)
-    if n_frames < 1:
-        raise InsufficientInputError(
-            f"{len(x.samples)} samples are too few for one analysis frame"
-        )
-    n_fft = 1
-    while n_fft < window_len:
-        n_fft *= 2
-    starts = stride * np.arange(n_frames)
-    frames = x.samples[starts[:, None] + np.arange(window_len)]
-    frames = frames * np.hamming(window_len)
-    spectra = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
-    energies = spectra @ _mel_filterbank(n_mels, n_fft, rate).T  # (frames, mels)
-    logged = log_compress(energies.T, cfg.log_epsilon)
-    return instance_normalize(logged, cfg.norm_epsilon)
 
+    kind = "mel"
 
-class MelFrontend:
-    """Fixed mel baseline behind the same forward interface as the learnable one."""
-
-    def __init__(self, config: FrontendConfig | None = None,
-                 sample_rate: int = DEFAULT_SAMPLE_RATE):
+    def __init__(
+        self,
+        config: FrontendConfig | None = None,
+        sample_rate: int = DEFAULT_SAMPLE_RATE,
+        rng: np.random.Generator | None = None,
+        params: dict[str, np.ndarray] | None = None,
+    ):
         self.config = config or FrontendConfig()
         self.sample_rate = sample_rate
+        check_params(params or {}, self.param_shapes(self.config, sample_rate), "mel front-end")
         self.params: dict[str, np.ndarray] = {}
+        width = self.config.filter_width(sample_rate)
+        self.window = np.hamming(width)
+        self.n_fft = 1 << (width - 1).bit_length()  # the smallest power of 2 >= width
+        # triangles between mel-spaced edges from 0 to Nyquist, one row per filter
+        edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0),
+                                      self.config.num_filters + 2))
+        bin_freqs = np.fft.rfftfreq(self.n_fft, 1.0 / sample_rate)
+        lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+        up = (bin_freqs - lo) / np.maximum(center - lo, 1e-12)
+        down = (hi - bin_freqs) / np.maximum(hi - center, 1e-12)
+        self.filterbank = np.clip(np.minimum(up, down), 0.0, None)  # (filters, bins)
+
+    @staticmethod
+    def param_shapes(config: FrontendConfig, sample_rate: int) -> dict[str, tuple]:
+        """A mel front-end holds no parameter arrays."""
+        return {}
 
     def forward(self, x: Waveform, want_cache: bool = False):
-        feat = mel_frontend(x, self.config.num_filters, self.config)
-        if want_cache:
-            return feat, None
-        return feat
+        """(channels, frames) log-mel features (and a cache, None, for backward)."""
+        n_frames = _check_input(x, self.config, self.sample_rate)
+        starts = self.config.stride(self.sample_rate) * np.arange(n_frames)
+        frames = x.samples[starts[:, None] + np.arange(self.window.size)]
+        frames = frames * self.window
+        spectra = np.abs(np.fft.rfft(frames, self.n_fft, axis=1)) ** 2
+        energies = spectra @ self.filterbank.T  # (frames, filters)
+        logged = log_compress(energies.T, self.config.log_epsilon)
+        feat = instance_normalize(logged, self.config.norm_epsilon)
+        return (feat, None) if want_cache else feat
+
+    def backward(self, cache, upstream: np.ndarray) -> dict[str, np.ndarray]:
+        """A mel front-end has no parameters, so no gradients."""
+        return {}
+
+
+# the one map from a front-end kind, as checkpoints and the CLI name it, to its class
+FRONTENDS = {cls.kind: cls for cls in (LearnableFrontend, MelFrontend)}
 
 
 def analyze_filters(fe: LearnableFrontend) -> FilterAnalysis:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import (glu_dropout, glu_dropout_backward, init_wn_conv, wn_conv,
-                       wn_conv_backward, wn_conv_shapes)
+from .acoustic import (conv_glu, conv_glu_backward, init_wn_conv, wn_conv, wn_conv_backward,
+                       wn_conv_shapes)
 from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .lm import LruCache, Vocabulary
 from .optim import SgdOptimizer
@@ -136,11 +136,14 @@ class GcnnLm:
         mask[real] = 1.0
         h = np.zeros((cfg.embed_dim, mask.size))
         h[:, real] = self.params["embed"][ids].T
-        caches: list[tuple[dict, dict]] = []
+        rate = cfg.dropout_rate
+        caches = []  # per block: the down, mid and up conv-GLU caches
         for i in range(cfg.num_blocks):
-            down = self._conv_glu(f"block{i}_down", h, 0, drop_rng, caches) * mask
-            mid = self._conv_glu(f"block{i}_mid", down, gap, drop_rng, caches)
-            h = h + self._conv_glu(f"block{i}_up", mid, 0, drop_rng, caches)
+            down, c_down = conv_glu(self.params, f"block{i}_down", h, rate, drop_rng, 0, 0)
+            mid, c_mid = conv_glu(self.params, f"block{i}_mid", down * mask, rate, drop_rng, gap, 0)
+            up, c_up = conv_glu(self.params, f"block{i}_up", mid, rate, drop_rng, 0, 0)
+            h = h + up
+            caches += [c_down, c_mid, c_up]
         logits, out_cache = wn_conv(self.params, "out", h[:, real], pad_left=0, pad_right=0)
         shifted = logits - logits.max(axis=0, keepdims=True)
         expo = np.exp(shifted)
@@ -151,17 +154,6 @@ class GcnnLm:
         cache = {"ids": ids, "real": real, "mask": mask, "convs": caches, "out": out_cache,
                  "softmax": expo / denom}
         return log_rows, cache
-
-    def _conv_glu(self, name, x, pad_left, rng, caches):
-        pre, conv_cache = wn_conv(self.params, name, x, pad_left=pad_left, pad_right=0)
-        out, glu_cache = glu_dropout(pre, self.config.dropout_rate, rng)
-        caches.append((conv_cache, glu_cache))
-        return out
-
-    def _conv_glu_backward(self, layer_cache, d_out, grads):
-        conv_cache, glu_cache = layer_cache
-        return wn_conv_backward(self.params, conv_cache, glu_dropout_backward(glu_cache, d_out),
-                                grads)
 
     def backward(self, cache: dict, d_rows: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients for every parameter given d(loss)/d(log rows)."""
@@ -175,9 +167,9 @@ class GcnnLm:
         for i in reversed(range(self.config.num_blocks)):
             down, mid, up = convs[3 * i : 3 * i + 3]
             # the block output feeds both the residual and the inner path
-            d_mid = self._conv_glu_backward(up, d_h, grads)
-            d_down = self._conv_glu_backward(mid, d_mid, grads) * mask
-            d_h = d_h + self._conv_glu_backward(down, d_down, grads)
+            d_mid = conv_glu_backward(self.params, up, d_h, grads)
+            d_down = conv_glu_backward(self.params, mid, d_mid, grads) * mask
+            d_h = d_h + conv_glu_backward(self.params, down, d_down, grads)
         d_embed = np.zeros_like(self.params["embed"])
         np.add.at(d_embed, cache["ids"], d_h[:, real].T)
         grads["embed"] = d_embed

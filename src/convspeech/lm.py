@@ -26,6 +26,7 @@ from .errors import ArpaParseError, ConfigurationError, DomainError
 
 LN10 = math.log(10.0)
 MISSING_LOG10 = -99.0  # conventional stand-in for "effectively zero"
+BIGRAM_DISCOUNT = 0.5  # fit_bigram_arpa's absolute discount per observed bigram
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,7 @@ class LruCache:
         return len(self._data)
 
 
-def fit_bigram_arpa(sentences: Sequence[Sequence[str]], discount: float = 0.5) -> str:
+def fit_bigram_arpa(sentences: Sequence[Sequence[str]]) -> str:
     """Estimate an absolute-discounting back-off bigram and render ARPA text.
 
     Leftover probability mass from discounting observed continuations funds
@@ -303,25 +304,25 @@ def fit_bigram_arpa(sentences: Sequence[Sequence[str]], discount: float = 0.5) -
     total = sum(smoothed.values())
     uni_prob = {tok: c / total for tok, c in smoothed.items()}
 
-    uni_lines = [f"{MISSING_LOG10:.6f}\t<s>\t{_context_backoff('<s>', bigram_counts, context_totals, uni_prob, discount):.6f}"]
+    uni_lines = [f"{MISSING_LOG10:.6f}\t<s>\t{_context_backoff('<s>', bigram_counts, context_totals, uni_prob):.6f}"]
     for tok in sorted(uni_prob):
-        backoff = _context_backoff(tok, bigram_counts, context_totals, uni_prob, discount)
+        backoff = _context_backoff(tok, bigram_counts, context_totals, uni_prob)
         uni_lines.append(f"{math.log10(uni_prob[tok]):.6f}\t{tok}\t{backoff:.6f}")
     bi_lines = []
     for (prev, cur), count in sorted(bigram_counts.items()):
-        prob = (count - discount) / context_totals[prev]
+        prob = (count - BIGRAM_DISCOUNT) / context_totals[prev]
         bi_lines.append(f"{math.log10(prob):.6f}\t{prev} {cur}")
     out = ["\\data\\", f"ngram 1={len(uni_lines)}", f"ngram 2={len(bi_lines)}", "",
            "\\1-grams:", *uni_lines, "", "\\2-grams:", *bi_lines, "", "\\end\\", ""]
     return "\n".join(out)
 
 
-def _context_backoff(context, bigram_counts, context_totals, uni_prob, discount) -> float:
+def _context_backoff(context, bigram_counts, context_totals, uni_prob) -> float:
     total = context_totals.get(context)
     if not total:
         return 0.0
     seen = [cur for (prev, cur) in bigram_counts if prev == context]
-    discounted_mass = discount * len(seen) / total
+    discounted_mass = BIGRAM_DISCOUNT * len(seen) / total
     unseen_uni = 1.0 - sum(uni_prob[w] for w in seen)
     if unseen_uni <= 1e-12:
         return MISSING_LOG10

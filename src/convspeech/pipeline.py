@@ -13,13 +13,8 @@ from .audio_io import read_wav
 from .criterion import Alphabet, asg_loss, asg_loss_and_gradients, encode_target
 from .decoder import DecoderOptions, LexiconTrie, decode_and_score
 from .errors import ConfigurationError
-from .frontend import (
-    FrontendConfig,
-    LearnableFrontend,
-    MelFrontend,
-    Waveform,
-    num_output_frames,
-)
+from .frontend import (FRONTENDS, FrontendConfig, LearnableFrontend, MelFrontend, Waveform,
+                       num_output_frames)
 from .gcnn import GcnnConfig, GcnnLm
 from .lm import Vocabulary, perplexity
 from .metrics import EvalReport
@@ -39,6 +34,13 @@ class SpeechSystem:
 
     def emissions(self, wave: Waveform) -> EmissionTable:
         return self.model.forward(self.frontend.forward(wave))
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The system's own arrays, by checkpoint key: am.*, then fe.*, then transitions."""
+        arrays = {f"am.{k}": v for k, v in self.model.params.items()}
+        arrays.update({f"fe.{k}": v for k, v in self.frontend.params.items()})
+        arrays["transitions"] = self.transitions
+        return arrays
 
 
 @dataclass
@@ -82,7 +84,7 @@ def train_acoustic(
     train_manifest: DatasetManifest,
     lexicon: dict[str, list[str]],
     alphabet: Alphabet,
-    frontend_kind: str = "learnable",
+    frontend_kind: str = LearnableFrontend.kind,
     frontend_config: FrontendConfig | None = None,
     model_config: AcousticModelConfig | None = None,
     dev_manifest: DatasetManifest | None = None,
@@ -90,7 +92,7 @@ def train_acoustic(
     sample_rate: int = 16000,
     checkpoint_path=None,
 ):
-    """Joint training of front-end (when learnable), network, and transitions.
+    """Joint training of front-end (if it has parameters), network, and transitions.
 
     Returns (SpeechSystem, history); history has one record per epoch with the
     mean training loss, optional dev loss, learning rate, the count of
@@ -98,18 +100,16 @@ def train_acoustic(
     clipping (`grad_norm`) and the fraction of steps that were clipped
     (`clip_frac`).
     """
-    if frontend_kind not in ("learnable", "mel"):
+    if frontend_kind not in FRONTENDS:
         raise ConfigurationError(f"unknown front-end kind {frontend_kind!r}")
     settings = settings or TrainSettings()
     fcfg = frontend_config or FrontendConfig(num_filters=8)
     rng = np.random.default_rng(settings.seed)
-    if frontend_kind == "learnable":
-        frontend = LearnableFrontend(fcfg, sample_rate, rng=rng)
-    else:
-        frontend = MelFrontend(fcfg, sample_rate)
+    frontend = FRONTENDS[frontend_kind](fcfg, sample_rate, rng=rng)
     mcfg = model_config or small_model_config(fcfg.num_filters, len(alphabet))
     model = AcousticModel(mcfg, rng=rng)
     transitions = np.zeros((len(alphabet), len(alphabet)))
+    system = SpeechSystem(frontend, model, transitions, alphabet)
 
     train_items, skipped = _load_training_items(
         train_manifest, lexicon, alphabet, fcfg, sample_rate
@@ -120,14 +120,12 @@ def train_acoustic(
     if dev_manifest is not None:
         dev_items, _ = _load_training_items(dev_manifest, lexicon, alphabet, fcfg, sample_rate)
 
-    params = {f"am.{k}": v for k, v in model.params.items()}
-    if frontend_kind == "learnable":
-        params.update({f"fe.{k}": v for k, v in frontend.params.items()})
-    params["transitions"] = transitions
+    params = system.arrays()
     optimizer = SgdOptimizer(settings.lr, settings.momentum, settings.clip)
     scheduler = PlateauScheduler(optimizer)
+    # a front-end without parameters makes the same features every epoch
+    fixed = None if frontend.params else [frontend.forward(wave) for wave, _, _ in train_items]
 
-    mel_cache: dict[int, object] = {}
     history = []
     for epoch in range(settings.epochs):
         order = rng.permutation(len(train_items))
@@ -138,12 +136,10 @@ def train_acoustic(
             grads = {k: np.zeros_like(v) for k, v in params.items()}
             for j in batch:
                 wave, target, _ = train_items[j]
-                if frontend_kind == "learnable":
+                if fixed is None:
                     feat, fe_cache = frontend.forward(wave, want_cache=True)
                 else:
-                    if j not in mel_cache:
-                        mel_cache[j] = frontend.forward(wave)
-                    feat, fe_cache = mel_cache[j], None
+                    feat, fe_cache = fixed[j], None
                 emissions, am_cache = model.forward(
                     feat, training=True, rng=rng, want_cache=True
                 )
@@ -152,9 +148,8 @@ def train_acoustic(
                 am_grads, d_feat = model.backward(am_cache, d_em)
                 for k, v in am_grads.items():
                     grads[f"am.{k}"] += v
-                if frontend_kind == "learnable":
-                    for k, v in frontend.backward(fe_cache, d_feat).items():
-                        grads[f"fe.{k}"] += v
+                for k, v in frontend.backward(fe_cache, d_feat).items():
+                    grads[f"fe.{k}"] += v
                 grads["transitions"] += d_g
                 del fe_cache, am_cache  # freed before the next forward pass: lower peak memory
             scale = 1.0 / len(batch)
@@ -173,7 +168,6 @@ def train_acoustic(
         else:
             scheduler.update(record["train_loss"])
         history.append(record)
-    system = SpeechSystem(frontend, model, transitions, alphabet)
     if checkpoint_path is not None:
         save_system(checkpoint_path, system)
     return system, history
@@ -191,7 +185,7 @@ def _mean_loss(items, frontend, model, transitions) -> float:
 
 def save_system(path, system: SpeechSystem):
     config = {
-        "frontend_kind": "learnable" if isinstance(system.frontend, LearnableFrontend) else "mel",
+        "frontend_kind": system.frontend.kind,
         "frontend": asdict(system.frontend.config),
         "sample_rate": system.frontend.sample_rate,
         "model": {
@@ -204,10 +198,7 @@ def save_system(path, system: SpeechSystem):
             "repetition": system.alphabet.repetition_token,
         },
     }
-    arrays = {f"am.{k}": v for k, v in system.model.params.items()}
-    arrays.update({f"fe.{k}": v for k, v in system.frontend.params.items()})
-    arrays["transitions"] = system.transitions
-    ckpt.save_checkpoint(path, "acoustic-system", config, arrays)
+    ckpt.save_checkpoint(path, "acoustic-system", config, system.arrays())
 
 
 def load_system(path) -> SpeechSystem:
@@ -217,9 +208,10 @@ def load_system(path) -> SpeechSystem:
     try:
         fcfg = from_fields(FrontendConfig, config["frontend"], "frontend config")
         rate = config["sample_rate"]
-        if config["frontend_kind"] not in ("learnable", "mel"):
-            raise ConfigurationError(f"unknown front-end kind {config['frontend_kind']!r}")
-        learnable = config["frontend_kind"] == "learnable"
+        kind = config["frontend_kind"]
+        if not isinstance(kind, str) or kind not in FRONTENDS:
+            raise ConfigurationError(f"unknown front-end kind {kind!r}")
+        frontend_cls = FRONTENDS[kind]
         layers = config["model"]["layers"]
         if not isinstance(layers, list):
             raise ConfigurationError("model layers must be a list")
@@ -237,14 +229,10 @@ def load_system(path) -> SpeechSystem:
         # the models check their own arrays too; this names each by its key in the file
         shapes = {f"am.{k}": s for k, s in AcousticModel.param_shapes(mcfg).items()}
         shapes["transitions"] = (mcfg.alphabet_size, mcfg.alphabet_size)
-        if learnable:
-            shapes |= {f"fe.{k}": s for k, s in LearnableFrontend.param_shapes(fcfg, rate).items()}
+        shapes |= {f"fe.{k}": s for k, s in frontend_cls.param_shapes(fcfg, rate).items()}
         check_params(arrays, shapes, "acoustic-system checkpoint")
-        if learnable:
-            frontend = LearnableFrontend(
-                fcfg, rate, params={k[3:]: v for k, v in arrays.items() if k.startswith("fe.")})
-        else:
-            frontend = MelFrontend(fcfg, rate)
+        frontend = frontend_cls(
+            fcfg, rate, params={k[3:]: v for k, v in arrays.items() if k.startswith("fe.")})
         model = AcousticModel(mcfg, params={k[3:]: v for k, v in arrays.items()
                                             if k.startswith("am.")})
         alphabet = Alphabet(

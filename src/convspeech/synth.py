@@ -145,12 +145,11 @@ def sample_sentence(spec: SyntheticTaskSpec, rng: np.random.Generator,
     return sentence
 
 
-def markov_bias(spec: SyntheticTaskSpec, seed: int = 7, concentration: float = 6.0) -> np.ndarray:
+def markov_bias(spec: SyntheticTaskSpec, seed: int = 7) -> np.ndarray:
     """Fixed random word-to-word transition matrix for corpus generation."""
     words = sorted(spec.lexicon)
     rng = np.random.default_rng(seed)
-    raw = rng.dirichlet(np.full(len(words), 1.0 / concentration), size=len(words))
-    return raw
+    return rng.dirichlet(np.full(len(words), 1.0 / 6.0), size=len(words))  # concentration 6
 
 
 def _write_split(spec: SyntheticTaskSpec, out_dir, split: str, utterances) -> DatasetManifest:
@@ -218,9 +217,8 @@ HOMOPHONE_STUDY_LEXICON = {
 }
 
 
-def homophone_study_spec(**overrides) -> SyntheticTaskSpec:
-    return SyntheticTaskSpec(lexicon=dict(HOMOPHONE_STUDY_LEXICON),
-                             sentence_words=(3, 5), **overrides)
+def homophone_study_spec() -> SyntheticTaskSpec:
+    return SyntheticTaskSpec(lexicon=dict(HOMOPHONE_STUDY_LEXICON), sentence_words=(3, 5))
 
 
 def homophone_study_sentences(count: int, seed: int) -> list[list[str]]:

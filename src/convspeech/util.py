@@ -26,7 +26,10 @@ def logsumexp(values: np.ndarray, axis=None):
 
 
 def check_params(params: dict, shapes: dict[str, tuple], owner: str):
-    """Every array `shapes` names must be in `params`, at its shape; `owner` names them in errors."""
+    """`params` holds just the arrays `shapes` names, at their shapes; errors name `owner`."""
+    unexpected = sorted(params.keys() - shapes.keys())
+    if unexpected:
+        raise ConfigurationError(f"{owner} has unexpected arrays {unexpected}")
     for key, shape in shapes.items():
         if key not in params:
             raise ConfigurationError(f"{owner} lacks key {key!r}")

@@ -265,6 +265,28 @@ def test_decode_rejects_nan_scores(where):
         dec.decode(f, g, trie, uniform_lm(["a"]), dec.DecoderOptions())
 
 
+@pytest.mark.parametrize("where", ["emissions", "transitions"])
+def test_decode_rejects_positive_infinite_scores(where):
+    # a +inf score next to a word the LM scores -inf made the totals NaN
+    # (inf - inf) with alpha > 0, and the search then failed at some frame
+    class NoB(HistoryLm):
+        def _logp(self, state, token_id):
+            if token_id == self.vocab.id("b"):
+                return -math.inf
+            return super()._logp(state, token_id)
+
+    f = np.zeros((5, len(AB)))
+    g = np.zeros((len(AB), len(AB)))
+    (f if where == "emissions" else g)[1, AB.index("b")] = np.inf
+    trie = dec.build_trie({"a": ["a"], "b": ["b"]}, AB)
+    opts = dec.DecoderOptions(alpha=0.5, beam_size=100, beam_score=math.inf)
+    with pytest.raises(DomainError, match=r"\+inf"):
+        dec.decode(f, g, trie, NoB(["a", "b"]), opts)
+    # -inf still only forbids a letter
+    (f if where == "emissions" else g)[1, AB.index("b")] = -np.inf
+    assert dec.decode(f, g, trie, NoB(["a", "b"]), opts).words
+
+
 def test_large_gamma_reduces_silence():
     rng = np.random.default_rng(3)
     emissions, g, trie, lm, _ = make_instance(rng, t=6)

@@ -15,6 +15,7 @@ from convspeech.errors import (
     ConfigurationError,
     ConvSpeechError,
     DegenerateFilterError,
+    DimensionError,
     DomainError,
     EmptySignalError,
     InsufficientInputError,
@@ -387,8 +388,6 @@ def test_backward_shape_mismatch():
     front = toy_frontend()
     x = fe.Waveform(np.random.default_rng(9).normal(size=300), RATE)
     feat, cache = front.forward(x, want_cache=True)
-    from convspeech.errors import DimensionError
-
     with pytest.raises(DimensionError):
         front.backward(cache, np.zeros((feat.shape[0], feat.shape[1] + 1)))
 
@@ -409,7 +408,7 @@ def test_lowpass_window_never_trained():
 def test_mel_frontend_tone_peak():
     n = np.arange(2 * RATE) / RATE
     x = fe.Waveform(0.5 * np.sin(2 * np.pi * 1000 * n), RATE)
-    feat = fe.mel_frontend(x, n_mels=40)
+    feat = fe.MelFrontend(fe.FrontendConfig(num_filters=40), RATE).forward(x)
     # the triangles' centers: the inner mel-spaced edges from 0 to Nyquist
     centers = fe.mel_to_hz(np.linspace(0.0, fe.hz_to_mel(RATE / 2.0), 42))[1:-1]
     # pre-normalization energies carry the peak; recompute them directly
@@ -420,7 +419,8 @@ def test_mel_frontend_tone_peak():
 
 
 def test_mel_frontend_silence():
-    feat = fe.mel_frontend(fe.Waveform(np.zeros(RATE), RATE), n_mels=12)
+    feat = fe.MelFrontend(fe.FrontendConfig(num_filters=12), RATE).forward(
+        fe.Waveform(np.zeros(RATE), RATE))
     assert np.allclose(feat, 0.0)
 
 
@@ -429,8 +429,29 @@ def test_mel_and_learnable_frame_counts_agree():
     for n in (900, 1234, 16000, 20001):
         x = fe.Waveform(rng.normal(size=n) * 0.1, RATE)
         learn = fe.LearnableFrontend(fe.FrontendConfig(num_filters=4), RATE).forward(x)
-        mel = fe.mel_frontend(x, n_mels=40)
+        mel = fe.MelFrontend(fe.FrontendConfig(num_filters=40), RATE).forward(x)
         assert mel.shape == (40, learn.shape[1])
+
+
+@pytest.mark.parametrize("kind", sorted(fe.FRONTENDS))
+def test_frontend_rejects_a_wave_at_another_rate(kind):
+    front = fe.FRONTENDS[kind](fe.FrontendConfig(num_filters=4), RATE)
+    wave = fe.Waveform(np.random.default_rng(3).normal(size=RATE // 2) * 0.1, RATE // 2)
+    with pytest.raises(DimensionError, match="8000 != front-end rate 16000"):
+        front.forward(wave)
+    with pytest.raises(DimensionError):
+        front.forward(wave, want_cache=True)
+
+
+def test_mel_frontend_has_no_parameters():
+    front = fe.MelFrontend(fe.FrontendConfig(num_filters=4), RATE)
+    x = fe.Waveform(np.random.default_rng(4).normal(size=2000) * 0.1, RATE)
+    feat, cache = front.forward(x, want_cache=True)
+    assert np.array_equal(feat, front.forward(x))
+    assert front.params == {} and fe.MelFrontend.param_shapes(front.config, RATE) == {}
+    assert front.backward(cache, np.ones_like(feat)) == {}
+    with pytest.raises(ConfigurationError, match="unexpected arrays.*filter_real"):
+        fe.MelFrontend(front.config, RATE, params={"filter_real": np.zeros((4, 400))})
 
 
 def kernel_centers(real, imag, sample_rate=RATE):
