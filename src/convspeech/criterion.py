@@ -86,44 +86,43 @@ def as_scores(emissions) -> np.ndarray:
     return np.asarray(emissions, dtype=np.float64)
 
 
-def _lse_over(mat: np.ndarray, axis: int) -> np.ndarray:
-    """log-sum-exp down one axis of a 2-d array, tolerant of -inf entries."""
-    peak = mat.max(axis=axis)
-    finite = np.isfinite(peak)
-    if finite.all():
-        with np.errstate(divide="ignore"):
-            return peak + np.log(
-                np.exp(mat - np.expand_dims(peak, axis)).sum(axis=axis)
-            )
-    out = np.full(peak.shape, NEG_INF)
-    if finite.any():
-        sub = mat[:, finite] if axis == 0 else mat[finite, :]
-        sub_peak = peak[finite]
-        with np.errstate(divide="ignore"):
-            out[finite] = sub_peak + np.log(
-                np.exp(sub - np.expand_dims(sub_peak, axis)).sum(axis=axis)
-            )
-    return out
+_FLOOR = np.finfo(np.float64).min  # shifts an all -inf column without making NaN
 
 
-def _forward_pass(f, g):
-    """alpha over the unconstrained graph, where any letter follows any letter."""
+def _full_passes(f, g, backward=True):
+    """(alpha, beta) over the unconstrained graph, where any letter follows any
+    letter and every letter may end a path; beta is None without `backward`.
+
+    Frame t of alpha and frame T-1-t of beta are log-sum-exps down the columns
+    of one (2, |A|, |A|) slab: `heads[t-1]` (alpha[t-1] and f[u] + beta[u] for
+    u = T-t) as columns, plus g and g.T. So each frame is a handful of numpy
+    calls. A column of -inf gives exp(-inf - floor) = 0 and log 0 = -inf.
+    """
     t_total, s = f.shape
-    alpha = np.empty((t_total, s))
-    alpha[0] = f[0]
-    for t in range(1, t_total):
-        alpha[t] = f[t] + _lse_over(alpha[t - 1][:, None] + g, axis=0)
-    return alpha
-
-
-def _backward_pass(f, g):
-    """beta over the unconstrained graph: every letter may end a path."""
-    t_total, s = f.shape
-    beta = np.empty((t_total, s))
-    beta[t_total - 1] = 0.0
-    for t in range(t_total - 1, 0, -1):
-        beta[t - 1] = _lse_over(g + (f[t] + beta[t])[None, :], axis=1)
-    return beta
+    k = 2 if backward else 1
+    heads = np.empty((t_total, k, s))
+    heads[0, 0] = f[0]
+    emit = np.stack([f, f[::-1]], axis=1)[:, :k]  # what frame t adds to each slab's result
+    beta = np.zeros((t_total, s)) if backward else None
+    if backward:
+        heads[0, 1] = f[-1] + beta[-1]
+    arcs = np.stack([g, g.T])[:k]
+    slabs = np.empty((k, s, s))
+    floor, lse = np.empty((2, k, 1, s))  # per slab and column
+    columns = heads[:, :, :, None]
+    with np.errstate(divide="ignore"):
+        for t in range(1, t_total):
+            np.add(columns[t - 1], arcs, out=slabs)
+            np.maximum.reduce(slabs, axis=1, out=floor, keepdims=True)
+            np.fmax(floor, _FLOOR, out=floor)
+            slabs -= floor
+            np.add.reduce(np.exp(slabs, out=slabs), axis=1, out=lse, keepdims=True)
+            np.log(lse, out=lse)
+            lse += floor
+            np.add(emit[t], lse[:, 0], out=heads[t])
+            if backward:
+                beta[t_total - 1 - t] = lse[1, 0]
+    return heads[:, 0], beta
 
 
 def _check_feasible(target: np.ndarray, num_frames: int):
@@ -180,7 +179,7 @@ def forward_score(emissions, g, target: np.ndarray | None = None) -> float:
     f = as_scores(emissions)
     gmat = np.asarray(g, dtype=np.float64)
     if target is None:
-        return float(logsumexp(_forward_pass(f, gmat)[-1]))
+        return float(logsumexp(_full_passes(f, gmat, backward=False)[0][-1]))
     return float(_target_forward(*_target_tables(f, gmat, target))[-1, -1])
 
 
@@ -195,8 +194,7 @@ def asg_loss(emissions, g, target: np.ndarray) -> float:
 def _full_marginals(f, gmat):
     """Unconstrained graph: letter marginals (T, |A|), transition marginals
     (|A|, |A|) and the log partition."""
-    alpha = _forward_pass(f, gmat)
-    beta = _backward_pass(f, gmat)
+    alpha, beta = _full_passes(f, gmat)
     z = logsumexp(alpha[-1])
     log_edges = alpha[:-1, :, None] + gmat + (f[1:] + beta[1:])[:, None, :]
     log_edges -= z

@@ -131,19 +131,20 @@ def fft_length(n: int) -> int:
 
 
 def correlate_rows(signal_spec: np.ndarray, row_spec: np.ndarray, n_fft: int,
-                   lags: int, out: np.ndarray) -> np.ndarray:
+                   lags: int, product: np.ndarray, out: np.ndarray) -> np.ndarray:
     """First `lags` lags of the cross-correlation of one signal with a stack of rows.
 
     From rfft spectra of length `n_fft`: out[f, t] = sum_w rows[f, w] * signal[t + w]
     for 0 <= t < lags. There is no wrap-around while lags + row length - 1 <= n_fft,
     which holds for valid correlations when n_fft >= len(signal).
-    `row_spec` (rows, n_fft // 2 + 1) is overwritten with the product spectrum.
-    The inverse transform is written into `out` (rows, n_fft), and the result
-    is a view of its first `lags` columns.
+    The product spectrum is written into `product`, shaped like `row_spec`
+    (rows, n_fft // 2 + 1); it may be `row_spec` itself. The inverse transform
+    is written into `out` (rows, n_fft), and the result is a view of its
+    first `lags` columns.
     """
-    np.conjugate(row_spec, out=row_spec)
-    row_spec *= signal_spec
-    return np.fft.irfft(row_spec, n_fft, axis=1, out=out)[:, :lags]
+    np.conjugate(row_spec, out=product)
+    product *= signal_spec
+    return np.fft.irfft(product, n_fft, axis=1, out=out)[:, :lags]
 
 
 def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.ndarray:
@@ -306,12 +307,11 @@ class LearnableFrontend:
         lags = pre.size - width + 1
         if want_cache:  # backward needs the bank spectrum and the correlations
             product = self._take("product", (2 * k, bins), np.complex128)
-            np.copyto(product, bank_spec)
-            corr = correlate_rows(pre_spec, product, n_fft, lags, out=rows)
+            corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, product=product, out=rows)
             self._give("product", product)
             power = np.square(corr[:k]) + np.square(corr[k:])
         else:  # nothing does: multiply and square in place
-            corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, out=rows)
+            corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, product=bank_spec, out=rows)
             squares = np.square(corr, out=corr)
             power = squares[:k]
             power += squares[k:]
@@ -386,7 +386,8 @@ class LearnableFrontend:
         d_pre_spec = np.einsum("fb,fb->b", d_spec, bank_spec)
         d_pre = np.fft.irfft(d_pre_spec, n_fft)[: x.size]
         rows = d_rows.base[: two_k * n_fft].reshape(two_k, n_fft)
-        g_bank = correlate_rows(cache["pre_spec"], d_spec, n_fft, width, out=rows).copy()
+        g_bank = correlate_rows(cache["pre_spec"], d_spec, n_fft, width,
+                                product=d_spec, out=rows).copy()
         self._give("product", d_spec)
         self._give("bank", bank_spec)
         self._give("rows", rows)

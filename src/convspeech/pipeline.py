@@ -124,7 +124,10 @@ def train_acoustic(
     optimizer = SgdOptimizer(settings.lr, settings.momentum, settings.clip)
     scheduler = PlateauScheduler(optimizer)
     # a front-end without parameters makes the same features every epoch
-    fixed = None if frontend.params else [frontend.forward(wave) for wave, _, _ in train_items]
+    fixed = dev_fixed = None
+    if not frontend.params:
+        fixed = [frontend.forward(wave) for wave, _, _ in train_items]
+        dev_fixed = [frontend.forward(wave) for wave, _, _ in dev_items or ()]
 
     history = []
     for epoch in range(settings.epochs):
@@ -163,7 +166,7 @@ def train_acoustic(
             "clip_frac": float(np.mean(np.asarray(norms) > settings.clip)),
         }
         if dev_items is not None:
-            record["dev_loss"] = _mean_loss(dev_items, frontend, model, transitions)
+            record["dev_loss"] = _mean_loss(dev_items, frontend, model, transitions, dev_fixed)
             scheduler.update(record["dev_loss"])
         else:
             scheduler.update(record["train_loss"])
@@ -173,11 +176,12 @@ def train_acoustic(
     return system, history
 
 
-def _mean_loss(items, frontend, model, transitions) -> float:
+def _mean_loss(items, frontend, model, transitions, fixed=None) -> float:
+    """Mean ASG loss over `items`, on the features `fixed` holds when given."""
     total = 0.0
-    for wave, target, _ in items:
-        emissions = model.forward(frontend.forward(wave))
-        total += asg_loss(emissions, transitions, target)
+    for j, (wave, target, _) in enumerate(items):
+        feat = frontend.forward(wave) if fixed is None else fixed[j]
+        total += asg_loss(model.forward(feat), transitions, target)
     return total / len(items)
 
 

@@ -1,5 +1,8 @@
 import itertools
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convspeech import criterion as cr
+from convspeech.acoustic import AcousticModel, AcousticModelConfig, ConvLayerSpec
 from convspeech.errors import ConfigurationError, InfeasibleAlignmentError, VocabularyError
 
 from oracles import (
@@ -230,3 +234,113 @@ def test_forward_score_enumeration_property(t, a, seed):
     got = cr.forward_score(emissions, transitions)
     want = brute_force_graph_score(emissions, transitions)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("forbid", ["letter", "transition", "transition_row"])
+def test_neg_inf_scores_match_enumeration(forbid):
+    # a letter no frame may emit, one transition no path may take, and a
+    # letter that nothing may follow (every cell of its row -inf, so one
+    # log-sum-exp of each pass sees only -inf); the target avoids them all
+    rng = np.random.default_rng(40)
+    emissions, transitions = random_instance(rng, 5, 4)
+    target = np.array([0, 1, 0])
+    if forbid == "letter":
+        emissions[:, 3] = -np.inf
+        cells = (slice(None), 3)
+    elif forbid == "transition":
+        transitions[1, 2] = -np.inf
+        cells = (1, 2)
+    else:
+        transitions[3, :] = -np.inf
+        cells = (3, slice(None))
+    z_full, full_letter, full_trans = brute_force_graph_marginals(emissions, transitions)
+    z_con, con_letter, con_trans = brute_force_graph_marginals(emissions, transitions, target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, d_em, d_g = cr.asg_loss_and_gradients(emissions, transitions, target)
+        scores = (cr.forward_score(emissions, transitions),
+                  cr.forward_score(emissions, transitions, target),
+                  cr.asg_loss(emissions, transitions, target))
+    assert _rel_err(scores, (z_full, z_con, z_full - z_con)) <= 1e-10
+    assert _rel_err(loss, z_full - z_con) <= 1e-10
+    assert _rel_err(d_em, full_letter - con_letter) <= 1e-10
+    assert _rel_err(d_g, full_trans - con_trans) <= 1e-10
+    if forbid == "letter":
+        assert np.all(d_em[cells] == 0.0)
+    else:
+        assert np.all(d_g[cells] == 0.0)
+
+
+GOLDEN = Path(__file__).with_name("criterion_golden.json")
+
+
+def _golden_cases():
+    """Seeded 7-letter criterion inputs at T = 1, 2, 9, 55 and 98, then one
+    with a letter -inf at every frame and one with -inf transition cells
+    (a whole column and a whole row among them)."""
+    for case, t in enumerate((1, 2, 9, 55, 98, 30, 30)):
+        rng = np.random.default_rng(3000 + case)
+        emissions = 2.0 * rng.normal(size=(t, 7))
+        transitions = rng.normal(size=(7, 7))
+        letters = [int(rng.integers(0, 4))]
+        while len(letters) < min(t, 12):
+            letters.append((letters[-1] + int(rng.integers(1, 4))) % 4)
+        if case == 5:
+            emissions[:, 5] = -np.inf
+        if case == 6:
+            transitions[rng.random((7, 7)) < 0.15] = -np.inf
+            transitions[:, 4] = transitions[5, :] = -np.inf
+            transitions[letters[:-1], letters[1:]] = 0.5
+            transitions[letters, letters] = 0.25
+        yield emissions, transitions, np.array(letters)
+
+
+def _acoustic_golden_row() -> dict:
+    """One seeded AcousticModel forward and backward with dropout, whose
+    pre-activations reach both tails of the sigmoid gate."""
+    rng = np.random.default_rng(3100)
+    config = AcousticModelConfig(
+        [ConvLayerSpec(4, 6, 3, dropout_rate=0.2), ConvLayerSpec(6, 5, 5)], alphabet_size=7
+    )
+    model = AcousticModel(config, rng=rng)
+    features = 6.0 * rng.normal(size=(4, 40))
+    emissions, cache = model.forward(features, training=True, rng=rng, want_cache=True)
+    grads, d_features = model.backward(cache, rng.normal(size=emissions.scores.shape))
+    return {"emissions": _hexes(emissions.scores), "d_features": _hexes(d_features),
+            **{key: _hexes(g) for key, g in sorted(grads.items())}}
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _golden_row(emissions, transitions, target) -> dict:
+    loss, d_em, d_g = cr.asg_loss_and_gradients(emissions, transitions, target)
+    return {"loss": _hexes(loss), "d_emissions": _hexes(d_em), "d_transitions": _hexes(d_g),
+            "asg_loss": _hexes(cr.asg_loss(emissions, transitions, target)),
+            "full_score": _hexes(cr.forward_score(emissions, transitions)),
+            "target_score": _hexes(cr.forward_score(emissions, transitions, target))}
+
+
+def _golden_rows() -> list[dict]:
+    return [_golden_row(*case) for case in _golden_cases()] + [_acoustic_golden_row()]
+
+
+def test_criterion_outputs_match_golden_file():
+    # criterion_golden.json pins the criterion's scores and gradients and one
+    # acoustic forward/backward bit for bit; regenerate it (run this file as
+    # a script) only for a change that is meant to alter them
+    want = json.loads(GOLDEN.read_text())
+    got = _golden_rows()
+    assert len(got) == len(want) == 8
+    for case, (row, expected) in enumerate(zip(got, want)):
+        assert row.keys() == expected.keys(), case
+        for name, values in row.items():
+            x = np.array([float.fromhex(v) for v in values])
+            y = np.array([float.fromhex(v) for v in expected[name]])
+            assert x.shape == y.shape, (case, name)
+            assert np.all((x == y) | (np.abs(x - y) <= 1e-12 * np.abs(y))), (case, name)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(row) for row in _golden_rows()) + "\n]\n")

@@ -73,7 +73,7 @@ def bank_power(x, real, imag):
     n_fft = fe.fft_length(x.size)
     bank_spec = np.fft.rfft(np.concatenate([real, imag]), n_fft, axis=1)
     corr = fe.correlate_rows(np.fft.rfft(x, n_fft), bank_spec, n_fft, x.size - width + 1,
-                             out=np.empty((2 * k, n_fft)))
+                             product=bank_spec, out=np.empty((2 * k, n_fft)))
     return corr[:k] ** 2 + corr[k:] ** 2
 
 
@@ -132,8 +132,9 @@ def test_correlate_rows_fft_path_matches_direct():
     kernels = rng.normal(size=(8, 300))
     direct = np.lib.stride_tricks.sliding_window_view(x, 300) @ kernels.T
     n_fft = fe.fft_length(x.size)
-    got = fe.correlate_rows(np.fft.rfft(x, n_fft), np.fft.rfft(kernels, n_fft, axis=1),
-                            n_fft, x.size - 299, out=np.empty((8, n_fft))).T
+    spec = np.fft.rfft(kernels, n_fft, axis=1)
+    got = fe.correlate_rows(np.fft.rfft(x, n_fft), spec, n_fft, x.size - 299,
+                            product=spec, out=np.empty((8, n_fft))).T
     assert np.max(np.abs(got - direct)) / np.max(np.abs(direct)) <= 1e-12
 
 

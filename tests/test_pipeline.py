@@ -134,6 +134,30 @@ def test_mel_frontend_training_runs(tiny_mel_system, tmp_path):
     assert isinstance(pipeline.load_system(tmp_path / "mel.ckpt").frontend, MelFrontend)
 
 
+def test_mel_features_are_computed_once_per_utterance(tiny_task, monkeypatch):
+    # a parameter-free front-end makes the same features every epoch, for the
+    # training and the dev utterances alike
+    spec, manifests, _ = tiny_task
+    calls = []
+    forward = MelFrontend.forward
+
+    def counted_forward(self, *args, **kwargs):
+        calls.append(args)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(MelFrontend, "forward", counted_forward)
+    _, history = pipeline.train_acoustic(
+        manifests["train"], spec.lexicon, spec.alphabet,
+        frontend_kind="mel",
+        frontend_config=FrontendConfig(num_filters=8),
+        dev_manifest=manifests["dev"],
+        settings=pipeline.TrainSettings(epochs=3, lr=0.3, batch_size=3, seed=0),
+    )
+    assert len(history) == 3 and all("dev_loss" in record for record in history)
+    assert history[0]["skipped"] == 0
+    assert len(calls) == len(manifests["train"].entries) + len(manifests["dev"].entries)
+
+
 def test_system_checkpoint_round_trip(tiny_system, tiny_mel_system, tiny_task, tmp_path):
     _, manifests, _ = tiny_task
     wave = pipeline.read_wav(manifests["dev"].entries[0].audio)
