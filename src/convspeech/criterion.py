@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .acoustic import EmissionTable
-from .errors import ConfigurationError, InfeasibleAlignmentError, VocabularyError
+from .errors import ConfigurationError, DomainError, InfeasibleAlignmentError, VocabularyError
 from .util import NEG_INF, logsumexp
 
 
@@ -79,11 +79,18 @@ def encode_target(alphabet: Alphabet, letters: Sequence[str]) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def as_scores(emissions) -> np.ndarray:
-    """The (T, |A|) score array of an EmissionTable or array-like."""
+def as_scores(emissions, g) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, |A|) score array of an EmissionTable or array-like, and the
+    transitions `g` as a float array. Raises DomainError on a NaN or +inf
+    score: -inf forbids a letter or a transition, but NaN and +inf have no
+    meaning in a path's sum."""
     if isinstance(emissions, EmissionTable):
-        return emissions.scores
-    return np.asarray(emissions, dtype=np.float64)
+        emissions = emissions.scores
+    f = np.asarray(emissions, dtype=np.float64)
+    gmat = np.asarray(g, dtype=np.float64)
+    if not ((f < np.inf).all() and (gmat < np.inf).all()):
+        raise DomainError("emissions or transitions contain NaN or +inf")
+    return f, gmat
 
 
 _FLOOR = np.finfo(np.float64).min  # shifts an all -inf column without making NaN
@@ -139,31 +146,34 @@ def _target_tables(f: np.ndarray, g: np.ndarray, target: np.ndarray):
     return f[:, target], g[target, target], g[target[:-1], target[1:]]
 
 
-def _target_forward(em, stay, advance):
-    """alpha over the target graph, where state s is entered from s or s-1."""
+def _target_passes(em, stay, advance, backward=True):
+    """(alpha, beta) over the target graph, where state s is entered from s or
+    s-1 and left to s or s+1; beta is None without `backward`.
+
+    Row t of `heads` holds alpha[t] and, with the states reversed,
+    em[u] + beta[u] for u = T-1-t, so one loop steps both with the same adds,
+    in the order of their own recursions. Nothing enters beta's first state:
+    its advance score is -inf, which logaddexp adds as exactly 0 (beta is
+    never -0.0). `sums` keeps each row before its emissions.
+    """
     t_total, s = em.shape
-    alpha = np.full((t_total, s), NEG_INF)
-    alpha[0, 0] = em[0, 0]
+    width = 2 * s if backward else s
+    sums = np.full((t_total, width), NEG_INF)
+    heads = np.full((t_total, width), NEG_INF)
+    heads[0, 0] = em[0, 0]
+    stays = np.concatenate([stay, stay[::-1]])[:width]
+    advances = np.concatenate([advance, [NEG_INF], advance[::-1]])[: width - 1]
+    emit = np.concatenate([em, em[::-1, ::-1]], axis=1)[:, :width]
+    sums[0, s : s + 1] = 0.0  # beta[T-1]: only the last state ends a path
+    np.add(sums[0, s:], emit[0, s:], out=heads[0, s:])
+    entered = np.empty(width - 1)
+    froms, intos = heads[:, :-1], sums[:, 1:]
     for t in range(1, t_total):
-        prev = alpha[t - 1]
-        row = alpha[t]
-        np.add(prev, stay, out=row)
-        np.logaddexp(row[1:], prev[:-1] + advance, out=row[1:])
-        row += em[t]
-    return alpha
-
-
-def _target_backward(em, stay, advance):
-    """beta over the target graph, where state s leaves to s or s+1."""
-    t_total, s = em.shape
-    beta = np.full((t_total, s), NEG_INF)
-    beta[-1, -1] = 0.0
-    for t in range(t_total - 1, 0, -1):
-        ahead = em[t] + beta[t]
-        row = beta[t - 1]
-        np.add(ahead, stay, out=row)
-        np.logaddexp(row[:-1], ahead[1:] + advance, out=row[:-1])
-    return beta
+        np.add(heads[t - 1], stays, out=sums[t])
+        np.add(froms[t - 1], advances, out=entered)
+        np.logaddexp(intos[t], entered, out=intos[t])
+        np.add(sums[t], emit[t], out=heads[t])
+    return heads[:, :s], (sums[::-1, s:][:, ::-1] if backward else None)
 
 
 def forward_score(emissions, g, target: np.ndarray | None = None) -> float:
@@ -174,19 +184,20 @@ def forward_score(emissions, g, target: np.ndarray | None = None) -> float:
     where each frame stays on the current target letter or advances to the
     next. The first frame contributes its emission only; transitions apply
     from the second frame on. Returns -inf when the target has more letters
-    than there are frames; raises InfeasibleAlignmentError for an empty target.
+    than there are frames; raises InfeasibleAlignmentError for an empty target
+    and DomainError on a NaN or +inf score.
     """
-    f = as_scores(emissions)
-    gmat = np.asarray(g, dtype=np.float64)
+    f, gmat = as_scores(emissions, g)
     if target is None:
         return float(logsumexp(_full_passes(f, gmat, backward=False)[0][-1]))
-    return float(_target_forward(*_target_tables(f, gmat, target))[-1, -1])
+    alpha, _ = _target_passes(*_target_tables(f, gmat, target), backward=False)
+    return float(alpha[-1, -1])
 
 
 def asg_loss(emissions, g, target: np.ndarray) -> float:
-    """Unconstrained minus target-constrained graph score; always >= 0."""
-    f = as_scores(emissions)
-    gmat = np.asarray(g, dtype=np.float64)
+    """Unconstrained minus target-constrained graph score; always >= 0.
+    Raises DomainError on a NaN or +inf score."""
+    f, gmat = as_scores(emissions, g)
     _check_feasible(target, f.shape[0])
     return forward_score(f, gmat) - forward_score(f, gmat, target)
 
@@ -205,8 +216,7 @@ def _full_marginals(f, gmat):
 def _target_marginals(f, gmat, target: np.ndarray):
     """The same three quantities for the target graph, from its band."""
     em, stay, advance = _target_tables(f, gmat, target)
-    alpha = _target_forward(em, stay, advance)
-    beta = _target_backward(em, stay, advance)
+    alpha, beta = _target_passes(em, stay, advance)
     z = alpha[-1, -1]
     post = np.exp(alpha + beta - z)  # (T, S)
     letter_marg = np.zeros_like(f)
@@ -226,9 +236,8 @@ def asg_loss_and_gradients(emissions, g, target: np.ndarray):
     The emission gradient at frame t is the difference between the posterior
     letter marginals of the unconstrained and constrained graphs; the
     transition gradient is the analogous difference of expected edge counts.
-    """
-    f = as_scores(emissions)
-    gmat = np.asarray(g, dtype=np.float64)
+    Raises DomainError on a NaN or +inf score."""
+    f, gmat = as_scores(emissions, g)
     _check_feasible(target, f.shape[0])
     full_letter, full_trans, z_full = _full_marginals(f, gmat)
     con_letter, con_trans, z_con = _target_marginals(f, gmat, target)

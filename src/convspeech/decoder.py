@@ -51,8 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .criterion import Alphabet, as_scores, encode_target
-from .errors import (ConfigurationError, DimensionError, DomainError, EmptyBeamError,
-                     VocabularyError)
+from .errors import ConfigurationError, DimensionError, EmptyBeamError, VocabularyError
 from .metrics import EvalReport, aggregate, score_utterance
 
 
@@ -352,16 +351,12 @@ def decode(emissions, g, trie: LexiconTrie, lm, opts: DecoderOptions) -> DecodeR
 
 def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions):
     """`decode` with the LM lookups of `memo`."""
-    f = as_scores(emissions)
-    gmat = np.asarray(g, dtype=np.float64)
+    f, gmat = as_scores(emissions, g)
     size = len(trie.alphabet)
     if f.ndim != 2 or f.shape[1] != size or gmat.shape != (size, size):
         raise DimensionError(
             f"emissions {f.shape} and transitions {gmat.shape} do not fit an alphabet of "
             f"{size} letters: expected (frames, {size}) and ({size}, {size})")
-    # -inf scores forbid a letter; NaN and +inf have no meaning in a path's sum
-    if not ((f < np.inf).all() and (gmat < np.inf).all()):
-        raise DomainError("emissions or transitions contain NaN or +inf")
     t_total = f.shape[0]
     if t_total < 1:
         raise EmptyBeamError(0, "no frames to decode")

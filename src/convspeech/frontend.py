@@ -162,21 +162,28 @@ def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.n
 
 
 def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
-                      length: int) -> np.ndarray:
+                      length: int, take) -> np.ndarray:
     """Adjoint of lowpass_decimate: out[f, n*stride + w] += window[w] * grad[f, n].
 
     Tap w = j*stride + r of frame n lands on position (n + j)*stride + r, so
     the scatter is one vectorised add per phase j. The last phase goes first,
     which adds in the order of a loop over frames: the result is bit-identical
-    to that loop.
+    to that loop. `take(size)` gives a flat float64 array of at least `size`
+    entries, whatever they hold, for the output and one phase's products; the
+    result is a view into it.
     """
     k, t_out = grad.shape
     phases = -(-window.size // stride)
     win = np.zeros(phases * stride)
     win[: window.size] = window
-    out = np.zeros((k, max(t_out + phases - 1, -(-length // stride)), stride))
+    blocks = max(t_out + phases - 1, -(-length // stride))
+    buffer = take(k * (blocks + t_out) * stride)
+    out = buffer[: k * blocks * stride].reshape(k, blocks, stride)
+    term = buffer[out.size : out.size + k * t_out * stride].reshape(k, t_out, stride)
+    out.fill(0.0)
     for j in reversed(range(phases)):
-        out[:, j : j + t_out, :] += grad[:, :, None] * win[j * stride : (j + 1) * stride]
+        np.multiply(grad[:, :, None], win[j * stride : (j + 1) * stride], out=term)
+        out[:, j : j + t_out, :] += term
     return out.reshape(k, -1)[:, :length]
 
 
@@ -226,18 +233,21 @@ class LearnableFrontend:
     "filter_real" and "filter_imag" (k, W). The low-pass window is fixed to a
     squared Hanning window and receives no gradient.
 
-    The three (2k, ~n_fft) arrays of a pass (the bank spectrum, the product
-    spectrum and the correlation rows) live in buffers that the front-end
-    keeps from one pass to the next, so an utterance does not fault in fresh
-    pages. Each buffer is either in the front-end's pool or held by one
-    cache: a forward takes what it needs from the pool (allocating, or
-    growing, what is missing or too small), a forward without a cache gives
-    everything back at its end, and a forward with a cache gives back the
-    product buffer while `backward` gives back the other two. A second
-    forward before a backward therefore never writes into a live cache. The
-    pool keeps no buffer over POOL_BUFFER_LIMIT bytes, so one long signal
-    does not pin its buffers for the life of the front-end. One instance
-    runs one pass at a time.
+    The three (2k, ~n_fft) arrays of a pass live in buffers that the
+    front-end keeps between passes, so a pass faults in no fresh pages and
+    makes no row-sized temporaries. "rows" holds the bank, zero-padded to
+    n_fft in place, then the correlations; `backward` zeroes their tail past
+    t_conv and transforms the upstream rows in it. "bank" holds the bank
+    spectrum. "product" holds the product spectrum, then (with a cache) the
+    squared correlations, and in `backward` the low-pass adjoint and then the
+    upstream spectrum. What a buffer held before a pass never reaches its
+    result. Each buffer is either in the pool or held by one cache: a forward
+    takes what it needs from the pool (allocating, or growing, what is
+    missing or too small), a forward without a cache gives everything back,
+    and a forward with a cache gives back "product" while `backward` gives
+    back the other two, so a second forward before a backward never writes
+    into a live cache. The pool keeps no buffer over POOL_BUFFER_LIMIT bytes.
+    One instance runs one pass at a time.
     """
 
     kind = "learnable"
@@ -272,13 +282,14 @@ class LearnableFrontend:
         bank = (config.num_filters, config.filter_width(sample_rate))
         return {"preemphasis": (2,), "filter_real": bank, "filter_imag": bank}
 
-    def _take(self, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
-        """A contiguous `shape` view of the pool's buffer `name`, taken out of the pool."""
-        size = shape[0] * shape[1]
+    def _take(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """A contiguous `shape` array of `dtype` over the pool's buffer `name`,
+        taken out of the pool; its contents are whatever the buffer held."""
+        floats = int(np.prod(shape)) * np.dtype(dtype).itemsize // 8
         flat = self._pool.pop(name, None)
-        if flat is None or flat.size < size:
-            flat = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
+        if flat is None or flat.size < floats:
+            flat = np.empty(floats)
+        return flat[:floats].view(dtype).reshape(shape)
 
     def _give(self, name: str, view: np.ndarray):
         """Put the buffer under `view` back in the pool, unless it is over the
@@ -297,32 +308,36 @@ class LearnableFrontend:
         pre = preemphasize(x, self.params["preemphasis"]).samples
         real, imag = self.params["filter_real"], self.params["filter_imag"]
         k, width = real.shape
-        # one spectrum of the signal, one of the stacked real+imaginary bank
+        # one spectrum of the signal, one of the stacked real+imaginary bank,
+        # which the rows buffer holds zero-padded to n_fft
         n_fft = fft_length(pre.size)
         bins = n_fft // 2 + 1
         pre_spec = np.fft.rfft(pre, n_fft)
-        bank_spec = np.fft.rfft(np.concatenate([real, imag]), n_fft, axis=1,
-                                out=self._take("bank", (2 * k, bins), np.complex128))
         rows = self._take("rows", (2 * k, n_fft), np.float64)
+        rows[:k, :width] = real
+        rows[k:, :width] = imag
+        rows[:, width:] = 0.0
+        bank_spec = np.fft.rfft(rows, axis=1,
+                                out=self._take("bank", (2 * k, bins), np.complex128))
         lags = pre.size - width + 1
         if want_cache:  # backward needs the bank spectrum and the correlations
             product = self._take("product", (2 * k, bins), np.complex128)
             corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, product=product, out=rows)
             self._give("product", product)
-            power = np.square(corr[:k]) + np.square(corr[k:])
+            squares = np.square(corr, out=self._take("product", corr.shape, np.float64))
         else:  # nothing does: multiply and square in place
             corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, product=bank_spec, out=rows)
             squares = np.square(corr, out=corr)
-            power = squares[:k]
-            power += squares[k:]
+        power = squares[:k]
+        power += squares[k:]
         pooled = lowpass_decimate(power, self.lowpass_window, stride)
-        if not want_cache:
-            self._give("bank", bank_spec)
-            self._give("rows", rows)
         logged = log_compress(pooled, cfg.log_epsilon)
         normed = instance_normalize(logged, cfg.norm_epsilon)
         if not want_cache:
+            self._give("bank", bank_spec)
+            self._give("rows", rows)
             return normed
+        self._give("product", squares)
         cache = {
             "x": x.samples,
             "pre_spec": pre_spec,
@@ -366,26 +381,27 @@ class LearnableFrontend:
         corr = cache.pop("corr")
         two_k, t_conv = corr.shape
         k = two_k // 2
-        d_power = lowpass_transpose(d_pooled, self.lowpass_window, cache["stride"], t_conv)
+        d_power = lowpass_transpose(d_pooled, self.lowpass_window, cache["stride"], t_conv,
+                                    take=lambda size: self._take("product", (size,), np.float64))
         # squared modulus: upstream rows for the stacked real+imaginary bank,
-        # formed in the correlation rows themselves
+        # formed in the correlation rows themselves and zero-padded to n_fft
         d_power *= 2.0
-        d_rows = corr
-        d_rows[:k] *= d_power
-        d_rows[k:] *= d_power
-        del d_power  # freed before the FFTs: lower peak memory
+        n_fft = cache["n_fft"]
+        rows = corr.base[: two_k * n_fft].reshape(two_k, n_fft)
+        rows[:k, :t_conv] *= d_power
+        rows[k:, :t_conv] *= d_power
+        rows[:, t_conv:] = 0.0
+        self._give("product", d_power)
         # complex convolution, from one spectrum of the upstream rows: the
         # signal gradient sums the full convolutions d_f * K_f, and the filter
         # gradients are the first W lags of the correlation of the input with d_f
-        n_fft = cache["n_fft"]
         x = cache["x"]
         bank_spec = cache.pop("bank_spec")
         width = self.params["filter_real"].shape[1]
-        d_spec = np.fft.rfft(d_rows, n_fft, axis=1,
+        d_spec = np.fft.rfft(rows, axis=1,
                              out=self._take("product", bank_spec.shape, np.complex128))
         d_pre_spec = np.einsum("fb,fb->b", d_spec, bank_spec)
         d_pre = np.fft.irfft(d_pre_spec, n_fft)[: x.size]
-        rows = d_rows.base[: two_k * n_fft].reshape(two_k, n_fft)
         g_bank = correlate_rows(cache["pre_spec"], d_spec, n_fft, width,
                                 product=d_spec, out=rows).copy()
         self._give("product", d_spec)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from convspeech import criterion as cr
 from convspeech.acoustic import AcousticModel, AcousticModelConfig, ConvLayerSpec
-from convspeech.errors import ConfigurationError, InfeasibleAlignmentError, VocabularyError
+from convspeech.errors import (ConfigurationError, DomainError, InfeasibleAlignmentError,
+                               VocabularyError)
 
 from oracles import (
     brute_force_graph_marginals,
@@ -269,6 +270,29 @@ def test_neg_inf_scores_match_enumeration(forbid):
         assert np.all(d_em[cells] == 0.0)
     else:
         assert np.all(d_g[cells] == 0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["emission", "transition"])
+@pytest.mark.parametrize("band", ["target", "off_target"])
+def test_nan_and_pos_inf_scores_are_rejected(value, where, band):
+    # one bad cell, either on the target's band (both graphs read it) or off
+    # it (only the unconstrained graph does); -inf keeps its meaning above
+    rng = np.random.default_rng(41)
+    emissions, transitions = random_instance(rng, 6, 4)
+    target = np.array([0, 1, 0])
+    letter = 1 if band == "target" else 3
+    if where == "emission":
+        emissions[2, letter] = value
+    else:
+        transitions[letter, 0] = value
+    calls = [lambda: cr.forward_score(emissions, transitions),
+             lambda: cr.forward_score(emissions, transitions, target),
+             lambda: cr.asg_loss(emissions, transitions, target),
+             lambda: cr.asg_loss_and_gradients(emissions, transitions, target)]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"NaN or \+inf"):
+            call()
 
 
 GOLDEN = Path(__file__).with_name("criterion_golden.json")

@@ -273,7 +273,10 @@ def test_lowpass_transpose_bit_equal_to_scatter_loop(width, stride, t_conv):
     want = np.zeros((3, t_conv))
     for n in range(t_out):
         want[:, n * stride : n * stride + width] += window * grad[:, n : n + 1]
-    assert np.array_equal(fe.lowpass_transpose(grad, window, stride, t_conv), want)
+    # the working buffer's stale contents, NaN included, never reach the result
+    for fill in (0.0, np.nan):
+        take = lambda size: np.full(size + 5, fill)  # noqa: E731
+        assert np.array_equal(fe.lowpass_transpose(grad, window, stride, t_conv, take), want)
     # adjoint of the forward decimation: <decimate(p), g> == <p, transpose(g)>
     p = rng.normal(size=(3, t_conv))
     lhs = (fe.lowpass_decimate(p, window, stride) * grad).sum()
@@ -609,6 +612,54 @@ def test_warm_forward_allocates_less_than_one_row_stack():
         tracemalloc.stop()
     stack = 2 * config.num_filters * fe.fft_length(x.samples.size) * 8
     assert peak < stack
+
+
+def test_warm_cached_pass_makes_no_row_sized_temporaries():
+    # every (2k, ~n_fft) array of a cached forward and its backward lives in
+    # the pool; what is left is single rows and (k, frames) arrays
+    config = fe.FrontendConfig(num_filters=8)
+    front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(33))
+    x = fe.Waveform(0.3 * np.random.default_rng(34).normal(size=16000), RATE)
+    feat, cache = front.forward(x, want_cache=True)
+    upstream = np.random.default_rng(35).normal(size=feat.shape)
+    front.backward(cache, upstream)
+    tracemalloc.start()
+    try:
+        feat, cache = front.forward(x, want_cache=True)
+        front.backward(cache, upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = 2 * config.num_filters * fe.fft_length(x.samples.size) * 8
+    assert peak < stack / 2
+
+
+def test_stale_pool_contents_never_reach_the_results():
+    # NaN in every pooled buffer before each step of long-then-short passes;
+    # at 1,920 samples the FFT is as long as the signal, so no padding is left
+    config = fe.FrontendConfig(num_filters=8)
+    rng = np.random.default_rng(39)
+    warm = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
+    assert fe.fft_length(1920) == 1920
+
+    def stale():
+        for flat in warm._pool.values():
+            flat.fill(np.nan)
+
+    for n in (16320, 6750, 1920):
+        x = fe.Waveform(0.3 * rng.normal(size=n), RATE)
+        upstream = _upstream(rng, n, config)
+        stale()
+        plain = warm.forward(x)
+        stale()
+        feat, cache = warm.forward(x, want_cache=True)
+        stale()
+        grads = warm.backward(cache, upstream)
+        fresh = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
+        want_plain, want, want_grads = _pass(fresh, x.samples, upstream)
+        assert np.array_equal(plain, want_plain) and np.array_equal(feat, want), n
+        for key in want_grads:
+            assert np.array_equal(grads[key], want_grads[key]), (n, key)
 
 
 def test_pool_keeps_no_buffer_over_the_limit():
