@@ -246,22 +246,19 @@ class AcousticModel:
     def forward(
         self,
         features: np.ndarray,
-        training: bool = False,
         rng: np.random.Generator | None = None,
         want_cache: bool = False,
     ):
+        """Emissions of a feature map; layers with dropout draw masks from `rng` if given."""
         h = np.asarray(features)
         if h.shape[0] != self.config.layers[0].in_channels:
             raise DimensionError(
                 f"features have {h.shape[0]} channels, model expects "
                 f"{self.config.layers[0].in_channels}"
             )
-        if training and rng is None:
-            rng = np.random.default_rng(0)
         layer_caches = []
         for i, spec in enumerate(self.config.layers):
-            h, layer_cache = conv_glu(self.params, f"layer{i}", h, spec.dropout_rate,
-                                      rng if training else None)
+            h, layer_cache = conv_glu(self.params, f"layer{i}", h, spec.dropout_rate, rng)
             layer_caches.append(layer_cache)
         scores_ct, proj_cache = wn_conv(self.params, "proj", h)
         emissions = EmissionTable(scores_ct.T.copy())

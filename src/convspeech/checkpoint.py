@@ -1,16 +1,15 @@
 """On-disk containers: checkpoints, emission tables, lexicon files.
 
 Checkpoints are versioned JSON with base64-encoded raw array bytes, so values
-round-trip bit-exactly. Emission tables use a small little-endian binary
-format for decoder-only interchange; version 2 adds the transition table, so
-a decode from the table scores paths as the system that wrote it does.
+round-trip bit-exactly. An emission table is one kind: scores with the alphabet
+and transitions they are decoded with, so a decode from the table scores
+paths as the system that wrote it does.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +17,10 @@ import numpy as np
 from .acoustic import EmissionTable
 from .criterion import Alphabet
 from .errors import ConfigurationError, VocabularyError
+from .util import check_params
 
 CHECKPOINT_FORMAT = "convspeech-checkpoint"
 CHECKPOINT_VERSION = 1
-
-_EMISSION_MAGIC = b"CSEM"
-_EMISSION_VERSION = 2
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -79,71 +76,50 @@ def load_checkpoint(path):
             f"{path} has unsupported checkpoint version {payload.get('version')}"
         )
     try:
+        if not isinstance(payload["arrays"], dict):
+            raise TypeError("arrays is not an object")
         arrays = {name: _decode_array(entry) for name, entry in payload["arrays"].items()}
         return payload["kind"], payload["config"], arrays
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigurationError(f"{path}: malformed checkpoint ({type(err).__name__}: {err})") from None
 
 
-def save_emissions(path, emissions: EmissionTable, alphabet: Alphabet, transitions):
-    """Binary emission table (format v2): little-endian header, float64 scores,
-    then the float64 (|A|, |A|) transition table the scores are decoded with.
+def alphabet_to_json(alphabet: Alphabet) -> dict:
+    """The alphabet as checkpoint configs store it."""
+    return {"letters": list(alphabet.letters), "silence": alphabet.silence_token,
+            "repetition": alphabet.repetition_token}
 
-    The two header bytes after the version are written as 0 and ignored on
-    reading; earlier writers put a "normalized" flag in the first of them."""
-    scores = np.ascontiguousarray(emissions.scores, dtype="<f8")
-    t, a = scores.shape
-    if a != len(alphabet):
-        raise ConfigurationError(
-            f"emission table has {a} letters but alphabet has {len(alphabet)}"
-        )
-    g = np.ascontiguousarray(transitions, dtype="<f8")
-    if g.shape != (a, a):
-        raise ConfigurationError(f"transition table of shape {g.shape} does not match {a} letters")
-    chunks = [
-        _EMISSION_MAGIC,
-        struct.pack("<HBB", _EMISSION_VERSION, 0, 0),
-        struct.pack("<IIHH", t, a, alphabet.silence_index, alphabet.repetition_index),
-    ]
-    for letter in alphabet.letters:
-        encoded = letter.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-    chunks.append(scores.tobytes())
-    chunks.append(g.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+
+def alphabet_from_json(entry) -> Alphabet:
+    """Inverse of alphabet_to_json; a malformed entry raises ConfigurationError."""
+    if not isinstance(entry, dict) or entry.keys() != {"letters", "silence", "repetition"}:
+        raise ConfigurationError("alphabet must be an object of letters, silence and repetition")
+    letters, silence, repetition = entry["letters"], entry["silence"], entry["repetition"]
+    if not isinstance(letters, list) or not all(
+            isinstance(tok, str) for tok in [*letters, silence, repetition]):
+        raise ConfigurationError("alphabet letters and tokens must be strings")
+    return Alphabet(tuple(letters), silence, repetition)
 
 
 def load_emissions(path):
-    """Inverse of save_emissions; returns (EmissionTable, Alphabet, transitions).
-
-    Version 1 files carry no transition table; for them `transitions` is None.
-    """
-    raw = Path(path).read_bytes()
-    if raw[:4] != _EMISSION_MAGIC:
-        raise ConfigurationError(f"{path}: bad emission-table magic {raw[:4]!r}")
+    """(EmissionTable, Alphabet, transitions) from a checkpoint of kind "emissions":
+    the config {"alphabet": alphabet_to_json(...)} and the float64 arrays
+    "scores" (T, |A|) and "transitions" (|A|, |A|), which the scores are decoded with."""
+    kind, config, arrays = load_checkpoint(path)
     try:
-        (version,) = struct.unpack_from("<H", raw, 4)
-        if version not in (1, _EMISSION_VERSION):
-            raise ConfigurationError(f"unsupported emission format version {version}")
-        t, a, sil_idx, rep_idx = struct.unpack_from("<IIHH", raw, 8)
-        offset = 20
-        letters = []
-        for _ in range(a):
-            (length,) = struct.unpack_from("<H", raw, offset)
-            offset += 2
-            letters.append(raw[offset : offset + length].decode("utf-8"))
-            offset += length
-        scores = np.frombuffer(raw, dtype="<f8", count=t * a, offset=offset).reshape(t, a)
-        transitions = None
-        if version >= 2:
-            offset += 8 * t * a
-            transitions = np.frombuffer(raw, dtype="<f8", count=a * a, offset=offset)
-            transitions = transitions.reshape(a, a).copy()
-        alphabet = Alphabet(tuple(letters), letters[sil_idx], letters[rep_idx])
-    except (struct.error, ValueError, IndexError, ConfigurationError) as err:
-        raise ConfigurationError(f"{path}: truncated or corrupt emission table ({err})") from None
-    return EmissionTable(scores.copy()), alphabet, transitions
+        if kind != "emissions":
+            raise ConfigurationError(f"holds a {kind!r} checkpoint, not an emission table")
+        if not isinstance(config, dict) or config.keys() != {"alphabet"}:
+            raise ConfigurationError("emission-table config must hold just the alphabet")
+        alphabet = alphabet_from_json(config["alphabet"])
+        a = len(alphabet)
+        frames = np.shape(arrays.get("scores"))[:1]  # any count, so scores need |A| columns
+        check_params(arrays, {"scores": (*frames, a), "transitions": (a, a)}, "emission table")
+        if any(arr.dtype != np.float64 for arr in arrays.values()):
+            raise ConfigurationError("emission-table arrays must be float64")
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from None
+    return EmissionTable(arrays["scores"]), alphabet, arrays["transitions"]
 
 
 def write_lexicon(path, lexicon: dict[str, list[str]]):

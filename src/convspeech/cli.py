@@ -29,7 +29,7 @@ from .decoder import DecoderOptions, build_trie, decode, tune_grid
 from .errors import ArpaParseError, ConfigurationError, ConvSpeechError, EmptyBeamError
 from .frontend import FRONTENDS, FrontendConfig, LearnableFrontend, analyze_filters
 from .gcnn import GcnnConfig, GcnnLm, train_gcnn
-from .lm import Vocabulary, fit_bigram_arpa, load_arpa
+from .lm import SENTENCE_BEGIN, SENTENCE_END, UNKNOWN_TOKEN, Vocabulary, fit_bigram_arpa, load_arpa
 from .synth import SyntheticTaskSpec, load_manifest
 from .util import from_fields
 
@@ -227,7 +227,7 @@ def cmd_train_lm(args):
         print(f"bigram ARPA written to {args.checkpoint}")
         return
     tokens = sorted({tok for sentence in corpus for tok in sentence})
-    vocab = Vocabulary(tuple(tokens) + ("<s>", "</s>", "<unk>"))
+    vocab = Vocabulary(tuple(tokens) + (SENTENCE_BEGIN, SENTENCE_END, UNKNOWN_TOKEN))
     config = GcnnConfig(num_blocks=args.blocks, embed_dim=args.embed_dim,
                         bottleneck_dim=args.bottleneck_dim,
                         mid_kernel_width=args.kernel_width, dropout_rate=args.dropout)
@@ -268,14 +268,8 @@ def cmd_decode(args):
     opts = _decoder_opts(args)
     if args.emissions:
         emissions, alphabet, g = ckpt.load_emissions(args.emissions)
-        if g is None:
-            print(f"note: {args.emissions} is a version 1 emission table without a "
-                  "transition table; decoding with zero transitions", file=sys.stderr)
-            g = np.zeros((len(alphabet), len(alphabet)))
-        lexicon = ckpt.read_lexicon(args.lexicon)
-        trie = build_trie(lexicon, alphabet)
-        lm = _load_lm(args.lm)
-        result = decode(emissions, g, trie, lm, opts)
+        trie = build_trie(ckpt.read_lexicon(args.lexicon), alphabet)
+        result = decode(emissions, g, trie, _load_lm(args.lm), opts)
         print(" ".join(result.words))
         return
     if not args.manifest:
@@ -416,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("decode", cmd_decode, "beam-decode a manifest or an emission table")
     _add_inputs(p, audio_required=False)
-    p.add_argument("--emissions", help="binary emission table instead of audio")
+    p.add_argument("--emissions", help="emission table instead of audio")
     _add_decoder_flags(p)
 
     p = command("evaluate", cmd_evaluate, "WER/CER over a manifest")

@@ -52,6 +52,7 @@ import numpy as np
 
 from .criterion import Alphabet, as_scores, encode_target
 from .errors import ConfigurationError, DimensionError, EmptyBeamError, VocabularyError
+from .lm import UNKNOWN_TOKEN
 from .metrics import EvalReport, aggregate, score_utterance
 
 
@@ -270,7 +271,7 @@ class _LmMemo:
         vocab = lm.vocab
         self.token_ids = [vocab.id(word) for word in trie.words]
         missing = [word for word, token in zip(trie.words, self.token_ids)
-                   if token == vocab.unknown_id and word != vocab.unknown_token]
+                   if token == vocab.unknown_id and word != UNKNOWN_TOKEN]
         if missing:
             raise VocabularyError(
                 f"lexicon words missing from the LM vocabulary: {', '.join(missing)}")

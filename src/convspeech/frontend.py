@@ -27,8 +27,8 @@ from .errors import (
 from .util import check_params
 
 DEFAULT_SAMPLE_RATE = 16000
-# A LearnableFrontend keeps no pass buffer larger than this between passes, so
-# it retains at most three times this much; a longer pass allocates afresh.
+# A LearnableFrontend keeps no workspace with a buffer larger than this between
+# passes, so it retains at most three times this much; a longer pass allocates afresh.
 POOL_BUFFER_LIMIT = 8 * 2**20  # bytes
 
 
@@ -187,6 +187,15 @@ def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
     return out.reshape(k, -1)[:, :length]
 
 
+def _view(work: dict, name: str, shape: tuple, dtype) -> np.ndarray:
+    """A `shape` array of `dtype` over the workspace's flat float64 buffer `name`,
+    replaced by a larger one when missing or too small; it holds what the buffer held."""
+    floats = int(np.prod(shape)) * np.dtype(dtype).itemsize // 8
+    if name not in work or work[name].size < floats:
+        work[name] = np.empty(floats)
+    return work[name][:floats].view(dtype).reshape(shape)
+
+
 def log_compress(values: np.ndarray, epsilon: float) -> np.ndarray:
     """Elementwise log(v + epsilon); input must be non-negative."""
     values = np.asarray(values, dtype=np.float64)
@@ -233,21 +242,19 @@ class LearnableFrontend:
     "filter_real" and "filter_imag" (k, W). The low-pass window is fixed to a
     squared Hanning window and receives no gradient.
 
-    The three (2k, ~n_fft) arrays of a pass live in buffers that the
-    front-end keeps between passes, so a pass faults in no fresh pages and
+    The three (2k, ~n_fft) arrays of a pass live in the buffers of a
+    workspace kept between passes, so a pass faults in no fresh pages and
     makes no row-sized temporaries. "rows" holds the bank, zero-padded to
     n_fft in place, then the correlations; `backward` zeroes their tail past
     t_conv and transforms the upstream rows in it. "bank" holds the bank
     spectrum. "product" holds the product spectrum, then (with a cache) the
     squared correlations, and in `backward` the low-pass adjoint and then the
     upstream spectrum. What a buffer held before a pass never reaches its
-    result. Each buffer is either in the pool or held by one cache: a forward
-    takes what it needs from the pool (allocating, or growing, what is
-    missing or too small), a forward without a cache gives everything back,
-    and a forward with a cache gives back "product" while `backward` gives
-    back the other two, so a second forward before a backward never writes
-    into a live cache. The pool keeps no buffer over POOL_BUFFER_LIMIT bytes.
-    One instance runs one pass at a time.
+    result. A forward takes the spare workspace or starts an empty one. It
+    gives it back at its end, or with a cache `backward` does, so a second
+    forward before a backward never writes into a live cache. The front-end
+    keeps the workspace given back last, unless a buffer in it is over
+    POOL_BUFFER_LIMIT bytes. One instance runs one pass at a time.
     """
 
     kind = "learnable"
@@ -274,7 +281,7 @@ class LearnableFrontend:
                 "filter_real": rng.normal(0.0, scale, shapes["filter_real"]),
                 "filter_imag": rng.normal(0.0, scale, shapes["filter_imag"]),
             }
-        self._pool: dict[str, np.ndarray] = {}  # buffer name -> flat array
+        self._spare: dict[str, np.ndarray] | None = None  # buffer name -> flat array
 
     @staticmethod
     def param_shapes(config: FrontendConfig, sample_rate: int) -> dict[str, tuple]:
@@ -282,23 +289,10 @@ class LearnableFrontend:
         bank = (config.num_filters, config.filter_width(sample_rate))
         return {"preemphasis": (2,), "filter_real": bank, "filter_imag": bank}
 
-    def _take(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        """A contiguous `shape` array of `dtype` over the pool's buffer `name`,
-        taken out of the pool; its contents are whatever the buffer held."""
-        floats = int(np.prod(shape)) * np.dtype(dtype).itemsize // 8
-        flat = self._pool.pop(name, None)
-        if flat is None or flat.size < floats:
-            flat = np.empty(floats)
-        return flat[:floats].view(dtype).reshape(shape)
-
-    def _give(self, name: str, view: np.ndarray):
-        """Put the buffer under `view` back in the pool, unless it is over the
-        limit or a larger one is there."""
-        flat = view.base
-        if flat.nbytes > POOL_BUFFER_LIMIT:
-            return
-        if name not in self._pool or self._pool[name].size < flat.size:
-            self._pool[name] = flat
+    def _give_back(self, work: dict):
+        """Keep `work` as the spare workspace, unless a buffer in it is over the limit."""
+        if all(flat.nbytes <= POOL_BUFFER_LIMIT for flat in work.values()):
+            self._spare = work
 
     def forward(self, x: Waveform, want_cache: bool = False):
         """Run the full chain; returns (channels, frames) features (and a cache for backward)."""
@@ -313,18 +307,18 @@ class LearnableFrontend:
         n_fft = fft_length(pre.size)
         bins = n_fft // 2 + 1
         pre_spec = np.fft.rfft(pre, n_fft)
-        rows = self._take("rows", (2 * k, n_fft), np.float64)
+        work, self._spare = self._spare or {}, None
+        rows = _view(work, "rows", (2 * k, n_fft), np.float64)
         rows[:k, :width] = real
         rows[k:, :width] = imag
         rows[:, width:] = 0.0
         bank_spec = np.fft.rfft(rows, axis=1,
-                                out=self._take("bank", (2 * k, bins), np.complex128))
+                                out=_view(work, "bank", (2 * k, bins), np.complex128))
         lags = pre.size - width + 1
         if want_cache:  # backward needs the bank spectrum and the correlations
-            product = self._take("product", (2 * k, bins), np.complex128)
+            product = _view(work, "product", (2 * k, bins), np.complex128)
             corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, product=product, out=rows)
-            self._give("product", product)
-            squares = np.square(corr, out=self._take("product", corr.shape, np.float64))
+            squares = np.square(corr, out=_view(work, "product", corr.shape, np.float64))
         else:  # nothing does: multiply and square in place
             corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, product=bank_spec, out=rows)
             squares = np.square(corr, out=corr)
@@ -334,11 +328,10 @@ class LearnableFrontend:
         logged = log_compress(pooled, cfg.log_epsilon)
         normed = instance_normalize(logged, cfg.norm_epsilon)
         if not want_cache:
-            self._give("bank", bank_spec)
-            self._give("rows", rows)
+            self._give_back(work)
             return normed
-        self._give("product", squares)
         cache = {
+            "work": work,
             "x": x.samples,
             "pre_spec": pre_spec,
             "bank_spec": bank_spec,
@@ -356,9 +349,9 @@ class LearnableFrontend:
 
         The fixed low-pass window gets no gradient by construction. Returns a
         dict keyed like `params`. A cache serves one backward: it works in
-        the cache's correlation rows and hands them and the bank spectrum
-        back to the pool, removing both from the cache, so a second call on
-        the same cache raises ConvSpeechError.
+        the cache's workspace and gives it back, removing it, the correlations
+        and the bank spectrum from the cache, so a second call on the same
+        cache raises ConvSpeechError.
         """
         cfg = self.config
         normed = cache["normed"]
@@ -378,20 +371,19 @@ class LearnableFrontend:
         # log compression
         d_pooled = d_logged / (cache["pooled"] + cfg.log_epsilon)
         # low-pass decimation (window fixed, so no gradient of its own)
-        corr = cache.pop("corr")
+        corr, work = cache.pop("corr"), cache.pop("work")
         two_k, t_conv = corr.shape
         k = two_k // 2
         d_power = lowpass_transpose(d_pooled, self.lowpass_window, cache["stride"], t_conv,
-                                    take=lambda size: self._take("product", (size,), np.float64))
+                                    take=lambda size: _view(work, "product", (size,), np.float64))
         # squared modulus: upstream rows for the stacked real+imaginary bank,
         # formed in the correlation rows themselves and zero-padded to n_fft
         d_power *= 2.0
         n_fft = cache["n_fft"]
-        rows = corr.base[: two_k * n_fft].reshape(two_k, n_fft)
+        rows = _view(work, "rows", (two_k, n_fft), np.float64)
         rows[:k, :t_conv] *= d_power
         rows[k:, :t_conv] *= d_power
         rows[:, t_conv:] = 0.0
-        self._give("product", d_power)
         # complex convolution, from one spectrum of the upstream rows: the
         # signal gradient sums the full convolutions d_f * K_f, and the filter
         # gradients are the first W lags of the correlation of the input with d_f
@@ -399,14 +391,12 @@ class LearnableFrontend:
         bank_spec = cache.pop("bank_spec")
         width = self.params["filter_real"].shape[1]
         d_spec = np.fft.rfft(rows, axis=1,
-                             out=self._take("product", bank_spec.shape, np.complex128))
+                             out=_view(work, "product", bank_spec.shape, np.complex128))
         d_pre_spec = np.einsum("fb,fb->b", d_spec, bank_spec)
         d_pre = np.fft.irfft(d_pre_spec, n_fft)[: x.size]
         g_bank = correlate_rows(cache["pre_spec"], d_spec, n_fft, width,
                                 product=d_spec, out=rows).copy()
-        self._give("product", d_spec)
-        self._give("bank", bank_spec)
-        self._give("rows", rows)
+        self._give_back(work)
         # pre-emphasis: y[t] = k1*x[t] + k0*x[t-1]
         g_pre = np.array([np.dot(d_pre[1:], x[:-1]), np.dot(d_pre, x)])
         return {"preemphasis": g_pre, "filter_real": g_bank[:k], "filter_imag": g_bank[k:]}

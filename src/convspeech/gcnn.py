@@ -105,7 +105,6 @@ class GcnnLm:
         self,
         token_ids,
         lengths=None,
-        training: bool = False,
         rng: np.random.Generator | None = None,
         want_cache: bool = False,
     ):
@@ -113,7 +112,7 @@ class GcnnLm:
 
         `token_ids` is one sequence, or several concatenated with their
         `lengths`; the rows come back in input order, each sequence's computed
-        as if it stood alone.
+        as if it stood alone. With a dropout rate, `rng` draws the masks.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
@@ -124,9 +123,6 @@ class GcnnLm:
         if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != ids.size:
             raise DimensionError(
                 f"sequence lengths {lengths.tolist()} must be >= 1 and sum to {ids.size}")
-        if training and rng is None:
-            rng = np.random.default_rng(0)
-        drop_rng = rng if training else None
         cfg = self.config
         gap = cfg.mid_kernel_width - 1
         # column of each token in the block: every sequence after the first
@@ -139,9 +135,9 @@ class GcnnLm:
         rate = cfg.dropout_rate
         caches = []  # per block: the down, mid and up conv-GLU caches
         for i in range(cfg.num_blocks):
-            down, c_down = conv_glu(self.params, f"block{i}_down", h, rate, drop_rng, 0, 0)
-            mid, c_mid = conv_glu(self.params, f"block{i}_mid", down * mask, rate, drop_rng, gap, 0)
-            up, c_up = conv_glu(self.params, f"block{i}_up", mid, rate, drop_rng, 0, 0)
+            down, c_down = conv_glu(self.params, f"block{i}_down", h, rate, rng, 0, 0)
+            mid, c_mid = conv_glu(self.params, f"block{i}_mid", down * mask, rate, rng, gap, 0)
+            up, c_up = conv_glu(self.params, f"block{i}_up", mid, rate, rng, 0, 0)
             h = h + up
             caches += [c_down, c_mid, c_up]
         logits, out_cache = wn_conv(self.params, "out", h[:, real], pad_left=0, pad_right=0)
@@ -200,7 +196,7 @@ class GcnnLm:
         self._row_cache = LruCache(ROW_CACHE_CAPACITY)
 
 
-def batch_nll(lm: GcnnLm, sentences, training=False, rng=None, want_cache=False):
+def batch_nll(lm: GcnnLm, sentences, rng=None, want_cache=False):
     """Summed negative log likelihood of token-id sentences, end tokens included.
 
     One forward pass scores the whole batch. Returns (nll, targets) or, with
@@ -210,8 +206,7 @@ def batch_nll(lm: GcnnLm, sentences, training=False, rng=None, want_cache=False)
     v = lm.vocab
     inputs = np.concatenate([[v.begin_id, *s] for s in sentences])
     targets = np.concatenate([[*s, v.end_id] for s in sentences])
-    result = lm.forward(inputs, [len(s) + 1 for s in sentences], training=training, rng=rng,
-                        want_cache=want_cache)
+    result = lm.forward(inputs, [len(s) + 1 for s in sentences], rng=rng, want_cache=want_cache)
     rows = result[0] if want_cache else result
     nll = -float(rows[np.arange(len(targets)), targets].sum())
     if want_cache:
@@ -255,9 +250,7 @@ def train_gcnn(
         norms = []
         for batch_start in range(0, len(order), batch_size):
             batch = [train_ids[j] for j in order[batch_start : batch_start + batch_size]]
-            nll, targets, cache = batch_nll(
-                lm, batch, training=lm.config.dropout_rate > 0.0, rng=rng, want_cache=True
-            )
+            nll, targets, cache = batch_nll(lm, batch, rng=rng, want_cache=True)
             if not np.isfinite(nll):
                 raise TrainingDivergenceError(f"non-finite loss at epoch {epoch}")
             total_nll += nll

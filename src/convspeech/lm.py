@@ -27,20 +27,21 @@ from .errors import ArpaParseError, ConfigurationError, DomainError
 LN10 = math.log(10.0)
 MISSING_LOG10 = -99.0  # conventional stand-in for "effectively zero"
 BIGRAM_DISCOUNT = 0.5  # fit_bigram_arpa's absolute discount per observed bigram
+# the special tokens every vocabulary holds
+UNKNOWN_TOKEN = "<unk>"
+SENTENCE_BEGIN = "<s>"
+SENTENCE_END = "</s>"
 
 
 @dataclass(frozen=True)
 class Vocabulary:
     tokens: tuple[str, ...]
-    unknown_token: str = "<unk>"
-    sentence_begin: str = "<s>"
-    sentence_end: str = "</s>"
 
     def __post_init__(self):
         index = {token: i for i, token in enumerate(self.tokens)}
         if len(index) != len(self.tokens):
             raise ConfigurationError("vocabulary tokens must be unique")
-        for special in (self.unknown_token, self.sentence_begin, self.sentence_end):
+        for special in (UNKNOWN_TOKEN, SENTENCE_BEGIN, SENTENCE_END):
             if special not in index:
                 raise ConfigurationError(f"special token {special!r} missing")
         object.__setattr__(self, "_index", index)  # token -> id, outside the fields
@@ -50,19 +51,19 @@ class Vocabulary:
 
     @property
     def unknown_id(self) -> int:
-        return self._index[self.unknown_token]
+        return self._index[UNKNOWN_TOKEN]
 
     @property
     def begin_id(self) -> int:
-        return self._index[self.sentence_begin]
+        return self._index[SENTENCE_BEGIN]
 
     @property
     def end_id(self) -> int:
-        return self._index[self.sentence_end]
+        return self._index[SENTENCE_END]
 
     def id(self, token: str) -> int:
         """Index of `token`, falling back to the unknown token."""
-        return self._index.get(token, self._index[self.unknown_token])
+        return self._index.get(token, self._index[UNKNOWN_TOKEN])
 
 
 class NGramModel:
@@ -200,7 +201,7 @@ def load_arpa(stream: TextIO | Iterable[str]) -> NGramModel:
     if line != "\\end\\":
         raise ArpaParseError(no, f"expected \\end\\ terminator, found {line!r}")
 
-    for special in ("<unk>", "<s>", "</s>"):
+    for special in (UNKNOWN_TOKEN, SENTENCE_BEGIN, SENTENCE_END):
         if special not in token_ids:
             token_ids[special] = len(token_list)
             token_list.append(special)
@@ -293,18 +294,19 @@ def fit_bigram_arpa(sentences: Sequence[Sequence[str]]) -> str:
     bigram_counts: dict[tuple[str, str], int] = {}
     context_totals: dict[str, int] = {}
     for sentence in sentences:
-        chain = ["<s>", *sentence, "</s>"]
+        chain = [SENTENCE_BEGIN, *sentence, SENTENCE_END]
         for token in chain[1:]:
             unigram_counts[token] = unigram_counts.get(token, 0) + 1
         for prev, cur in zip(chain, chain[1:]):
             bigram_counts[(prev, cur)] = bigram_counts.get((prev, cur), 0) + 1
             context_totals[prev] = context_totals.get(prev, 0) + 1
-    unigram_counts.setdefault("<unk>", 0)
+    unigram_counts.setdefault(UNKNOWN_TOKEN, 0)
     smoothed = {tok: c + 0.5 for tok, c in unigram_counts.items()}
     total = sum(smoothed.values())
     uni_prob = {tok: c / total for tok, c in smoothed.items()}
 
-    uni_lines = [f"{MISSING_LOG10:.6f}\t<s>\t{_context_backoff('<s>', bigram_counts, context_totals, uni_prob):.6f}"]
+    begin_backoff = _context_backoff(SENTENCE_BEGIN, bigram_counts, context_totals, uni_prob)
+    uni_lines = [f"{MISSING_LOG10:.6f}\t{SENTENCE_BEGIN}\t{begin_backoff:.6f}"]
     for tok in sorted(uni_prob):
         backoff = _context_backoff(tok, bigram_counts, context_totals, uni_prob)
         uni_lines.append(f"{math.log10(uni_prob[tok]):.6f}\t{tok}\t{backoff:.6f}")

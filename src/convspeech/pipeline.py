@@ -143,9 +143,7 @@ def train_acoustic(
                     feat, fe_cache = frontend.forward(wave, want_cache=True)
                 else:
                     feat, fe_cache = fixed[j], None
-                emissions, am_cache = model.forward(
-                    feat, training=True, rng=rng, want_cache=True
-                )
+                emissions, am_cache = model.forward(feat, rng=rng, want_cache=True)
                 loss, d_em, d_g = asg_loss_and_gradients(emissions, transitions, target)
                 epoch_loss += loss
                 am_grads, d_feat = model.backward(am_cache, d_em)
@@ -196,11 +194,7 @@ def save_system(path, system: SpeechSystem):
             "layers": [asdict(layer) for layer in system.model.config.layers],
             "alphabet_size": system.model.config.alphabet_size,
         },
-        "alphabet": {
-            "letters": list(system.alphabet.letters),
-            "silence": system.alphabet.silence_token,
-            "repetition": system.alphabet.repetition_token,
-        },
+        "alphabet": ckpt.alphabet_to_json(system.alphabet),
     }
     ckpt.save_checkpoint(path, "acoustic-system", config, system.arrays())
 
@@ -239,16 +233,14 @@ def load_system(path) -> SpeechSystem:
             fcfg, rate, params={k[3:]: v for k, v in arrays.items() if k.startswith("fe.")})
         model = AcousticModel(mcfg, params={k[3:]: v for k, v in arrays.items()
                                             if k.startswith("am.")})
-        alphabet = Alphabet(
-            tuple(config["alphabet"]["letters"]),
-            config["alphabet"]["silence"],
-            config["alphabet"]["repetition"],
-        )
+        alphabet = ckpt.alphabet_from_json(config["alphabet"])
         if len(alphabet) != mcfg.alphabet_size:
             raise ConfigurationError(
                 f"alphabet has {len(alphabet)} letters but the model emits {mcfg.alphabet_size}")
     except KeyError as err:
         raise ConfigurationError(f"{path}: acoustic-system checkpoint lacks key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"{path}: malformed acoustic-system config ({err})") from None
     except ConfigurationError as err:
         raise ConfigurationError(f"{path}: {err}") from None
     return SpeechSystem(frontend, model, arrays["transitions"], alphabet)

@@ -39,7 +39,7 @@ def check_params(params: dict, shapes: dict[str, tuple], owner: str):
 
 
 def from_fields(cls, entry, what: str):
-    """`cls(**entry)` for a dataclass, naming a missing or unknown key in a ConfigurationError."""
+    """`cls(**entry)` for a dataclass; a bad key or value raises ConfigurationError naming `what`."""
     if not isinstance(entry, dict):
         raise ConfigurationError(f"{what} is a {type(entry).__name__}, not an object")
     names = {f.name for f in fields(cls)}
@@ -48,4 +48,7 @@ def from_fields(cls, entry, what: str):
             f"{what} is missing {sorted(names - entry.keys())} "
             f"and has unknown keys {sorted(entry.keys() - names)}"
         )
-    return cls(**entry)
+    try:
+        return cls(**entry)
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"{what}: {err}") from None

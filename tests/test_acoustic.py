@@ -104,8 +104,8 @@ def test_forward_width1_layer_is_linear_map():
 def test_forward_deterministic_without_dropout():
     model = tiny_model()
     x = np.random.default_rng(8).normal(size=(3, 9))
-    a = model.forward(x, training=True, rng=np.random.default_rng(1))
-    b = model.forward(x, training=False)
+    a = model.forward(x, rng=np.random.default_rng(1))
+    b = model.forward(x)
     assert np.array_equal(a.scores, b.scores)
 
 
@@ -183,10 +183,10 @@ def test_backward_shape_mismatch():
 def test_dropout_scaling_preserves_expectation():
     model = tiny_model(seed=23, dropout=0.5)
     x = np.random.default_rng(24).normal(size=(3, 40))
-    clean = model.forward(x, training=False).scores
+    clean = model.forward(x).scores
     rng = np.random.default_rng(25)
     avg = np.mean(
-        [model.forward(x, training=True, rng=rng).scores for _ in range(400)], axis=0
+        [model.forward(x, rng=rng).scores for _ in range(400)], axis=0
     )
     # inverted dropout keeps the expected pre-gate activations unchanged
     assert np.corrcoef(avg.ravel(), clean.ravel())[0, 1] > 0.95

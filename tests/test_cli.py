@@ -102,28 +102,21 @@ def _emission_decode(workspace, path, capsys):
 
 def test_decode_emission_table(workspace, tmp_path, capsys):
     # export an emission table by hand and decode it standalone
-    import numpy as np
-
-    from convspeech.checkpoint import save_emissions
-    from convspeech.acoustic import EmissionTable
+    from test_io import save_table
 
     spec = _load_task(workspace / "task.json")
     alphabet = spec.alphabet
     scores = np.full((4, len(alphabet)), -10.0)
     for t in range(4):
         scores[t, alphabet.index("a")] = 10.0
-    path = tmp_path / "emit.bin"
-    save_emissions(path, EmissionTable(scores), alphabet, np.zeros((len(alphabet),) * 2))
+    path = tmp_path / "emit.ckpt"
+    save_table(path, scores, np.zeros((len(alphabet),) * 2), alphabet)
     out, err = _emission_decode(workspace, path, capsys)
     assert out == "a" and err == ""
 
 
 def test_decode_emission_table_applies_its_transitions(workspace, tmp_path, capsys):
-    import numpy as np
-
-    from convspeech.acoustic import EmissionTable
-    from convspeech.checkpoint import save_emissions
-    from test_io import as_version1
+    from test_io import save_table
 
     spec = _load_task(workspace / "task.json")
     alphabet = spec.alphabet
@@ -133,14 +126,23 @@ def test_decode_emission_table_applies_its_transitions(workspace, tmp_path, caps
     scores[:, [a, b]] = 10.0
     g = np.zeros((len(alphabet), len(alphabet)))
     g[a, b] = g[b, a] = -30.0
-    path = tmp_path / "emit.bin"
-    save_emissions(path, EmissionTable(scores), alphabet, g)
+    path = tmp_path / "emit.ckpt"
+    save_table(path, scores, g, alphabet)
     out, err = _emission_decode(workspace, path, capsys)
     assert out in ("a", "b") and err == ""
-    as_version1(path, len(alphabet))
-    out_v1, err_v1 = _emission_decode(workspace, path, capsys)
-    assert out_v1 == "ab"  # free to switch letters, the bigram prefers the longer word
-    assert len(err_v1.strip().splitlines()) == 1 and "transition table" in err_v1
+    save_table(path, scores, np.zeros_like(g), alphabet)
+    out, _ = _emission_decode(workspace, path, capsys)
+    assert out == "ab"  # free to switch letters, the bigram prefers the longer word
+
+
+def test_decode_binary_emission_table_is_an_error_line(workspace, tmp_path, capsys):
+    # the little-endian format emission tables had before they became checkpoints
+    path = tmp_path / "emit.bin"
+    path.write_bytes(b"CSEM\x02\x00\x00\x00" + np.zeros(8).tobytes())
+    rc = main(["decode", "--emissions", str(path), "--lm", str(workspace / "bigram.arpa"),
+               "--lexicon", str(workspace / "lexicon.txt")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith(f"error: {path}")
 
 
 def test_tune_cli(workspace, capsys):

@@ -328,7 +328,7 @@ def _acoustic_golden_row() -> dict:
     )
     model = AcousticModel(config, rng=rng)
     features = 6.0 * rng.normal(size=(4, 40))
-    emissions, cache = model.forward(features, training=True, rng=rng, want_cache=True)
+    emissions, cache = model.forward(features, rng=rng, want_cache=True)
     grads, d_features = model.backward(cache, rng.normal(size=emissions.scores.shape))
     return {"emissions": _hexes(emissions.scores), "d_features": _hexes(d_features),
             **{key: _hexes(g) for key, g in sorted(grads.items())}}

@@ -567,7 +567,7 @@ def test_a_pass_between_forward_and_backward_leaves_the_cache_intact(between):
     samples, other = 0.3 * rng.normal(size=900), 0.3 * rng.normal(size=1300)
     upstream = _upstream(rng, 900)
     front = toy_frontend(seed=4)
-    front.forward(fe.Waveform(other, RATE))  # fills the pool
+    front.forward(fe.Waveform(other, RATE))  # leaves a spare workspace
     feat, cache = front.forward(fe.Waveform(samples, RATE), want_cache=True)
     if between == "cached":
         _, other_cache = front.forward(fe.Waveform(other, RATE), want_cache=True)
@@ -593,8 +593,8 @@ def test_backward_twice_on_one_cache_is_refused():
     feat, cache = front.forward(fe.Waveform(np.random.default_rng(32).normal(size=300), RATE),
                                 want_cache=True)
     front.backward(cache, np.ones_like(feat))
-    # the buffers went back to the pool: the cache no longer refers to them
-    assert "corr" not in cache and "bank_spec" not in cache
+    # the workspace went back to the front-end: the cache no longer refers to it
+    assert "corr" not in cache and "bank_spec" not in cache and "work" not in cache
     with pytest.raises(ConvSpeechError, match="already"):
         front.backward(cache, np.ones_like(feat))
 
@@ -616,7 +616,7 @@ def test_warm_forward_allocates_less_than_one_row_stack():
 
 def test_warm_cached_pass_makes_no_row_sized_temporaries():
     # every (2k, ~n_fft) array of a cached forward and its backward lives in
-    # the pool; what is left is single rows and (k, frames) arrays
+    # the workspace; what is left is single rows and (k, frames) arrays
     config = fe.FrontendConfig(num_filters=8)
     front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(33))
     x = fe.Waveform(0.3 * np.random.default_rng(34).normal(size=16000), RATE)
@@ -635,25 +635,27 @@ def test_warm_cached_pass_makes_no_row_sized_temporaries():
 
 
 def test_stale_pool_contents_never_reach_the_results():
-    # NaN in every pooled buffer before each step of long-then-short passes;
+    # NaN in every free buffer before each step of long-then-short passes: the
+    # spare workspace's, and before backward the product buffer of the cache's
+    # workspace (its other two hold the correlations and the bank spectrum);
     # at 1,920 samples the FFT is as long as the signal, so no padding is left
     config = fe.FrontendConfig(num_filters=8)
     rng = np.random.default_rng(39)
     warm = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
     assert fe.fft_length(1920) == 1920
 
-    def stale():
-        for flat in warm._pool.values():
+    def stale(work):
+        for flat in (work or {}).values():
             flat.fill(np.nan)
 
     for n in (16320, 6750, 1920):
         x = fe.Waveform(0.3 * rng.normal(size=n), RATE)
         upstream = _upstream(rng, n, config)
-        stale()
+        stale(warm._spare)
         plain = warm.forward(x)
-        stale()
+        stale(warm._spare)
         feat, cache = warm.forward(x, want_cache=True)
-        stale()
+        stale({"product": cache["work"]["product"]})
         grads = warm.backward(cache, upstream)
         fresh = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
         want_plain, want, want_grads = _pass(fresh, x.samples, upstream)

@@ -1,4 +1,6 @@
 import gc
+import json
+import re
 import struct
 import sys
 import tempfile
@@ -10,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convspeech import pipeline, synth
-from convspeech.acoustic import EmissionTable
 from convspeech.audio_io import read_wav, write_wav
 from convspeech.checkpoint import (
+    alphabet_to_json,
     load_checkpoint,
     load_emissions,
     read_lexicon,
     save_checkpoint,
-    save_emissions,
     write_lexicon,
 )
 from convspeech.cli import _load_lm, _load_task, _save_task, parse_config_file
@@ -161,20 +162,21 @@ def _missing_arrays(path):
     path.write_text('{"format": "convspeech-checkpoint", "version": 1, "kind": "x", "config": {}}')
 
 
+def save_table(path, scores, transitions, alphabet=AB):
+    """An emission table as a system that decodes with `transitions` writes it."""
+    save_checkpoint(path, "emissions", {"alphabet": alphabet_to_json(alphabet)},
+                    {"scores": scores, "transitions": transitions})
+
+
 def _truncated_emissions(path):
-    save_emissions(path, EmissionTable(np.zeros((5, 4))), AB, np.zeros((4, 4)))
+    save_table(path, np.zeros((5, 4)), np.zeros((4, 4)))
     path.write_bytes(path.read_bytes()[:-9])
 
 
 def _truncated_emission_scores(path):
-    save_emissions(path, EmissionTable(np.zeros((5, 4))), AB, np.zeros((4, 4)))
-    path.write_bytes(path.read_bytes()[: -8 * 16 - 9])
-
-
-def as_version1(path, alphabet_size):
-    """Rewrite a saved emission table as format v1: no transition table."""
+    save_table(path, np.zeros((5, 4)), np.zeros((4, 4)))
     raw = path.read_bytes()
-    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6 : len(raw) - 8 * alphabet_size**2])
+    path.write_bytes(raw[: raw.index(b'"data"', raw.index(b'"scores"')) + 20])
 
 
 @pytest.mark.parametrize("corrupt, load", [
@@ -192,50 +194,68 @@ def test_corrupt_containers_raise_configuration_error(tmp_path, corrupt, load):
 
 def test_emission_table_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    table = EmissionTable(rng.normal(size=(11, 4)))
+    scores = rng.normal(size=(11, 4))
     transitions = rng.normal(size=(4, 4))
-    path = tmp_path / "e.bin"
-    save_emissions(path, table, AB, transitions)
-    raw = bytearray(path.read_bytes())
-    assert raw[6] == 0  # written as 0; older files may set it, and reading ignores it
-    raw[6] = 1
-    path.write_bytes(bytes(raw))
+    path = tmp_path / "e.ckpt"
+    save_table(path, scores, transitions)
     loaded, alphabet, g = load_emissions(path)
-    assert np.array_equal(loaded.scores, table.scores)
-    assert np.array_equal(g, transitions)
-    assert alphabet.letters == AB.letters
-    assert alphabet.silence_index == AB.silence_index
-    assert alphabet.repetition_index == AB.repetition_index
-
-
-def test_emission_table_version1_still_readable(tmp_path):
-    table = EmissionTable(np.random.default_rng(3).normal(size=(6, 4)))
-    path = tmp_path / "e.bin"
-    save_emissions(path, table, AB, np.ones((4, 4)))
-    as_version1(path, 4)
-    loaded, alphabet, g = load_emissions(path)
-    assert g is None
-    assert np.array_equal(loaded.scores, table.scores)
-    assert alphabet.letters == AB.letters
+    assert loaded.scores.tobytes() == scores.tobytes()
+    assert g.tobytes() == transitions.tobytes()
+    assert alphabet == AB
 
 
 def test_emission_table_rejects_duplicate_letters(tmp_path):
-    path = tmp_path / "e.bin"
-    save_emissions(path, EmissionTable(np.zeros((3, 4))), AB, np.zeros((4, 4)))
-    path.write_bytes(path.read_bytes().replace(b"\x01\x00b", b"\x01\x00a", 1))
-    with pytest.raises(ConfigurationError, match="e.bin: .*alphabet letters must be unique"):
+    path = tmp_path / "e.ckpt"
+    save_table(path, np.zeros((3, 4)), np.zeros((4, 4)))
+    payload = json.loads(path.read_text())
+    payload["config"]["alphabet"]["letters"][1] = "a"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match=r"e\.ckpt: .*alphabet letters must be unique"):
         load_emissions(path)
 
 
 def test_emission_table_rejects_mismatched_transitions(tmp_path):
-    with pytest.raises(ConfigurationError, match="transition"):
-        save_emissions(tmp_path / "e.bin", EmissionTable(np.zeros((3, 4))), AB, np.zeros((3, 3)))
+    path = tmp_path / "e.ckpt"
+    save_table(path, np.zeros((3, 4)), np.zeros((3, 3)))
+    with pytest.raises(ConfigurationError,
+                       match=r"e\.ckpt: .*'transitions' has shape \(3, 3\), not \(4, 4\)"):
+        load_emissions(path)
+
+
+EMISSION_DAMAGE = {
+    "kind": (lambda p: p.update(kind="acoustic-system"), "'acoustic-system' checkpoint"),
+    "scores 1-D": (lambda p: p["arrays"].update(scores=p["arrays"]["transitions"]
+                                                | {"shape": [16]}), "'scores' has shape"),
+    "scores columns": (lambda p: p["arrays"].update(scores=p["arrays"]["transitions"]
+                                                    | {"shape": [8, 2]}), "'scores' has shape"),
+    "transitions shape": (lambda p: p["arrays"]["transitions"].update(shape=[2, 8]),
+                          "'transitions' has shape"),
+    "extra array": (lambda p: p["arrays"].update(lengths=p["arrays"]["transitions"]),
+                    "unexpected arrays"),
+    "missing array": (lambda p: p["arrays"].pop("transitions"), "lacks key 'transitions'"),
+    "integer scores": (lambda p: p["arrays"]["scores"].update(dtype="<i8"), "float64"),
+    "alphabet": (lambda p: p["config"]["alphabet"].pop("silence"), "alphabet must be"),
+    "config": (lambda p: p["config"].update(normalized=True), "config must hold"),
+}
+
+
+@pytest.mark.parametrize("case", EMISSION_DAMAGE)
+def test_emission_table_rejects_what_the_decode_cannot_use(tmp_path, case):
+    damage, message = EMISSION_DAMAGE[case]
+    path = tmp_path / "e.ckpt"
+    save_table(path, np.zeros((3, 4)), np.zeros((4, 4)))
+    payload = json.loads(path.read_text())
+    damage(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: ") + ".*" + message):
+        load_emissions(path)
 
 
 def test_emission_table_bad_magic(tmp_path):
+    # a table in the binary format that emission tables used to have
     path = tmp_path / "e.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 30)
-    with pytest.raises(ConfigurationError, match="magic"):
+    path.write_bytes(b"CSEM\x02\x00\x00\x00" + b"\x00" * 30)
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: not valid JSON")):
         load_emissions(path)
 
 
@@ -261,10 +281,9 @@ def pristine_files(tmp_path_factory):
     wav = root / "u1.wav"
     write_wav(wav, rng.normal(0.0, 0.2, 200))
     paths = {kind: root / f"{kind}{suffix}" for kind, suffix in
-             [("emissions", ".bin"), ("lexicon", ".txt"), ("manifest", ".jsonl"),
+             [("emissions", ".ckpt"), ("lexicon", ".txt"), ("manifest", ".jsonl"),
               ("arpa", ".arpa"), ("gcnn", ".ckpt"), ("config", ".cfg"), ("task", ".json")]}
-    save_emissions(paths["emissions"], EmissionTable(rng.normal(size=(5, 4))), AB,
-                   rng.normal(size=(4, 4)))
+    save_table(paths["emissions"], rng.normal(size=(5, 4)), rng.normal(size=(4, 4)))
     write_lexicon(paths["lexicon"], {"ab": ["a", "b"], "ba": ["b", "a"], "a": ["a"]})
     synth.save_manifest(paths["manifest"], synth.DatasetManifest(
         [synth.ManifestEntry("u1", str(wav), "ab ba"), synth.ManifestEntry("u2", str(wav), "a")]))

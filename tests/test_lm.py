@@ -125,7 +125,7 @@ def test_conditionals_sum_to_one():
         total = sum(
             math.exp(model.score(context, v.id(tok))[0])
             for tok in v.tokens
-            if tok != v.sentence_begin
+            if tok != lmod.SENTENCE_BEGIN
         )
         assert total == pytest.approx(1.0, abs=1e-3)
 
@@ -286,7 +286,7 @@ def test_fit_bigram_round_trips_and_sums_to_one():
         total = sum(
             math.exp(model.score(context, v.id(tok))[0])
             for tok in v.tokens
-            if tok != v.sentence_begin
+            if tok != lmod.SENTENCE_BEGIN
         )
         assert total == pytest.approx(1.0, abs=1e-3)
     # seen continuations outweigh unseen ones

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from convspeech import pipeline, synth
 from convspeech.acoustic import ConvLayerSpec, EmissionTable
+from convspeech.cli import _load_task, _save_task, main
 from convspeech.criterion import encode_target
 from convspeech.decoder import DecoderOptions, build_trie
 from convspeech.errors import ConfigurationError, ConvSpeechError
@@ -330,6 +331,52 @@ def test_load_gcnn_rejects_incomplete_checkpoints(tmp_path, corrupt, key):
     with pytest.raises(ConfigurationError, match=key) as info:
         pipeline.load_gcnn(path)
     assert str(path) in str(info.value)
+
+
+def _task_payload(tmp_path):
+    path = tmp_path / "task.json"
+    _save_task(path, synth.SyntheticTaskSpec())
+    return json.loads(path.read_text())
+
+
+# the base payload and the loader per file kind
+DAMAGE_BASES = {"system": (lambda tmp_path: _copy_payload(), pipeline.load_system),
+                "gcnn": (lambda tmp_path: _saved_gcnn_payload(tmp_path)[2], pipeline.load_gcnn),
+                "task": (_task_payload, _load_task)}
+TYPE_DAMAGE = {
+    "letters": ("system", lambda p: p["config"]["alphabet"].update(letters=5)),
+    "model": ("system", lambda p: p["config"].update(model=5)),
+    "sample_rate": ("system", lambda p: p["config"].update(sample_rate="x")),
+    "alphabet_size": ("system", lambda p: p["config"]["model"].update(alphabet_size="7")),
+    "kernel_width": ("system",
+                     lambda p: p["config"]["model"]["layers"][0].update(kernel_width="9")),
+    "arrays": ("system", lambda p: p.update(arrays=[1])),
+    "num_blocks": ("gcnn", lambda p: p["config"]["gcnn"].update(num_blocks="1")),
+    "letter_duration_ms": ("task", lambda p: p.update(letter_duration_ms="120")),
+}
+
+
+@pytest.mark.parametrize("case", TYPE_DAMAGE)
+def test_a_value_of_the_wrong_type_names_the_file(tmp_path, case):
+    base, damage = TYPE_DAMAGE[case]
+    make_payload, load = DAMAGE_BASES[base]
+    payload = make_payload(tmp_path)
+    damage(payload)
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError) as info:
+        load(path)
+    assert str(path) in str(info.value)
+
+
+def test_a_value_of_the_wrong_type_is_an_error_line(tmp_path, capsys):
+    payload = _copy_payload()
+    payload["config"]["model"]["layers"][0]["kernel_width"] = "9"
+    path = tmp_path / "am.ckpt"
+    path.write_text(json.dumps(payload))
+    assert main(["analyze-frontend", "--am", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}")
 
 
 class StubSystem:
