@@ -3,20 +3,22 @@
 Checkpoints are versioned JSON with base64-encoded raw array bytes, so values
 round-trip bit-exactly. An emission table is one kind: scores with the alphabet
 and transitions they are decoded with, so a decode from the table scores
-paths as the system that wrote it does.
+paths as the system that wrote it does. Every loader interprets a file's
+content inside `naming(path)`, so each error it raises names the file.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .acoustic import EmissionTable
 from .criterion import Alphabet
-from .errors import ConfigurationError, VocabularyError
+from .errors import ConfigurationError, ConvSpeechError, VocabularyError
 from .util import check_params
 
 CHECKPOINT_FORMAT = "convspeech-checkpoint"
@@ -66,8 +68,28 @@ def read_json(path):
         raise ConfigurationError(f"{path}: not valid JSON ({err})") from None
 
 
-def load_checkpoint(path):
-    """Read a container; returns (kind, config, arrays)."""
+@contextmanager
+def naming(path):
+    """Errors raised while the content of `path` (a file, or an item it holds) is
+    interpreted name it.
+
+    A ConvSpeechError keeps its type and attributes and gains the prefix
+    "{path}: "; a KeyError or a TypeError/ValueError becomes a
+    ConfigurationError. Readers that name their file themselves stay outside.
+    """
+    try:
+        yield
+    except ConvSpeechError as err:
+        err.args = (f"{path}: {err}",)
+        raise
+    except KeyError as err:
+        raise ConfigurationError(f"{path}: lacks key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"{path}: malformed ({type(err).__name__}: {err})") from None
+
+
+def load_checkpoint(path, kind: str):
+    """Read a container of `kind`; returns (config, arrays)."""
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path} is not a {CHECKPOINT_FORMAT} file")
@@ -75,13 +97,13 @@ def load_checkpoint(path):
         raise ConfigurationError(
             f"{path} has unsupported checkpoint version {payload.get('version')}"
         )
-    try:
+    with naming(path):
+        if payload["kind"] != kind:
+            raise ConfigurationError(f"holds a {payload['kind']!r} checkpoint, not {kind!r}")
         if not isinstance(payload["arrays"], dict):
             raise TypeError("arrays is not an object")
         arrays = {name: _decode_array(entry) for name, entry in payload["arrays"].items()}
-        return payload["kind"], payload["config"], arrays
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigurationError(f"{path}: malformed checkpoint ({type(err).__name__}: {err})") from None
+        return payload["config"], arrays
 
 
 def alphabet_to_json(alphabet: Alphabet) -> dict:
@@ -105,10 +127,8 @@ def load_emissions(path):
     """(EmissionTable, Alphabet, transitions) from a checkpoint of kind "emissions":
     the config {"alphabet": alphabet_to_json(...)} and the float64 arrays
     "scores" (T, |A|) and "transitions" (|A|, |A|), which the scores are decoded with."""
-    kind, config, arrays = load_checkpoint(path)
-    try:
-        if kind != "emissions":
-            raise ConfigurationError(f"holds a {kind!r} checkpoint, not an emission table")
+    config, arrays = load_checkpoint(path, "emissions")
+    with naming(path):
         if not isinstance(config, dict) or config.keys() != {"alphabet"}:
             raise ConfigurationError("emission-table config must hold just the alphabet")
         alphabet = alphabet_from_json(config["alphabet"])
@@ -117,8 +137,6 @@ def load_emissions(path):
         check_params(arrays, {"scores": (*frames, a), "transitions": (a, a)}, "emission table")
         if any(arr.dtype != np.float64 for arr in arrays.values()):
             raise ConfigurationError("emission-table arrays must be float64")
-    except ConfigurationError as err:
-        raise ConfigurationError(f"{path}: {err}") from None
     return EmissionTable(arrays["scores"]), alphabet, arrays["transitions"]
 
 
@@ -139,5 +157,7 @@ def read_lexicon(path) -> dict[str, list[str]]:
         letters = spelling.split()
         if not letters:
             raise VocabularyError(f"{path}:{no}: empty spelling for {word!r}")
+        if word in lexicon:
+            raise VocabularyError(f"{path}:{no}: {word!r} spelled twice")
         lexicon[word] = letters
     return lexicon

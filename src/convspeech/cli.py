@@ -25,8 +25,8 @@ from . import checkpoint as ckpt
 from . import pipeline, synth
 from .acoustic import AcousticModelConfig, ConvLayerSpec
 from .audio_io import read_wav
-from .decoder import DecoderOptions, build_trie, decode, tune_grid
-from .errors import ArpaParseError, ConfigurationError, ConvSpeechError, EmptyBeamError
+from .decoder import DecoderOptions, LexiconTrie, build_trie, decode, tune_grid
+from .errors import ConfigurationError, ConvSpeechError, EmptyBeamError
 from .frontend import FRONTENDS, FrontendConfig, LearnableFrontend, analyze_filters
 from .gcnn import GcnnConfig, GcnnLm, train_gcnn
 from .lm import SENTENCE_BEGIN, SENTENCE_END, UNKNOWN_TOKEN, Vocabulary, fit_bigram_arpa, load_arpa
@@ -124,10 +124,8 @@ def _load_task(path) -> SyntheticTaskSpec:
     # JSON turns the spec's tuples into lists; the lexicon keeps list spellings
     if isinstance(raw, dict):
         raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-    try:
+    with ckpt.naming(path):
         return from_fields(SyntheticTaskSpec, raw, "task spec")
-    except ConfigurationError as err:
-        raise ConfigurationError(f"{path}: {err}") from None
 
 
 def _save_task(path, spec: SyntheticTaskSpec):
@@ -137,11 +135,9 @@ def _save_task(path, spec: SyntheticTaskSpec):
 def _load_lm(path):
     head = Path(path).read_bytes()[:64]
     if str(path).endswith(".arpa") or head.lstrip().startswith(b"\\data\\"):
-        try:
-            return load_arpa(io.StringIO(ckpt.read_text(path)))
-        except ArpaParseError as err:
-            err.args = (f"{path}: {err}",)
-            raise
+        text = ckpt.read_text(path)
+        with ckpt.naming(path):
+            return load_arpa(io.StringIO(text))
     return pipeline.load_gcnn(path)
 
 
@@ -257,19 +253,24 @@ def cmd_train_lm(args):
     print(f"checkpoint written to {args.checkpoint}")
 
 
+def _read_trie(path, alphabet) -> LexiconTrie:
+    """The lexicon file's trie over `alphabet`; a spelling error names the file."""
+    lexicon = ckpt.read_lexicon(path)
+    with ckpt.naming(path):
+        return build_trie(lexicon, alphabet)
+
+
 def _decode_setup(args):
     """The acoustic system, the lexicon trie over its alphabet, and the manifest."""
     system = pipeline.load_system(args.am)
-    trie = build_trie(ckpt.read_lexicon(args.lexicon), system.alphabet)
-    return system, trie, load_manifest(args.manifest)
+    return system, _read_trie(args.lexicon, system.alphabet), load_manifest(args.manifest)
 
 
 def cmd_decode(args):
     opts = _decoder_opts(args)
     if args.emissions:
         emissions, alphabet, g = ckpt.load_emissions(args.emissions)
-        trie = build_trie(ckpt.read_lexicon(args.lexicon), alphabet)
-        result = decode(emissions, g, trie, _load_lm(args.lm), opts)
+        result = decode(emissions, g, _read_trie(args.lexicon, alphabet), _load_lm(args.lm), opts)
         print(" ".join(result.words))
         return
     if not args.manifest:

@@ -314,7 +314,7 @@ class _LmMemo:
     def finish(self, states: np.ndarray) -> np.ndarray:
         for s in states[np.isnan(self.end[states])].tolist():
             if np.isnan(self.end[s]):  # a state can miss twice in one batch
-                self.end[s] = self.lm.finish(self.states[s])
+                self.end[s] = self.lm.score(self.states[s], self.lm.vocab.end_id)[0]
         return self.end[states]
 
 
@@ -323,6 +323,18 @@ def _moves(trie: LexiconTrie, beam: Beam):
     moves = trie.node_moves[beam.node]
     real = moves >= 0
     return moves[real], real.nonzero()[0]
+
+
+def _expand(trie: LexiconTrie, memo: _LmMemo, beam: Beam, move, parent, acc) -> Beam:
+    """The hypotheses that `move` makes of the hypotheses `parent` of `beam`, with the
+    accumulators `acc`; a move that emits a word scores it with the LM."""
+    word = trie.move_word[move]
+    emits = word >= 0
+    state = beam.state[parent]
+    lm_raw = beam.lm_raw[parent]
+    memo.emit(word, emits, state, lm_raw)
+    return Beam(trie.move_dest[move], state, acc, lm_raw, beam.word_count[parent] + emits,
+                parent, move)
 
 
 def _move_scores(f: np.ndarray, g: np.ndarray, trie: LexiconTrie, gamma: float) -> np.ndarray:
@@ -369,15 +381,9 @@ def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions
     history = []  # per frame: the survivors' (parent, move)
     for t in range(t_total):
         move, parent = _moves(trie, beam)
-        word = trie.move_word[move]
-        emits = word >= 0
-        state = beam.state[parent]
-        lm_raw = beam.lm_raw[parent]
-        memo.emit(word, emits, state, lm_raw)
-        node = trie.move_dest[move]
-        candidates = Beam(node, state, beam.acc[parent] + scores[t][move], lm_raw,
-                          beam.word_count[parent] + emits, parent, move)
-        key = state * nodes + node  # (LM state, node): a node fixes the last letter
+        candidates = _expand(trie, memo, beam, move, parent, beam.acc[parent] + scores[t][move])
+        # (LM state, node): a node fixes the last letter
+        key = candidates.state * nodes + candidates.node
         if len(memo.states) * nodes <= 1 << 16:
             key = key.astype(np.uint16)  # a 16-bit key sorts by radix
         beam = prune(candidates, merge_hypotheses(candidates, opts, key), opts)
@@ -392,13 +398,8 @@ def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions
     move, parent = move[ending], parent[ending]
     if not len(move):
         raise EmptyBeamError(t_total, "no hypothesis ends at a word boundary")
-    word = trie.move_word[move]
-    emits = word >= 0
-    state = beam.state[parent]
-    lm_raw = beam.lm_raw[parent]
-    memo.emit(word, emits, state, lm_raw)
-    finals = Beam(np.zeros_like(move), state, beam.acc[parent], lm_raw + memo.finish(state),
-                  beam.word_count[parent] + emits, parent, move)
+    finals = _expand(trie, memo, beam, move, parent, beam.acc[parent])  # all at the root
+    finals.lm_raw += memo.finish(finals.state)
     # pool complete hypotheses that spelled the same word history
     index = merge_hypotheses(finals, opts, finals.state)
     totals = finals.totals(opts, index)

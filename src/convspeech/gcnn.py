@@ -5,10 +5,10 @@ convolutions on both sides; every convolution is weight-normalized and gated
 (GLU). Position t's output depends only on tokens at positions <= t, so the
 model can score beam-search continuations incrementally.
 
-GcnnLm implements the LM protocol of `lm.py` (start_state, score, finish,
-vocab). A state is a tuple of token ids; `score` reads only its last
-`receptive_field` tokens, the whole context the network can see, and memoizes
-one score row per such window in a bounded LRU cache.
+GcnnLm implements the LM protocol of `lm.py` (start_state, score, vocab). A
+state is a tuple of token ids; `score` reads only its last `receptive_field`
+tokens, the whole context the network can see, and memoizes one score row per
+such window in a bounded LRU cache.
 
 `forward` scores a batch of sequences in one pass. The sequences sit side by
 side in one (channels, columns) block, with `mid_kernel_width - 1` zero gap
@@ -188,9 +188,6 @@ class GcnnLm:
         field = self.config.receptive_field
         logp = float(self._row(state[-field:])[token_id])
         return logp, (state + (token_id,))[-field:]
-
-    def finish(self, state) -> float:
-        return self.score(state, self.vocab.end_id)[0]
 
     def clear_cache(self):
         self._row_cache = LruCache(ROW_CACHE_CAPACITY)

@@ -4,8 +4,9 @@ Every model implements the one protocol the decoder calls:
 
     start_state()              -> tuple of token ids
     score(state, token_id)     -> (natural-log probability, next state)
-    finish(state)              -> log probability of the sentence end
     vocab                      -> Vocabulary
+
+The sentence end is scored as any token: `score(state, vocab.end_id)`.
 
 A state is a tuple of token ids, the history so far. `score` accepts any such
 tuple but reads only its last N tokens: order-1 for an n-gram, none for a
@@ -88,9 +89,6 @@ class NGramModel:
         if self.order == 1:
             return logp, ()
         return logp, (state + (token_id,))[-(self.order - 1):]
-
-    def finish(self, state) -> float:
-        return self.score(state, self.vocab.end_id)[0]
 
     # -- internals ----------------------------------------------------------
     def _conditional(self, context: tuple[int, ...], token_id: int) -> float:
@@ -226,9 +224,6 @@ class ContextLimitedLM:
         logp = self.base.score(state[-self.limit:], token_id)[0]
         return logp, (state + (token_id,))[-self.limit:]
 
-    def finish(self, state) -> float:
-        return self.score(state, self.vocab.end_id)[0]
-
 
 def perplexity(lm, corpus: Sequence[Sequence[str]]) -> float:
     """exp of per-token negative log likelihood.
@@ -248,7 +243,7 @@ def perplexity(lm, corpus: Sequence[Sequence[str]]) -> float:
             logp, state = lm.score(state, vocab.id(token))
             total += logp
             count += 1
-        total += lm.finish(state)
+        total += lm.score(state, vocab.end_id)[0]
         count += 1
     return math.exp(-total / count)
 

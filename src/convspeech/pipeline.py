@@ -71,7 +71,8 @@ def _load_training_items(manifest, lexicon, alphabet, frontend_config, sample_ra
     for entry in manifest.entries:
         wave = read_wav(entry.audio)
         words = normalize_transcript(entry.text)
-        target = encode_target(alphabet, transcript_letters(words, lexicon, sil))
+        with ckpt.naming(f"utterance {entry.utt_id} ({entry.audio})"):
+            target = encode_target(alphabet, transcript_letters(words, lexicon, sil))
         frames = num_output_frames(len(wave.samples), frontend_config, sample_rate)
         if len(target) > frames:
             skipped += 1
@@ -200,10 +201,8 @@ def save_system(path, system: SpeechSystem):
 
 
 def load_system(path) -> SpeechSystem:
-    kind, config, arrays = ckpt.load_checkpoint(path)
-    if kind != "acoustic-system":
-        raise ConfigurationError(f"{path} holds a {kind!r} checkpoint, not an acoustic system")
-    try:
+    config, arrays = ckpt.load_checkpoint(path, "acoustic-system")
+    with ckpt.naming(path):
         fcfg = from_fields(FrontendConfig, config["frontend"], "frontend config")
         rate = config["sample_rate"]
         kind = config["frontend_kind"]
@@ -237,12 +236,6 @@ def load_system(path) -> SpeechSystem:
         if len(alphabet) != mcfg.alphabet_size:
             raise ConfigurationError(
                 f"alphabet has {len(alphabet)} letters but the model emits {mcfg.alphabet_size}")
-    except KeyError as err:
-        raise ConfigurationError(f"{path}: acoustic-system checkpoint lacks key {err}") from None
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"{path}: malformed acoustic-system config ({err})") from None
-    except ConfigurationError as err:
-        raise ConfigurationError(f"{path}: {err}") from None
     return SpeechSystem(frontend, model, arrays["transitions"], alphabet)
 
 
@@ -252,22 +245,14 @@ def save_gcnn(path, lm: GcnnLm):
 
 
 def load_gcnn(path) -> GcnnLm:
-    kind, config, arrays = ckpt.load_checkpoint(path)
-    if kind != "gcnn-lm":
-        raise ConfigurationError(f"{path} holds a {kind!r} checkpoint, not a conv LM")
-    try:
+    config, arrays = ckpt.load_checkpoint(path, "gcnn-lm")
+    with ckpt.naming(path):
         tokens, gcnn = tuple(config["vocab"]), dict(config["gcnn"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigurationError(
-            f"{path}: malformed gcnn-lm config ({type(err).__name__}: {err})") from None
-    # Earlier checkpoints carry the removed GcnnConfig.context_limit, always null.
-    if gcnn.pop("context_limit", None) is not None:
-        raise ConfigurationError(f"{path}: context_limit is gone; wrap the LM in ContextLimitedLM")
-    try:
+        # Earlier checkpoints carry the removed GcnnConfig.context_limit, always null.
+        if gcnn.pop("context_limit", None) is not None:
+            raise ConfigurationError("context_limit is gone; wrap the LM in ContextLimitedLM")
         return GcnnLm(Vocabulary(tokens), from_fields(GcnnConfig, gcnn, "gcnn-lm config"),
                       params=arrays)
-    except ConfigurationError as err:
-        raise ConfigurationError(f"{path}: {err}") from None
 
 
 # -- evaluation ---------------------------------------------------------------

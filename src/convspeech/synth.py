@@ -66,6 +66,12 @@ class SyntheticTaskSpec:
             raise ConfigurationError("letters must span at least one frame stride")
         if not self.lexicon:
             self.lexicon = default_lexicon(self.letters)
+        if not isinstance(self.lexicon, dict) or not all(
+                isinstance(word, str) and isinstance(spelling, (list, tuple)) and spelling
+                and all(letter in self.letters for letter in spelling)
+                for word, spelling in self.lexicon.items()):
+            raise ConfigurationError(
+                "lexicon must map each word to a non-empty list of the task's letters")
 
     @property
     def alphabet(self) -> Alphabet:

@@ -239,7 +239,7 @@ def exhaustive_decode(emissions, transitions, lexicon, alphabet, lm, opts, max_w
             for word in words:
                 logp, state = lm.score(state, lm.vocab.id(word))
                 lm_total += logp
-            lm_total += lm.finish(state)
+            lm_total += lm.score(state, lm.vocab.end_id)[0]
             # alpha 0 leaves the LM out: 0 * -inf would be NaN for a word it rules out
             lm_term = opts.alpha * lm_total if opts.alpha else 0.0
             objective = pooled + lm_term + opts.beta * n_words

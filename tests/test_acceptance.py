@@ -482,7 +482,7 @@ def test_criterion_9_format_round_trips(tmp_path):
     rng = np.random.default_rng(20)
     arrays = {"a": rng.normal(size=(4, 5)), "b": np.array([np.pi, 1e-300, -0.0])}
     save_checkpoint(tmp_path / "c.ckpt", "acoustic-system", {"v": 1}, arrays)
-    _, _, loaded = load_checkpoint(tmp_path / "c.ckpt")
+    _, loaded = load_checkpoint(tmp_path / "c.ckpt", "acoustic-system")
     if not all(loaded[k].tobytes() == arrays[k].tobytes() for k in arrays):
         ok = False
         details.append("checkpoint bytes differ")

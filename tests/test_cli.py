@@ -56,7 +56,7 @@ def test_train_am_dropout_reaches_the_default_layers(workspace, tmp_path):
                "--task", str(workspace / "task.json"), "--filters", "4",
                "--epochs", "0", "--dropout", "0.5", "--checkpoint", str(path)])
     assert rc == 0
-    _, config, _ = load_checkpoint(path)
+    config, _ = load_checkpoint(path, "acoustic-system")
     layers = config["model"]["layers"]
     assert [(layer["out_channels"], layer["kernel_width"]) for layer in layers] == [(24, 9), (32, 9)]
     assert [layer["dropout_rate"] for layer in layers] == [0.5, 0.5]
@@ -143,6 +143,35 @@ def test_decode_binary_emission_table_is_an_error_line(workspace, tmp_path, caps
                "--lexicon", str(workspace / "lexicon.txt")])
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 1 and len(err) == 1 and err[0].startswith(f"error: {path}")
+
+
+LEXICON_DAMAGE = {
+    "spelled twice": ("a\ta\nb\tb\na\tb\n", "{}:3: 'a' spelled twice"),
+    "foreign letter": ("ab\ta z\n", "{}: letter 'z' not in alphabet"),
+    "silence": ("qq\ta |\n", "{}: word 'qq' spelling contains the silence token"),
+}
+
+
+@pytest.mark.parametrize("source", ["--manifest", "--emissions"])
+@pytest.mark.parametrize("case", LEXICON_DAMAGE)
+def test_lexicon_errors_are_error_lines_naming_the_file(workspace, tmp_path, capsys, case,
+                                                        source):
+    from test_io import save_table
+
+    text, message = LEXICON_DAMAGE[case]
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text(text)
+    if source == "--emissions":
+        alphabet = _load_task(workspace / "task.json").alphabet
+        table = tmp_path / "emit.ckpt"
+        save_table(table, np.zeros((4, len(alphabet))), np.zeros((len(alphabet),) * 2), alphabet)
+        inputs = ["--emissions", str(table)]
+    else:
+        inputs = ["--manifest", str(workspace / "dev.jsonl"), "--am", str(workspace / "am.ckpt")]
+    rc = main(["decode", *inputs, "--lm", str(workspace / "bigram.arpa"),
+               "--lexicon", str(lexicon)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message.format(lexicon)}\n"
 
 
 def test_tune_cli(workspace, capsys):
@@ -281,6 +310,33 @@ def test_task_rejects_invalid_spec(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigurationError, match=r"task\.json: tone frequencies must stay below"):
         _load_task(path)
+
+
+@pytest.mark.parametrize("lexicon", [{"abc": 5}, [1], {"ab": ["a", "z"]}, {"ab": "ab"}],
+                         ids=["int spelling", "list", "foreign letter", "string spelling"])
+def test_task_lexicon_of_the_wrong_type_is_an_error_line(workspace, tmp_path, capsys, lexicon):
+    task = tmp_path / "task.json"
+    raw = json.loads((workspace / "task.json").read_text())
+    raw["lexicon"] = lexicon
+    task.write_text(json.dumps(raw))
+    rc = main(["train-am", "--manifest", str(workspace / "train.jsonl"), "--task", str(task),
+               "--filters", "4", "--epochs", "0", "--checkpoint", str(tmp_path / "am.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {task}: lexicon must map each word to a non-empty list of the task's letters\n")
+
+
+def test_transcript_word_missing_from_the_lexicon_names_the_utterance(workspace, tmp_path,
+                                                                      capsys):
+    entry = synth.load_manifest(workspace / "train.jsonl").entries[0]
+    manifest = tmp_path / "train.jsonl"
+    synth.save_manifest(manifest, synth.DatasetManifest(
+        [synth.ManifestEntry(entry.utt_id, entry.audio, "a zzz")]))
+    rc = main(["train-am", "--manifest", str(manifest), "--task", str(workspace / "task.json"),
+               "--filters", "4", "--epochs", "0", "--checkpoint", str(tmp_path / "am.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: utterance {entry.utt_id} ({entry.audio}): word 'zzz' not in the lexicon\n")
 
 
 def test_config_file_rejects_garbage(tmp_path):

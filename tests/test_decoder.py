@@ -42,9 +42,6 @@ class HistoryLm:
     def score(self, state, token_id):
         return self._logp(state, token_id), state + (token_id,)
 
-    def finish(self, state):
-        return self._logp(state, self.vocab.end_id)
-
 
 def uniform_lm(words):
     return HistoryLm(words)
@@ -541,13 +538,12 @@ def test_merge_and_prune_run_once_per_frame(monkeypatch):
 
 
 class ProtocolOnlyLm:
-    """Exposes exactly start_state/score/finish/vocab and logs every lookup."""
+    """Exposes exactly start_state/score/vocab and logs every lookup."""
 
     def __init__(self, base):
         self.vocab = base.vocab
         self._base = base
         self.scored = []
-        self.finished = []
 
     def start_state(self):
         return self._base.start_state()
@@ -556,10 +552,6 @@ class ProtocolOnlyLm:
         self.scored.append((state, token_id))
         return self._base.score(state, token_id)
 
-    def finish(self, state):
-        self.finished.append(state)
-        return self._base.finish(state)
-
 
 def test_decode_scores_each_state_and_word_once():
     rng = np.random.default_rng(13)
@@ -567,8 +559,9 @@ def test_decode_scores_each_state_and_word_once():
         emissions, g, trie, base, opts = make_instance(rng, t=6)
         lm = ProtocolOnlyLm(base)
         got = dec.decode(emissions, g, trie, lm, opts)
-        assert lm.scored and len(set(lm.scored)) == len(lm.scored), trial
-        assert len(set(lm.finished)) == len(lm.finished), trial
+        # sentence ends are scored pairs too, each once
+        assert (lm.vocab.end_id in {token for _, token in lm.scored}
+                and len(set(lm.scored)) == len(lm.scored)), trial
         want = dec.decode(emissions, g, trie, base, opts)
         assert (got.words, got.objective) == (want.words, want.objective)
 
@@ -676,8 +669,8 @@ def test_decode_and_score_shares_lm_lookups():
         items.append((emissions, g, ["a"]))
     lm = ProtocolOnlyLm(base)
     report = dec.decode_and_score(items, trie, lm, opts)
-    assert lm.scored and len(set(lm.scored)) == len(lm.scored)
-    assert len(set(lm.finished)) == len(lm.finished)
+    assert (lm.vocab.end_id in {token for _, token in lm.scored}
+            and len(set(lm.scored)) == len(lm.scored))
     alone = [dec.decode(emissions, g, trie, base, opts).words for emissions, g, _ in items]
     assert [utterance.hypothesis for utterance in report.utterances] == alone
     lm = ProtocolOnlyLm(base)

@@ -4,6 +4,7 @@ import re
 import struct
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,15 @@ from convspeech.checkpoint import (
     save_checkpoint,
     write_lexicon,
 )
-from convspeech.cli import _load_lm, _load_task, _save_task, parse_config_file
+from convspeech.cli import _load_lm, _load_task, _read_trie, _save_task, parse_config_file
 from convspeech.criterion import Alphabet
-from convspeech.errors import AudioFormatError, ConfigurationError, ConvSpeechError, VocabularyError
+from convspeech.errors import (
+    ArpaParseError,
+    AudioFormatError,
+    ConfigurationError,
+    ConvSpeechError,
+    VocabularyError,
+)
 from convspeech.gcnn import GcnnConfig, GcnnLm
 from convspeech.lm import Vocabulary, fit_bigram_arpa
 
@@ -137,8 +144,7 @@ def test_checkpoint_bit_exact_round_trip(tmp_path):
     }
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, "acoustic-system", {"layers": 2, "note": "x"}, arrays)
-    kind, config, loaded = load_checkpoint(path)
-    assert kind == "acoustic-system"
+    config, loaded = load_checkpoint(path, "acoustic-system")
     assert config == {"layers": 2, "note": "x"}
     for name, arr in arrays.items():
         assert loaded[name].dtype == arr.dtype
@@ -150,7 +156,7 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"format": "other"}')
     with pytest.raises(ConfigurationError):
-        load_checkpoint(path)
+        load_checkpoint(path, "acoustic-system")
 
 
 def _malformed_json(path):
@@ -180,11 +186,11 @@ def _truncated_emission_scores(path):
 
 
 @pytest.mark.parametrize("corrupt, load", [
-    (_malformed_json, load_checkpoint),
-    (_missing_arrays, load_checkpoint),
+    (_malformed_json, partial(load_checkpoint, kind="acoustic-system")),
+    (_missing_arrays, partial(load_checkpoint, kind="x")),
     (_truncated_emissions, load_emissions),
     (_truncated_emission_scores, load_emissions),
-])
+], ids=lambda value: getattr(value, "func", value).__name__)
 def test_corrupt_containers_raise_configuration_error(tmp_path, corrupt, load):
     path = tmp_path / "corrupt.bin"
     corrupt(path)
@@ -273,6 +279,14 @@ def test_lexicon_rejects_missing_tab(tmp_path):
         read_lexicon(path)
 
 
+def test_arpa_error_names_the_file_and_keeps_its_line(tmp_path):
+    path = tmp_path / "lm.arpa"
+    path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\textra\tfield\n\\end\\\n")
+    with pytest.raises(ArpaParseError, match=re.escape(f"{path}: line 5: 1-gram entry")) as info:
+        _load_lm(path)
+    assert info.value.line_no == 5
+
+
 @pytest.fixture(scope="module")
 def pristine_files(tmp_path_factory):
     """Per reader: (file suffix, the bytes of a valid file, the loader)."""
@@ -293,9 +307,11 @@ def pristine_files(tmp_path_factory):
         num_blocks=1, embed_dim=4, bottleneck_dim=2, mid_kernel_width=3)))
     paths["config"].write_text("alpha = 0.5\nmarkov = false  # a comment\nbeam_size=100\n")
     _save_task(paths["task"], synth.SyntheticTaskSpec())
-    loaders = {"wav": read_wav, "emissions": load_emissions, "lexicon": read_lexicon,
-               "manifest": synth.load_manifest, "arpa": _load_lm, "gcnn": pipeline.load_gcnn,
-               "config": parse_config_file, "task": _load_task}
+    # the lexicon is read and spelled over an alphabet, as the decoding commands do
+    loaders = {"wav": read_wav, "emissions": load_emissions,
+               "lexicon": partial(_read_trie, alphabet=AB), "manifest": synth.load_manifest,
+               "arpa": _load_lm, "gcnn": pipeline.load_gcnn, "config": parse_config_file,
+               "task": _load_task}
     paths["wav"] = wav
     return {kind: (paths[kind].suffix, paths[kind].read_bytes(), load)
             for kind, load in loaders.items()}

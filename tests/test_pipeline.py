@@ -417,9 +417,6 @@ def test_evaluate_perfect_emissions_zero_wer(tiny_task):
         def score(self, state, token_id):
             return -1.0, state + (token_id,)
 
-        def finish(self, state):
-            return -1.0
-
     tables = []
     for entry in manifests["dev"].entries:
         words = synth.normalize_transcript(entry.text)
