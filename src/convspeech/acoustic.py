@@ -1,8 +1,14 @@
 """Conv-GLU acoustic model with weight normalization and exact backprop.
 
 The network stacks 1-D convolution -> gated linear unit -> dropout blocks and
-ends in a width-1 projection to per-letter scores. All gradients are
-hand-derived; `tests/` checks every tensor against finite differences.
+ends in a width-1 projection to per-letter scores. Every convolution keeps its
+frame count (`conv1d`), so a model emits one row per feature frame whatever its
+kernel widths: a width-K kernel is centred, reaching K // 2 frames back and
+K - 1 - K // 2 ahead (for even K, K/2 back and K/2 - 1 ahead). A model declares
+its weight-normed convolutions once, as a list of (name, c_out, c_in, K) that
+`init_wn_convs` draws and `wn_conv_shapes` checks; the conv LM of `gcnn.py`
+builds on the same helpers. All gradients are hand-derived; `tests/` checks
+every tensor against finite differences.
 """
 
 from __future__ import annotations
@@ -89,79 +95,70 @@ def weight_norm_backward(v: np.ndarray, g: np.ndarray, d_w: np.ndarray):
     return d_v.reshape(v.shape), d_g
 
 
-def conv1d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    pad_left: int | None = None,
-    pad_right: int | None = None,
-):
-    """1-D cross-correlation at stride 1; returns (out, cache for conv1d_backward).
+def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, pad_left: int | None = None):
+    """1-D cross-correlation at stride 1 that keeps the frame count; returns
+    (out, cache for conv1d_backward).
 
-    x: (C_in, T), weight: (C_out, C_in, K). Default padding is floor(K/2) on
-    each side, preserving frame alignment.
+    x: (C_in, T), weight: (C_out, C_in, K), out: (C_out, T). `pad_left` zero
+    columns go before x (K // 2 by default) and K - 1 - pad_left after it, so
+    output column t reads input frames t - pad_left .. t - pad_left + K - 1.
     """
     c_out, c_in_w, kw = weight.shape
     if x.shape[0] != c_in_w:
         raise DimensionError(f"input has {x.shape[0]} channels, weight expects {c_in_w}")
     if pad_left is None:
         pad_left = kw // 2
-    if pad_right is None:
-        pad_right = kw // 2
-    t_in = x.shape[1]
-    padded = np.zeros((c_in_w, t_in + pad_left + pad_right))
-    padded[:, pad_left : pad_left + t_in] = x
-    t_out = padded.shape[1] - kw + 1
-    if t_out < 1:
-        raise DimensionError(f"{t_in} frames too few for kernel width {kw}")
+    t = x.shape[1]
+    if t < 1:
+        raise DimensionError("conv input has no frames")
+    padded = np.zeros((c_in_w, t + kw - 1))
+    padded[:, pad_left : pad_left + t] = x
     cols = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=1)
-    cols = cols.transpose(1, 0, 2).reshape(t_out, c_in_w * kw)
+    cols = cols.transpose(1, 0, 2).reshape(t, c_in_w * kw)
     out = (cols @ weight.reshape(c_out, -1).T + bias).T
-    cache = {
-        "cols": cols,
-        "weight": weight,
-        "pad_left": pad_left,
-        "t_in": t_in,
-        "padded_len": padded.shape[1],
-    }
-    return out, cache
+    return out, {"cols": cols, "weight": weight, "pad_left": pad_left}
 
 
 def conv1d_backward(cache: dict, d_out: np.ndarray):
     """Gradients of conv1d w.r.t. weight, bias and input."""
     weight = cache["weight"]
     c_out, c_in, kw = weight.shape
-    t_out = d_out.shape[1]
+    t = d_out.shape[1]
     d_weight = (d_out @ cache["cols"]).reshape(c_out, c_in, kw)
     d_bias = d_out.sum(axis=1)
-    d_cols = weight.reshape(c_out, -1).T @ d_out  # (c_in*kw, t_out)
-    d_cols = d_cols.reshape(c_in, kw, t_out)
-    d_padded = np.zeros((c_in, cache["padded_len"]))
-    for w in range(kw):  # the t_out positions of one tap are distinct
-        d_padded[:, w : w + t_out] += d_cols[:, w, :]
+    d_cols = weight.reshape(c_out, -1).T @ d_out  # (c_in*kw, t)
+    d_cols = d_cols.reshape(c_in, kw, t)
+    d_padded = np.zeros((c_in, t + kw - 1))
+    for w in range(kw):  # the t positions of one tap are distinct
+        d_padded[:, w : w + t] += d_cols[:, w, :]
     pl = cache["pad_left"]
-    return d_weight, d_bias, d_padded[:, pl : pl + cache["t_in"]]
+    return d_weight, d_bias, d_padded[:, pl : pl + t]
 
 
-def init_wn_conv(params: dict, name: str, rng: np.random.Generator,
-                 c_out: int, c_in: int, kernel_width: int):
-    """Add `{name}_v` ~ N(0, 1/(c_in*K)), `{name}_g` = ||v_o|| and a zero `{name}_b`."""
-    v = rng.normal(0.0, 1.0 / np.sqrt(c_in * kernel_width), (c_out, c_in, kernel_width))
-    params[f"{name}_v"] = v
-    params[f"{name}_g"] = np.sqrt((v.reshape(c_out, -1) ** 2).sum(axis=1))
-    params[f"{name}_b"] = np.zeros(c_out)
+def init_wn_convs(layers, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Parameters of the weight-normed convs `layers`, (name, c_out, c_in, K) each,
+    drawn in order: `{name}_v` ~ N(0, 1/(c_in*K)), `{name}_g` = ||v_o||, a zero `{name}_b`."""
+    params = {}
+    for name, c_out, c_in, kw in layers:
+        v = rng.normal(0.0, 1.0 / np.sqrt(c_in * kw), (c_out, c_in, kw))
+        params[f"{name}_v"] = v
+        params[f"{name}_g"] = np.sqrt((v.reshape(c_out, -1) ** 2).sum(axis=1))
+        params[f"{name}_b"] = np.zeros(c_out)
+    return params
 
 
-def wn_conv_shapes(name: str, c_out: int, c_in: int, kernel_width: int) -> dict[str, tuple]:
-    """Shapes of the three arrays init_wn_conv adds for `name`."""
-    return {f"{name}_v": (c_out, c_in, kernel_width), f"{name}_g": (c_out,), f"{name}_b": (c_out,)}
+def wn_conv_shapes(layers) -> dict[str, tuple]:
+    """Shapes of the arrays init_wn_convs makes for `layers`."""
+    shapes = {}
+    for name, c_out, c_in, kw in layers:
+        shapes |= {f"{name}_v": (c_out, c_in, kw), f"{name}_g": (c_out,), f"{name}_b": (c_out,)}
+    return shapes
 
 
-def wn_conv(params: dict, name: str, x: np.ndarray,
-            pad_left: int | None = None, pad_right: int | None = None):
+def wn_conv(params: dict, name: str, x: np.ndarray, pad_left: int | None = None):
     """conv1d with the weight-normed parameters `{name}_v/_g/_b`; returns (out, cache)."""
     w = effective_weight(params[f"{name}_v"], params[f"{name}_g"])
-    out, cache = conv1d(x, w, params[f"{name}_b"], pad_left, pad_right)
+    out, cache = conv1d(x, w, params[f"{name}_b"], pad_left)
     cache["name"] = name
     return out, cache
 
@@ -178,11 +175,10 @@ def wn_conv_backward(params: dict, cache: dict, d_out: np.ndarray, grads: dict) 
 
 
 def conv_glu(params: dict, name: str, x: np.ndarray, dropout_rate: float,
-             rng: np.random.Generator | None, pad_left: int | None = None,
-             pad_right: int | None = None):
+             rng: np.random.Generator | None, pad_left: int | None = None):
     """One conv-GLU block: the weight-normed conv `name`, GLU, then inverted
     dropout when `rng` is given. Returns (output, cache for conv_glu_backward)."""
-    pre, conv_cache = wn_conv(params, name, x, pad_left, pad_right)
+    pre, conv_cache = wn_conv(params, name, x, pad_left)
     out, gate = glu(pre)
     mask = None
     if rng is not None and dropout_rate > 0.0:
@@ -217,7 +213,7 @@ class AcousticModel:
     ):
         self.config = config
         if params is None:
-            params = self._init_params(rng or np.random.default_rng(0))
+            params = init_wn_convs(self._conv_layers(config), rng or np.random.default_rng(0))
         else:
             check_params(params, self.param_shapes(config), "acoustic model")
         self.params = params
@@ -232,16 +228,7 @@ class AcousticModel:
     @staticmethod
     def param_shapes(config: AcousticModelConfig) -> dict[str, tuple]:
         """Every parameter array a model of this config holds, with its shape."""
-        shapes = {}
-        for layer in AcousticModel._conv_layers(config):
-            shapes |= wn_conv_shapes(*layer)
-        return shapes
-
-    def _init_params(self, rng) -> dict[str, np.ndarray]:
-        params: dict[str, np.ndarray] = {}
-        for name, c_out, c_in, kw in self._conv_layers(self.config):
-            init_wn_conv(params, name, rng, c_out, c_in, kw)
-        return params
+        return wn_conv_shapes(AcousticModel._conv_layers(config))
 
     def forward(
         self,

@@ -133,7 +133,8 @@ def _save_task(path, spec: SyntheticTaskSpec):
 
 
 def _load_lm(path):
-    head = Path(path).read_bytes()[:64]
+    with open(path, "rb") as handle:
+        head = handle.read(64)
     if str(path).endswith(".arpa") or head.lstrip().startswith(b"\\data\\"):
         text = ckpt.read_text(path)
         with ckpt.naming(path):
@@ -280,9 +281,11 @@ def cmd_decode(args):
     system, trie, manifest = _decode_setup(args)
     lm = _load_lm(args.lm)
     for entry in manifest.entries:
+        wave = read_wav(entry.audio)
+        with pipeline.naming_utterance(entry):
+            emissions = system.emissions(wave)
         try:
-            result = decode(system.emissions(read_wav(entry.audio)), system.transitions,
-                            trie, lm, opts)
+            result = decode(emissions, system.transitions, trie, lm, opts)
             text = " ".join(result.words)
         except EmptyBeamError as err:
             text = f"<decode-failed frame {err.frame}>"
@@ -312,6 +315,9 @@ def cmd_tune(args):
                            args.beta_grid, args.gamma_grid, trie, lm, args.stage1, args.stage2)
     if args.out:
         pipeline.write_csv(args.out, rows)
+    stage1 = [row["wer"] for row in rows[:-1]]
+    print(f"{stage1.count(min(stage1))} of {len(stage1)} stage-1 points share the lowest "
+          f"dev WER {min(stage1):.2f}%; the first of them was taken")
     print(f"best: alpha={best.alpha} beta={best.beta} gamma={best.gamma} "
           f"(beam {best.beam_size}/{best.beam_score})")
     print(f"stage-2 WER {rows[-1]['wer']:.2f}% (failures={rows[-1]['failures']})")

@@ -10,6 +10,11 @@ state is a tuple of token ids; `score` reads only its last `receptive_field`
 tokens, the whole context the network can see, and memoizes one score row per
 such window in a bounded LRU cache.
 
+The convolutions are the shared weight-normed convs of `acoustic.py`, declared
+once in `GcnnLm._conv_layers`; like every conv there they keep the column
+count. The mid convolution is causal: it passes `pad_left = K - 1`, so column t
+reads columns t - K + 1 .. t. The width-1 convolutions need no padding.
+
 `forward` scores a batch of sequences in one pass. The sequences sit side by
 side in one (channels, columns) block, with `mid_kernel_width - 1` zero gap
 columns between neighbours; the first one gets its gap from the causal conv's
@@ -27,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import (conv_glu, conv_glu_backward, init_wn_conv, wn_conv, wn_conv_backward,
+from .acoustic import (conv_glu, conv_glu_backward, init_wn_convs, wn_conv, wn_conv_backward,
                        wn_conv_shapes)
 from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .lm import LruCache, Vocabulary
-from .optim import SgdOptimizer
+from .optim import SgdOptimizer, check_training_sizes
 from .util import check_params
 
 ROW_CACHE_CAPACITY = 4096  # score rows kept per model, one per context window
@@ -71,34 +76,29 @@ class GcnnLm:
         self.vocab = vocab
         self.config = config or GcnnConfig()
         if params is None:
-            params = self._init_params(rng or np.random.default_rng(0))
+            rng = rng or np.random.default_rng(0)
+            params = {"embed": rng.normal(0.0, 0.1, (len(vocab), self.config.embed_dim))}
+            params |= init_wn_convs(self._conv_layers(self.config, len(vocab)), rng)
         else:
-            self._check_params(params)
+            check_params(params, self.param_shapes(self.config, len(vocab)), "conv LM")
         self.params = params
         self._row_cache = LruCache(ROW_CACHE_CAPACITY)
 
-    def _conv_layers(self):
+    @staticmethod
+    def _conv_layers(config: GcnnConfig, vocab_size: int):
         """(name, c_out, c_in, kernel width) of every weight-normed conv, in init order."""
-        cfg = self.config
-        e, b = cfg.embed_dim, cfg.bottleneck_dim
-        for i in range(cfg.num_blocks):
+        e, b = config.embed_dim, config.bottleneck_dim
+        for i in range(config.num_blocks):
             yield f"block{i}_down", 2 * b, e, 1
-            yield f"block{i}_mid", 2 * b, b, cfg.mid_kernel_width
+            yield f"block{i}_mid", 2 * b, b, config.mid_kernel_width
             yield f"block{i}_up", 2 * e, b, 1
-        yield "out", len(self.vocab), e, 1
+        yield "out", vocab_size, e, 1
 
-    def _init_params(self, rng) -> dict[str, np.ndarray]:
-        params = {"embed": rng.normal(0.0, 0.1, (len(self.vocab), self.config.embed_dim))}
-        for name, c_out, c_in, kw in self._conv_layers():
-            init_wn_conv(params, name, rng, c_out, c_in, kw)
-        return params
-
-    def _check_params(self, params: dict[str, np.ndarray]):
-        """Every array the config and vocabulary call for must be there, at its shape."""
-        shapes = {"embed": (len(self.vocab), self.config.embed_dim)}
-        for layer in self._conv_layers():
-            shapes |= wn_conv_shapes(*layer)
-        check_params(params, shapes, "conv LM")
+    @staticmethod
+    def param_shapes(config: GcnnConfig, vocab_size: int) -> dict[str, tuple]:
+        """Every parameter array an LM of this config and vocabulary size holds, with its shape."""
+        shapes = {"embed": (vocab_size, config.embed_dim)}
+        return shapes | wn_conv_shapes(GcnnLm._conv_layers(config, vocab_size))
 
     # -- forward / backward --------------------------------------------------
     def forward(
@@ -135,12 +135,12 @@ class GcnnLm:
         rate = cfg.dropout_rate
         caches = []  # per block: the down, mid and up conv-GLU caches
         for i in range(cfg.num_blocks):
-            down, c_down = conv_glu(self.params, f"block{i}_down", h, rate, rng, 0, 0)
-            mid, c_mid = conv_glu(self.params, f"block{i}_mid", down * mask, rate, rng, gap, 0)
-            up, c_up = conv_glu(self.params, f"block{i}_up", mid, rate, rng, 0, 0)
+            down, c_down = conv_glu(self.params, f"block{i}_down", h, rate, rng)
+            mid, c_mid = conv_glu(self.params, f"block{i}_mid", down * mask, rate, rng, gap)
+            up, c_up = conv_glu(self.params, f"block{i}_up", mid, rate, rng)
             h = h + up
             caches += [c_down, c_mid, c_up]
-        logits, out_cache = wn_conv(self.params, "out", h[:, real], pad_left=0, pad_right=0)
+        logits, out_cache = wn_conv(self.params, "out", h[:, real])
         shifted = logits - logits.max(axis=0, keepdims=True)
         expo = np.exp(shifted)
         denom = expo.sum(axis=0, keepdims=True)
@@ -232,6 +232,7 @@ def train_gcnn(
     (`clip_frac`); `epoch_callback(epoch, lm, record)` runs after each epoch
     (checkpointing hook for the perplexity studies).
     """
+    check_training_sizes(epochs, batch_size)
     vocab = lm.vocab
     train_ids = [[vocab.id(t) for t in s] for s in train_sentences]
     if not train_ids:

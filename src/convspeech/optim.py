@@ -22,6 +22,14 @@ def clip_gradients(grads: dict[str, np.ndarray], clip: float) -> tuple[dict, flo
     return grads, norm
 
 
+def check_training_sizes(epochs: int, batch_size: int):
+    """Both trainers' loop sizes; 0 epochs is valid and leaves the model untrained."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
+    if epochs < 0:
+        raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
+
+
 class SgdOptimizer:
     """SGD with momentum and global gradient clipping.
 
@@ -36,6 +44,8 @@ class SgdOptimizer:
             raise ConfigurationError("learning rate must be non-negative")
         if clip <= 0:
             raise ConfigurationError("clip must be positive")
+        if not 0.0 <= momentum < 1.0:
+            raise ConfigurationError("momentum must be in [0, 1)")
         self.lr = lr
         self.momentum = momentum
         self.clip = clip

@@ -12,13 +12,13 @@ from .acoustic import AcousticModel, AcousticModelConfig, ConvLayerSpec, Emissio
 from .audio_io import read_wav
 from .criterion import Alphabet, asg_loss, asg_loss_and_gradients, encode_target
 from .decoder import DecoderOptions, LexiconTrie, decode_and_score
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DimensionError
 from .frontend import (FRONTENDS, FrontendConfig, LearnableFrontend, MelFrontend, Waveform,
                        num_output_frames)
 from .gcnn import GcnnConfig, GcnnLm
 from .lm import Vocabulary, perplexity
 from .metrics import EvalReport
-from .optim import PlateauScheduler, SgdOptimizer
+from .optim import PlateauScheduler, SgdOptimizer, check_training_sizes
 from .synth import DatasetManifest, normalize_transcript, transcript_letters
 from .util import check_params, from_fields
 
@@ -52,6 +52,9 @@ class TrainSettings:
     batch_size: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        check_training_sizes(self.epochs, self.batch_size)
+
 
 def small_model_config(input_channels: int, alphabet_size: int) -> AcousticModelConfig:
     """Compact conv-GLU stack for the synthetic task."""
@@ -64,20 +67,29 @@ def small_model_config(input_channels: int, alphabet_size: int) -> AcousticModel
     )
 
 
+def naming_utterance(entry):
+    """`checkpoint.naming` for a manifest entry: errors name its id and audio file."""
+    return ckpt.naming(f"utterance {entry.utt_id} ({entry.audio})")
+
+
 def _load_training_items(manifest, lexicon, alphabet, frontend_config, sample_rate):
+    """(waveform, target) per feasible utterance, and the count of infeasible ones."""
     items = []
     skipped = 0
     sil = alphabet.silence_token
     for entry in manifest.entries:
         wave = read_wav(entry.audio)
         words = normalize_transcript(entry.text)
-        with ckpt.naming(f"utterance {entry.utt_id} ({entry.audio})"):
+        with naming_utterance(entry):
+            if wave.sample_rate != sample_rate:
+                raise DimensionError(
+                    f"waveform rate {wave.sample_rate} != front-end rate {sample_rate}")
             target = encode_target(alphabet, transcript_letters(words, lexicon, sil))
         frames = num_output_frames(len(wave.samples), frontend_config, sample_rate)
         if len(target) > frames:
             skipped += 1
             continue
-        items.append((wave, target, words))
+        items.append((wave, target))
     return items, skipped
 
 
@@ -127,8 +139,8 @@ def train_acoustic(
     # a front-end without parameters makes the same features every epoch
     fixed = dev_fixed = None
     if not frontend.params:
-        fixed = [frontend.forward(wave) for wave, _, _ in train_items]
-        dev_fixed = [frontend.forward(wave) for wave, _, _ in dev_items or ()]
+        fixed = [frontend.forward(wave) for wave, _ in train_items]
+        dev_fixed = [frontend.forward(wave) for wave, _ in dev_items or ()]
 
     history = []
     for epoch in range(settings.epochs):
@@ -139,7 +151,7 @@ def train_acoustic(
             batch = order[start : start + settings.batch_size]
             grads = {k: np.zeros_like(v) for k, v in params.items()}
             for j in batch:
-                wave, target, _ = train_items[j]
+                wave, target = train_items[j]
                 if fixed is None:
                     feat, fe_cache = frontend.forward(wave, want_cache=True)
                 else:
@@ -178,7 +190,7 @@ def train_acoustic(
 def _mean_loss(items, frontend, model, transitions, fixed=None) -> float:
     """Mean ASG loss over `items`, on the features `fixed` holds when given."""
     total = 0.0
-    for j, (wave, target, _) in enumerate(items):
+    for j, (wave, target) in enumerate(items):
         feat = frontend.forward(wave) if fixed is None else fixed[j]
         total += asg_loss(model.forward(feat), transitions, target)
     return total / len(items)
@@ -261,7 +273,9 @@ def _emission_items(manifest: DatasetManifest, system: SpeechSystem):
     """(emissions, transitions, reference) per utterance, computed as they are read."""
     for entry in manifest.entries:
         wave = read_wav(entry.audio)
-        yield system.emissions(wave), system.transitions, normalize_transcript(entry.text)
+        with naming_utterance(entry):
+            emissions = system.emissions(wave)
+        yield emissions, system.transitions, normalize_transcript(entry.text)
 
 
 def eval_items(manifest: DatasetManifest, system: SpeechSystem):

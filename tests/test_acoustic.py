@@ -61,11 +61,15 @@ def test_conv1d_zero_weights_give_bias():
 def test_conv1d_matches_naive():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 11))
-    weight = rng.normal(size=(4, 3, 5))
-    bias = rng.normal(size=4)
-    got, _ = ac.conv1d(x, weight, bias)
-    want = naive_conv1d(x, weight, bias, pad_left=2, pad_right=2)
-    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
+    # odd and even widths at the default padding, then causal convs (p = K - 1)
+    for kw, p in [(5, None), (3, None), (1, None), (4, None), (2, None), (5, 4), (4, 3)]:
+        weight = rng.normal(size=(4, 3, kw))
+        bias = rng.normal(size=4)
+        got, _ = ac.conv1d(x, weight, bias, p)
+        p = kw // 2 if p is None else p
+        want = naive_conv1d(x, weight, bias, pad_left=p, pad_right=kw - 1 - p)
+        assert got.shape == (4, 11), (kw, p)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10, (kw, p)
 
 
 def test_conv1d_backward_input_gradient_bit_equal_to_scatter():
@@ -76,7 +80,7 @@ def test_conv1d_backward_input_gradient_bit_equal_to_scatter():
     _, _, d_x = ac.conv1d_backward(cache, d_out)
     # the per-tap scatter formula with np.add.at
     d_cols = (weight.reshape(4, -1).T @ d_out).reshape(3, 5, -1)
-    d_padded = np.zeros((3, cache["padded_len"]))
+    d_padded = np.zeros((3, 11 + 5 - 1))
     positions = np.arange(out.shape[1])
     for w in range(5):
         np.add.at(d_padded, (slice(None), positions + w), d_cols[:, w, :])
@@ -170,6 +174,26 @@ def test_input_gradient_matches_finite_differences():
         lambda: float((model.forward(x).scores * weights).sum()), {"x": x}, step=1e-5
     )
     assert grad_close(d_input, numeric["x"], 1e-4)
+
+
+def test_even_widths_keep_the_frame_count():
+    config = ac.AcousticModelConfig(
+        [ac.ConvLayerSpec(3, 4, kernel_width=8), ac.ConvLayerSpec(4, 5, kernel_width=4)],
+        alphabet_size=4,
+    )
+    model = ac.AcousticModel(config, rng=np.random.default_rng(27))
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(3, 50))
+    weights = rng.normal(size=(50, 4))
+    emissions, cache = model.forward(x, want_cache=True)
+    assert emissions.scores.shape == (50, 4)
+    grads, d_input = model.backward(cache, weights)
+    numeric = finite_difference(
+        lambda: float((model.forward(x).scores * weights).sum()), {**model.params, "x": x},
+        step=1e-5,
+    )
+    for key, grad in {**grads, "x": d_input}.items():
+        assert grad_close(grad, numeric[key], 1e-4), key
 
 
 def test_backward_shape_mismatch():

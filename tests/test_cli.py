@@ -1,3 +1,4 @@
+import csv
 import json
 import shlex
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from convspeech import pipeline, synth
+from convspeech.audio_io import read_wav, write_wav
 from convspeech.checkpoint import load_checkpoint, read_lexicon
 from convspeech.cli import _load_task, _save_task, build_parser, main, parse_config_file
 from convspeech.errors import ConfigurationError
@@ -184,9 +186,13 @@ def test_tune_cli(workspace, capsys):
         "--out", str(workspace / "grid.csv"),
     ])
     assert rc == 0
-    assert "best:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "best:" in out
     lines = (workspace / "grid.csv").read_text().strip().splitlines()
     assert len(lines) == 4  # header + 2 stage-1 points + 1 stage-2 row
+    stage1 = [float(row["wer"]) for row in csv.DictReader(lines) if row["stage"] == "1"]
+    assert (f"{stage1.count(min(stage1))} of 2 stage-1 points share the lowest dev WER "
+            f"{min(stage1):.2f}%; the first of them was taken") in out
 
 
 def test_analyze_frontend_cli(workspace):
@@ -337,6 +343,44 @@ def test_transcript_word_missing_from_the_lexicon_names_the_utterance(workspace,
     assert rc == 1
     assert capsys.readouterr().err == (
         f"error: utterance {entry.utt_id} ({entry.audio}): word 'zzz' not in the lexicon\n")
+
+
+@pytest.mark.parametrize("command", ["train-am", "train-lm"])
+@pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--batch-size", "-1"],
+                                   ["--epochs", "-2"], ["--momentum", "1"]],
+                         ids=["batch 0", "batch -1", "epochs -2", "momentum 1"])
+def test_training_sizes_that_train_nothing_are_error_lines(workspace, tmp_path, capsys, command,
+                                                           flags):
+    if command == "train-am":
+        inputs = ["--manifest", str(workspace / "train.jsonl"),
+                  "--task", str(workspace / "task.json"), "--filters", "4"]
+    else:
+        inputs = ["--corpus", str(workspace / "corpus.txt"), "--blocks", "1",
+                  "--embed-dim", "4", "--bottleneck-dim", "2"]
+    checkpoint = tmp_path / "model.ckpt"
+    rc = main([command, *inputs, "--epochs", "1", *flags, "--checkpoint", str(checkpoint)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error: ")
+    assert not checkpoint.exists()
+
+
+@pytest.mark.parametrize("command", ["train-am", "evaluate", "decode"])
+def test_audio_the_front_end_rejects_names_the_utterance(workspace, tmp_path, capsys, command):
+    entry = synth.load_manifest(workspace / "train.jsonl").entries[0]
+    wav = tmp_path / "8k.wav"
+    write_wav(wav, read_wav(entry.audio).samples, sample_rate=8000)
+    manifest = tmp_path / "utts.jsonl"
+    synth.save_manifest(manifest, synth.DatasetManifest(
+        [synth.ManifestEntry(entry.utt_id, str(wav), entry.text)]))
+    if command == "train-am":
+        argv = ["train-am", "--task", str(workspace / "task.json"), "--filters", "4",
+                "--epochs", "1", "--checkpoint", str(tmp_path / "am.ckpt")]
+    else:
+        argv = [command, "--am", str(workspace / "am.ckpt"),
+                "--lm", str(workspace / "bigram.arpa"), "--lexicon", str(workspace / "lexicon.txt")]
+    assert main([*argv, "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: utterance {entry.utt_id} ({wav}): waveform rate 8000 != front-end rate 16000\n")
 
 
 def test_config_file_rejects_garbage(tmp_path):
