@@ -30,6 +30,7 @@ from .errors import ConfigurationError, ConvSpeechError, EmptyBeamError
 from .frontend import FRONTENDS, FrontendConfig, LearnableFrontend, analyze_filters
 from .gcnn import GcnnConfig, GcnnLm, train_gcnn
 from .lm import SENTENCE_BEGIN, SENTENCE_END, UNKNOWN_TOKEN, Vocabulary, fit_bigram_arpa, load_arpa
+from .optim import SgdOptimizer, check_training_sizes
 from .synth import SyntheticTaskSpec, load_manifest
 from .util import from_fields
 
@@ -231,7 +232,10 @@ def cmd_train_lm(args):
     lm = GcnnLm(vocab, config, rng=np.random.default_rng(args.seed))
     val = _read_corpus(args.val_corpus) if args.val_corpus else None
     ckpt_dir = Path(args.checkpoint_dir) if args.checkpoint_dir else None
-    if ckpt_dir:  # the untrained model too: the start of the perplexity-WER trend
+    if ckpt_dir:  # the untrained model too: the start of the perplexity-WER trend,
+        # once the settings train_gcnn would refuse have been refused
+        check_training_sizes(args.epochs, args.batch_size)
+        SgdOptimizer(lr=args.lr, momentum=args.momentum, clip=args.clip)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         pipeline.save_gcnn(ckpt_dir / "epoch-start.ckpt", lm)
 

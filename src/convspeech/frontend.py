@@ -3,8 +3,11 @@
 The learnable front-end chains a trainable width-2 pre-emphasis, a trainable
 complex filterbank (squared modulus taken after convolution), a fixed squared
 Hanning low-pass with decimation, log compression, and per-channel instance
-normalization. A fixed log-mel pipeline with identical frame geometry is
-provided as a baseline, plus power-spectrum analysis of learned filters.
+normalization. Its filterbank correlations, forward and backward, run by
+overlap-save blocks of one FFT length, block_length(n, W): the signal's own
+FFT length while that is short, else that of BLOCK_WIDTHS filter widths. A
+fixed log-mel pipeline with identical frame geometry is provided as a
+baseline, plus power-spectrum analysis of learned filters.
 Both share one interface (`kind`, the constructor, `param_shapes`, `forward`
 and `backward`), and `FRONTENDS` maps each kind to its class.
 """
@@ -28,8 +31,10 @@ from .util import check_params
 
 DEFAULT_SAMPLE_RATE = 16000
 # A LearnableFrontend keeps no workspace with a buffer larger than this between
-# passes, so it retains at most three times this much; a longer pass allocates afresh.
+# passes, so it retains at most six times this much; a longer pass allocates afresh.
 POOL_BUFFER_LIMIT = 8 * 2**20  # bytes
+# Overlap-save blocks are fft_length of this many filter widths long (block_length).
+BLOCK_WIDTHS = 4
 
 
 @dataclass
@@ -130,21 +135,42 @@ def fft_length(n: int) -> int:
     return best
 
 
-def correlate_rows(signal_spec: np.ndarray, row_spec: np.ndarray, n_fft: int,
-                   lags: int, product: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """First `lags` lags of the cross-correlation of one signal with a stack of rows.
+def block_length(n: int, width: int) -> int:
+    """FFT length of the overlap-save blocks that correlate n samples with `width`-tap rows.
 
-    From rfft spectra of length `n_fft`: out[f, t] = sum_w rows[f, w] * signal[t + w]
-    for 0 <= t < lags. There is no wrap-around while lags + row length - 1 <= n_fft,
-    which holds for valid correlations when n_fft >= len(signal).
-    The product spectrum is written into `product`, shaped like `row_spec`
-    (rows, n_fft // 2 + 1); it may be `row_spec` itself. The inverse transform
-    is written into `out` (rows, n_fft), and the result is a view of its
-    first `lags` columns.
+    The signal's own fft_length(n) while that is no longer than
+    fft_length(BLOCK_WIDTHS * width), so such a signal is one block; past it,
+    blocks of that fixed length.
     """
-    np.conjugate(row_spec, out=product)
-    product *= signal_spec
-    return np.fft.irfft(product, n_fft, axis=1, out=out)[:, :lags]
+    return min(fft_length(n), fft_length(BLOCK_WIDTHS * width))
+
+
+def correlate_blocks(signal: np.ndarray, bank: np.ndarray, length: int, width: int,
+                     work: dict) -> np.ndarray:
+    """Valid cross-correlation of one signal with a stack of `width`-tap rows, by overlap-save.
+
+    out[f, t] = sum_w rows[f, w] * signal[t + w] for 0 <= t <= len(signal) - width.
+    `bank` holds the conjugated rfft spectra of the rows at the block length
+    `length`, shaped (rows, length // 2 + 1). Block b gives the
+    M = length - width + 1 lags from b*M: the rfft of signal[b*M : b*M + length],
+    zero-padded, goes to row b of the workspace buffer "blocks", its product
+    with the bank to "product", and the inverse transform of that to columns
+    b*M to b*M + length of the "rows" buffer, shaped (rows, blocks*M + width - 1).
+    Only a block's last width - 1 columns wrap around, and the next block
+    overwrites them. The result is a view of the first lags of "rows"; the
+    blocks' spectra stay in "blocks".
+    """
+    lags = signal.size - width + 1
+    step = length - width + 1
+    count = -(-lags // step)
+    specs = _view(work, "blocks", (count, length // 2 + 1), np.complex128)
+    product = _view(work, "product", bank.shape, np.complex128)
+    out = _view(work, "rows", (bank.shape[0], count * step + width - 1), np.float64)
+    for b, start in enumerate(range(0, lags, step)):
+        np.fft.rfft(signal[start : start + length], length, out=specs[b])
+        np.multiply(bank, specs[b], out=product)
+        np.fft.irfft(product, length, axis=1, out=out[:, start : start + length])
+    return out[:, :lags]
 
 
 def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.ndarray:
@@ -166,24 +192,32 @@ def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
     """Adjoint of lowpass_decimate: out[f, n*stride + w] += window[w] * grad[f, n].
 
     Tap w = j*stride + r of frame n lands on position (n + j)*stride + r, so
-    the scatter is one vectorised add per phase j. The last phase goes first,
-    which adds in the order of a loop over frames: the result is bit-identical
-    to that loop. `take(size)` gives a flat float64 array of at least `size`
-    entries, whatever they hold, for the output and one phase's products; the
-    result is a view into it.
+    the scatter is one vectorised step per phase j. The last phase goes first
+    and writes its blocks of `stride` positions; each earlier phase writes the
+    one block that no later phase reached and adds into the rest. So every
+    position sums its terms in the order of a loop over frames, and the result
+    equals that loop adding into zeros: the values are bit-identical, but a
+    zero may carry the other sign, since the loop's first add turns -0.0 into
+    +0.0. Only the blocks past every phase are zero-filled. `take(size)` gives
+    a flat float64 array of at least `size` entries, whatever they hold, for
+    the output and one phase's products; the result is a view into it.
     """
     k, t_out = grad.shape
     phases = -(-window.size // stride)
     win = np.zeros(phases * stride)
     win[: window.size] = window
-    blocks = max(t_out + phases - 1, -(-length // stride))
+    last = phases - 1
+    blocks = max(t_out + last, -(-length // stride))
     buffer = take(k * (blocks + t_out) * stride)
     out = buffer[: k * blocks * stride].reshape(k, blocks, stride)
     term = buffer[out.size : out.size + k * t_out * stride].reshape(k, t_out, stride)
-    out.fill(0.0)
-    for j in reversed(range(phases)):
-        np.multiply(grad[:, :, None], win[j * stride : (j + 1) * stride], out=term)
-        out[:, j : j + t_out, :] += term
+    out[:, t_out + last :, :] = 0.0
+    # einsum forms these outer products about twice as fast as a broadcast multiply
+    np.einsum("fn,r->fnr", grad, win[last * stride :], out=out[:, last : last + t_out, :])
+    for j in reversed(range(last)):
+        np.einsum("fn,r->fnr", grad, win[j * stride : (j + 1) * stride], out=term)
+        out[:, j, :] = term[:, 0, :]
+        out[:, j + 1 : j + t_out, :] += term[:, 1:, :]
     return out.reshape(k, -1)[:, :length]
 
 
@@ -242,18 +276,28 @@ class LearnableFrontend:
     "filter_real" and "filter_imag" (k, W). The low-pass window is fixed to a
     squared Hanning window and receives no gradient.
 
-    The three (2k, ~n_fft) arrays of a pass live in the buffers of a
-    workspace kept between passes, so a pass faults in no fresh pages and
-    makes no row-sized temporaries. "rows" holds the bank, zero-padded to
-    n_fft in place, then the correlations; `backward` zeroes their tail past
-    t_conv and transforms the upstream rows in it. "bank" holds the bank
-    spectrum. "product" holds the product spectrum, then (with a cache) the
-    squared correlations, and in `backward` the low-pass adjoint and then the
-    upstream spectrum. What a buffer held before a pass never reaches its
-    result. A forward takes the spare workspace or starts an empty one. It
-    gives it back at its end, or with a cache `backward` does, so a second
-    forward before a backward never writes into a live cache. The front-end
-    keeps the workspace given back last, unless a buffer in it is over
+    The filterbank correlations run by overlap-save blocks of one FFT length
+    L = block_length(n, W), M = L - W + 1 lags each (see correlate_blocks),
+    so no FFT of a pass is longer than L. The arrays of a pass live in the
+    buffers of a workspace kept between passes, so a warm pass faults in no
+    fresh pages and makes no row-sized temporaries:
+    - "bank": the conjugated spectrum of the stacked real+imaginary bank at L;
+    - "blocks": the signal blocks' spectra, which `backward` trades one by
+      one for the conjugated spectra of the blocks' signal gradients;
+    - "product": one block's product spectrum; in `backward`, the spectrum
+      of one block of the upstream rows;
+    - "rows": the correlations, (2k, blocks*M + W - 1); `backward` forms the
+      upstream rows in them, then the blocks' signal gradients;
+    - "squares": with a cache, the squared correlations; in `backward`, the
+      low-pass adjoint, then one block's products and the filter gradients'
+      spectrum;
+    - "block": in `backward`, one block of the upstream rows zero-padded to
+      L, then the filter gradients' lags.
+    What a buffer held before a pass never reaches its result. A forward
+    takes the spare workspace or starts an empty one. It gives it back at its
+    end, or with a cache `backward` does, so a second forward before a
+    backward never writes into a live cache. The front-end keeps the
+    workspace given back last, unless a buffer in it is over
     POOL_BUFFER_LIMIT bytes. One instance runs one pass at a time.
     """
 
@@ -302,25 +346,17 @@ class LearnableFrontend:
         pre = preemphasize(x, self.params["preemphasis"]).samples
         real, imag = self.params["filter_real"], self.params["filter_imag"]
         k, width = real.shape
-        # one spectrum of the signal, one of the stacked real+imaginary bank,
-        # which the rows buffer holds zero-padded to n_fft
-        n_fft = fft_length(pre.size)
-        bins = n_fft // 2 + 1
-        pre_spec = np.fft.rfft(pre, n_fft)
+        # the conjugated spectrum of the stacked real+imaginary bank at the block length
+        length = block_length(pre.size, width)
         work, self._spare = self._spare or {}, None
-        rows = _view(work, "rows", (2 * k, n_fft), np.float64)
-        rows[:k, :width] = real
-        rows[k:, :width] = imag
-        rows[:, width:] = 0.0
-        bank_spec = np.fft.rfft(rows, axis=1,
-                                out=_view(work, "bank", (2 * k, bins), np.complex128))
-        lags = pre.size - width + 1
-        if want_cache:  # backward needs the bank spectrum and the correlations
-            product = _view(work, "product", (2 * k, bins), np.complex128)
-            corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, product=product, out=rows)
-            squares = np.square(corr, out=_view(work, "product", corr.shape, np.float64))
-        else:  # nothing does: multiply and square in place
-            corr = correlate_rows(pre_spec, bank_spec, n_fft, lags, product=bank_spec, out=rows)
+        bank = _view(work, "bank", (2 * k, length // 2 + 1), np.complex128)
+        np.fft.rfft(real, length, axis=1, out=bank[:k])
+        np.fft.rfft(imag, length, axis=1, out=bank[k:])
+        np.conjugate(bank, out=bank)
+        corr = correlate_blocks(pre, bank, length, width, work)
+        if want_cache:  # backward needs the correlations
+            squares = np.square(corr, out=_view(work, "squares", corr.shape, np.float64))
+        else:  # nothing does: square in place
             squares = np.square(corr, out=corr)
         power = squares[:k]
         power += squares[k:]
@@ -333,9 +369,8 @@ class LearnableFrontend:
         cache = {
             "work": work,
             "x": x.samples,
-            "pre_spec": pre_spec,
-            "bank_spec": bank_spec,
-            "n_fft": n_fft,
+            "length": length,
+            "bank": bank,
             "corr": corr,
             "pooled": pooled,
             "logged": logged,
@@ -368,36 +403,54 @@ class LearnableFrontend:
             - upstream.mean(axis=1, keepdims=True)
             - normed * (upstream * normed).mean(axis=1, keepdims=True)
         ) / std
-        # log compression
-        d_pooled = d_logged / (cache["pooled"] + cfg.log_epsilon)
+        # log compression, times the 2 of the squared modulus's derivative
+        # (exact: doubling rounds nothing)
+        d_pooled = 2.0 * d_logged / (cache["pooled"] + cfg.log_epsilon)
         # low-pass decimation (window fixed, so no gradient of its own)
         corr, work = cache.pop("corr"), cache.pop("work")
         two_k, t_conv = corr.shape
         k = two_k // 2
         d_power = lowpass_transpose(d_pooled, self.lowpass_window, cache["stride"], t_conv,
-                                    take=lambda size: _view(work, "product", (size,), np.float64))
-        # squared modulus: upstream rows for the stacked real+imaginary bank,
-        # formed in the correlation rows themselves and zero-padded to n_fft
-        d_power *= 2.0
-        n_fft = cache["n_fft"]
-        rows = _view(work, "rows", (two_k, n_fft), np.float64)
-        rows[:k, :t_conv] *= d_power
-        rows[k:, :t_conv] *= d_power
-        rows[:, t_conv:] = 0.0
-        # complex convolution, from one spectrum of the upstream rows: the
-        # signal gradient sums the full convolutions d_f * K_f, and the filter
-        # gradients are the first W lags of the correlation of the input with d_f
-        x = cache["x"]
-        bank_spec = cache.pop("bank_spec")
+                                    take=lambda size: _view(work, "squares", (size,), np.float64))
+        # squared modulus: upstream rows d_f = 2 * corr_f * d_power for the
+        # stacked real+imaginary bank, formed in the correlation rows themselves
+        bank, length = cache.pop("bank"), cache.pop("length")
         width = self.params["filter_real"].shape[1]
-        d_spec = np.fft.rfft(rows, axis=1,
-                             out=_view(work, "product", bank_spec.shape, np.complex128))
-        d_pre_spec = np.einsum("fb,fb->b", d_spec, bank_spec)
-        d_pre = np.fft.irfft(d_pre_spec, n_fft)[: x.size]
-        g_bank = correlate_rows(cache["pre_spec"], d_spec, n_fft, width,
-                                product=d_spec, out=rows).copy()
+        step = length - width + 1
+        specs = _view(work, "blocks", (-(-t_conv // step), bank.shape[1]), np.complex128)
+        rows = _view(work, "rows", (2, k, len(specs) * step + width - 1), np.float64)
+        rows[:, :, :t_conv] *= d_power
+        rows = rows.reshape(two_k, -1)
+        # complex convolution, block by block: a block of the upstream rows,
+        # zero-padded to L, and its spectrum D, conjugated in place. The
+        # filter gradients are the first W lags of the inverse transform of
+        # the sum over blocks of conj(D) times the signal block's spectrum,
+        # which the block's row of "blocks" then trades for the conjugated
+        # spectrum of the block's full convolutions sum_f d_f * K_f.
+        block = _view(work, "block", (two_k, length), np.float64)
+        d_spec = _view(work, "product", bank.shape, np.complex128)
+        terms, g_spec = _view(work, "squares", (2,) + bank.shape, np.complex128)
+        g_spec.fill(0.0)
+        for b, start in enumerate(range(0, t_conv, step)):
+            stop = min(start + step, t_conv)
+            block[:, : stop - start] = rows[:, start:stop]
+            block[:, stop - start :] = 0.0
+            np.fft.rfft(block, axis=1, out=d_spec)
+            np.conjugate(d_spec, out=d_spec)
+            g_spec += np.multiply(d_spec, specs[b], out=terms)
+            # sum_f conj(D_f) * conj(K_f) = conj(spectrum of sum_f d_f * K_f)
+            np.multiply(d_spec, bank, out=terms).sum(axis=0, out=specs[b])
+        g_bank = np.fft.irfft(g_spec, length, axis=1, out=block)[:, :width].copy()
+        # the signal gradient overlap-adds the blocks' full convolutions
+        convs = np.fft.irfft(np.conjugate(specs, out=specs), length, axis=1,
+                             out=_view(work, "rows", (len(specs), length), np.float64))
+        d_pre = np.zeros(rows.shape[1])
+        for b, conv in enumerate(convs):
+            d_pre[b * step : b * step + length] += conv
         self._give_back(work)
         # pre-emphasis: y[t] = k1*x[t] + k0*x[t-1]
+        x = cache["x"]
+        d_pre = d_pre[: x.size]
         g_pre = np.array([np.dot(d_pre[1:], x[:-1]), np.dot(d_pre, x)])
         return {"preemphasis": g_pre, "filter_real": g_bank[:k], "filter_imag": g_bank[k:]}
 

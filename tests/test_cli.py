@@ -364,6 +364,19 @@ def test_training_sizes_that_train_nothing_are_error_lines(workspace, tmp_path, 
     assert not checkpoint.exists()
 
 
+@pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--momentum", "1"]],
+                         ids=["batch 0", "momentum 1"])
+def test_train_lm_refused_settings_leave_no_checkpoint(workspace, tmp_path, capsys, flags):
+    ckpt_dir = tmp_path / "ck"
+    rc = main(["train-lm", "--corpus", str(workspace / "corpus.txt"), "--blocks", "1",
+               "--embed-dim", "4", "--bottleneck-dim", "2", "--epochs", "1", *flags,
+               "--checkpoint", str(tmp_path / "lm.ckpt"), "--checkpoint-dir", str(ckpt_dir)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "lm.ckpt").exists()
+    assert not ckpt_dir.exists() or not any(ckpt_dir.iterdir())
+
+
 @pytest.mark.parametrize("command", ["train-am", "evaluate", "decode"])
 def test_audio_the_front_end_rejects_names_the_utterance(workspace, tmp_path, capsys, command):
     entry = synth.load_manifest(workspace / "train.jsonl").entries[0]

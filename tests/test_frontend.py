@@ -67,14 +67,18 @@ def test_preemphasize_empty_signal():
                         np.array([-0.97, 1.0]))
 
 
+def block_correlation(x, rows):
+    """fe.correlate_blocks of x with `rows`, at the block length the front-end uses."""
+    width = rows.shape[1]
+    length = fe.block_length(x.size, width)
+    bank = np.conj(np.fft.rfft(rows, length, axis=1))
+    return fe.correlate_blocks(x, bank, length, width, {})
+
+
 def bank_power(x, real, imag):
-    """Squared modulus of the valid complex correlation, through fe.correlate_rows."""
-    k, width = real.shape
-    n_fft = fe.fft_length(x.size)
-    bank_spec = np.fft.rfft(np.concatenate([real, imag]), n_fft, axis=1)
-    corr = fe.correlate_rows(np.fft.rfft(x, n_fft), bank_spec, n_fft, x.size - width + 1,
-                             product=bank_spec, out=np.empty((2 * k, n_fft)))
-    return corr[:k] ** 2 + corr[k:] ** 2
+    """Squared modulus of the valid complex correlation, through fe.correlate_blocks."""
+    corr = block_correlation(x, np.concatenate([real, imag]))
+    return corr[: len(real)] ** 2 + corr[len(real) :] ** 2
 
 
 def test_complex_conv_power_matched_tone_is_flat():
@@ -126,16 +130,34 @@ def test_complex_conv_power_non_negative(x, seed):
     assert np.all(bank_power(x, real, imag) >= 0.0)
 
 
-def test_correlate_rows_fft_path_matches_direct():
+def test_correlate_blocks_matches_direct():
     rng = np.random.default_rng(15)
     x = rng.normal(size=12000)
     kernels = rng.normal(size=(8, 300))
     direct = np.lib.stride_tricks.sliding_window_view(x, 300) @ kernels.T
-    n_fft = fe.fft_length(x.size)
-    spec = np.fft.rfft(kernels, n_fft, axis=1)
-    got = fe.correlate_rows(np.fft.rfft(x, n_fft), spec, n_fft, x.size - 299,
-                            product=spec, out=np.empty((8, n_fft))).T
+    got = block_correlation(x, kernels).T
     assert np.max(np.abs(got - direct)) / np.max(np.abs(direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("config", [TOY, fe.FrontendConfig(num_filters=8)], ids=["toy", "8 filters"])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_block_correlation_matches_np_correlate_at_block_edges(config, blocks, extra):
+    # lags = q*M - 1, q*M and q*M + 1 for M lags per block: a last block one
+    # short of full, full, and of one lag; q = 1 puts the signal on either
+    # side of the switch from one block of its own FFT length to blocks
+    width = config.filter_width(RATE)
+    length = fe.fft_length(fe.BLOCK_WIDTHS * width)
+    step = length - width + 1
+    n = blocks * step + extra + width - 1
+    assert fe.block_length(n, width) == (fe.fft_length(n) if n <= length else length)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    rows = rng.normal(size=(2 * config.num_filters, width))
+    direct = np.stack([np.correlate(x, row, "valid") for row in rows])
+    got = block_correlation(x, rows)
+    assert got.shape == direct.shape
+    assert np.max(np.abs(got - direct)) / np.max(np.abs(direct)) <= 1e-10
 
 
 def _is_5_smooth(m):
@@ -161,7 +183,9 @@ def test_fft_length_beats_next_power_of_two():
 # Long signals whose smooth FFT length differs from the next power of two,
 # checked against direct time-domain formulas (np.correlate / np.convolve and
 # a scatter loop for the low-pass), which share no code with the front-end.
-LONG_LENGTHS = (8193, 9120, 16385)
+# All of them take several overlap-save blocks; with 400 taps, 8,807 samples
+# leave the last block a single lag.
+LONG_LENGTHS = (8193, 8807, 9120, 16385)
 
 
 def _direct_forward(front, samples):
@@ -594,7 +618,7 @@ def test_backward_twice_on_one_cache_is_refused():
                                 want_cache=True)
     front.backward(cache, np.ones_like(feat))
     # the workspace went back to the front-end: the cache no longer refers to it
-    assert "corr" not in cache and "bank_spec" not in cache and "work" not in cache
+    assert not {"corr", "bank", "work"} & cache.keys()
     with pytest.raises(ConvSpeechError, match="already"):
         front.backward(cache, np.ones_like(feat))
 
@@ -636,26 +660,28 @@ def test_warm_cached_pass_makes_no_row_sized_temporaries():
 
 def test_stale_pool_contents_never_reach_the_results():
     # NaN in every free buffer before each step of long-then-short passes: the
-    # spare workspace's, and before backward the product buffer of the cache's
-    # workspace (its other two hold the correlations and the bank spectrum);
-    # at 1,920 samples the FFT is as long as the signal, so no padding is left
+    # spare workspace's, and before backward those of the cache's workspace
+    # but the three that hold the correlations, the bank spectrum and the
+    # signal blocks' spectra; 1,600 samples are one block as long as the
+    # signal, so no padding is left, and 1,920 are a full block and a short one
     config = fe.FrontendConfig(num_filters=8)
     rng = np.random.default_rng(39)
     warm = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
-    assert fe.fft_length(1920) == 1920
+    assert fe.block_length(1600, 400) == 1600 and fe.block_length(1920, 400) == 1600
 
     def stale(work):
         for flat in (work or {}).values():
             flat.fill(np.nan)
 
-    for n in (16320, 6750, 1920):
+    for n in (16320, 6750, 1920, 1600):
         x = fe.Waveform(0.3 * rng.normal(size=n), RATE)
         upstream = _upstream(rng, n, config)
         stale(warm._spare)
         plain = warm.forward(x)
         stale(warm._spare)
         feat, cache = warm.forward(x, want_cache=True)
-        stale({"product": cache["work"]["product"]})
+        stale({name: flat for name, flat in cache["work"].items()
+               if name not in ("rows", "bank", "blocks")})
         grads = warm.backward(cache, upstream)
         fresh = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
         want_plain, want, want_grads = _pass(fresh, x.samples, upstream)
@@ -665,8 +691,8 @@ def test_stale_pool_contents_never_reach_the_results():
 
 
 def test_pool_keeps_no_buffer_over_the_limit():
-    # long, then short: the long passes' buffers are over the limit, so after
-    # the short pass the front-end holds no more than a short pass's buffers
+    # long, then short: the long passes' rows buffer is over the limit, so
+    # after the short pass the front-end holds no more than a short pass's buffers
     config = fe.FrontendConfig(num_filters=64)
     front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(35))
     rng = np.random.default_rng(36)
@@ -685,7 +711,7 @@ def test_pool_keeps_no_buffer_over_the_limit():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # each long buffer alone is over the limit; the short ones take ~3 MB
+    # the long rows buffer alone is over the limit; the short buffers take ~6 MB
     assert 0 < kept < fe.POOL_BUFFER_LIMIT
 
 
