@@ -274,6 +274,8 @@ def _decode_setup(args):
 def cmd_decode(args):
     opts = _decoder_opts(args)
     if args.emissions:
+        if args.manifest or args.am:
+            raise ConfigurationError("decode takes --emissions, or --manifest with --am, not both")
         emissions, alphabet, g = ckpt.load_emissions(args.emissions)
         result = decode(emissions, g, _read_trie(args.lexicon, alphabet), _load_lm(args.lm), opts)
         print(" ".join(result.words))

@@ -38,9 +38,10 @@ selects the survivors among those and makes the frame's one `Beam.take`.
 Each frame keeps only its survivors' back-pointers (parent index, move id).
 A move fixes its letter and word, so the best path's letters, words and
 silence count are read back from them at the end. LM states are interned to
-integers and (state, word) scores are memoised once per `decode`,
-`decode_and_score` or `tune_grid` call, so the LM sees each distinct pair
-once per call, however many utterances or grid points share it.
+integers, and the scores of (state, word) and (state, sentence end) pairs are
+memoised in one table per `decode`, `decode_and_score` or `tune_grid` call,
+so the LM sees each distinct pair once per call, however many utterances or
+grid points share it.
 """
 
 from __future__ import annotations
@@ -132,11 +133,11 @@ class DecoderOptions:
     merge_mode: str = "logadd"  # "logadd" | "max" | "off"
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ConfigurationError("alpha, beta, gamma must be non-negative")
+        if not all(0 <= weight < np.inf for weight in (self.alpha, self.beta, self.gamma)):
+            raise ConfigurationError("alpha, beta, gamma must be finite and non-negative")
         if self.beam_size < 1:
             raise ConfigurationError("beam_size must be >= 1")
-        if self.beam_score < 0:
+        if not self.beam_score >= 0:  # +inf: no score threshold
             raise ConfigurationError("beam_score must be non-negative")
         if self.merge_mode not in ("logadd", "max", "off"):
             raise ConfigurationError(f"unknown merge mode {self.merge_mode!r}")
@@ -263,8 +264,9 @@ def prune(beam: Beam, index: np.ndarray, opts: DecoderOptions) -> Beam:
 class _LmMemo:
     """LM lookups over interned states, shared by the decodes of one call.
 
-    State id 0 is the LM's start state. `emit` and `finish` call the LM only
-    for a (state, word) pair or a state they have not seen yet.
+    State id 0 is the LM's start state. The tables hold one column per
+    lexicon word, then one for the sentence end. `lookup` calls the LM only
+    for a (state, column) pair it has not seen yet.
     """
 
     def __init__(self, lm, trie: LexiconTrie):
@@ -275,47 +277,36 @@ class _LmMemo:
         if missing:
             raise VocabularyError(
                 f"lexicon words missing from the LM vocabulary: {', '.join(missing)}")
+        self.token_ids.append(vocab.end_id)
         self.lm = lm
         self.states = [lm.start_state()]
         self.ids = {self.states[0]: 0}
-        self.logp = np.zeros((8, len(trie.words)))
-        self.next = np.full((8, len(trie.words)), -1, dtype=np.int64)
-        self.end = np.full(8, np.nan)
+        self.logp = np.zeros((8, len(self.token_ids)))
+        self.next = np.full((8, len(self.token_ids)), -1, dtype=np.int64)
 
     def _intern(self, state) -> int:
         sid = self.ids.get(state)
         if sid is None:
             sid = self.ids[state] = len(self.states)
             self.states.append(state)
-            rows = len(self.end)
-            if sid == rows:
+            if sid == len(self.next):
                 self.logp = np.concatenate([self.logp, np.zeros_like(self.logp)])
                 self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
-                self.end = np.concatenate([self.end, np.full(rows, np.nan)])
         return sid
 
-    def emit(self, word: np.ndarray, emits: np.ndarray, state: np.ndarray,
-             lm_raw: np.ndarray):
-        """Score the moves that emit a word (`emits`) into `state` and `lm_raw`."""
-        at = emits.nonzero()[0]
-        pair = state[at] * self.next.shape[1] + word[at]  # flat index into next and logp
+    def lookup(self, state: np.ndarray, column: np.ndarray):
+        """(log probability, next state id) of each (state id, column) pair."""
+        pair = state * self.next.shape[1] + column  # flat index into next and logp
         next_states = self.next.ravel()[pair]
         miss = next_states < 0
         if miss.any():
-            for s, w in zip(state[at[miss]].tolist(), word[at[miss]].tolist()):
-                if self.next[s, w] < 0:  # a pair can miss twice in one batch
-                    logp, next_state = self.lm.score(self.states[s], self.token_ids[w])
-                    self.logp[s, w] = logp
-                    self.next[s, w] = self._intern(next_state)
+            for s, c in zip(state[miss].tolist(), column[miss].tolist()):
+                if self.next[s, c] < 0:  # a pair can miss twice in one batch
+                    logp, next_state = self.lm.score(self.states[s], self.token_ids[c])
+                    self.logp[s, c] = logp
+                    self.next[s, c] = self._intern(next_state)
             next_states = self.next.ravel()[pair]
-        lm_raw[at] += self.logp.ravel()[pair]
-        state[at] = next_states
-
-    def finish(self, states: np.ndarray) -> np.ndarray:
-        for s in states[np.isnan(self.end[states])].tolist():
-            if np.isnan(self.end[s]):  # a state can miss twice in one batch
-                self.end[s] = self.lm.score(self.states[s], self.lm.vocab.end_id)[0]
-        return self.end[states]
+        return self.logp.ravel()[pair], next_states
 
 
 def _moves(trie: LexiconTrie, beam: Beam):
@@ -332,7 +323,9 @@ def _expand(trie: LexiconTrie, memo: _LmMemo, beam: Beam, move, parent, acc) -> 
     emits = word >= 0
     state = beam.state[parent]
     lm_raw = beam.lm_raw[parent]
-    memo.emit(word, emits, state, lm_raw)
+    at = emits.nonzero()[0]
+    logp, state[at] = memo.lookup(state[at], word[at])
+    lm_raw[at] += logp
     return Beam(trie.move_dest[move], state, acc, lm_raw, beam.word_count[parent] + emits,
                 parent, move)
 
@@ -399,7 +392,8 @@ def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions
     if not len(move):
         raise EmptyBeamError(t_total, "no hypothesis ends at a word boundary")
     finals = _expand(trie, memo, beam, move, parent, beam.acc[parent])  # all at the root
-    finals.lm_raw += memo.finish(finals.state)
+    end = np.full(len(finals), len(trie.words))  # the memo's last column: the sentence end
+    finals.lm_raw += memo.lookup(finals.state, end)[0]
     # pool complete hypotheses that spelled the same word history
     index = merge_hypotheses(finals, opts, finals.state)
     totals = finals.totals(opts, index)
@@ -476,7 +470,6 @@ def _score(items, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions,
            ids=None) -> EvalReport:
     """`decode_and_score` with the LM lookups of `memo`."""
     scores = []
-    char_pairs = []
     failures = 0
     for i, (emissions, g, reference) in enumerate(items):
         try:
@@ -485,8 +478,7 @@ def _score(items, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions,
             hypothesis = []
             failures += 1
         scores.append(score_utterance(str(i) if ids is None else ids[i], reference, hypothesis))
-        char_pairs.append((list(" ".join(reference)), list(" ".join(hypothesis))))
-    report = aggregate(scores, char_pairs)
+    report = aggregate(scores)
     report.decode_failures = failures
     return report
 

@@ -31,7 +31,7 @@ from .util import check_params
 
 DEFAULT_SAMPLE_RATE = 16000
 # A LearnableFrontend keeps no workspace with a buffer larger than this between
-# passes, so it retains at most six times this much; a longer pass allocates afresh.
+# passes, so it retains at most five times this much; a longer pass allocates afresh.
 POOL_BUFFER_LIMIT = 8 * 2**20  # bytes
 # Overlap-save blocks are fft_length of this many filter widths long (block_length).
 BLOCK_WIDTHS = 4
@@ -74,10 +74,11 @@ class FrontendConfig:
     def __post_init__(self):
         if self.num_filters < 1:
             raise ConfigurationError("num_filters must be >= 1")
-        if min(self.filter_width_ms, self.lowpass_width_ms, self.stride_ms) <= 0:
-            raise ConfigurationError("widths and stride must be positive")
-        if self.log_epsilon <= 0 or self.norm_epsilon <= 0:
-            raise ConfigurationError("epsilons must be positive")
+        widths = (self.filter_width_ms, self.lowpass_width_ms, self.stride_ms)
+        if not all(0 < ms < np.inf for ms in widths):
+            raise ConfigurationError("widths and stride must be finite and positive")
+        if not (0 < self.log_epsilon < np.inf and 0 < self.norm_epsilon < np.inf):
+            raise ConfigurationError("epsilons must be finite and positive")
 
     def filter_width(self, sample_rate: int) -> int:
         return _ms_to_samples(self.filter_width_ms, sample_rate, "filter width")
@@ -285,14 +286,12 @@ class LearnableFrontend:
     - "blocks": the signal blocks' spectra, which `backward` trades one by
       one for the conjugated spectra of the blocks' signal gradients;
     - "product": one block's product spectrum; in `backward`, the spectrum
-      of one block of the upstream rows;
+      of one block of the upstream rows, then the filter gradients' lags;
     - "rows": the correlations, (2k, blocks*M + W - 1); `backward` forms the
       upstream rows in them, then the blocks' signal gradients;
     - "squares": with a cache, the squared correlations; in `backward`, the
       low-pass adjoint, then one block's products and the filter gradients'
-      spectrum;
-    - "block": in `backward`, one block of the upstream rows zero-padded to
-      L, then the filter gradients' lags.
+      spectrum.
     What a buffer held before a pass never reaches its result. A forward
     takes the spare workspace or starts an empty one. It gives it back at its
     end, or with a cache `backward` does, so a second forward before a
@@ -421,26 +420,23 @@ class LearnableFrontend:
         rows = _view(work, "rows", (2, k, len(specs) * step + width - 1), np.float64)
         rows[:, :, :t_conv] *= d_power
         rows = rows.reshape(two_k, -1)
-        # complex convolution, block by block: a block of the upstream rows,
-        # zero-padded to L, and its spectrum D, conjugated in place. The
-        # filter gradients are the first W lags of the inverse transform of
-        # the sum over blocks of conj(D) times the signal block's spectrum,
-        # which the block's row of "blocks" then trades for the conjugated
-        # spectrum of the block's full convolutions sum_f d_f * K_f.
-        block = _view(work, "block", (two_k, length), np.float64)
+        # complex convolution, block by block: the spectrum D of a block of
+        # the upstream rows, zero-padded to L by the rfft, conjugated in
+        # place. The filter gradients are the first W lags of the inverse
+        # transform of the sum over blocks of conj(D) times the signal
+        # block's spectrum, which the block's row of "blocks" then trades for
+        # the conjugated spectrum of the block's full convolutions sum_f d_f * K_f.
         d_spec = _view(work, "product", bank.shape, np.complex128)
         terms, g_spec = _view(work, "squares", (2,) + bank.shape, np.complex128)
         g_spec.fill(0.0)
         for b, start in enumerate(range(0, t_conv, step)):
-            stop = min(start + step, t_conv)
-            block[:, : stop - start] = rows[:, start:stop]
-            block[:, stop - start :] = 0.0
-            np.fft.rfft(block, axis=1, out=d_spec)
+            np.fft.rfft(rows[:, start : min(start + step, t_conv)], length, axis=1, out=d_spec)
             np.conjugate(d_spec, out=d_spec)
             g_spec += np.multiply(d_spec, specs[b], out=terms)
             # sum_f conj(D_f) * conj(K_f) = conj(spectrum of sum_f d_f * K_f)
             np.multiply(d_spec, bank, out=terms).sum(axis=0, out=specs[b])
-        g_bank = np.fft.irfft(g_spec, length, axis=1, out=block)[:, :width].copy()
+        g_bank = np.fft.irfft(g_spec, length, axis=1, out=_view(  # "product" holds >= 2k L floats
+            work, "product", (two_k, length), np.float64))[:, :width].copy()
         # the signal gradient overlap-adds the blocks' full convolutions
         convs = np.fft.irfft(np.conjugate(specs, out=specs), length, axis=1,
                              out=_view(work, "rows", (len(specs), length), np.float64))

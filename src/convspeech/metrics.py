@@ -87,8 +87,9 @@ def score_utterance(utt_id: str, reference: Sequence[str], hypothesis: Sequence[
     return UtteranceScore(utt_id, list(reference), list(hypothesis), s, d, ins)
 
 
-def aggregate(scores: Sequence[UtteranceScore],
-              char_pairs: Sequence[tuple[Sequence, Sequence]] | None = None) -> EvalReport:
+def aggregate(scores: Sequence[UtteranceScore]) -> EvalReport:
+    """Summed word errors, and character errors over each utterance's words
+    joined by single spaces."""
     report = EvalReport()
     for sc in scores:
         report.substitutions += sc.substitutions
@@ -96,10 +97,8 @@ def aggregate(scores: Sequence[UtteranceScore],
         report.insertions += sc.insertions
         report.reference_length += len(sc.reference)
         report.utterances.append(sc)
-    if char_pairs is not None:
-        for ref_chars, hyp_chars in char_pairs:
-            s, d, ins = edit_distance_alignment(list(ref_chars), list(hyp_chars))
-            report.cer_errors += s + d + ins
-            report.cer_reference_length += len(ref_chars)
+        ref_chars, hyp_chars = " ".join(sc.reference), " ".join(sc.hypothesis)
+        s, d, ins = edit_distance_alignment(ref_chars, hyp_chars)
+        report.cer_errors += s + d + ins
+        report.cer_reference_length += len(ref_chars)
     return report
-

@@ -40,9 +40,9 @@ class SgdOptimizer:
 
     def __init__(self, lr: float, momentum: float = 0.9, clip: float = 0.2,
                  nesterov: bool = False):
-        if lr < 0:
-            raise ConfigurationError("learning rate must be non-negative")
-        if clip <= 0:
+        if not 0 <= lr < np.inf:
+            raise ConfigurationError("learning rate must be finite and non-negative")
+        if not clip > 0:  # +inf: never clip
             raise ConfigurationError("clip must be positive")
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError("momentum must be in [0, 1)")

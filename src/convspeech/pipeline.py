@@ -325,12 +325,10 @@ def context_wer_study(lm, limits, items, trie, opts: DecoderOptions):
     return rows
 
 
-def write_csv(path, rows, fieldnames=None):
-    """Study output: CSV with a header row."""
-    if rows and fieldnames is None:
-        fieldnames = list(rows[0])
+def write_csv(path, rows):
+    """Study output: CSV with a header row of the first row's keys."""
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames or [])
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]) if rows else [])
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

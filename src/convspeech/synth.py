@@ -62,8 +62,10 @@ class SyntheticTaskSpec:
             raise ConfigurationError("tone frequencies must be distinct")
         if max(self.tone_frequencies) > self.sample_rate / 2:
             raise ConfigurationError("tone frequencies must stay below Nyquist")
-        if self.letter_duration_ms < 10.0:
+        if not self.letter_duration_ms >= 10.0:
             raise ConfigurationError("letters must span at least one frame stride")
+        if not 0.0 <= self.noise_level < np.inf:
+            raise ConfigurationError(f"noise level {self.noise_level} is not finite and >= 0")
         if not self.lexicon:
             self.lexicon = default_lexicon(self.letters)
         if not isinstance(self.lexicon, dict) or not all(

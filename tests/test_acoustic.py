@@ -267,6 +267,10 @@ def test_sgd_rejects_non_finite():
     opt = SgdOptimizer(lr=0.1)
     with pytest.raises(TrainingDivergenceError):
         opt.step({"w": np.array([1.0])}, {"w": np.array([np.nan])})
+    for settings in ({"lr": np.nan}, {"lr": np.inf}, {"lr": 0.1, "clip": np.nan}):
+        with pytest.raises(ConfigurationError):
+            SgdOptimizer(**settings)
+    assert SgdOptimizer(lr=0.1, clip=np.inf).clip == np.inf  # +inf: never clip
 
 
 def test_sgd_descends_quadratic():

@@ -479,6 +479,25 @@ def test_decode_without_input_source_is_an_error_line(workspace, capsys, with_ma
     assert err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize("flag", ["--manifest", "--am"])
+def test_decode_emissions_with_audio_inputs_is_an_error_line(workspace, tmp_path, capsys, flag):
+    path = workspace / ("dev.jsonl" if flag == "--manifest" else "am.ckpt")
+    argv = ["decode", "--emissions", str(tmp_path / "emit.ckpt"), flag, str(path),
+            "--lm", str(workspace / "bigram.arpa"), "--lexicon", str(workspace / "lexicon.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--emissions" in err[0]
+
+
+def test_synth_data_nan_snr_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["synth-data", "--out-dir", str(out), "--condition", "other", "--snr-db", "nan",
+               "--train", "2", "--dev", "0", "--test", "0", "--corpus-sentences", "10"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error: ")
+    assert not list(out.rglob("*.wav"))
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["tune", "--manifest", "m", "--am", "a", "--lm", "l", "--lexicon", "x",
       "--stage1", "2500"], "--stage1"),

@@ -650,11 +650,30 @@ def test_decode_failures_are_counted():
     assert [row["failures"] for row in rows] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("beta", math.nan), ("gamma", math.nan), ("beam_score", math.nan),
+    ("alpha", math.inf), ("beta", math.inf), ("gamma", math.inf), ("beam_score", -1.0)])
+def test_options_reject_nan_and_infinite_weights(field, value):
+    with pytest.raises(ConfigurationError):
+        dec.DecoderOptions(**{field: value})
+
+
 def test_tune_grid_rejects_empty():
     with pytest.raises(ConfigurationError):
         dec.tune_grid([], [1.0], [0.0], [0.0], None, None)
     with pytest.raises(ConfigurationError):
         dec.tune_grid([(None, None, ["a"])], [], [0.0], [0.0], None, None)
+
+
+def test_decode_and_score_of_one_utterance_twice_scores_each_pair_once():
+    emissions, g, trie, base, opts = make_instance(np.random.default_rng(17), t=6)
+    lm = ProtocolOnlyLm(base)
+    report = dec.decode_and_score([(emissions, g, ["a"])] * 2, trie, lm, opts)
+    once = ProtocolOnlyLm(base)
+    dec.decode(emissions, g, trie, once, opts)
+    # the second decode finds every pair, sentence ends included, in the memo
+    assert lm.scored == once.scored and lm.vocab.end_id in {token for _, token in lm.scored}
+    assert report.utterances[0].hypothesis == report.utterances[1].hypothesis
 
 
 def test_decode_and_score_shares_lm_lookups():

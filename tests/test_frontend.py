@@ -558,6 +558,14 @@ def test_config_rejects_fractional_samples():
         fe.FrontendConfig(filter_width_ms=25.3).filter_width(RATE)
 
 
+@pytest.mark.parametrize("field", ["filter_width_ms", "lowpass_width_ms", "stride_ms",
+                                   "log_epsilon", "norm_epsilon"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(ConfigurationError):
+        fe.FrontendConfig(**{field: value})
+
+
 def _pass(front, samples, upstream):
     """Features without a cache, then features and gradients with one."""
     x = fe.Waveform(samples, RATE)
@@ -711,8 +719,20 @@ def test_pool_keeps_no_buffer_over_the_limit():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # the long rows buffer alone is over the limit; the short buffers take ~6 MB
+    # the long rows buffer alone is over the limit; the short buffers take ~5.1 MB
     assert 0 < kept < fe.POOL_BUFFER_LIMIT
+
+
+def test_warm_cached_pass_keeps_five_buffers():
+    # one block (L = n_fft = 1000), so rows, product and squares are all (2k, ~L) sized
+    front = fe.LearnableFrontend(fe.FrontendConfig(num_filters=64), RATE,
+                                 rng=np.random.default_rng(37))
+    x = fe.Waveform(0.3 * np.random.default_rng(38).normal(size=1000), RATE)
+    for _ in range(2):
+        feat, cache = front.forward(x, want_cache=True)
+        front.backward(cache, np.ones_like(feat))
+    assert sorted(front._spare) == ["bank", "blocks", "product", "rows", "squares"]
+    assert sum(flat.nbytes for flat in front._spare.values()) <= 5.2e6
 
 
 def _golden_cases():

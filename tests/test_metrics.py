@@ -97,8 +97,6 @@ def test_aggregate_consistency():
 
 
 def test_aggregate_cer():
-    report = aggregate(
-        [score_utterance("u", ["ab"], ["ab"])],
-        char_pairs=[(list("ab cd"), list("ab d"))],
-    )
+    # "ab cd" against "ab d": one deletion over five characters, the space included
+    report = aggregate([score_utterance("u", ["ab", "cd"], ["ab", "d"])])
     assert report.cer == pytest.approx(100.0 / 5)

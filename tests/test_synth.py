@@ -25,6 +25,9 @@ def test_spec_validation():
         synth.SyntheticTaskSpec(tone_frequencies=(300.0, 300.0, 1000.0, 1500.0, 2000.0))
     with pytest.raises(ConfigurationError):
         synth.SyntheticTaskSpec(tone_frequencies=(300.0, 825.0, 1350.0, 1875.0, 9000.0))
+    for noise_level in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="noise level"):
+            synth.SyntheticTaskSpec(noise_level=noise_level)
 
 
 def test_single_letter_tone_frequency():
