@@ -18,7 +18,7 @@ import numpy as np
 
 from .acoustic import EmissionTable
 from .criterion import Alphabet
-from .errors import ConfigurationError, ConvSpeechError, VocabularyError
+from .errors import ConfigurationError, ConvSpeechError, DomainError, VocabularyError
 from .util import check_params
 
 CHECKPOINT_FORMAT = "convspeech-checkpoint"
@@ -89,7 +89,8 @@ def naming(path):
 
 
 def load_checkpoint(path, kind: str):
-    """Read a container of `kind`; returns (config, arrays)."""
+    """Read a container of `kind`; returns (config, arrays). A float array holding
+    NaN or +inf is refused."""
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path} is not a {CHECKPOINT_FORMAT} file")
@@ -103,6 +104,9 @@ def load_checkpoint(path, kind: str):
         if not isinstance(payload["arrays"], dict):
             raise TypeError("arrays is not an object")
         arrays = {name: _decode_array(entry) for name, entry in payload["arrays"].items()}
+        for name, arr in arrays.items():  # -inf stays: it forbids a letter or a transition
+            if arr.dtype.kind == "f" and not (arr < np.inf).all():
+                raise DomainError(f"array {name!r} holds NaN or +inf")
         return payload["config"], arrays
 
 

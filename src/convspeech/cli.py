@@ -24,7 +24,6 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import pipeline, synth
 from .acoustic import AcousticModelConfig, ConvLayerSpec
-from .audio_io import read_wav
 from .decoder import DecoderOptions, LexiconTrie, build_trie, decode, tune_grid
 from .errors import ConfigurationError, ConvSpeechError, EmptyBeamError
 from .frontend import FRONTENDS, FrontendConfig, LearnableFrontend, analyze_filters
@@ -152,10 +151,12 @@ def _write_corpus(path, sentences):
 
 
 def cmd_synth_data(args):
+    counts = {"train": args.train, "dev": args.dev, "test": args.test}
+    for flag, count in {**counts, "corpus-sentences": args.corpus_sentences}.items():
+        synth.check_count(count, f"--{flag}")  # before anything is written
+    counts = {k: v for k, v in counts.items() if v > 0}
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    counts = {"train": args.train, "dev": args.dev, "test": args.test}
-    counts = {k: v for k, v in counts.items() if v > 0}
     val_count = max(args.corpus_sentences // 10, 10)
     if args.condition == "homophone":
         # the LM-study task, its sentences drawn as in acceptance criterion 7
@@ -286,12 +287,10 @@ def cmd_decode(args):
         raise ConfigurationError("decoding a --manifest needs --am")
     system, trie, manifest = _decode_setup(args)
     lm = _load_lm(args.lm)
-    for entry in manifest.entries:
-        wave = read_wav(entry.audio)
-        with pipeline.naming_utterance(entry):
-            emissions = system.emissions(wave)
+    for entry, (emissions, g, _) in zip(manifest.entries,
+                                        pipeline.emission_items(manifest, system)):
         try:
-            result = decode(emissions, system.transitions, trie, lm, opts)
+            result = decode(emissions, g, trie, lm, opts)
             text = " ".join(result.words)
         except EmptyBeamError as err:
             text = f"<decode-failed frame {err.frame}>"

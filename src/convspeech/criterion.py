@@ -2,11 +2,11 @@
 
 Scores letter paths by per-frame emissions plus input-independent transition
 scores, normalizing with a log-sum-exp over all paths of an alignment graph.
-There are two graphs, each with its own recursion: the unconstrained one (any
-letter at any frame) and the target one (monotonic alignments of the target).
-The loss is the difference between their scores. There is no blank symbol; doubled letters in
-targets are rewritten with a repetition token and silence is an ordinary
-letter.
+There are two graphs, the unconstrained one (any letter at any frame) and the
+target one (monotonic alignments of the target), and one pass each: a frame
+loop that yields alpha and beta together. The loss is the difference between
+their scores. There is no blank symbol; doubled letters in targets are
+rewritten with a repetition token and silence is an ordinary letter.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ def as_scores(emissions, g) -> tuple[np.ndarray, np.ndarray]:
 _FLOOR = np.finfo(np.float64).min  # shifts an all -inf column without making NaN
 
 
-def _full_passes(f, g, backward=True):
+def _full_passes(f, g):
     """(alpha, beta) over the unconstrained graph, where any letter follows any
-    letter and every letter may end a path; beta is None without `backward`.
+    letter and every letter may end a path.
 
     Frame t of alpha and frame T-1-t of beta are log-sum-exps down the columns
     of one (2, |A|, |A|) slab: `heads[t-1]` (alpha[t-1] and f[u] + beta[u] for
@@ -106,16 +106,13 @@ def _full_passes(f, g, backward=True):
     calls. A column of -inf gives exp(-inf - floor) = 0 and log 0 = -inf.
     """
     t_total, s = f.shape
-    k = 2 if backward else 1
-    heads = np.empty((t_total, k, s))
-    heads[0, 0] = f[0]
-    emit = np.stack([f, f[::-1]], axis=1)[:, :k]  # what frame t adds to each slab's result
-    beta = np.zeros((t_total, s)) if backward else None
-    if backward:
-        heads[0, 1] = f[-1] + beta[-1]
-    arcs = np.stack([g, g.T])[:k]
-    slabs = np.empty((k, s, s))
-    floor, lse = np.empty((2, k, 1, s))  # per slab and column
+    heads = np.empty((t_total, 2, s))
+    emit = np.stack([f, f[::-1]], axis=1)  # what frame t adds to each slab's result
+    beta = np.zeros((t_total, s))
+    heads[0] = f[0], f[-1] + beta[-1]
+    arcs = np.stack([g, g.T])
+    slabs = np.empty((2, s, s))
+    floor, lse = np.empty((2, 2, 1, s))  # per slab and column
     columns = heads[:, :, :, None]
     with np.errstate(divide="ignore"):
         for t in range(1, t_total):
@@ -127,8 +124,7 @@ def _full_passes(f, g, backward=True):
             np.log(lse, out=lse)
             lse += floor
             np.add(emit[t], lse[:, 0], out=heads[t])
-            if backward:
-                beta[t_total - 1 - t] = lse[1, 0]
+            beta[t_total - 1 - t] = lse[1, 0]
     return heads[:, 0], beta
 
 
@@ -146,9 +142,9 @@ def _target_tables(f: np.ndarray, g: np.ndarray, target: np.ndarray):
     return f[:, target], g[target, target], g[target[:-1], target[1:]]
 
 
-def _target_passes(em, stay, advance, backward=True):
+def _target_passes(em, stay, advance):
     """(alpha, beta) over the target graph, where state s is entered from s or
-    s-1 and left to s or s+1; beta is None without `backward`.
+    s-1 and left to s or s+1.
 
     Row t of `heads` holds alpha[t] and, with the states reversed,
     em[u] + beta[u] for u = T-1-t, so one loop steps both with the same adds,
@@ -157,23 +153,22 @@ def _target_passes(em, stay, advance, backward=True):
     never -0.0). `sums` keeps each row before its emissions.
     """
     t_total, s = em.shape
-    width = 2 * s if backward else s
-    sums = np.full((t_total, width), NEG_INF)
-    heads = np.full((t_total, width), NEG_INF)
+    sums = np.full((t_total, 2 * s), NEG_INF)
+    heads = np.full((t_total, 2 * s), NEG_INF)
     heads[0, 0] = em[0, 0]
-    stays = np.concatenate([stay, stay[::-1]])[:width]
-    advances = np.concatenate([advance, [NEG_INF], advance[::-1]])[: width - 1]
-    emit = np.concatenate([em, em[::-1, ::-1]], axis=1)[:, :width]
+    stays = np.concatenate([stay, stay[::-1]])
+    advances = np.concatenate([advance, [NEG_INF], advance[::-1]])
+    emit = np.concatenate([em, em[::-1, ::-1]], axis=1)
     sums[0, s : s + 1] = 0.0  # beta[T-1]: only the last state ends a path
     np.add(sums[0, s:], emit[0, s:], out=heads[0, s:])
-    entered = np.empty(width - 1)
+    entered = np.empty(2 * s - 1)
     froms, intos = heads[:, :-1], sums[:, 1:]
     for t in range(1, t_total):
         np.add(heads[t - 1], stays, out=sums[t])
         np.add(froms[t - 1], advances, out=entered)
         np.logaddexp(intos[t], entered, out=intos[t])
         np.add(sums[t], emit[t], out=heads[t])
-    return heads[:, :s], (sums[::-1, s:][:, ::-1] if backward else None)
+    return heads[:, :s], sums[::-1, s:][:, ::-1]
 
 
 def forward_score(emissions, g, target: np.ndarray | None = None) -> float:
@@ -189,9 +184,8 @@ def forward_score(emissions, g, target: np.ndarray | None = None) -> float:
     """
     f, gmat = as_scores(emissions, g)
     if target is None:
-        return float(logsumexp(_full_passes(f, gmat, backward=False)[0][-1]))
-    alpha, _ = _target_passes(*_target_tables(f, gmat, target), backward=False)
-    return float(alpha[-1, -1])
+        return float(logsumexp(_full_passes(f, gmat)[0][-1]))
+    return float(_target_passes(*_target_tables(f, gmat, target))[0][-1, -1])
 
 
 def asg_loss(emissions, g, target: np.ndarray) -> float:

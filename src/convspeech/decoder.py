@@ -52,7 +52,8 @@ from typing import Sequence
 import numpy as np
 
 from .criterion import Alphabet, as_scores, encode_target
-from .errors import ConfigurationError, DimensionError, EmptyBeamError, VocabularyError
+from .errors import (ConfigurationError, DimensionError, DomainError, EmptyBeamError,
+                     VocabularyError)
 from .lm import UNKNOWN_TOKEN
 from .metrics import EvalReport, aggregate, score_utterance
 
@@ -303,6 +304,9 @@ class _LmMemo:
             for s, c in zip(state[miss].tolist(), column[miss].tolist()):
                 if self.next[s, c] < 0:  # a pair can miss twice in one batch
                     logp, next_state = self.lm.score(self.states[s], self.token_ids[c])
+                    if not logp < np.inf:  # NaN fails too; -inf forbids the word
+                        word = self.lm.vocab.tokens[self.token_ids[c]]
+                        raise DomainError(f"LM score of {word!r} is {logp}, not a log probability")
                     self.logp[s, c] = logp
                     self.next[s, c] = self._intern(next_state)
             next_states = self.next.ravel()[pair]

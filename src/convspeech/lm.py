@@ -179,8 +179,10 @@ def load_arpa(stream: TextIO | Iterable[str]) -> NGramModel:
                 backoff = float(fields[-1]) if has_backoff else 0.0
             except ValueError:
                 raise ArpaParseError(no, f"non-numeric probability in {line!r}") from None
-            if logp > 1e-9:
-                raise ArpaParseError(no, f"positive log10 probability {fields[0]}")
+            if not logp <= 1e-9:  # NaN fails too
+                raise ArpaParseError(no, f"log10 probability {fields[0]} is positive or NaN")
+            if not backoff < math.inf:
+                raise ArpaParseError(no, f"back-off weight {fields[-1]} is NaN or +inf")
             ids = tuple(
                 intern(tok, no, known_only=(k > 1)) for tok in fields[1 : k + 1]
             )

@@ -269,7 +269,7 @@ def load_gcnn(path) -> GcnnLm:
 
 # -- evaluation ---------------------------------------------------------------
 
-def _emission_items(manifest: DatasetManifest, system: SpeechSystem):
+def emission_items(manifest: DatasetManifest, system: SpeechSystem):
     """(emissions, transitions, reference) per utterance, computed as they are read."""
     for entry in manifest.entries:
         wave = read_wav(entry.audio)
@@ -280,7 +280,7 @@ def _emission_items(manifest: DatasetManifest, system: SpeechSystem):
 
 def eval_items(manifest: DatasetManifest, system: SpeechSystem):
     """Precompute (emissions, transitions, reference) triples for decoding."""
-    return list(_emission_items(manifest, system))
+    return list(emission_items(manifest, system))
 
 
 def evaluate(
@@ -291,7 +291,7 @@ def evaluate(
     opts: DecoderOptions,
 ) -> EvalReport:
     """Decode every utterance and aggregate WER/CER; deterministic."""
-    return decode_and_score(_emission_items(manifest, system), trie, lm, opts,
+    return decode_and_score(emission_items(manifest, system), trie, lm, opts,
                             ids=[entry.utt_id for entry in manifest.entries])
 
 
@@ -316,7 +316,10 @@ def context_wer_study(lm, limits, items, trie, opts: DecoderOptions):
     """WER as a function of the LM context window."""
     from .lm import ContextLimitedLM
 
-    if list(limits) != sorted(limits):
+    limits = list(limits)
+    if not limits:
+        raise ConfigurationError("context study needs at least one context limit")
+    if limits != sorted(limits):
         raise ConfigurationError("context limits must be ascending")
     rows = []
     for limit in limits:

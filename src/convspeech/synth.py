@@ -160,6 +160,12 @@ def markov_bias(spec: SyntheticTaskSpec, seed: int = 7) -> np.ndarray:
     return rng.dirichlet(np.full(len(words), 1.0 / 6.0), size=len(words))  # concentration 6
 
 
+def check_count(count: int, what: str):
+    """Refuse a negative size, which would render or draw nothing without saying so."""
+    if count < 0:
+        raise ConfigurationError(f"{what} must be >= 0, got {count}")
+
+
 def _write_split(spec: SyntheticTaskSpec, out_dir, split: str, utterances) -> DatasetManifest:
     """Render, write and list each (words, rng) pair of `utterances`, then the manifest."""
     audio_dir = Path(out_dir) / "audio" / split
@@ -187,6 +193,8 @@ def synthesize_dataset(
     transition_bias: np.ndarray | None = None,
 ) -> dict[str, "DatasetManifest"]:
     """Render WAVs and JSONL manifests for each split; deterministic per seed."""
+    for split, count in counts.items():
+        check_count(count, f"{split} count")
     manifests: dict[str, DatasetManifest] = {}
     for split_idx, (split, count) in enumerate(sorted(counts.items())):
         rngs = (np.random.default_rng([seed, split_idx, i]) for i in range(count))
@@ -208,6 +216,7 @@ def synthesize_from_sentences(
 def synthesize_corpus(spec: SyntheticTaskSpec, count: int, seed: int = 0,
                       transition_bias: np.ndarray | None = None) -> list[list[str]]:
     """Text-only sentences from the same distribution, for LM training."""
+    check_count(count, "sentence count")
     sentences = []
     for i in range(count):
         rng = np.random.default_rng([seed, 999, i])
@@ -230,6 +239,7 @@ def homophone_study_spec() -> SyntheticTaskSpec:
 
 
 def homophone_study_sentences(count: int, seed: int) -> list[list[str]]:
+    check_count(count, "sentence count")
     sentences = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])

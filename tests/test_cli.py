@@ -11,7 +11,8 @@ from convspeech.audio_io import read_wav, write_wav
 from convspeech.checkpoint import load_checkpoint, read_lexicon
 from convspeech.cli import _load_task, _save_task, build_parser, main, parse_config_file
 from convspeech.errors import ConfigurationError
-from convspeech.gcnn import GcnnLm
+from convspeech.gcnn import GcnnConfig, GcnnLm
+from convspeech.lm import Vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,19 @@ def test_decode_prints_transcripts(workspace, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4
     assert all("\t" in line for line in lines)
+
+
+def test_decode_prints_the_hypotheses_evaluate_reports(workspace, tmp_path, capsys):
+    inputs = ["--manifest", str(workspace / "dev.jsonl"), "--am", str(workspace / "am.ckpt"),
+              "--lm", str(workspace / "bigram.arpa"), "--lexicon", str(workspace / "lexicon.txt"),
+              "--alpha", "0.5", "--beta", "0.5", "--beam-size", "100"]
+    assert main(["decode", *inputs]) == 0
+    decoded = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", *inputs, "--report", str(report)]) == 0
+    with open(report, newline="") as handle:
+        listed = [[row["id"], row["hypothesis"]] for row in csv.DictReader(handle)]
+    assert decoded == listed and len(listed) == 4
 
 
 def _emission_decode(workspace, path, capsys):
@@ -556,3 +570,65 @@ def test_synth_data_homophone(tmp_path):
     for name, count, seed in (("corpus.txt", 20, 20), ("corpus-dev.txt", 10, 21)):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines == [" ".join(s) for s in synth.homophone_study_sentences(count, seed)]
+
+
+def _decode_error(workspace, capsys, *flags):
+    """The stderr lines of a decode of the dev manifest with `flags` added."""
+    argv = ["decode", "--manifest", str(workspace / "dev.jsonl"),
+            "--am", str(workspace / "am.ckpt"), "--lexicon", str(workspace / "lexicon.txt"),
+            "--lm", str(workspace / "bigram.arpa"), "--alpha", "0.5", *flags]
+    assert main(argv) == 1
+    return capsys.readouterr().err.splitlines()
+
+
+def test_nan_lm_values_are_error_lines_naming_the_file(workspace, tmp_path, capsys):
+    lines = (workspace / "bigram.arpa").read_text().splitlines()
+    at = lines.index("\\1-grams:") + 2
+    lines[at] = "nan " + lines[at].split(None, 1)[1]
+    arpa = tmp_path / "nan.arpa"
+    arpa.write_text("\n".join(lines) + "\n")
+    assert _decode_error(workspace, capsys, "--lm", str(arpa)) == [
+        f"error: {arpa}: line {at + 1}: log10 probability nan is positive or NaN"]
+    words = sorted(read_lexicon(workspace / "lexicon.txt"))
+    lm = GcnnLm(Vocabulary((*words, "<s>", "</s>", "<unk>")),
+                GcnnConfig(num_blocks=1, embed_dim=4, bottleneck_dim=2, mid_kernel_width=3))
+    name = sorted(lm.params)[0]
+    lm.params[name].flat[0] = np.nan
+    conv = tmp_path / "nan.ckpt"
+    pipeline.save_gcnn(conv, lm)
+    assert _decode_error(workspace, capsys, "--lm", str(conv)) == [
+        f"error: {conv}: array '{name}' holds NaN or +inf"]
+
+
+def test_nan_emission_table_is_an_error_line_naming_the_file(workspace, tmp_path, capsys):
+    from test_io import save_table
+
+    alphabet = _load_task(workspace / "task.json").alphabet
+    scores = np.zeros((4, len(alphabet)))
+    scores[2, 1] = np.nan
+    path = tmp_path / "emit.ckpt"
+    save_table(path, scores, np.zeros((len(alphabet),) * 2), alphabet)
+    rc = main(["decode", "--emissions", str(path), "--lm", str(workspace / "bigram.arpa"),
+               "--lexicon", str(workspace / "lexicon.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: array 'scores' holds NaN or +inf\n"
+
+
+@pytest.mark.parametrize("flag", ["--train", "--dev", "--test", "--corpus-sentences"])
+def test_synth_data_negative_size_is_an_error_line_and_writes_nothing(tmp_path, capsys, flag):
+    out = tmp_path / "data"
+    sizes = {"--train": "2", "--dev": "0", "--test": "0", "--corpus-sentences": "10"}
+    sizes[flag] = "-5"
+    rc = main(["synth-data", "--out-dir", str(out), *(x for kv in sizes.items() for x in kv)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -5\n"
+    assert not out.exists()
+
+
+def test_context_wer_without_limits_is_an_error_line(workspace, tmp_path, capsys):
+    out = tmp_path / "ctx.csv"
+    rc = main(["context-wer", *_study_inputs(workspace), "--lm", str(workspace / "bigram.arpa"),
+               "--limits", "", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: context study needs at least one context limit\n"
+    assert not out.exists()

@@ -272,6 +272,22 @@ def test_neg_inf_scores_match_enumeration(forbid):
         assert np.all(d_g[cells] == 0.0)
 
 
+def test_asg_loss_is_the_loss_of_the_gradient_pass():
+    # one pass per graph: the loss alone reads the alphas that the gradients'
+    # pass makes, so the two losses are the same float. The last letter,
+    # never in the target, has -inf cells in its emissions and transitions.
+    rng = np.random.default_rng(44)
+    for trial in range(60):
+        t, a = int(rng.integers(1, 40)), int(rng.integers(3, 10))
+        emissions, transitions = random_instance(rng, t, a)
+        target = rng.integers(0, a - 1, size=int(rng.integers(1, t + 1)))
+        emissions[rng.random(t) < 0.5, a - 1] = -np.inf
+        transitions[a - 1, rng.random(a) < 0.5] = -np.inf
+        transitions[rng.random(a) < 0.5, a - 1] = -np.inf
+        loss = cr.asg_loss(emissions, transitions, target)
+        assert loss == cr.asg_loss_and_gradients(emissions, transitions, target)[0], trial
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["emission", "transition"])
 @pytest.mark.parametrize("band", ["target", "off_target"])

@@ -576,6 +576,40 @@ def test_lexicon_word_missing_from_lm_is_rejected():
                dec.DecoderOptions())
 
 
+class OneWordScoredAs(HistoryLm):
+    """HistoryLm, except that `word` is always scored `value`."""
+
+    def __init__(self, words, word, value):
+        super().__init__(words)
+        self.bad, self.value = self.vocab.id(word), value
+
+    def score(self, state, token_id):
+        logp, next_state = super().score(state, token_id)
+        return (self.value if token_id == self.bad else logp), next_state
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("word", ["b", "</s>"])
+def test_lm_score_of_nan_or_pos_inf_names_the_word(word, value):
+    # a NaN score once broke the beam's merge with an IndexError
+    trie = dec.build_trie({"a": ["a"], "b": ["b"]}, AB)
+    lm = OneWordScoredAs(["a", "b"], word, value)
+    f = np.zeros((4, len(AB)))
+    with pytest.raises(DomainError, match=f"LM score of '{word}' is {value}"):
+        dec.decode(f, np.zeros((len(AB), len(AB))), trie, lm, dec.DecoderOptions(alpha=0.5))
+
+
+def test_lm_score_of_neg_inf_forbids_the_word():
+    trie = dec.build_trie({"a": ["a"], "b": ["b"]}, AB)
+    f = np.zeros((4, len(AB)))
+    f[:, AB.index("b")] = 1.0  # the acoustics prefer "b"
+    g = np.zeros((len(AB), len(AB)))
+    opts = dec.DecoderOptions(alpha=0.5)
+    assert "b" in dec.decode(f, g, trie, HistoryLm(["a", "b"]), opts).words
+    result = dec.decode(f, g, trie, OneWordScoredAs(["a", "b"], "b", -math.inf), opts)
+    assert result.words and "b" not in result.words
+
+
 def test_exhaustive_single_word_lexicon():
     lm = uniform_lm(["b"])
     f = np.full((1, len(AB)), -3.0)

@@ -29,6 +29,7 @@ from convspeech.errors import (
     AudioFormatError,
     ConfigurationError,
     ConvSpeechError,
+    DomainError,
     VocabularyError,
 )
 from convspeech.gcnn import GcnnConfig, GcnnLm
@@ -263,6 +264,27 @@ def test_emission_table_bad_magic(tmp_path):
     path.write_bytes(b"CSEM\x02\x00\x00\x00" + b"\x00" * 30)
     with pytest.raises(ConfigurationError, match=re.escape(f"{path}: not valid JSON")):
         load_emissions(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["acoustic-system", "gcnn-lm", "emissions"])
+def test_checkpoint_arrays_holding_nan_or_pos_inf_are_refused(tmp_path, kind, value):
+    path = tmp_path / "x.ckpt"
+    bad = np.zeros((2, 3))
+    bad[1, 2] = value
+    save_checkpoint(path, kind, {}, {"w": np.ones(2), "x": bad, "n": np.arange(3)})
+    with pytest.raises(DomainError, match=re.escape(f"{path}: array 'x' holds NaN or +inf")):
+        load_checkpoint(path, kind)
+
+
+def test_checkpoint_arrays_keep_neg_inf(tmp_path):
+    # -inf forbids a letter or a transition
+    scores, g = np.zeros((3, 4)), np.zeros((4, 4))
+    scores[:, 1] = g[2, 0] = -np.inf
+    path = tmp_path / "e.ckpt"
+    save_table(path, scores, g)
+    table, _, transitions = load_emissions(path)
+    assert np.array_equal(table.scores, scores) and np.array_equal(transitions, g)
 
 
 def test_lexicon_round_trip(tmp_path):

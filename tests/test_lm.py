@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,24 @@ def test_load_rejects_positive_logprob():
     text = "\\data\\\nngram 1=1\n\n\\1-grams:\n0.5 a\n\n\\end\\\n"
     with pytest.raises(ArpaParseError, match="positive"):
         lmod.load_arpa(io.StringIO(text))
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("nan a", "log10 probability nan is positive or NaN"),
+    ("-0.3 a nan", "back-off weight nan is NaN or +inf"),
+    ("-0.3 a inf", "back-off weight inf is NaN or +inf"),
+])
+def test_load_rejects_nan_and_pos_inf_values(entry, message):
+    text = f"\\data\\\nngram 1=1\n\n\\1-grams:\n{entry}\n\n\\end\\\n"
+    with pytest.raises(ArpaParseError, match=re.escape(f"line 5: {message}")):
+        lmod.load_arpa(io.StringIO(text))
+
+
+def test_load_keeps_neg_inf_values():
+    # -inf is a probability of 0, or no back-off mass
+    text = "\\data\\\nngram 1=2\n\n\\1-grams:\n-inf a -inf\n-0.3 b\n\n\\end\\\n"
+    model = lmod.load_arpa(io.StringIO(text))
+    assert model.score((), model.vocab.id("a"))[0] == -math.inf
 
 
 def test_load_rejects_orphan_context():

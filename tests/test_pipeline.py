@@ -475,6 +475,8 @@ def test_context_study_equal_limits(tiny_task):
     assert rows[0]["wer"] == rows[1]["wer"]
     with pytest.raises(ConfigurationError):
         pipeline.context_wer_study(lm, [4, 2], items, trie, opts)
+    with pytest.raises(ConfigurationError, match="at least one context limit"):
+        pipeline.context_wer_study(lm, [], items, trie, opts)
 
 
 def test_perplexity_study_identical_checkpoints(tiny_task):

@@ -30,6 +30,18 @@ def test_spec_validation():
             synth.SyntheticTaskSpec(noise_level=noise_level)
 
 
+def test_negative_sizes_are_refused_before_anything_is_written(tmp_path):
+    spec = synth.SyntheticTaskSpec()
+    with pytest.raises(ConfigurationError, match="dev count must be >= 0, got -1"):
+        synth.synthesize_dataset(spec, tmp_path / "data", {"train": 2, "dev": -1})
+    assert not (tmp_path / "data").exists()
+    for draw in (lambda: synth.synthesize_corpus(spec, -5),
+                 lambda: synth.homophone_study_sentences(-5, seed=0)):
+        with pytest.raises(ConfigurationError, match="sentence count must be >= 0, got -5"):
+            draw()
+    assert synth.synthesize_corpus(spec, 0) == []
+
+
 def test_single_letter_tone_frequency():
     # a clean one-letter utterance is a pure tone at that letter's frequency
     spec = synth.SyntheticTaskSpec()
