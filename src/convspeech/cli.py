@@ -7,7 +7,8 @@ several subcommands share come from one helper each, and list-valued flags are
 parsed by their argparse `type`, so a malformed value is a usage error, as is
 an abbreviated flag. A line-oriented key=value config file (--config)
 supplies defaults for any long flag; explicit flags win. A bad or missing
-input file ends the run with one `error:` line and exit code 1.
+input file ends the run with one `error:` line and exit code 1, as do bad
+settings and unwritable output paths, which are refused before any work.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import ConfigurationError, ConvSpeechError, EmptyBeamError
 from .frontend import FRONTENDS, FrontendConfig, LearnableFrontend, analyze_filters
 from .gcnn import GcnnConfig, GcnnLm, train_gcnn
 from .lm import SENTENCE_BEGIN, SENTENCE_END, UNKNOWN_TOKEN, Vocabulary, fit_bigram_arpa, load_arpa
-from .optim import SgdOptimizer, check_training_sizes
+from .optim import TrainSettings
 from .synth import SyntheticTaskSpec, load_manifest
 from .util import from_fields
 
@@ -78,9 +79,9 @@ def _int_pair(text: str) -> tuple[int, int]:
     return int(first), int(second)
 
 
-def _beam_budget(text: str) -> tuple[int, float]:
-    size, score = text.split(":")
-    return int(size), float(score)
+def _beam_budget(text: str) -> DecoderOptions:
+    size, score = text.split(":")  # argparse passes DecoderOptions' refusal on to main
+    return DecoderOptions(beam_size=int(size), beam_score=float(score))
 
 
 def _add_inputs(p: argparse.ArgumentParser, audio_required: bool = True, lm: bool = True):
@@ -102,6 +103,11 @@ def _add_training_flags(p: argparse.ArgumentParser, lr: float, clip: float, batc
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", required=True)
+
+
+def _train_settings(args) -> TrainSettings:
+    return TrainSettings(epochs=args.epochs, lr=args.lr, momentum=args.momentum,
+                         clip=args.clip, batch_size=args.batch_size, seed=args.seed)
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser):
@@ -190,6 +196,7 @@ def cmd_synth_data(args):
 
 
 def cmd_train_am(args):
+    settings = _train_settings(args)
     spec = _load_task(args.task)
     manifest = load_manifest(args.manifest)
     dev = load_manifest(args.dev_manifest) if args.dev_manifest else None
@@ -199,10 +206,6 @@ def cmd_train_am(args):
         [ConvLayerSpec(c_in, c_out, width, dropout_rate=args.dropout)
          for c_in, (c_out, width) in zip(inputs, args.layers)],
         len(spec.alphabet))
-    settings = pipeline.TrainSettings(
-        epochs=args.epochs, lr=args.lr, momentum=args.momentum, clip=args.clip,
-        batch_size=args.batch_size, seed=args.seed,
-    )
     system, history = pipeline.train_acoustic(
         manifest, spec.lexicon, spec.alphabet, frontend_kind=args.frontend,
         frontend_config=fcfg, model_config=model_config, dev_manifest=dev,
@@ -220,23 +223,21 @@ def cmd_train_am(args):
 
 
 def cmd_train_lm(args):
-    corpus = _read_corpus(args.corpus)
-    if args.arch == "bigram":
-        Path(args.checkpoint).write_text(fit_bigram_arpa(corpus))
+    if args.arch == "bigram":  # counts, not SGD: the training flags are unused
+        Path(args.checkpoint).write_text(fit_bigram_arpa(_read_corpus(args.corpus)))
         print(f"bigram ARPA written to {args.checkpoint}")
         return
+    settings = _train_settings(args)
+    corpus = _read_corpus(args.corpus)
     tokens = sorted({tok for sentence in corpus for tok in sentence})
     vocab = Vocabulary(tuple(tokens) + (SENTENCE_BEGIN, SENTENCE_END, UNKNOWN_TOKEN))
     config = GcnnConfig(num_blocks=args.blocks, embed_dim=args.embed_dim,
                         bottleneck_dim=args.bottleneck_dim,
                         mid_kernel_width=args.kernel_width, dropout_rate=args.dropout)
-    lm = GcnnLm(vocab, config, rng=np.random.default_rng(args.seed))
+    lm = GcnnLm(vocab, config, rng=np.random.default_rng(settings.seed))
     val = _read_corpus(args.val_corpus) if args.val_corpus else None
     ckpt_dir = Path(args.checkpoint_dir) if args.checkpoint_dir else None
-    if ckpt_dir:  # the untrained model too: the start of the perplexity-WER trend,
-        # once the settings train_gcnn would refuse have been refused
-        check_training_sizes(args.epochs, args.batch_size)
-        SgdOptimizer(lr=args.lr, momentum=args.momentum, clip=args.clip)
+    if ckpt_dir:  # the untrained model too: the start of the perplexity-WER trend
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         pipeline.save_gcnn(ckpt_dir / "epoch-start.ckpt", lm)
 
@@ -244,10 +245,7 @@ def cmd_train_lm(args):
         if ckpt_dir:
             pipeline.save_gcnn(ckpt_dir / f"epoch{epoch:03d}.ckpt", model)
 
-    history = train_gcnn(lm, corpus, val, epochs=args.epochs, lr=args.lr,
-                         momentum=args.momentum, clip=args.clip,
-                         batch_size=args.batch_size, seed=args.seed,
-                         epoch_callback=save_epoch)
+    history = train_gcnn(lm, corpus, val, **asdict(settings), epoch_callback=save_epoch)
     pipeline.save_gcnn(args.checkpoint, lm)
     if args.history:
         pipeline.write_csv(args.history, history)
@@ -316,7 +314,7 @@ def cmd_evaluate(args):
 def cmd_tune(args):
     system, trie, manifest = _decode_setup(args)
     lm = _load_lm(args.lm)
-    best, rows = tune_grid(pipeline.eval_items(manifest, system), args.alpha_grid,
+    best, rows = tune_grid(pipeline.emission_items(manifest, system), args.alpha_grid,
                            args.beta_grid, args.gamma_grid, trie, lm, args.stage1, args.stage2)
     if args.out:
         pipeline.write_csv(args.out, rows)
@@ -349,21 +347,22 @@ def cmd_analyze_frontend(args):
 
 
 def cmd_ppl_wer(args):
+    opts = _decoder_opts(args)
     system, trie, manifest = _decode_setup(args)
-    items = pipeline.eval_items(manifest, system)
     corpus = _read_corpus(args.corpus)
     checkpoints = [(Path(path).stem, pipeline.load_gcnn(path)) for path in args.checkpoints]
-    rows = pipeline.perplexity_wer_study(checkpoints, items, trie, _decoder_opts(args), corpus)
+    rows = pipeline.perplexity_wer_study(
+        checkpoints, pipeline.emission_items(manifest, system), trie, opts, corpus)
     pipeline.write_csv(args.out, rows)
     for row in rows:
         print(f"{row['checkpoint']}: ppl {row['perplexity']:.3f}  wer {row['wer']:.2f}%")
 
 
 def cmd_context_wer(args):
+    opts = _decoder_opts(args)
     system, trie, manifest = _decode_setup(args)
-    items = pipeline.eval_items(manifest, system)
-    rows = pipeline.context_wer_study(_load_lm(args.lm), args.limits, items, trie,
-                                      _decoder_opts(args))
+    rows = pipeline.context_wer_study(_load_lm(args.lm), args.limits,
+                                      pipeline.emission_items(manifest, system), trie, opts)
     pipeline.write_csv(args.out, rows)
     for row in rows:
         print(f"context {row['context']:3d}: wer {row['wer']:.2f}%")
@@ -463,6 +462,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args):
+    """Refuse an output file that cannot be created, before the command does any work."""
+    for dest in ("checkpoint", "loss_curve", "history", "report", "out"):
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if Path(path).is_dir():
+            raise ConfigurationError(f"{flag} {path}: is a directory")
+        if not Path(path).parent.is_dir():
+            raise ConfigurationError(f"{flag} {path}: {Path(path).parent} is not a directory")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -477,6 +489,7 @@ def main(argv=None) -> int:
             at = next((i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), 0)
             argv[at:at] = expanded
         args = build_parser().parse_args(argv)
+        _check_outputs(args)
         args.func(args)
     except ConvSpeechError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -46,8 +46,8 @@ grid points share it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def build_trie(lexicon: dict[str, Sequence[str]], alphabet: Alphabet) -> Lexicon
     return LexiconTrie(alphabet, words, node_moves, dest, letter, word, prev)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderOptions:
     alpha: float = 0.0
     beta: float = 0.0
@@ -421,21 +421,22 @@ def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions
 
 
 def tune_grid(
-    validation: Sequence[tuple],
+    validation: Iterable[tuple],
     alphas: Sequence[float],
     betas: Sequence[float],
     gammas: Sequence[float],
     trie: LexiconTrie,
     lm,
-    stage1=(2500, 26.0),
-    stage2=(3000, 50.0),
+    stage1: DecoderOptions = DecoderOptions(),
+    stage2: DecoderOptions = DecoderOptions(beam_size=3000, beam_score=50.0),
 ):
     """Two-stage grid search over the weighting hyper-parameters.
 
     Stage 1 evaluates every (alpha, beta, gamma) on the validation utterances
-    with the smaller beam budget; the winner is re-evaluated once with the
-    larger one. Returns (chosen options, grid rows); each row is a dict with
+    with `stage1`'s beam budget; the winner is re-evaluated once with
+    `stage2`'s. Returns (chosen options, grid rows); each row is a dict with
     the candidate point, its WER and its count of failed decodes.
+    `validation` may be any iterable; it is listed after every other check.
     """
     def row(opts: DecoderOptions, stage: int) -> dict:
         report = _score(validation, trie, memo, opts)
@@ -445,15 +446,15 @@ def tune_grid(
 
     if not alphas or not betas or not gammas:
         raise ConfigurationError("tuning grids must be non-empty")
+    points = [replace(stage1, alpha=alpha, beta=beta, gamma=gamma)
+              for alpha in alphas for beta in betas for gamma in gammas]
+    memo = _LmMemo(lm, trie)  # LM scores depend on no decoder option
+    validation = list(validation)
     if not validation:
         raise ConfigurationError("validation set is empty")
-    memo = _LmMemo(lm, trie)  # LM scores depend on no decoder option
-    rows = [row(DecoderOptions(alpha=alpha, beta=beta, gamma=gamma,
-                               beam_size=stage1[0], beam_score=stage1[1]), 1)
-            for alpha in alphas for beta in betas for gamma in gammas]
+    rows = [row(opts, 1) for opts in points]
     best = min(rows, key=lambda r: r["wer"])  # the first point of the lowest WER
-    final = DecoderOptions(alpha=best["alpha"], beta=best["beta"], gamma=best["gamma"],
-                           beam_size=stage2[0], beam_score=stage2[1])
+    final = replace(stage2, alpha=best["alpha"], beta=best["beta"], gamma=best["gamma"])
     rows.append(row(final, 2))
     return final, rows
 

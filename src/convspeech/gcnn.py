@@ -36,7 +36,7 @@ from .acoustic import (conv_glu, conv_glu_backward, init_wn_convs, wn_conv, wn_c
                        wn_conv_shapes)
 from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
 from .lm import LruCache, Vocabulary
-from .optim import SgdOptimizer, check_training_sizes
+from .optim import SgdOptimizer, TrainSettings
 from .util import check_params
 
 ROW_CACHE_CAPACITY = 4096  # score rows kept per model, one per context window
@@ -232,13 +232,16 @@ def train_gcnn(
     (`clip_frac`); `epoch_callback(epoch, lm, record)` runs after each epoch
     (checkpointing hook for the perplexity studies).
     """
-    check_training_sizes(epochs, batch_size)
+    settings = TrainSettings(epochs=epochs, lr=lr, momentum=momentum, clip=clip,
+                             batch_size=batch_size, seed=seed)
     vocab = lm.vocab
     train_ids = [[vocab.id(t) for t in s] for s in train_sentences]
     if not train_ids:
         raise ConfigurationError("training corpus is empty")
     val_ids = [[vocab.id(t) for t in s] for s in val_sentences or ()]
-    optimizer = SgdOptimizer(lr=lr, momentum=momentum, clip=clip, nesterov=True)
+    if val_sentences is not None and not val_ids:
+        raise ConfigurationError("validation corpus is empty")
+    optimizer = SgdOptimizer(settings, nesterov=True)
     rng = np.random.default_rng(seed)
     history = []
     for epoch in range(epochs):

@@ -259,14 +259,12 @@ class LruCache:
         self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
         self.hits = 0
-        self.misses = 0
 
     def get(self, key):
         if key in self._data:
             self._data.move_to_end(key)
             self.hits += 1
             return self._data[key]
-        self.misses += 1
         return None
 
     def put(self, key, value):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConfigurationError, TrainingDivergenceError
@@ -22,33 +24,42 @@ def clip_gradients(grads: dict[str, np.ndarray], clip: float) -> tuple[dict, flo
     return grads, norm
 
 
-def check_training_sizes(epochs: int, batch_size: int):
-    """Both trainers' loop sizes; 0 epochs is valid and leaves the model untrained."""
-    if batch_size < 1:
-        raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
-    if epochs < 0:
-        raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
+@dataclass(frozen=True)
+class TrainSettings:
+    """One training run's loop sizes and SGD settings, checked when built."""
+
+    epochs: int = 15
+    lr: float = 0.2
+    momentum: float = 0.9
+    clip: float = 0.2
+    batch_size: int = 8
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:  # 0 is valid and leaves the model untrained
+            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigurationError("learning rate must be finite and non-negative")
+        if not self.clip > 0:  # +inf: never clip
+            raise ConfigurationError("clip must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError("momentum must be in [0, 1)")
 
 
 class SgdOptimizer:
-    """SGD with momentum and global gradient clipping.
+    """SGD with momentum and global gradient clipping, set by a `TrainSettings`.
 
     Classical momentum by default (m <- mu*m + g; p <- p - lr*m); with
     nesterov=True the update applies the lookahead form
     p <- p - lr*(g + mu*m) after the buffer update.
     """
 
-    def __init__(self, lr: float, momentum: float = 0.9, clip: float = 0.2,
-                 nesterov: bool = False):
-        if not 0 <= lr < np.inf:
-            raise ConfigurationError("learning rate must be finite and non-negative")
-        if not clip > 0:  # +inf: never clip
-            raise ConfigurationError("clip must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self.clip = clip
+    def __init__(self, settings: TrainSettings, nesterov: bool = False):
+        self.lr = settings.lr  # the scheduler lowers it
+        self.momentum = settings.momentum
+        self.clip = settings.clip
         self.nesterov = nesterov
         self.buffers: dict[str, np.ndarray] = {}
 

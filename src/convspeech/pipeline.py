@@ -16,9 +16,9 @@ from .errors import ConfigurationError, DimensionError
 from .frontend import (FRONTENDS, FrontendConfig, LearnableFrontend, MelFrontend, Waveform,
                        num_output_frames)
 from .gcnn import GcnnConfig, GcnnLm
-from .lm import Vocabulary, perplexity
+from .lm import ContextLimitedLM, Vocabulary, perplexity
 from .metrics import EvalReport
-from .optim import PlateauScheduler, SgdOptimizer, check_training_sizes
+from .optim import PlateauScheduler, SgdOptimizer, TrainSettings
 from .synth import DatasetManifest, normalize_transcript, transcript_letters
 from .util import check_params, from_fields
 
@@ -41,19 +41,6 @@ class SpeechSystem:
         arrays.update({f"fe.{k}": v for k, v in self.frontend.params.items()})
         arrays["transitions"] = self.transitions
         return arrays
-
-
-@dataclass
-class TrainSettings:
-    epochs: int = 15
-    lr: float = 0.2
-    momentum: float = 0.9
-    clip: float = 0.2
-    batch_size: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        check_training_sizes(self.epochs, self.batch_size)
 
 
 def small_model_config(input_channels: int, alphabet_size: int) -> AcousticModelConfig:
@@ -132,9 +119,11 @@ def train_acoustic(
     dev_items = None
     if dev_manifest is not None:
         dev_items, _ = _load_training_items(dev_manifest, lexicon, alphabet, fcfg, sample_rate)
+        if not dev_items:
+            raise ConfigurationError("no feasible dev utterances")
 
     params = system.arrays()
-    optimizer = SgdOptimizer(settings.lr, settings.momentum, settings.clip)
+    optimizer = SgdOptimizer(settings)
     scheduler = PlateauScheduler(optimizer)
     # a front-end without parameters makes the same features every epoch
     fixed = dev_fixed = None
@@ -301,29 +290,35 @@ def perplexity_wer_study(checkpoints, items, trie, opts: DecoderOptions, corpus)
     """(perplexity, WER) per LM checkpoint with fixed decoder weights.
 
     `checkpoints` is a sequence of (label, lm) pairs; at least 3 are required.
+    `items` may be any iterable: it is listed once every perplexity is known.
     """
     if len(checkpoints) < 3:
         raise ConfigurationError("perplexity study needs at least 3 checkpoints")
+    ppls = [perplexity(lm, corpus) for _, lm in checkpoints]
+    items = list(items)
     rows = []
-    for label, lm in checkpoints:
+    for (label, lm), ppl in zip(checkpoints, ppls):
         report = decode_and_score(items, trie, lm, opts)
-        rows.append({"checkpoint": label, "perplexity": perplexity(lm, corpus),
+        rows.append({"checkpoint": label, "perplexity": ppl,
                      "wer": report.wer, "failures": report.decode_failures})
     return rows
 
 
 def context_wer_study(lm, limits, items, trie, opts: DecoderOptions):
-    """WER as a function of the LM context window."""
-    from .lm import ContextLimitedLM
+    """WER as a function of the LM context window.
 
+    `items` may be any iterable: it is listed once every limit is accepted.
+    """
     limits = list(limits)
     if not limits:
         raise ConfigurationError("context study needs at least one context limit")
     if limits != sorted(limits):
         raise ConfigurationError("context limits must be ascending")
+    limited = [ContextLimitedLM(lm, limit) for limit in limits]
+    items = list(items)
     rows = []
-    for limit in limits:
-        report = decode_and_score(items, trie, ContextLimitedLM(lm, limit), opts)
+    for limit, limited_lm in zip(limits, limited):
+        report = decode_and_score(items, trie, limited_lm, opts)
         rows.append({"context": limit, "wer": report.wer, "failures": report.decode_failures})
     return rows
 

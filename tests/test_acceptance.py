@@ -254,7 +254,7 @@ def test_criterion_4_frontend_dsp_suite():
                          stride_ms=0.5)
     front = LearnableFrontend(toy, RATE, rng=np.random.default_rng(18))
     window_before = front.lowpass_window.copy()
-    opt = SgdOptimizer(lr=0.05, momentum=0.9, clip=1.0)
+    opt = SgdOptimizer(TrainSettings(lr=0.05, momentum=0.9, clip=1.0))
     wave = Waveform(rng.normal(size=400), RATE)
     for _ in range(100):
         feat, cache = front.forward(wave, want_cache=True)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from convspeech import acoustic as ac
 from convspeech.errors import ConfigurationError, DimensionError, TrainingDivergenceError
-from convspeech.optim import PlateauScheduler, SgdOptimizer, clip_gradients, global_norm
+from convspeech.optim import (PlateauScheduler, SgdOptimizer, TrainSettings, clip_gradients,
+                              global_norm)
 
 from oracles import finite_difference, grad_close, naive_conv1d, naive_glu
 
@@ -230,14 +231,14 @@ def test_clip_leaves_small_gradients():
 
 
 def test_sgd_zero_gradients_leave_params():
-    opt = SgdOptimizer(lr=0.1, momentum=0.9, clip=10.0)
+    opt = SgdOptimizer(TrainSettings(lr=0.1, momentum=0.9, clip=10.0))
     params = {"w": np.array([1.0, 2.0])}
     opt.buffers["w"] = np.array([1.0, 0.0])
     opt.step(params, {"w": np.zeros(2)})
     # buffer decays, so the params still move by lr * mu * old buffer
     assert np.allclose(opt.buffers["w"], [0.9, 0.0])
     params = {"w": np.array([1.0, 2.0])}
-    fresh = SgdOptimizer(lr=0.1, momentum=0.9, clip=10.0)
+    fresh = SgdOptimizer(TrainSettings(lr=0.1, momentum=0.9, clip=10.0))
     fresh.step(params, {"w": np.zeros(2)})
     assert np.allclose(params["w"], [1.0, 2.0])
 
@@ -245,7 +246,7 @@ def test_sgd_zero_gradients_leave_params():
 def test_sgd_two_steps_hand_computed():
     # lr 0.1, mu 0.9, g = 1 both steps: m1 = 1, p1 = 1 - 0.1 = 0.9
     # m2 = 1.9, p2 = 0.9 - 0.19 = 0.71
-    opt = SgdOptimizer(lr=0.1, momentum=0.9, clip=100.0)
+    opt = SgdOptimizer(TrainSettings(lr=0.1, momentum=0.9, clip=100.0))
     params = {"w": np.array([1.0])}
     opt.step(params, {"w": np.array([1.0])})
     assert params["w"][0] == pytest.approx(0.9)
@@ -254,7 +255,7 @@ def test_sgd_two_steps_hand_computed():
 
 
 def test_sgd_step_returns_norm_before_clipping():
-    opt = SgdOptimizer(lr=0.1, momentum=0.0, clip=0.2)
+    opt = SgdOptimizer(TrainSettings(lr=0.1, momentum=0.0, clip=0.2))
     params = {"a": np.array([1.0, 1.0]), "b": np.array([0.0])}
     norm = opt.step(params, {"a": np.array([0.6, 0.0]), "b": np.array([0.8])})
     assert norm == pytest.approx(1.0)
@@ -264,17 +265,30 @@ def test_sgd_step_returns_norm_before_clipping():
 
 
 def test_sgd_rejects_non_finite():
-    opt = SgdOptimizer(lr=0.1)
+    opt = SgdOptimizer(TrainSettings(lr=0.1))
     with pytest.raises(TrainingDivergenceError):
         opt.step({"w": np.array([1.0])}, {"w": np.array([np.nan])})
-    for settings in ({"lr": np.nan}, {"lr": np.inf}, {"lr": 0.1, "clip": np.nan}):
-        with pytest.raises(ConfigurationError):
-            SgdOptimizer(**settings)
-    assert SgdOptimizer(lr=0.1, clip=np.inf).clip == np.inf  # +inf: never clip
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lr", np.nan, "learning rate"), ("lr", np.inf, "learning rate"),
+    ("lr", -0.1, "learning rate"), ("clip", np.nan, "clip"), ("clip", 0.0, "clip"),
+    ("momentum", 1.0, "momentum"), ("momentum", -0.1, "momentum"),
+    ("momentum", np.nan, "momentum"), ("batch_size", 0, "batch size"),
+    ("epochs", -1, "epochs"),
+])
+def test_train_settings_refuse_what_no_run_can_use(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        TrainSettings(**{field: value})
+
+
+def test_train_settings_keep_the_limits():
+    settings = TrainSettings(epochs=0, lr=0.0, momentum=0.0, clip=np.inf, batch_size=1)
+    assert SgdOptimizer(settings).clip == np.inf  # +inf: never clip
 
 
 def test_sgd_descends_quadratic():
-    opt = SgdOptimizer(lr=0.05, momentum=0.9, clip=100.0)
+    opt = SgdOptimizer(TrainSettings(lr=0.05, momentum=0.9, clip=100.0))
     params = {"w": np.array([3.0])}
     losses = []
     for _ in range(5):
@@ -294,7 +308,7 @@ def test_forward_finite_on_random_inputs(frames, seed):
 
 
 def test_plateau_scheduler_halves_resets_and_floors():
-    opt = SgdOptimizer(lr=0.4)
+    opt = SgdOptimizer(TrainSettings(lr=0.4))
     scheduler = PlateauScheduler(opt)
     assert scheduler.update(1.0) == 0.4
     # patience 2: the third stale update in a row halves the rate

@@ -391,6 +391,113 @@ def test_train_lm_refused_settings_leave_no_checkpoint(workspace, tmp_path, caps
     assert not ckpt_dir.exists() or not any(ckpt_dir.iterdir())
 
 
+def _refused(monkeypatch, capsys, argv) -> str:
+    """Run `argv`, which must end with one `error:` line and exit 1 before any WAV is read."""
+    reads = []
+    read_wav = pipeline.read_wav
+    monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(path) or read_wav(path))
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error: "), err
+    assert reads == []
+    return err[0]
+
+
+def _gcnn_checkpoint(workspace, path):
+    words = sorted(read_lexicon(workspace / "lexicon.txt"))
+    pipeline.save_gcnn(path, GcnnLm(Vocabulary((*words, "<s>", "</s>", "<unk>")),
+                                    GcnnConfig(num_blocks=1, embed_dim=4, bottleneck_dim=2,
+                                               mid_kernel_width=3)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train-am", ["--lr", "nan"]), ("train-am", ["--clip", "0"]),
+    ("train-am", ["--momentum", "1"]),
+    ("tune", ["--stage1", "0:26"]), ("tune", ["--stage2", "10:nan"]),
+    ("tune", ["--alpha-grid", ""]),
+    ("context-wer", ["--beam-size", "0"]), ("context-wer", ["--limits", "0,1"]),
+    ("ppl-wer", ["--beam-size", "0"]), ("ppl-wer", ["missing checkpoint"]),
+    ("ppl-wer", ["empty corpus"]),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_refused_settings_read_no_audio(workspace, tmp_path, capsys, monkeypatch, command,
+                                        flags):
+    out = tmp_path / "out.csv"
+    if command == "train-am":
+        argv = ["train-am", "--manifest", str(workspace / "train.jsonl"),
+                "--task", str(workspace / "task.json"), "--filters", "4", "--epochs", "1",
+                "--checkpoint", str(tmp_path / "am.ckpt"), *flags]
+    elif command == "ppl-wer":
+        ckpt = _gcnn_checkpoint(workspace, tmp_path / "lm.ckpt")
+        checkpoints = [ckpt, ckpt, ckpt]
+        corpus = workspace / "corpus.txt"
+        if flags == ["missing checkpoint"]:
+            checkpoints[2] = str(tmp_path / "missing.ckpt")
+        elif flags == ["empty corpus"]:
+            corpus = tmp_path / "empty.txt"
+            corpus.write_text("")
+        argv = ["ppl-wer", *_study_inputs(workspace), "--checkpoints", ",".join(checkpoints),
+                "--corpus", str(corpus), "--out", str(out)]
+        if flags[0].startswith("--"):
+            argv += flags
+    else:
+        argv = [command, *_study_inputs(workspace), "--lm", str(workspace / "bigram.arpa"), "--out", str(out),
+                *flags]
+    _refused(monkeypatch, capsys, argv)
+    assert not (tmp_path / "am.ckpt").exists() and not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train-am", "--checkpoint"), ("train-am", "--loss-curve"), ("train-lm", "--checkpoint"),
+    ("train-lm", "--history"), ("tune", "--out"), ("evaluate", "--report"),
+    ("context-wer", "--out"), ("ppl-wer", "--out"),
+])
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_output_paths_are_refused_before_any_work(workspace, tmp_path, capsys,
+                                                             monkeypatch, command, flag, where):
+    bad = tmp_path / "nodir" / "out.csv" if where == "missing directory" else tmp_path
+    checkpoint = tmp_path / "model.ckpt"
+    if command == "train-am":
+        argv = ["train-am", "--manifest", str(workspace / "train.jsonl"),
+                "--task", str(workspace / "task.json"), "--filters", "4", "--epochs", "1",
+                "--checkpoint", str(checkpoint)]
+    elif command == "train-lm":
+        argv = ["train-lm", "--corpus", str(workspace / "corpus.txt"), "--blocks", "1",
+                "--embed-dim", "4", "--bottleneck-dim", "2", "--epochs", "1",
+                "--checkpoint", str(checkpoint)]
+    elif command == "ppl-wer":
+        ckpt = _gcnn_checkpoint(workspace, tmp_path / "lm.ckpt")
+        argv = ["ppl-wer", *_study_inputs(workspace), "--checkpoints", f"{ckpt},{ckpt},{ckpt}",
+                "--corpus", str(workspace / "corpus.txt"), "--out", str(tmp_path / "p.csv")]
+    else:
+        argv = [command, *_study_inputs(workspace), "--lm", str(workspace / "bigram.arpa")]
+        if command == "context-wer":
+            argv += ["--out", str(tmp_path / "c.csv")]
+    before = sorted(tmp_path.rglob("*"))
+    line = _refused(monkeypatch, capsys, [*argv, flag, str(bad)])
+    assert line.startswith(f"error: {flag} {bad}: ")
+    assert sorted(tmp_path.rglob("*")) == before  # no checkpoint, CSV or report
+
+
+def test_empty_validation_sets_are_error_lines(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    checkpoint = tmp_path / "am.ckpt"
+    rc = main(["train-am", "--manifest", str(workspace / "train.jsonl"),
+               "--dev-manifest", str(empty), "--task", str(workspace / "task.json"),
+               "--filters", "4", "--epochs", "1", "--checkpoint", str(checkpoint)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no feasible dev utterances\n"
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    rc = main(["train-lm", "--corpus", str(workspace / "corpus.txt"), "--val-corpus", str(empty),
+               "--blocks", "1", "--embed-dim", "4", "--bottleneck-dim", "2", "--epochs", "1",
+               "--checkpoint", str(checkpoint)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: validation corpus is empty\n"
+    assert not checkpoint.exists()
+
+
 @pytest.mark.parametrize("command", ["train-am", "evaluate", "decode"])
 def test_audio_the_front_end_rejects_names_the_utterance(workspace, tmp_path, capsys, command):
     entry = synth.load_manifest(workspace / "train.jsonl").entries[0]

@@ -693,10 +693,46 @@ def test_options_reject_nan_and_infinite_weights(field, value):
 
 
 def test_tune_grid_rejects_empty():
-    with pytest.raises(ConfigurationError):
-        dec.tune_grid([], [1.0], [0.0], [0.0], None, None)
+    trie = dec.build_trie({"a": ["a"]}, AB)
+    with pytest.raises(ConfigurationError, match="validation set is empty"):
+        dec.tune_grid([], [1.0], [0.0], [0.0], trie, HistoryLm(["a"]))
     with pytest.raises(ConfigurationError):
         dec.tune_grid([(None, None, ["a"])], [], [0.0], [0.0], None, None)
+
+
+@pytest.mark.parametrize("grids, lexicon, error", [
+    (([], [0.0], [0.0]), {"a": ["a"]}, ConfigurationError),
+    (([0.5], [math.nan], [0.0]), {"a": ["a"]}, ConfigurationError),
+    (([0.5], [0.0], [-1.0]), {"a": ["a"]}, ConfigurationError),
+    (([0.5], [0.0], [0.0]), {"a": ["a"], "zz": ["b"]}, VocabularyError),
+], ids=["empty grid", "NaN beta", "negative gamma", "word missing from the LM"])
+def test_tune_grid_refuses_before_taking_an_item(grids, lexicon, error):
+    taken = []
+
+    def items():
+        for item in [(np.zeros((3, len(AB))), np.zeros((len(AB), len(AB))), ["a"])]:
+            taken.append(item)
+            yield item
+
+    trie = dec.build_trie(lexicon, AB)
+    with pytest.raises(error):
+        dec.tune_grid(items(), *grids, trie, HistoryLm(["a"]))
+    assert taken == []
+
+
+def test_tune_grid_stages_are_options():
+    emissions, g, trie, lm, _ = make_instance(np.random.default_rng(11), t=5,
+                                              lexicon={"a": ["a"], "b": ["b"]})
+    stage1 = dec.DecoderOptions(beam_size=7, beam_score=3.0, merge_mode="max")
+    stage2 = dec.DecoderOptions(alpha=9.0, beam_size=11, beam_score=4.0)
+    best, rows = dec.tune_grid([(emissions, g, ["a"])], [0.5, 1.0], [0.1], [0.0], trie, lm,
+                               stage1, stage2)
+    assert [(r["beam_size"], r["beam_score"], r["stage"]) for r in rows] == [
+        (7, 3.0, 1), (7, 3.0, 1), (11, 4.0, 2)]
+    # the winner's weights replace stage 2's; its other options are kept
+    assert best.alpha in (0.5, 1.0)
+    assert best == dec.DecoderOptions(alpha=best.alpha, beta=0.1, gamma=0.0,
+                                      beam_size=11, beam_score=4.0)
 
 
 def test_decode_and_score_of_one_utterance_twice_scores_each_pair_once():

@@ -4,7 +4,7 @@ import pytest
 from convspeech.errors import ConfigurationError, DimensionError
 from convspeech.gcnn import GcnnConfig, GcnnLm, batch_nll, train_gcnn
 from convspeech.lm import ContextLimitedLM, Vocabulary, perplexity
-from convspeech.optim import SgdOptimizer
+from convspeech.optim import SgdOptimizer, TrainSettings
 
 from oracles import finite_difference, grad_close
 
@@ -125,20 +125,28 @@ def test_row_cache_hits():
     lm.clear_cache()
     state = lm.start_state()
     lm.score(state, 1)
-    misses = lm._row_cache.misses
+    size = len(lm._row_cache)
     lm.score(state, 2)
     lm.score(state, 3)
-    assert lm._row_cache.misses == misses
+    assert len(lm._row_cache) == size  # no row was computed again
     assert lm._row_cache.hits >= 2
 
 
 def test_nesterov_two_steps_hand_computed():
-    opt = SgdOptimizer(lr=0.1, momentum=0.9, clip=100.0, nesterov=True)
+    opt = SgdOptimizer(TrainSettings(lr=0.1, momentum=0.9, clip=100.0), nesterov=True)
     params = {"w": np.array([1.0])}
     opt.step(params, {"w": np.array([1.0])})
     assert params["w"][0] == pytest.approx(1.0 - 0.1 * 1.9)
     opt.step(params, {"w": np.array([1.0])})
     assert params["w"][0] == pytest.approx(0.81 - 0.1 * (1.0 + 0.9 * 1.9))
+
+
+def test_empty_validation_corpus_is_refused_before_any_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(SgdOptimizer, "step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigurationError, match="validation corpus is empty"):
+        train_gcnn(toy_lm(seed=10), [["w0", "w1"], ["w2"]], [], epochs=1)
+    assert steps == []
 
 
 def test_zero_learning_rate_keeps_params():

@@ -502,6 +502,61 @@ def test_perplexity_study_identical_checkpoints(tiny_task):
         pipeline.perplexity_wer_study([("e1", lm)], items, trie, opts, corpus)
 
 
+def _counting(items, taken):
+    """`items` as a generator that records in `taken` each item it hands out."""
+    for item in items:
+        taken.append(item)
+        yield item
+
+
+@pytest.mark.parametrize("limits", [[], [4, 2], [0, 1]], ids=["none", "descending", "zero"])
+def test_context_study_refuses_before_taking_an_item(tiny_task, limits):
+    spec, _, _ = tiny_task
+    alphabet = spec.alphabet
+    vocab = Vocabulary(tuple(spec.lexicon) + ("<s>", "</s>", "<unk>"))
+    lm = GcnnLm(vocab, GcnnConfig(num_blocks=1, embed_dim=6, bottleneck_dim=3,
+                                  mid_kernel_width=3), rng=np.random.default_rng(1))
+    taken = []
+    items = [(_peaked_table(alphabet, ["a"]), np.zeros((len(alphabet),) * 2), ["a"])]
+    with pytest.raises(ConfigurationError):
+        pipeline.context_wer_study(lm, limits, _counting(items, taken),
+                                   build_trie(spec.lexicon, alphabet), DecoderOptions())
+    assert taken == []
+
+
+@pytest.mark.parametrize("count, corpus", [(2, [["a"]]), (3, [])], ids=["two", "empty corpus"])
+def test_perplexity_study_refuses_before_taking_an_item(tiny_task, count, corpus):
+    spec, _, _ = tiny_task
+    alphabet = spec.alphabet
+    vocab = Vocabulary(tuple(spec.lexicon) + ("<s>", "</s>", "<unk>"))
+    lm = GcnnLm(vocab, GcnnConfig(num_blocks=1, embed_dim=6, bottleneck_dim=3,
+                                  mid_kernel_width=3), rng=np.random.default_rng(2))
+    taken = []
+    items = [(_peaked_table(alphabet, ["a"]), np.zeros((len(alphabet),) * 2), ["a"])]
+    with pytest.raises(ConvSpeechError):
+        pipeline.perplexity_wer_study([(f"e{i}", lm) for i in range(count)],
+                                      _counting(items, taken),
+                                      build_trie(spec.lexicon, alphabet), DecoderOptions(), corpus)
+    assert taken == []
+
+
+@pytest.mark.parametrize("dev", ["empty", "infeasible"])
+def test_dev_manifest_without_feasible_utterances_is_refused(tiny_task, monkeypatch, dev):
+    spec, manifests, _ = tiny_task
+    entries = [] if dev == "empty" else [
+        synth.ManifestEntry(e.utt_id, e.audio, " ".join(["abc"] * 40))
+        for e in manifests["dev"].entries]
+    steps = []
+    monkeypatch.setattr(pipeline.SgdOptimizer, "step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigurationError, match="no feasible dev utterances"):
+        pipeline.train_acoustic(
+            manifests["train"], spec.lexicon, spec.alphabet,
+            frontend_config=FrontendConfig(num_filters=4),
+            dev_manifest=synth.DatasetManifest(entries),
+            settings=pipeline.TrainSettings(epochs=1, lr=0.1, batch_size=3, seed=0))
+    assert steps == []
+
+
 def test_write_csv(tmp_path):
     path = tmp_path / "out.csv"
     pipeline.write_csv(path, [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}])
