@@ -111,11 +111,11 @@ def _train_settings(args) -> TrainSettings:
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser):
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--beam-size", type=int, default=2500)
-    p.add_argument("--beam-score", type=float, default=26.0)
+    p.add_argument("--alpha", type=float, default=DecoderOptions.alpha)
+    p.add_argument("--beta", type=float, default=DecoderOptions.beta)
+    p.add_argument("--gamma", type=float, default=DecoderOptions.gamma)
+    p.add_argument("--beam-size", type=int, default=DecoderOptions.beam_size)
+    p.add_argument("--beam-score", type=float, default=DecoderOptions.beam_score)
 
 
 def _decoder_opts(args) -> DecoderOptions:
@@ -229,13 +229,15 @@ def cmd_train_lm(args):
         return
     settings = _train_settings(args)
     corpus = _read_corpus(args.corpus)
+    val = _read_corpus(args.val_corpus) if args.val_corpus else None
+    if not corpus or val == []:  # train_gcnn's refusal, before --checkpoint-dir is written
+        raise ConfigurationError(f"{'validation' if corpus else 'training'} corpus is empty")
     tokens = sorted({tok for sentence in corpus for tok in sentence})
     vocab = Vocabulary(tuple(tokens) + (SENTENCE_BEGIN, SENTENCE_END, UNKNOWN_TOKEN))
     config = GcnnConfig(num_blocks=args.blocks, embed_dim=args.embed_dim,
                         bottleneck_dim=args.bottleneck_dim,
                         mid_kernel_width=args.kernel_width, dropout_rate=args.dropout)
     lm = GcnnLm(vocab, config, rng=np.random.default_rng(settings.seed))
-    val = _read_corpus(args.val_corpus) if args.val_corpus else None
     ckpt_dir = Path(args.checkpoint_dir) if args.checkpoint_dir else None
     if ckpt_dir:  # the untrained model too: the start of the perplexity-WER trend
         ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", type=_comma_list(float), default="0,0.5,1")
     p.add_argument("--beta-grid", type=_comma_list(float), default="0,0.5,1")
     p.add_argument("--gamma-grid", type=_comma_list(float), default="0,0.5")
-    p.add_argument("--stage1", type=_beam_budget, default="2500:26",
+    p.add_argument("--stage1", type=_beam_budget, default=DecoderOptions(),
                    help="beam size:beam score of the grid stage")
     p.add_argument("--stage2", type=_beam_budget, default="3000:50",
                    help="beam size:beam score of the re-evaluation")

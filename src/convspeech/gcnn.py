@@ -21,9 +21,7 @@ columns between neighbours; the first one gets its gap from the causal conv's
 own left padding. Width-1 convolutions leave gap columns to themselves, and
 the input of every causal mid convolution is multiplied by a 0/1 mask of the
 real columns, so what a gap column holds never reaches a real one: every
-sequence is scored as if it were alone. `train_gcnn` runs one forward and one
-backward per optimiser step, and its validation perplexity uses the same
-batched pass.
+sequence is scored as if it were alone.
 """
 
 from __future__ import annotations
@@ -34,9 +32,9 @@ import numpy as np
 
 from .acoustic import (conv_glu, conv_glu_backward, init_wn_convs, wn_conv, wn_conv_backward,
                        wn_conv_shapes)
-from .errors import ConfigurationError, DimensionError, TrainingDivergenceError
+from .errors import ConfigurationError, DimensionError
 from .lm import LruCache, Vocabulary
-from .optim import SgdOptimizer, TrainSettings
+from .optim import SgdOptimizer, TrainSettings, run_epochs
 from .util import check_params
 
 ROW_CACHE_CAPACITY = 4096  # score rows kept per model, one per context window
@@ -206,9 +204,7 @@ def batch_nll(lm: GcnnLm, sentences, rng=None, want_cache=False):
     result = lm.forward(inputs, [len(s) + 1 for s in sentences], rng=rng, want_cache=want_cache)
     rows = result[0] if want_cache else result
     nll = -float(rows[np.arange(len(targets)), targets].sum())
-    if want_cache:
-        return nll, targets, result[1]
-    return nll, targets
+    return (nll, targets, result[1]) if want_cache else (nll, targets)
 
 
 def train_gcnn(
@@ -223,14 +219,14 @@ def train_gcnn(
     seed: int = 0,
     epoch_callback=None,
 ):
-    """Nesterov-accelerated training on tokenized sentences.
+    """Nesterov-accelerated training on tokenized sentences, by `optim.run_epochs`.
 
     Minimizes mean next-token negative log likelihood with gradient-norm
-    clipping, one batched forward and backward per step. Returns a history of
-    dicts with train/validation perplexity, the mean global gradient norm
-    before clipping (`grad_norm`) and the fraction of steps that were clipped
-    (`clip_frac`); `epoch_callback(epoch, lm, record)` runs after each epoch
-    (checkpointing hook for the perplexity studies).
+    clipping, one batched forward and backward per step; validation uses the
+    same batched pass. Each record holds `train_ppl`, and `val_ppl` with a
+    validation corpus, beside the loop's shared fields.
+    `epoch_callback(epoch, lm, record)` runs after each epoch (checkpointing
+    hook for the perplexity studies).
     """
     settings = TrainSettings(epochs=epochs, lr=lr, momentum=momentum, clip=clip,
                              batch_size=batch_size, seed=seed)
@@ -241,37 +237,24 @@ def train_gcnn(
     val_ids = [[vocab.id(t) for t in s] for s in val_sentences or ()]
     if val_sentences is not None and not val_ids:
         raise ConfigurationError("validation corpus is empty")
-    optimizer = SgdOptimizer(settings, nesterov=True)
     rng = np.random.default_rng(seed)
-    history = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(train_ids))
-        total_nll = 0.0
-        total_tokens = 0
-        norms = []
-        for batch_start in range(0, len(order), batch_size):
-            batch = [train_ids[j] for j in order[batch_start : batch_start + batch_size]]
-            nll, targets, cache = batch_nll(lm, batch, rng=rng, want_cache=True)
-            if not np.isfinite(nll):
-                raise TrainingDivergenceError(f"non-finite loss at epoch {epoch}")
-            total_nll += nll
-            total_tokens += len(targets)
-            d_rows = np.zeros((len(targets), len(vocab)))
-            d_rows[np.arange(len(targets)), targets] = -1.0 / len(targets)
-            norms.append(optimizer.step(lm.params, lm.backward(cache, d_rows)))
+
+    def batch(indices):
+        nll, targets, cache = batch_nll(lm, [train_ids[j] for j in indices], rng=rng,
+                                        want_cache=True)
+        d_rows = np.zeros((len(targets), len(vocab)))
+        d_rows[np.arange(len(targets)), targets] = -1.0 / len(targets)
+        return [nll], lm.backward(cache, d_rows)
+
+    def end_epoch(train_nll):
         lm.clear_cache()
-        record = {
-            "epoch": epoch,
-            "lr": optimizer.lr,
-            "train_ppl": float(np.exp(total_nll / total_tokens)),
-            "grad_norm": float(np.mean(norms)),
-            "clip_frac": float(np.mean(np.asarray(norms) > clip)),
-        }
-        if val_ids:
-            val_nll = sum(batch_nll(lm, val_ids[k : k + batch_size])[0]
-                          for k in range(0, len(val_ids), batch_size))
-            record["val_ppl"] = float(np.exp(val_nll / sum(len(s) + 1 for s in val_ids)))
-        history.append(record)
-        if epoch_callback is not None:
-            epoch_callback(epoch, lm, record)
-    return history
+        train = {"train_ppl": float(np.exp(train_nll / sum(len(s) + 1 for s in train_ids)))}
+        if not val_ids:
+            return train, {}
+        val_nll = sum(batch_nll(lm, val_ids[k : k + batch_size])[0]
+                      for k in range(0, len(val_ids), batch_size))
+        return train, {"val_ppl": float(np.exp(val_nll / sum(len(s) + 1 for s in val_ids)))}
+
+    return run_epochs(lm.params, SgdOptimizer(settings, nesterov=True), settings, rng,
+                      len(train_ids), batch, end_epoch,
+                      epoch_callback and (lambda r: epoch_callback(r["epoch"], lm, r)))

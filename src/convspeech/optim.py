@@ -81,6 +81,38 @@ class SgdOptimizer:
         return norm
 
 
+def run_epochs(params, optimizer: SgdOptimizer, settings: TrainSettings, rng, num_items: int,
+               batch, end_epoch, epoch_callback=None) -> list[dict]:
+    """The epoch loop of both trainers; returns the history, one record per epoch.
+
+    An epoch steps once per `settings.batch_size` items of a permutation drawn
+    from `rng`. `batch(indices)` returns (losses, gradients), the losses in the
+    order the epoch's sum takes them; a non-finite sum stops the run before
+    its step. `end_epoch(sum)` returns the record's train and dev fields, and
+    `epoch_callback(record)` runs once the record is in the history.
+    """
+    history = []
+    for epoch in range(settings.epochs):
+        order = rng.permutation(num_items)
+        total, norms = 0.0, []
+        for start in range(0, num_items, settings.batch_size):
+            losses, grads = batch(order[start : start + settings.batch_size])
+            for loss in losses:
+                total += loss
+            if not np.isfinite(total):
+                raise TrainingDivergenceError(f"non-finite loss at epoch {epoch}")
+            norms.append(optimizer.step(params, grads))
+            del grads  # freed before the next batch runs: lower peak memory
+        lr = optimizer.lr  # the one the epoch ran at, before end_epoch's schedule
+        train, dev = end_epoch(total)
+        record = {"epoch": epoch, "lr": lr, **train, "grad_norm": float(np.mean(norms)),
+                  "clip_frac": float(np.mean(np.asarray(norms) > settings.clip)), **dev}
+        history.append(record)
+        if epoch_callback is not None:
+            epoch_callback(record)
+    return history
+
+
 PLATEAU_FACTOR = 0.5  # lr multiplier once the loss has stalled
 PLATEAU_PATIENCE = 2  # stale updates tolerated before the cut
 MIN_LR = 1e-6  # the cuts stop here

@@ -18,7 +18,7 @@ from .frontend import (FRONTENDS, FrontendConfig, LearnableFrontend, MelFrontend
 from .gcnn import GcnnConfig, GcnnLm
 from .lm import ContextLimitedLM, Vocabulary, perplexity
 from .metrics import EvalReport
-from .optim import PlateauScheduler, SgdOptimizer, TrainSettings
+from .optim import PlateauScheduler, SgdOptimizer, TrainSettings, run_epochs
 from .synth import DatasetManifest, normalize_transcript, transcript_letters
 from .util import check_params, from_fields
 
@@ -59,8 +59,10 @@ def naming_utterance(entry):
     return ckpt.naming(f"utterance {entry.utt_id} ({entry.audio})")
 
 
-def _load_training_items(manifest, lexicon, alphabet, frontend_config, sample_rate):
-    """(waveform, target) per feasible utterance, and the count of infeasible ones."""
+def _load_training_items(manifest, lexicon, alphabet, frontend_config, sample_rate, split):
+    """(waveform, target) per feasible utterance, and the count of infeasible ones.
+
+    A manifest without a feasible utterance is refused."""
     items = []
     skipped = 0
     sil = alphabet.silence_token
@@ -77,6 +79,8 @@ def _load_training_items(manifest, lexicon, alphabet, frontend_config, sample_ra
             skipped += 1
             continue
         items.append((wave, target))
+    if not items:
+        raise ConfigurationError(f"no feasible {split} utterances")
     return items, skipped
 
 
@@ -94,11 +98,9 @@ def train_acoustic(
 ):
     """Joint training of front-end (if it has parameters), network, and transitions.
 
-    Returns (SpeechSystem, history); history has one record per epoch with the
-    mean training loss, optional dev loss, learning rate, the count of
-    transcripts skipped as infeasible, the mean global gradient norm before
-    clipping (`grad_norm`) and the fraction of steps that were clipped
-    (`clip_frac`).
+    Returns (SpeechSystem, history). The epochs run in `optim.run_epochs`; each
+    record adds the mean `train_loss`, the count of infeasible transcripts
+    skipped, and with a dev manifest the mean `dev_loss`, to the loop's fields.
     """
     if frontend_kind not in FRONTENDS:
         raise ConfigurationError(f"unknown front-end kind {frontend_kind!r}")
@@ -111,16 +113,12 @@ def train_acoustic(
     transitions = np.zeros((len(alphabet), len(alphabet)))
     system = SpeechSystem(frontend, model, transitions, alphabet)
 
-    train_items, skipped = _load_training_items(
-        train_manifest, lexicon, alphabet, fcfg, sample_rate
-    )
-    if not train_items:
-        raise ConfigurationError("no feasible training utterances")
     dev_items = None
-    if dev_manifest is not None:
-        dev_items, _ = _load_training_items(dev_manifest, lexicon, alphabet, fcfg, sample_rate)
-        if not dev_items:
-            raise ConfigurationError("no feasible dev utterances")
+    if dev_manifest is not None:  # first: a dev set that cannot be used costs no training audio
+        dev_items, _ = _load_training_items(dev_manifest, lexicon, alphabet, fcfg, sample_rate,
+                                            "dev")
+    train_items, skipped = _load_training_items(train_manifest, lexicon, alphabet, fcfg,
+                                                sample_rate, "training")
 
     params = system.arrays()
     optimizer = SgdOptimizer(settings)
@@ -131,58 +129,41 @@ def train_acoustic(
         fixed = [frontend.forward(wave) for wave, _ in train_items]
         dev_fixed = [frontend.forward(wave) for wave, _ in dev_items or ()]
 
-    history = []
-    for epoch in range(settings.epochs):
-        order = rng.permutation(len(train_items))
-        epoch_loss = 0.0
-        norms = []
-        for start in range(0, len(order), settings.batch_size):
-            batch = order[start : start + settings.batch_size]
-            grads = {k: np.zeros_like(v) for k, v in params.items()}
-            for j in batch:
-                wave, target = train_items[j]
-                if fixed is None:
-                    feat, fe_cache = frontend.forward(wave, want_cache=True)
-                else:
-                    feat, fe_cache = fixed[j], None
-                emissions, am_cache = model.forward(feat, rng=rng, want_cache=True)
-                loss, d_em, d_g = asg_loss_and_gradients(emissions, transitions, target)
-                epoch_loss += loss
-                am_grads, d_feat = model.backward(am_cache, d_em)
-                for k, v in am_grads.items():
-                    grads[f"am.{k}"] += v
-                for k, v in frontend.backward(fe_cache, d_feat).items():
-                    grads[f"fe.{k}"] += v
-                grads["transitions"] += d_g
-                del fe_cache, am_cache  # freed before the next forward pass: lower peak memory
-            scale = 1.0 / len(batch)
-            norms.append(optimizer.step(params, {k: g * scale for k, g in grads.items()}))
-        record = {
-            "epoch": epoch,
-            "train_loss": epoch_loss / len(train_items),
-            "lr": optimizer.lr,
-            "skipped": skipped,
-            "grad_norm": float(np.mean(norms)),
-            "clip_frac": float(np.mean(np.asarray(norms) > settings.clip)),
-        }
+    def batch(indices):
+        losses = []
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        for j in indices:
+            wave, target = train_items[j]
+            feat, fe_cache = (frontend.forward(wave, want_cache=True) if fixed is None
+                              else (fixed[j], None))
+            emissions, am_cache = model.forward(feat, rng=rng, want_cache=True)
+            loss, d_em, d_g = asg_loss_and_gradients(emissions, transitions, target)
+            losses.append(loss)
+            am_grads, d_feat = model.backward(am_cache, d_em)
+            for k, v in am_grads.items():
+                grads[f"am.{k}"] += v
+            for k, v in frontend.backward(fe_cache, d_feat).items():
+                grads[f"fe.{k}"] += v
+            grads["transitions"] += d_g
+            del fe_cache, am_cache  # freed before the next forward pass: lower peak memory
+        return losses, {k: g * (1.0 / len(indices)) for k, g in grads.items()}
+
+    def end_epoch(loss_sum):
+        train = {"train_loss": loss_sum / len(train_items), "skipped": skipped}
+        dev = {}
         if dev_items is not None:
-            record["dev_loss"] = _mean_loss(dev_items, frontend, model, transitions, dev_fixed)
-            scheduler.update(record["dev_loss"])
-        else:
-            scheduler.update(record["train_loss"])
-        history.append(record)
+            dev_sum = 0.0
+            for j, (wave, target) in enumerate(dev_items):
+                feat = frontend.forward(wave) if dev_fixed is None else dev_fixed[j]
+                dev_sum += asg_loss(model.forward(feat), transitions, target)
+            dev["dev_loss"] = dev_sum / len(dev_items)
+        scheduler.update(dev.get("dev_loss", train["train_loss"]))
+        return train, dev
+
+    history = run_epochs(params, optimizer, settings, rng, len(train_items), batch, end_epoch)
     if checkpoint_path is not None:
         save_system(checkpoint_path, system)
     return system, history
-
-
-def _mean_loss(items, frontend, model, transitions, fixed=None) -> float:
-    """Mean ASG loss over `items`, on the features `fixed` holds when given."""
-    total = 0.0
-    for j, (wave, target) in enumerate(items):
-        feat = frontend.forward(wave) if fixed is None else fixed[j]
-        total += asg_loss(model.forward(feat), transitions, target)
-    return total / len(items)
 
 
 # -- system checkpoints -------------------------------------------------------

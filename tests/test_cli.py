@@ -49,7 +49,7 @@ def test_synth_outputs_exist(workspace):
 def test_train_am_outputs(workspace):
     assert (workspace / "am.ckpt").exists()
     loss_lines = (workspace / "loss.csv").read_text().strip().splitlines()
-    assert loss_lines[0].startswith("epoch")
+    assert loss_lines[0] == "epoch,lr,train_loss,skipped,grad_norm,clip_frac"
     assert len(loss_lines) == 3
 
 
@@ -490,12 +490,14 @@ def test_empty_validation_sets_are_error_lines(workspace, tmp_path, capsys):
     assert capsys.readouterr().err == "error: no feasible dev utterances\n"
     empty = tmp_path / "empty.txt"
     empty.write_text("")
+    ckpt_dir = tmp_path / "lm_ckpts"
     rc = main(["train-lm", "--corpus", str(workspace / "corpus.txt"), "--val-corpus", str(empty),
                "--blocks", "1", "--embed-dim", "4", "--bottleneck-dim", "2", "--epochs", "1",
-               "--checkpoint", str(checkpoint)])
+               "--checkpoint", str(checkpoint), "--checkpoint-dir", str(ckpt_dir)])
     assert rc == 1
     assert capsys.readouterr().err == "error: validation corpus is empty\n"
     assert not checkpoint.exists()
+    assert list(tmp_path.rglob("*.ckpt")) == []
 
 
 @pytest.mark.parametrize("command", ["train-am", "evaluate", "decode"])

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convspeech import pipeline, synth
+from convspeech import gcnn, pipeline, synth
 from convspeech.acoustic import ConvLayerSpec, EmissionTable
 from convspeech.cli import _load_task, _save_task, main
 from convspeech.criterion import encode_target
 from convspeech.decoder import DecoderOptions, build_trie
-from convspeech.errors import ConfigurationError, ConvSpeechError
+from convspeech.errors import ConfigurationError, ConvSpeechError, TrainingDivergenceError
 from convspeech.frontend import FrontendConfig, MelFrontend
 from convspeech.gcnn import GcnnConfig, GcnnLm
 from convspeech.lm import Vocabulary
@@ -546,14 +546,42 @@ def test_dev_manifest_without_feasible_utterances_is_refused(tiny_task, monkeypa
     entries = [] if dev == "empty" else [
         synth.ManifestEntry(e.utt_id, e.audio, " ".join(["abc"] * 40))
         for e in manifests["dev"].entries]
-    steps = []
+    steps, reads = [], []
     monkeypatch.setattr(pipeline.SgdOptimizer, "step", lambda *args: steps.append(args))
+    read_wav = pipeline.read_wav
+    monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(path) or read_wav(path))
     with pytest.raises(ConfigurationError, match="no feasible dev utterances"):
         pipeline.train_acoustic(
             manifests["train"], spec.lexicon, spec.alphabet,
             frontend_config=FrontendConfig(num_filters=4),
             dev_manifest=synth.DatasetManifest(entries),
             settings=pipeline.TrainSettings(epochs=1, lr=0.1, batch_size=3, seed=0))
+    assert steps == []
+    assert reads == [e.audio for e in entries]  # no training audio; an empty manifest reads none
+
+
+@pytest.mark.parametrize("trainer", ["acoustic", "lm"])
+def test_non_finite_loss_stops_either_trainer_before_its_step(tiny_task, monkeypatch, trainer):
+    steps = []
+    monkeypatch.setattr(pipeline.SgdOptimizer, "step", lambda *args: steps.append(args))
+    if trainer == "acoustic":
+        spec, manifests, _ = tiny_task
+        asg = pipeline.asg_loss_and_gradients
+        monkeypatch.setattr(pipeline, "asg_loss_and_gradients",
+                            lambda *args: (np.inf, *asg(*args)[1:]))
+        run = lambda: pipeline.train_acoustic(  # noqa: E731
+            manifests["train"], spec.lexicon, spec.alphabet,
+            frontend_config=FrontendConfig(num_filters=4),
+            settings=pipeline.TrainSettings(epochs=2, lr=0.1, batch_size=3, seed=0))
+    else:
+        nll = gcnn.batch_nll
+        monkeypatch.setattr(gcnn, "batch_nll",
+                            lambda *args, **kw: (np.inf, *nll(*args, **kw)[1:]))
+        lm = GcnnLm(Vocabulary(("a", "b", "<s>", "</s>", "<unk>")),
+                    GcnnConfig(num_blocks=1, embed_dim=4, bottleneck_dim=2, mid_kernel_width=3))
+        run = lambda: gcnn.train_gcnn(lm, [["a", "b"], ["b"]], epochs=2)  # noqa: E731
+    with pytest.raises(TrainingDivergenceError, match="non-finite loss at epoch 0"):
+        run()
     assert steps == []
 
 
