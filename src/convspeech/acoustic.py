@@ -102,19 +102,27 @@ def conv1d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, pad_left: int | 
     x: (C_in, T), weight: (C_out, C_in, K), out: (C_out, T). `pad_left` zero
     columns go before x (K // 2 by default) and K - 1 - pad_left after it, so
     output column t reads input frames t - pad_left .. t - pad_left + K - 1.
+    The (T, C_in * K) windows are a strided view of the padded input, reshaped
+    into a copy; at width 1 that is the transpose of a copy of x.
     """
     c_out, c_in_w, kw = weight.shape
     if x.shape[0] != c_in_w:
         raise DimensionError(f"input has {x.shape[0]} channels, weight expects {c_in_w}")
     if pad_left is None:
         pad_left = kw // 2
+    if not 0 <= pad_left < kw:
+        raise DimensionError(f"pad_left {pad_left} outside 0 .. {kw - 1} for width {kw}")
     t = x.shape[1]
     if t < 1:
         raise DimensionError("conv input has no frames")
-    padded = np.zeros((c_in_w, t + kw - 1))
-    padded[:, pad_left : pad_left + t] = x
-    cols = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=1)
-    cols = cols.transpose(1, 0, 2).reshape(t, c_in_w * kw)
+    if kw == 1:
+        cols = x.copy().T
+    else:
+        padded = np.zeros((c_in_w, t + kw - 1))
+        padded[:, pad_left : pad_left + t] = x
+        row, step = padded.strides
+        cols = np.lib.stride_tricks.as_strided(padded, (t, c_in_w, kw), (step, row, step))
+        cols = cols.reshape(t, -1)
     out = (cols @ weight.reshape(c_out, -1).T + bias).T
     return out, {"cols": cols, "weight": weight, "pad_left": pad_left}
 
@@ -128,6 +136,8 @@ def conv1d_backward(cache: dict, d_out: np.ndarray):
     d_bias = d_out.sum(axis=1)
     d_cols = weight.reshape(c_out, -1).T @ d_out  # (c_in*kw, t)
     d_cols = d_cols.reshape(c_in, kw, t)
+    if kw == 1:  # as the loop below would add it into zeros, zero signs included
+        return d_weight, d_bias, d_cols[:, 0, :] + 0.0
     d_padded = np.zeros((c_in, t + kw - 1))
     for w in range(kw):  # the t positions of one tap are distinct
         d_padded[:, w : w + t] += d_cols[:, w, :]
@@ -153,6 +163,16 @@ def wn_conv_shapes(layers) -> dict[str, tuple]:
     for name, c_out, c_in, kw in layers:
         shapes |= {f"{name}_v": (c_out, c_in, kw), f"{name}_g": (c_out,), f"{name}_b": (c_out,)}
     return shapes
+
+
+def check_wn_directions(params: dict, layers, owner: str):
+    """Refuse a `{name}_v` of the convs `layers` with an output row of norm 0,
+    which weight norm would divide by; errors name `owner`, the array and the row."""
+    for name, *_ in layers:
+        v = np.asarray(params[f"{name}_v"])
+        zero = np.flatnonzero((v.reshape(v.shape[0], -1) ** 2).sum(axis=1) == 0.0)
+        if zero.size:
+            raise ConfigurationError(f"{owner} array '{name}_v' row {zero[0]} has norm 0")
 
 
 def wn_conv(params: dict, name: str, x: np.ndarray, pad_left: int | None = None):
@@ -216,6 +236,7 @@ class AcousticModel:
             params = init_wn_convs(self._conv_layers(config), rng or np.random.default_rng(0))
         else:
             check_params(params, self.param_shapes(config), "acoustic model")
+            check_wn_directions(params, self._conv_layers(config), "acoustic model")
         self.params = params
 
     @staticmethod

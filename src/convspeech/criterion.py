@@ -102,30 +102,29 @@ def _full_passes(f, g):
 
     Frame t of alpha and frame T-1-t of beta are log-sum-exps down the columns
     of one (2, |A|, |A|) slab: `heads[t-1]` (alpha[t-1] and f[u] + beta[u] for
-    u = T-t) as columns, plus g and g.T. So each frame is a handful of numpy
-    calls. A column of -inf gives exp(-inf - floor) = 0 and log 0 = -inf.
+    u = T-t) as columns, plus g and g.T. So each frame is 8 numpy calls; the
+    column maxima start from a finite floor, so a column of -inf gives
+    exp(-inf - floor) = 0 and log 0 = -inf. Frame t's log-sum-exps go to row t
+    of `lse`, and beta is a reversed view of their second slab.
     """
     t_total, s = f.shape
     heads = np.empty((t_total, 2, s))
     emit = np.stack([f, f[::-1]], axis=1)  # what frame t adds to each slab's result
-    beta = np.zeros((t_total, s))
-    heads[0] = f[0], f[-1] + beta[-1]
+    lse = np.zeros((t_total, 2, 1, s))  # per frame, slab and column; row 0 holds beta[T-1]
+    heads[0] = f[0], f[-1] + 0.0  # alpha[0], and f[T-1] + beta[T-1]
     arcs = np.stack([g, g.T])
     slabs = np.empty((2, s, s))
-    floor, lse = np.empty((2, 2, 1, s))  # per slab and column
-    columns = heads[:, :, :, None]
+    floor = np.empty((2, 1, s))
     with np.errstate(divide="ignore"):
-        for t in range(1, t_total):
-            np.add(columns[t - 1], arcs, out=slabs)
-            np.maximum.reduce(slabs, axis=1, out=floor, keepdims=True)
-            np.fmax(floor, _FLOOR, out=floor)
+        for column, row, em, head in zip(heads[:-1, :, :, None], lse[1:], emit[1:], heads[1:]):
+            np.add(column, arcs, out=slabs)
+            np.maximum.reduce(slabs, axis=1, out=floor, keepdims=True, initial=_FLOOR)
             slabs -= floor
-            np.add.reduce(np.exp(slabs, out=slabs), axis=1, out=lse, keepdims=True)
-            np.log(lse, out=lse)
-            lse += floor
-            np.add(emit[t], lse[:, 0], out=heads[t])
-            beta[t_total - 1 - t] = lse[1, 0]
-    return heads[:, 0], beta
+            np.add.reduce(np.exp(slabs, out=slabs), axis=1, out=row, keepdims=True)
+            np.log(row, out=row)
+            row += floor
+            np.add(em, row[:, 0], out=head)
+    return heads[:, 0], lse[::-1, 1, 0]
 
 
 def _check_feasible(target: np.ndarray, num_frames: int):

@@ -31,7 +31,7 @@ from .util import check_params
 
 DEFAULT_SAMPLE_RATE = 16000
 # A LearnableFrontend keeps no workspace with a buffer larger than this between
-# passes, so it retains at most five times this much; a longer pass allocates afresh.
+# passes, so its pool retains at most four times this much; a longer pass allocates afresh.
 POOL_BUFFER_LIMIT = 8 * 2**20  # bytes
 # Overlap-save blocks are fft_length of this many filter widths long (block_length).
 BLOCK_WIDTHS = 4
@@ -143,7 +143,8 @@ def block_length(n: int, width: int) -> int:
     fft_length(BLOCK_WIDTHS * width), so such a signal is one block; past it,
     blocks of that fixed length.
     """
-    return min(fft_length(n), fft_length(BLOCK_WIDTHS * width))
+    cap = fft_length(BLOCK_WIDTHS * width)
+    return cap if n >= cap else fft_length(n)
 
 
 def correlate_blocks(signal: np.ndarray, bank: np.ndarray, length: int, width: int,
@@ -153,10 +154,12 @@ def correlate_blocks(signal: np.ndarray, bank: np.ndarray, length: int, width: i
     out[f, t] = sum_w rows[f, w] * signal[t + w] for 0 <= t <= len(signal) - width.
     `bank` holds the conjugated rfft spectra of the rows at the block length
     `length`, shaped (rows, length // 2 + 1). Block b gives the
-    M = length - width + 1 lags from b*M: the rfft of signal[b*M : b*M + length],
-    zero-padded, goes to row b of the workspace buffer "blocks", its product
-    with the bank to "product", and the inverse transform of that to columns
-    b*M to b*M + length of the "rows" buffer, shaped (rows, blocks*M + width - 1).
+    M = length - width + 1 lags from b*M: the rfft of signal[b*M : b*M + length]
+    goes to row b of the workspace buffer "blocks", its product with the bank
+    to "product", and the inverse transform of that to columns b*M to
+    b*M + length of the "rows" buffer, shaped (rows, blocks*M + width - 1).
+    One rfft transforms every full block, through a strided view of the
+    signal; a second one the short last block, if any, zero-padded by the rfft.
     Only a block's last width - 1 columns wrap around, and the next block
     overwrites them. The result is a view of the first lags of "rows"; the
     blocks' spectra stay in "blocks".
@@ -164,11 +167,16 @@ def correlate_blocks(signal: np.ndarray, bank: np.ndarray, length: int, width: i
     lags = signal.size - width + 1
     step = length - width + 1
     count = -(-lags // step)
+    full = (signal.size - length) // step + 1  # blocks inside the signal
     specs = _view(work, "blocks", (count, length // 2 + 1), np.complex128)
     product = _view(work, "product", bank.shape, np.complex128)
     out = _view(work, "rows", (bank.shape[0], count * step + width - 1), np.float64)
+    (item,) = signal.strides
+    blocks = np.lib.stride_tricks.as_strided(signal, (full, length), (step * item, item))
+    np.fft.rfft(blocks, length, axis=1, out=specs[:full])
+    if full < count:
+        np.fft.rfft(signal[full * step :], length, out=specs[full])
     for b, start in enumerate(range(0, lags, step)):
-        np.fft.rfft(signal[start : start + length], length, out=specs[b])
         np.multiply(bank, specs[b], out=product)
         np.fft.irfft(product, length, axis=1, out=out[:, start : start + length])
     return out[:, :lags]
@@ -184,8 +192,9 @@ def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.n
             f"{t_conv} convolution outputs cannot fill one {width}-tap low-pass window"
         )
     t_out = (t_conv - width) // stride + 1
-    frames = np.lib.stride_tricks.sliding_window_view(power, width, axis=1)[:, ::stride, :]
-    return frames[:, :t_out, :] @ window
+    rows, step = power.strides
+    shape = (power.shape[0], t_out, width)
+    return np.lib.stride_tricks.as_strided(power, shape, (rows, stride * step, step)) @ window
 
 
 def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
@@ -220,6 +229,11 @@ def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
         out[:, j, :] = term[:, 0, :]
         out[:, j + 1 : j + t_out, :] += term[:, 1:, :]
     return out.reshape(k, -1)[:, :length]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bits: -0.0 differs from 0.0, NaN equals itself."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _view(work: dict, name: str, shape: tuple, dtype) -> np.ndarray:
@@ -279,10 +293,11 @@ class LearnableFrontend:
 
     The filterbank correlations run by overlap-save blocks of one FFT length
     L = block_length(n, W), M = L - W + 1 lags each (see correlate_blocks),
-    so no FFT of a pass is longer than L. The arrays of a pass live in the
-    buffers of a workspace kept between passes, so a warm pass faults in no
-    fresh pages and makes no row-sized temporaries:
-    - "bank": the conjugated spectrum of the stacked real+imaginary bank at L;
+    so no FFT of a pass is longer than L. The conjugated spectrum of the
+    stacked real+imaginary bank at L is kept until L or a filter's bits change
+    (_bank_spectrum). The other arrays of a pass live in the four buffers of
+    a workspace kept between passes, so a warm pass faults in no fresh pages
+    and makes no row-sized temporaries:
     - "blocks": the signal blocks' spectra, which `backward` trades one by
       one for the conjugated spectra of the blocks' signal gradients;
     - "product": one block's product spectrum; in `backward`, the spectrum
@@ -325,6 +340,7 @@ class LearnableFrontend:
                 "filter_imag": rng.normal(0.0, scale, shapes["filter_imag"]),
             }
         self._spare: dict[str, np.ndarray] | None = None  # buffer name -> flat array
+        self._spectrum = None  # (block length, [filter_real, filter_imag], bank spectrum)
 
     @staticmethod
     def param_shapes(config: FrontendConfig, sample_rate: int) -> dict[str, tuple]:
@@ -337,21 +353,29 @@ class LearnableFrontend:
         if all(flat.nbytes <= POOL_BUFFER_LIMIT for flat in work.values()):
             self._spare = work
 
+    def _bank_spectrum(self, length: int) -> np.ndarray:
+        """The conjugated rfft spectrum at `length` of the stacked real+imaginary bank,
+        kept with `length` and copies of the filters, and reused while they match
+        bit for bit. A new one is a new array, since a live cache may hold the old."""
+        filters = self.params["filter_real"], self.params["filter_imag"]
+        kept = self._spectrum
+        if kept is not None and kept[0] == length and all(map(_same_bits, kept[1], filters)):
+            return kept[2]
+        bank = np.fft.rfft(np.concatenate(filters), length, axis=1)
+        np.conjugate(bank, out=bank)
+        self._spectrum = (length, [f.copy() for f in filters], bank)
+        return bank
+
     def forward(self, x: Waveform, want_cache: bool = False):
         """Run the full chain; returns (channels, frames) features (and a cache for backward)."""
         cfg = self.config
         _check_input(x, cfg, self.sample_rate)
         stride = cfg.stride(self.sample_rate)
         pre = preemphasize(x, self.params["preemphasis"]).samples
-        real, imag = self.params["filter_real"], self.params["filter_imag"]
-        k, width = real.shape
-        # the conjugated spectrum of the stacked real+imaginary bank at the block length
+        k, width = self.params["filter_real"].shape
         length = block_length(pre.size, width)
+        bank = self._bank_spectrum(length)
         work, self._spare = self._spare or {}, None
-        bank = _view(work, "bank", (2 * k, length // 2 + 1), np.complex128)
-        np.fft.rfft(real, length, axis=1, out=bank[:k])
-        np.fft.rfft(imag, length, axis=1, out=bank[k:])
-        np.conjugate(bank, out=bank)
         corr = correlate_blocks(pre, bank, length, width, work)
         if want_cache:  # backward needs the correlations
             squares = np.square(corr, out=_view(work, "squares", corr.shape, np.float64))

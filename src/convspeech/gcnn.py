@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import (conv_glu, conv_glu_backward, init_wn_convs, wn_conv, wn_conv_backward,
-                       wn_conv_shapes)
+from .acoustic import (check_wn_directions, conv_glu, conv_glu_backward, init_wn_convs, wn_conv,
+                       wn_conv_backward, wn_conv_shapes)
 from .errors import ConfigurationError, DimensionError
 from .lm import LruCache, Vocabulary
 from .optim import SgdOptimizer, TrainSettings, run_epochs
@@ -79,6 +79,7 @@ class GcnnLm:
             params |= init_wn_convs(self._conv_layers(self.config, len(vocab)), rng)
         else:
             check_params(params, self.param_shapes(self.config, len(vocab)), "conv LM")
+            check_wn_directions(params, self._conv_layers(self.config, len(vocab)), "conv LM")
         self.params = params
         self._row_cache = LruCache(ROW_CACHE_CAPACITY)
 

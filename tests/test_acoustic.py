@@ -93,6 +93,21 @@ def test_conv1d_channel_mismatch():
         ac.conv1d(np.zeros((2, 5)), np.zeros((1, 3, 3)), np.zeros(1))
 
 
+def test_conv1d_refuses_a_pad_outside_the_kernel():
+    for width, pad_left in ((1, 1), (3, 3), (3, -1)):
+        with pytest.raises(DimensionError, match="pad_left"):
+            ac.conv1d(np.zeros((2, 5)), np.zeros((1, 2, width)), np.zeros(1), pad_left)
+
+
+def test_zero_norm_direction_is_refused():
+    # weight norm divides each output row of v by its norm: NaN emissions otherwise
+    config = ac.AcousticModelConfig([ac.ConvLayerSpec(3, 4, 3)], alphabet_size=5)
+    params = ac.AcousticModel(config, rng=np.random.default_rng(8)).params
+    params["layer0_v"][2] = 0.0
+    with pytest.raises(ConfigurationError, match="model array 'layer0_v' row 2 has norm 0"):
+        ac.AcousticModel(config, params=params)
+
+
 def test_forward_width1_layer_is_linear_map():
     config = ac.AcousticModelConfig([ac.ConvLayerSpec(2, 2, 1)], alphabet_size=3)
     model = ac.AcousticModel(config, rng=np.random.default_rng(6))

@@ -288,6 +288,32 @@ def test_lowpass_matches_naive():
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
 
 
+def test_lowpass_equals_the_window_view_product_bitwise():
+    # a row view of a wider buffer, as the front-end's power rows are
+    power = np.random.default_rng(4).random((16, 15700))[:8, :15601]
+    window = fe.squared_hanning(400)
+    frames = np.lib.stride_tricks.sliding_window_view(power, 400, axis=1)[:, ::160, :]
+    assert np.array_equal(fe.lowpass_decimate(power, window, 160), frames[:, :96, :] @ window)
+
+
+@pytest.mark.parametrize("n", [1600, 1601, 1920, 9120, 16320])
+def test_block_spectra_equal_one_rfft_per_block_bitwise(n):
+    # one rfft over the full blocks and one over the short last block give
+    # every block the bits of its own single-row rfft
+    rng = np.random.default_rng(43)
+    signal, width = 0.3 * rng.normal(size=n), 400
+    length = fe.block_length(n, width)
+    bank = np.conj(np.fft.rfft(rng.normal(size=(4, width)), length, axis=1))
+    work = {}
+    fe.correlate_blocks(signal, bank, length, width, work)
+    step, bins = length - width + 1, length // 2 + 1
+    count = -(-(n - width + 1) // step)
+    specs = work["blocks"][: 2 * count * bins].view(np.complex128).reshape(count, bins)
+    for b in range(count):
+        want = np.fft.rfft(signal[b * step : b * step + length], length)
+        assert np.array_equal(specs[b].view(np.uint64), want.view(np.uint64)), b
+
+
 @pytest.mark.parametrize("width, stride, t_conv", [(9, 3, 57), (400, 160, 15601), (8, 8, 64), (5, 7, 40)])
 def test_lowpass_transpose_bit_equal_to_scatter_loop(width, stride, t_conv):
     rng = np.random.default_rng(width + stride)
@@ -669,9 +695,10 @@ def test_warm_cached_pass_makes_no_row_sized_temporaries():
 def test_stale_pool_contents_never_reach_the_results():
     # NaN in every free buffer before each step of long-then-short passes: the
     # spare workspace's, and before backward those of the cache's workspace
-    # but the three that hold the correlations, the bank spectrum and the
-    # signal blocks' spectra; 1,600 samples are one block as long as the
-    # signal, so no padding is left, and 1,920 are a full block and a short one
+    # but the two that hold the correlations and the signal blocks' spectra
+    # (the bank spectrum is kept outside the workspace); 1,600 samples are one
+    # block as long as the signal, so no padding is left, and 1,920 are a full
+    # block and a short one
     config = fe.FrontendConfig(num_filters=8)
     rng = np.random.default_rng(39)
     warm = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
@@ -689,7 +716,7 @@ def test_stale_pool_contents_never_reach_the_results():
         stale(warm._spare)
         feat, cache = warm.forward(x, want_cache=True)
         stale({name: flat for name, flat in cache["work"].items()
-               if name not in ("rows", "bank", "blocks")})
+               if name not in ("rows", "blocks")})
         grads = warm.backward(cache, upstream)
         fresh = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
         want_plain, want, want_grads = _pass(fresh, x.samples, upstream)
@@ -724,15 +751,64 @@ def test_pool_keeps_no_buffer_over_the_limit():
 
 
 def test_warm_cached_pass_keeps_five_buffers():
-    # one block (L = n_fft = 1000), so rows, product and squares are all (2k, ~L) sized
+    # one block (L = n_fft = 1000), so rows, product and squares are all (2k, ~L)
+    # sized; the fifth buffer is the kept bank spectrum, which the front-end
+    # holds beside its filters' copies outside the pool of four
     front = fe.LearnableFrontend(fe.FrontendConfig(num_filters=64), RATE,
                                  rng=np.random.default_rng(37))
     x = fe.Waveform(0.3 * np.random.default_rng(38).normal(size=1000), RATE)
     for _ in range(2):
         feat, cache = front.forward(x, want_cache=True)
         front.backward(cache, np.ones_like(feat))
-    assert sorted(front._spare) == ["bank", "blocks", "product", "rows", "squares"]
-    assert sum(flat.nbytes for flat in front._spare.values()) <= 5.2e6
+    assert sorted(front._spare) == ["blocks", "product", "rows", "squares"]
+    length, (real, imag), bank = front._spectrum
+    assert bank.shape == (128, length // 2 + 1) and real.shape == imag.shape == (64, 400)
+    assert sum(flat.nbytes for flat in front._spare.values()) + bank.nbytes <= 5.2e6
+
+
+def _fresh_pass(front, samples, upstream):
+    """_pass through a new front-end with copies of `front`'s parameters."""
+    params = {key: value.copy() for key, value in front.params.items()}
+    return _pass(fe.LearnableFrontend(front.config, RATE, params=params), samples, upstream)
+
+
+@pytest.mark.parametrize("change", ["coefficient", "zero_sign"])
+def test_kept_spectrum_follows_in_place_filter_changes(change):
+    rng = np.random.default_rng(41)
+    front = toy_frontend(seed=5)
+    front.params["filter_imag"][1, 2] = 0.0
+    samples, upstream = 0.3 * rng.normal(size=700), _upstream(rng, 700)
+    before = _pass(front, samples, upstream)
+    spectrum = front._spectrum
+    _pass(front, samples, upstream)
+    assert front._spectrum is spectrum  # unchanged filters: the spectrum is reused
+    if change == "coefficient":
+        front.params["filter_real"][2, 7] += 0.25
+    else:
+        front.params["filter_imag"][1, 2] = -0.0
+    got = _pass(front, samples, upstream)
+    assert front._spectrum is not spectrum
+    assert np.signbit(front._spectrum[1][1][1, 2]) == (change == "zero_sign")
+    want = _fresh_pass(front, samples, upstream)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for key in want[2]:
+        assert np.array_equal(got[2][key], want[2][key]), key
+    if change == "coefficient":
+        assert not np.array_equal(got[0], before[0])
+
+
+def test_cache_before_an_in_place_filter_step_keeps_its_spectrum():
+    rng = np.random.default_rng(42)
+    front = toy_frontend(seed=6)
+    samples, upstream = 0.3 * rng.normal(size=900), _upstream(rng, 900)
+    want = _fresh_pass(front, samples, upstream)[2]
+    feat, cache = front.forward(fe.Waveform(samples, RATE), want_cache=True)
+    for key in ("filter_real", "filter_imag"):
+        front.params[key] -= 0.1 * want[key]
+    front.forward(fe.Waveform(samples, RATE))  # recomputes the kept spectrum
+    grads = front.backward(cache, upstream)
+    for key in want:
+        assert np.array_equal(grads[key], want[key]), key
 
 
 def _golden_cases():

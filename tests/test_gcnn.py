@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ WORDS = tuple(f"w{i}" for i in range(7))
 VOCAB = Vocabulary(WORDS + ("<s>", "</s>", "<unk>"))
 TOY = GcnnConfig(num_blocks=1, embed_dim=6, bottleneck_dim=3, mid_kernel_width=3)
 TWO_BLOCKS = GcnnConfig(num_blocks=2, embed_dim=6, bottleneck_dim=3, mid_kernel_width=3)
+GOLDEN = Path(__file__).with_name("gcnn_golden.json")
 
 
 def toy_lm(seed=0, config=TOY):
@@ -69,6 +73,13 @@ def test_gradients_match_finite_differences():
     )
     for key in lm.params:
         assert grad_close(grads[key], numeric[key], 1e-4), key
+
+
+def test_zero_norm_direction_is_refused():
+    params = toy_lm().params
+    params["block0_mid_v"][1] = 0.0
+    with pytest.raises(ConfigurationError, match=r"conv LM array 'block0_mid_v' row 1 has norm 0"):
+        GcnnLm(VOCAB, TOY, params=params)
 
 
 def test_forward_rejects_bad_ids():
@@ -292,3 +303,42 @@ def test_history_records_grad_norm_and_clip_rate():
     assert [r["clip_frac"] for r in tight] == [1.0, 1.0]
     assert [r["clip_frac"] for r in loose] == [0.0, 0.0]
     assert history(1e-9) == tight  # deterministic, so runs compare as wholes
+
+
+def _golden_cases():
+    """A batch of 4 sequences through a seeded 2-block LM with dropout, at mid
+    widths 1 and 5, with a seeded dropout rng and upstream gradient."""
+    for width in (1, 5):
+        config = GcnnConfig(num_blocks=2, embed_dim=6, bottleneck_dim=3, mid_kernel_width=width,
+                            dropout_rate=0.25)
+        rng = np.random.default_rng(40 + width)
+        lengths = [3, 7, 1, 5]
+        ids = rng.integers(0, len(VOCAB), sum(lengths))
+        yield GcnnLm(VOCAB, config, rng=np.random.default_rng(width)), ids, lengths, rng
+
+
+def _golden_row(lm, ids, lengths, rng) -> dict:
+    plain = lm.forward(ids, lengths)
+    rows, cache = lm.forward(ids, lengths, rng=rng, want_cache=True)
+    grads = lm.backward(cache, rng.normal(size=rows.shape))
+    hexes = lambda a: [float(v).hex() for v in a.ravel()]  # noqa: E731
+    return {"rows": hexes(plain), "dropout_rows": hexes(rows),
+            **{key: hexes(grads[key]) for key in sorted(grads)}}
+
+
+def test_gcnn_outputs_match_golden_file_bitwise():
+    # gcnn_golden.json pins the conv LM's rows and gradients bit for bit;
+    # regenerate it (run this file as a script) only for a change that is
+    # meant to alter them
+    want = json.loads(GOLDEN.read_text())
+    got = [_golden_row(*case) for case in _golden_cases()]
+    assert len(got) == len(want) == 2
+    for case, (row, expected) in enumerate(zip(got, want)):
+        assert row.keys() == expected.keys(), case
+        for name, values in row.items():
+            assert values == expected[name], (case, name)
+
+
+if __name__ == "__main__":
+    rows = [json.dumps(_golden_row(*case)) for case in _golden_cases()]
+    GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")

@@ -369,6 +369,27 @@ def test_a_value_of_the_wrong_type_names_the_file(tmp_path, case):
     assert str(path) in str(info.value)
 
 
+def _zero_row(payload, name, row):
+    """Zero one output row of an array in a checkpoint payload."""
+    entry = payload["arrays"][name]
+    values = np.frombuffer(base64.b64decode(entry["data"]), dtype=entry["dtype"]).copy()
+    values.reshape(entry["shape"])[row] = 0.0
+    entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("base, name", [("system", "am.layer0_v"), ("gcnn", "block0_mid_v")])
+def test_loaders_refuse_a_zero_norm_direction_naming_the_file(tmp_path, base, name):
+    make_payload, load = DAMAGE_BASES[base]
+    payload = make_payload(tmp_path)
+    _zero_row(payload, name, 1)
+    path = tmp_path / "zero_row.ckpt"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match=rf"{name.removeprefix('am.')}' row 1 has norm 0"
+                       ) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_a_value_of_the_wrong_type_is_an_error_line(tmp_path, capsys):
     payload = _copy_payload()
     payload["config"]["model"]["layers"][0]["kernel_width"] = "9"
