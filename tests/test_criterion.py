@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from convspeech import criterion as cr
 from convspeech.acoustic import AcousticModel, AcousticModelConfig, ConvLayerSpec
 from convspeech.errors import (ConfigurationError, DomainError, InfeasibleAlignmentError,
                                VocabularyError)
+from convspeech.pipeline import small_model_config
 
 from oracles import (
     brute_force_graph_marginals,
@@ -335,15 +337,25 @@ def _golden_cases():
         yield emissions, transitions, np.array(letters)
 
 
-def _acoustic_golden_row() -> dict:
-    """One seeded AcousticModel forward and backward with dropout, whose
-    pre-activations reach both tails of the sigmoid gate."""
-    rng = np.random.default_rng(3100)
-    config = AcousticModelConfig(
+def _acoustic_golden_cases():
+    """A small stack with dropout whose pre-activations reach both tails of
+    the sigmoid gate, then the training model at the bench's longest training
+    utterance, (8, 86) features, without and with dropout: that width-1
+    projection runs through a BLAS path the small stack does not reach."""
+    yield 3100, AcousticModelConfig(
         [ConvLayerSpec(4, 6, 3, dropout_rate=0.2), ConvLayerSpec(6, 5, 5)], alphabet_size=7
-    )
+    ), 40
+    trained = small_model_config(8, 7)
+    yield 3101, trained, 86
+    yield 3102, replace(trained, layers=[replace(spec, dropout_rate=0.2)
+                                         for spec in trained.layers]), 86
+
+
+def _acoustic_golden_row(seed, config, frames) -> dict:
+    """One seeded AcousticModel forward and backward."""
+    rng = np.random.default_rng(seed)
     model = AcousticModel(config, rng=rng)
-    features = 6.0 * rng.normal(size=(4, 40))
+    features = 6.0 * rng.normal(size=(config.layers[0].in_channels, frames))
     emissions, cache = model.forward(features, rng=rng, want_cache=True)
     grads, d_features = model.backward(cache, rng.normal(size=emissions.scores.shape))
     return {"emissions": _hexes(emissions.scores), "d_features": _hexes(d_features),
@@ -363,18 +375,24 @@ def _golden_row(emissions, transitions, target) -> dict:
 
 
 def _golden_rows() -> list[dict]:
-    return [_golden_row(*case) for case in _golden_cases()] + [_acoustic_golden_row()]
+    return ([_golden_row(*case) for case in _golden_cases()]
+            + [_acoustic_golden_row(*case) for case in _acoustic_golden_cases()])
 
 
 def test_criterion_outputs_match_golden_file():
-    # criterion_golden.json pins the criterion's scores and gradients and one
-    # acoustic forward/backward bit for bit; regenerate it (run this file as
-    # a script) only for a change that is meant to alter them
+    # criterion_golden.json pins the criterion's scores and gradients (to
+    # 1e-12 relative) and three acoustic forwards/backwards (bit for bit);
+    # regenerate it (run this file as a script) only for a change that is
+    # meant to alter them
     want = json.loads(GOLDEN.read_text())
     got = _golden_rows()
-    assert len(got) == len(want) == 8
+    assert len(got) == len(want) == 10
+    criterion_rows = len(list(_golden_cases()))
     for case, (row, expected) in enumerate(zip(got, want)):
         assert row.keys() == expected.keys(), case
+        if case >= criterion_rows:
+            assert row == expected, case
+            continue
         for name, values in row.items():
             x = np.array([float.fromhex(v) for v in values])
             y = np.array([float.fromhex(v) for v in expected[name]])
