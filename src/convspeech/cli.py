@@ -219,6 +219,9 @@ def cmd_train_am(args):
         print(f"epoch {record['epoch']:3d}  loss {record['train_loss']:8.3f}{dev_part}"
               f"  lr {record['lr']:.4f}  grad norm {record['grad_norm']:.3f}"
               f"  clipped {record['clip_frac']:.0%}")
+    if history and history[0].get("dev_skipped"):
+        print(f"{history[0]['dev_skipped']} dev utterances have transcripts too long for "
+              "their audio and are left out of the dev loss")
     print(f"checkpoint written to {args.checkpoint}")
 
 
@@ -465,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args):
-    """Refuse an output file that cannot be created, before the command does any work."""
+    """Refuse an output file that cannot be created, or a history that would
+    hold no epoch, before the command does any work."""
     for dest in ("checkpoint", "loss_curve", "history", "report", "out"):
         path = getattr(args, dest, None)
         if path is None:
@@ -475,6 +479,8 @@ def _check_outputs(args):
             raise ConfigurationError(f"{flag} {path}: is a directory")
         if not Path(path).parent.is_dir():
             raise ConfigurationError(f"{flag} {path}: {Path(path).parent} is not a directory")
+        if dest in ("loss_curve", "history") and args.epochs == 0:
+            raise ConfigurationError(f"{flag} {path}: --epochs 0 leaves no history to write")
 
 
 def main(argv=None) -> int:

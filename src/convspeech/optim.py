@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ class SgdOptimizer:
     """
 
     def __init__(self, settings: TrainSettings, nesterov: bool = False):
-        self.lr = settings.lr  # the scheduler lowers it
+        self.lr = settings.lr  # run_epochs sets it before each step
         self.momentum = settings.momentum
         self.clip = settings.clip
         self.nesterov = nesterov
@@ -86,53 +87,36 @@ def run_epochs(params, optimizer: SgdOptimizer, settings: TrainSettings, rng, nu
     """The epoch loop of both trainers; returns the history, one record per epoch.
 
     An epoch steps once per `settings.batch_size` items of a permutation drawn
-    from `rng`. `batch(indices)` returns (losses, gradients), the losses in the
-    order the epoch's sum takes them; a non-finite sum stops the run before
-    its step. `end_epoch(sum)` returns the record's train and dev fields, and
-    `epoch_callback(record)` runs once the record is in the history.
+    from `rng`, a short last batch included. The learning rate decays linearly
+    to zero over the run: step s of S runs at `settings.lr * (1 - s / S)`, and
+    a record's `lr` is the one of its epoch's first step. `batch(indices)`
+    returns (losses, gradients), the losses in the order the epoch's sum takes
+    them; a non-finite sum stops the run before its step. `end_epoch(sum)`
+    returns the record's train and dev fields, and `epoch_callback(record)`
+    runs once the record is in the history.
     """
     history = []
+    total_steps = settings.epochs * math.ceil(num_items / settings.batch_size)
+    step = 0
     for epoch in range(settings.epochs):
         order = rng.permutation(num_items)
         total, norms = 0.0, []
+        first_step = step
         for start in range(0, num_items, settings.batch_size):
             losses, grads = batch(order[start : start + settings.batch_size])
             for loss in losses:
                 total += loss
             if not np.isfinite(total):
                 raise TrainingDivergenceError(f"non-finite loss at epoch {epoch}")
+            optimizer.lr = settings.lr * (1.0 - step / total_steps)
             norms.append(optimizer.step(params, grads))
+            step += 1
             del grads  # freed before the next batch runs: lower peak memory
-        lr = optimizer.lr  # the one the epoch ran at, before end_epoch's schedule
         train, dev = end_epoch(total)
-        record = {"epoch": epoch, "lr": lr, **train, "grad_norm": float(np.mean(norms)),
+        record = {"epoch": epoch, "lr": settings.lr * (1.0 - first_step / total_steps), **train,
+                  "grad_norm": float(np.mean(norms)),
                   "clip_frac": float(np.mean(np.asarray(norms) > settings.clip)), **dev}
         history.append(record)
         if epoch_callback is not None:
             epoch_callback(record)
     return history
-
-
-PLATEAU_FACTOR = 0.5  # lr multiplier once the loss has stalled
-PLATEAU_PATIENCE = 2  # stale updates tolerated before the cut
-MIN_LR = 1e-6  # the cuts stop here
-
-
-class PlateauScheduler:
-    """Halve the learning rate when validation loss stops improving."""
-
-    def __init__(self, optimizer: SgdOptimizer):
-        self.optimizer = optimizer
-        self.best = np.inf
-        self.stale = 0
-
-    def update(self, validation_loss: float) -> float:
-        if validation_loss < self.best - 1e-12:
-            self.best = validation_loss
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale > PLATEAU_PATIENCE:
-                self.optimizer.lr = max(self.optimizer.lr * PLATEAU_FACTOR, MIN_LR)
-                self.stale = 0
-        return self.optimizer.lr

@@ -18,7 +18,7 @@ from .frontend import (FRONTENDS, FrontendConfig, LearnableFrontend, MelFrontend
 from .gcnn import GcnnConfig, GcnnLm
 from .lm import ContextLimitedLM, Vocabulary, perplexity
 from .metrics import EvalReport
-from .optim import PlateauScheduler, SgdOptimizer, TrainSettings, run_epochs
+from .optim import SgdOptimizer, TrainSettings, run_epochs
 from .synth import DatasetManifest, normalize_transcript, transcript_letters
 from .util import check_params, from_fields
 
@@ -99,8 +99,9 @@ def train_acoustic(
     """Joint training of front-end (if it has parameters), network, and transitions.
 
     Returns (SpeechSystem, history). The epochs run in `optim.run_epochs`; each
-    record adds the mean `train_loss`, the count of infeasible transcripts
-    skipped, and with a dev manifest the mean `dev_loss`, to the loop's fields.
+    record adds the mean `train_loss` and the count of infeasible transcripts
+    `skipped` to the loop's fields, and with a dev manifest the mean
+    `dev_loss` and the count of infeasible dev transcripts `dev_skipped`.
     """
     if frontend_kind not in FRONTENDS:
         raise ConfigurationError(f"unknown front-end kind {frontend_kind!r}")
@@ -115,14 +116,13 @@ def train_acoustic(
 
     dev_items = None
     if dev_manifest is not None:  # first: a dev set that cannot be used costs no training audio
-        dev_items, _ = _load_training_items(dev_manifest, lexicon, alphabet, fcfg, sample_rate,
-                                            "dev")
+        dev_items, dev_skipped = _load_training_items(dev_manifest, lexicon, alphabet, fcfg,
+                                                      sample_rate, "dev")
     train_items, skipped = _load_training_items(train_manifest, lexicon, alphabet, fcfg,
                                                 sample_rate, "training")
 
     params = system.arrays()
     optimizer = SgdOptimizer(settings)
-    scheduler = PlateauScheduler(optimizer)
     # a front-end without parameters makes the same features every epoch
     fixed = dev_fixed = None
     if not frontend.params:
@@ -150,15 +150,13 @@ def train_acoustic(
 
     def end_epoch(loss_sum):
         train = {"train_loss": loss_sum / len(train_items), "skipped": skipped}
-        dev = {}
-        if dev_items is not None:
-            dev_sum = 0.0
-            for j, (wave, target) in enumerate(dev_items):
-                feat = frontend.forward(wave) if dev_fixed is None else dev_fixed[j]
-                dev_sum += asg_loss(model.forward(feat), transitions, target)
-            dev["dev_loss"] = dev_sum / len(dev_items)
-        scheduler.update(dev.get("dev_loss", train["train_loss"]))
-        return train, dev
+        if dev_items is None:
+            return train, {}
+        dev_sum = 0.0
+        for j, (wave, target) in enumerate(dev_items):
+            feat = frontend.forward(wave) if dev_fixed is None else dev_fixed[j]
+            dev_sum += asg_loss(model.forward(feat), transitions, target)
+        return train, {"dev_loss": dev_sum / len(dev_items), "dev_skipped": dev_skipped}
 
     history = run_epochs(params, optimizer, settings, rng, len(train_items), batch, end_epoch)
     if checkpoint_path is not None:

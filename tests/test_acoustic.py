@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from convspeech import acoustic as ac
 from convspeech.errors import ConfigurationError, DimensionError, TrainingDivergenceError
-from convspeech.optim import (PlateauScheduler, SgdOptimizer, TrainSettings, clip_gradients,
-                              global_norm)
+from convspeech.optim import (SgdOptimizer, TrainSettings, clip_gradients, global_norm,
+                              run_epochs)
 
 from oracles import finite_difference, grad_close, naive_conv1d, naive_glu
 
@@ -322,15 +322,26 @@ def test_forward_finite_on_random_inputs(frames, seed):
     assert emissions.scores.shape == (frames, 4)
 
 
-def test_plateau_scheduler_halves_resets_and_floors():
-    opt = SgdOptimizer(TrainSettings(lr=0.4))
-    scheduler = PlateauScheduler(opt)
-    assert scheduler.update(1.0) == 0.4
-    # patience 2: the third stale update in a row halves the rate
-    assert [scheduler.update(1.0) for _ in range(3)] == [0.4, 0.4, 0.2]
-    assert scheduler.update(2.0) == 0.2
-    # an improvement resets the stale count
-    assert scheduler.update(0.5) == 0.2
-    assert [scheduler.update(0.5) for _ in range(3)] == [0.2, 0.2, 0.1]
-    opt.lr = 1.5e-6
-    assert [scheduler.update(0.5) for _ in range(6)][2::3] == [1e-6, 1e-6]
+def test_run_epochs_decays_the_learning_rate_linearly_to_zero():
+    # 5 items in batches of 2 for 2 epochs: 6 steps, the short last batches included
+    lrs = []
+
+    class RecordingSgd(SgdOptimizer):
+        def step(self, params, grads):
+            lrs.append(self.lr)
+            return super().step(params, grads)
+
+    def batch(indices):
+        return [1.0] * len(indices), {"w": np.ones(1)}
+
+    def run(epochs):
+        settings = TrainSettings(epochs=epochs, lr=0.3, batch_size=2)
+        return run_epochs({"w": np.zeros(1)}, RecordingSgd(settings), settings,
+                          np.random.default_rng(0), 5, batch,
+                          lambda total: ({"train_loss": total / 5}, {}))
+
+    history = run(2)
+    assert lrs == [0.3 * (1.0 - s / 6) for s in range(6)]
+    assert [record["lr"] for record in history] == [0.3, 0.15]
+    lrs.clear()
+    assert run(0) == [] and lrs == []

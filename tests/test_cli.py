@@ -479,6 +479,42 @@ def test_unwritable_output_paths_are_refused_before_any_work(workspace, tmp_path
     assert sorted(tmp_path.rglob("*")) == before  # no checkpoint, CSV or report
 
 
+@pytest.mark.parametrize("command, flag", [("train-am", "--loss-curve"),
+                                           ("train-lm", "--history")])
+def test_epochs_0_with_a_history_file_is_an_error_line(tmp_path, capsys, command, flag):
+    # no epoch, no record: refused before the (here missing) manifest or corpus is read
+    missing = str(tmp_path / "missing")
+    inputs = (["--manifest", missing, "--task", missing] if command == "train-am"
+              else ["--corpus", missing])
+    out = tmp_path / "history.csv"
+    rc = main([command, *inputs, "--epochs", "0", "--checkpoint", str(tmp_path / "m.ckpt"),
+               flag, str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} {out}: --epochs 0 leaves no history to write\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_am_counts_the_dev_utterances_too_long_for_their_audio(workspace, tmp_path,
+                                                                     capsys):
+    entries = synth.load_manifest(workspace / "dev.jsonl").entries[:2]
+    entries[1] = synth.ManifestEntry("long", entries[1].audio, " ".join(["abc"] * 40))
+    dev = tmp_path / "dev.jsonl"
+    synth.save_manifest(dev, synth.DatasetManifest(entries))
+    curve = tmp_path / "loss.csv"
+    rc = main(["train-am", "--manifest", str(workspace / "train.jsonl"),
+               "--dev-manifest", str(dev), "--task", str(workspace / "task.json"),
+               "--filters", "4", "--epochs", "1", "--checkpoint", str(tmp_path / "am.ckpt"),
+               "--loss-curve", str(curve)])
+    assert rc == 0
+    assert ("1 dev utterances have transcripts too long for their audio and are left out "
+            "of the dev loss") in capsys.readouterr().out.splitlines()
+    rows = list(csv.DictReader(curve.open()))
+    assert list(rows[0]) == ["epoch", "lr", "train_loss", "skipped", "grad_norm", "clip_frac",
+                             "dev_loss", "dev_skipped"]
+    assert rows[0]["dev_skipped"] == "1"
+
+
 def test_empty_validation_sets_are_error_lines(workspace, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

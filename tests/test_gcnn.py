@@ -302,6 +302,7 @@ def test_history_records_grad_norm_and_clip_rate():
         assert np.isfinite(record["grad_norm"]) and record["grad_norm"] > 1e-6
     assert [r["clip_frac"] for r in tight] == [1.0, 1.0]
     assert [r["clip_frac"] for r in loose] == [0.0, 0.0]
+    assert [r["lr"] for r in tight] == [0.1, 0.05]  # 2 of 4 steps taken: half the rate left
     assert history(1e-9) == tight  # deterministic, so runs compare as wholes
 
 

@@ -126,6 +126,24 @@ def test_infeasible_transcripts_are_skipped(tiny_task, tmp_path):
     assert history[0]["skipped"] == 1
 
 
+def test_infeasible_dev_transcripts_are_counted(tiny_task):
+    spec, manifests, _ = tiny_task
+    entries = manifests["dev"].entries[:2]
+
+    def dev_fields(dev_entries):
+        _, history = pipeline.train_acoustic(
+            manifests["train"], spec.lexicon, spec.alphabet,
+            frontend_config=FrontendConfig(num_filters=4),
+            dev_manifest=synth.DatasetManifest(dev_entries),
+            settings=pipeline.TrainSettings(epochs=1, lr=0.1, batch_size=2, seed=0),
+        )
+        return history[0]["dev_loss"], history[0]["dev_skipped"]
+
+    too_long = synth.ManifestEntry("long", entries[1].audio, " ".join(["abc"] * 40))
+    assert dev_fields([entries[0], too_long]) == (dev_fields([entries[0]])[0], 1)
+    assert dev_fields(entries)[1] == 0
+
+
 def test_mel_frontend_training_runs(tiny_mel_system, tmp_path):
     system, history = tiny_mel_system
     assert history[-1]["train_loss"] < history[0]["train_loss"]
