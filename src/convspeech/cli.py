@@ -219,9 +219,11 @@ def cmd_train_am(args):
         print(f"epoch {record['epoch']:3d}  loss {record['train_loss']:8.3f}{dev_part}"
               f"  lr {record['lr']:.4f}  grad norm {record['grad_norm']:.3f}"
               f"  clipped {record['clip_frac']:.0%}")
-    if history and history[0].get("dev_skipped"):
-        print(f"{history[0]['dev_skipped']} dev utterances have transcripts too long for "
-              "their audio and are left out of the dev loss")
+    for key, split, use in (("skipped", "training", "training"),
+                            ("dev_skipped", "dev", "the dev loss")):
+        if history and history[0].get(key):
+            print(f"{history[0][key]} {split} utterances have transcripts too long for "
+                  f"their audio and are left out of {use}")
     print(f"checkpoint written to {args.checkpoint}")
 
 

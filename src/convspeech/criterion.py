@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .acoustic import EmissionTable
-from .errors import ConfigurationError, DomainError, InfeasibleAlignmentError, VocabularyError
-from .util import NEG_INF, logsumexp
+from .errors import (ConfigurationError, DimensionError, DomainError, InfeasibleAlignmentError,
+                     VocabularyError)
 
 
 @dataclass(frozen=True)
@@ -81,50 +81,43 @@ def encode_target(alphabet: Alphabet, letters: Sequence[str]) -> np.ndarray:
 
 def as_scores(emissions, g) -> tuple[np.ndarray, np.ndarray]:
     """The (T, |A|) score array of an EmissionTable or array-like, and the
-    transitions `g` as a float array. Raises DomainError on a NaN or +inf
-    score: -inf forbids a letter or a transition, but NaN and +inf have no
-    meaning in a path's sum."""
+    (|A|, |A|) transitions `g` as a float array. Raises DimensionError on other
+    shapes, and DomainError on a NaN or +inf score: -inf forbids a letter or a
+    transition, but NaN and +inf have no meaning in a path's sum."""
     if isinstance(emissions, EmissionTable):
         emissions = emissions.scores
     f = np.asarray(emissions, dtype=np.float64)
     gmat = np.asarray(g, dtype=np.float64)
+    if f.ndim != 2 or gmat.shape != (f.shape[1], f.shape[1]):
+        raise DimensionError(f"emissions {f.shape} and transitions {gmat.shape} do not fit: "
+                             "expected (frames, |A|) and (|A|, |A|)")
     if not ((f < np.inf).all() and (gmat < np.inf).all()):
         raise DomainError("emissions or transitions contain NaN or +inf")
     return f, gmat
-
-
-_FLOOR = np.finfo(np.float64).min  # shifts an all -inf column without making NaN
 
 
 def _full_passes(f, g):
     """(alpha, beta) over the unconstrained graph, where any letter follows any
     letter and every letter may end a path.
 
-    Frame t of alpha and frame T-1-t of beta are log-sum-exps down the columns
-    of one (2, |A|, |A|) slab: `heads[t-1]` (alpha[t-1] and f[u] + beta[u] for
-    u = T-t) as columns, plus g and g.T. So each frame is 8 numpy calls; the
-    column maxima start from a finite floor, so a column of -inf gives
-    exp(-inf - floor) = 0 and log 0 = -inf. Frame t's log-sum-exps go to row t
-    of `lse`, and beta is a reversed view of their second slab.
+    Frame t of alpha and frame T-1-t of beta are log-adds down the columns of
+    one (2, |A|, |A|) slab: `heads[t-1]` (alpha[t-1] and f[u] + beta[u] for
+    u = T-t) as columns, plus g and g.T. So each frame is 3 numpy calls, and
+    logaddexp keeps a column of -inf at exactly -inf. Frame t's log-adds go to
+    row t of `lse`, and beta is a reversed view of their second slab.
     """
     t_total, s = f.shape
     heads = np.empty((t_total, 2, s))
     emit = np.stack([f, f[::-1]], axis=1)  # what frame t adds to each slab's result
-    lse = np.zeros((t_total, 2, 1, s))  # per frame, slab and column; row 0 holds beta[T-1]
+    lse = np.zeros((t_total, 2, s))  # per frame, slab and column; row 0 holds beta[T-1]
     heads[0] = f[0], f[-1] + 0.0  # alpha[0], and f[T-1] + beta[T-1]
     arcs = np.stack([g, g.T])
     slabs = np.empty((2, s, s))
-    floor = np.empty((2, 1, s))
-    with np.errstate(divide="ignore"):
-        for column, row, em, head in zip(heads[:-1, :, :, None], lse[1:], emit[1:], heads[1:]):
-            np.add(column, arcs, out=slabs)
-            np.maximum.reduce(slabs, axis=1, out=floor, keepdims=True, initial=_FLOOR)
-            slabs -= floor
-            np.add.reduce(np.exp(slabs, out=slabs), axis=1, out=row, keepdims=True)
-            np.log(row, out=row)
-            row += floor
-            np.add(em, row[:, 0], out=head)
-    return heads[:, 0], lse[::-1, 1, 0]
+    for column, row, em, head in zip(heads[:-1, :, :, None], lse[1:], emit[1:], heads[1:]):
+        np.add(column, arcs, out=slabs)
+        np.logaddexp.reduce(slabs, axis=1, out=row)
+        np.add(em, row, out=head)
+    return heads[:, 0], lse[::-1, 1]
 
 
 def _check_feasible(target: np.ndarray, num_frames: int):
@@ -152,11 +145,11 @@ def _target_passes(em, stay, advance):
     never -0.0). `sums` keeps each row before its emissions.
     """
     t_total, s = em.shape
-    sums = np.full((t_total, 2 * s), NEG_INF)
-    heads = np.full((t_total, 2 * s), NEG_INF)
+    sums = np.full((t_total, 2 * s), -np.inf)
+    heads = np.full((t_total, 2 * s), -np.inf)
     heads[0, 0] = em[0, 0]
     stays = np.concatenate([stay, stay[::-1]])
-    advances = np.concatenate([advance, [NEG_INF], advance[::-1]])
+    advances = np.concatenate([advance, [-np.inf], advance[::-1]])
     emit = np.concatenate([em, em[::-1, ::-1]], axis=1)
     sums[0, s : s + 1] = 0.0  # beta[T-1]: only the last state ends a path
     np.add(sums[0, s:], emit[0, s:], out=heads[0, s:])
@@ -170,6 +163,21 @@ def _target_passes(em, stay, advance):
     return heads[:, :s], sums[::-1, s:][:, ::-1]
 
 
+def _inputs(emissions, g, target):
+    """`as_scores` of the emissions and transitions, and `target` as an array;
+    raises DimensionError on zero frames or a target letter outside the
+    alphabet."""
+    f, gmat = as_scores(emissions, g)
+    if not len(f):
+        raise DimensionError(f"emissions {f.shape} have no frames")
+    if target is not None:
+        target = np.asarray(target)
+        if target.ndim != 1 or not ((0 <= target) & (target < f.shape[1])).all():
+            raise DimensionError(
+                f"target is not a 1-d sequence of letters 0 .. {f.shape[1] - 1}")
+    return f, gmat, target
+
+
 def forward_score(emissions, g, target: np.ndarray | None = None) -> float:
     """log-sum-exp over all paths of per-frame emission + transition sums.
 
@@ -178,19 +186,21 @@ def forward_score(emissions, g, target: np.ndarray | None = None) -> float:
     where each frame stays on the current target letter or advances to the
     next. The first frame contributes its emission only; transitions apply
     from the second frame on. Returns -inf when the target has more letters
-    than there are frames; raises InfeasibleAlignmentError for an empty target
-    and DomainError on a NaN or +inf score.
+    than there are frames; raises InfeasibleAlignmentError for an empty
+    target, DimensionError on mis-shaped scores, zero frames or a letter
+    outside the alphabet, and DomainError on a NaN or +inf score.
     """
-    f, gmat = as_scores(emissions, g)
+    f, gmat, target = _inputs(emissions, g, target)
     if target is None:
-        return float(logsumexp(_full_passes(f, gmat)[0][-1]))
+        return float(np.logaddexp.reduce(_full_passes(f, gmat)[0][-1]))
     return float(_target_passes(*_target_tables(f, gmat, target))[0][-1, -1])
 
 
 def asg_loss(emissions, g, target: np.ndarray) -> float:
     """Unconstrained minus target-constrained graph score; always >= 0.
-    Raises DomainError on a NaN or +inf score."""
-    f, gmat = as_scores(emissions, g)
+    Raises as `forward_score` does, and InfeasibleAlignmentError when the
+    target has more letters than there are frames."""
+    f, gmat, target = _inputs(emissions, g, target)
     _check_feasible(target, f.shape[0])
     return forward_score(f, gmat) - forward_score(f, gmat, target)
 
@@ -199,7 +209,7 @@ def _full_marginals(f, gmat):
     """Unconstrained graph: letter marginals (T, |A|), transition marginals
     (|A|, |A|) and the log partition."""
     alpha, beta = _full_passes(f, gmat)
-    z = logsumexp(alpha[-1])
+    z = np.logaddexp.reduce(alpha[-1])
     log_edges = alpha[:-1, :, None] + gmat + (f[1:] + beta[1:])[:, None, :]
     log_edges -= z
     trans_marg = np.exp(log_edges, out=log_edges).sum(axis=0)
@@ -229,8 +239,8 @@ def asg_loss_and_gradients(emissions, g, target: np.ndarray):
     The emission gradient at frame t is the difference between the posterior
     letter marginals of the unconstrained and constrained graphs; the
     transition gradient is the analogous difference of expected edge counts.
-    Raises DomainError on a NaN or +inf score."""
-    f, gmat = as_scores(emissions, g)
+    Raises as `asg_loss` does."""
+    f, gmat, target = _inputs(emissions, g, target)
     _check_feasible(target, f.shape[0])
     full_letter, full_trans, z_full = _full_marginals(f, gmat)
     con_letter, con_trans, z_con = _target_marginals(f, gmat, target)

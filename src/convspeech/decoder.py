@@ -215,9 +215,11 @@ def merge_hypotheses(beam: Beam, opts: DecoderOptions, key: np.ndarray) -> np.nd
 
     Returns the index of each group's representative, the first member with
     the highest total, in order of each group's first appearance, and writes
-    the group's pooled accumulator into `beam.acc` at it: the log-add of the
-    members' accumulators, or the max in "max" mode. numpy sorts a 16-bit
-    `key` by radix and a wider one by timsort; both group alike.
+    the group's pooled accumulator into `beam.acc` at it: the members'
+    accumulators reduced by `np.logaddexp`, or by `np.maximum` in "max" mode;
+    both give a -inf member no weight and keep an all -inf group at -inf.
+    numpy sorts a 16-bit `key` by radix and a wider one by timsort; both
+    group alike.
     """
     size = len(beam)
     if opts.merge_mode == "off" or size < 2:
@@ -236,13 +238,7 @@ def merge_hypotheses(beam: Beam, opts: DecoderOptions, key: np.ndarray) -> np.nd
     best = totals == np.maximum.reduceat(totals, first)[group]
     winners = np.minimum.reduceat(np.where(best, np.arange(size), size), first)
     acc = beam.acc[order]
-    pooled = np.maximum.reduceat(acc, first)
-    if opts.merge_mode == "logadd":  # as util.logsumexp, one group at a time
-        with np.errstate(invalid="ignore"):
-            summed = np.log(np.add.reduceat(np.exp(acc - pooled[group]), first)) + pooled
-        # an infinite peak gives nan above (inf - inf); the pool is then the peak,
-        # and otherwise summed >= peak, since the peak's own term is exp(0) = 1
-        pooled = np.fmax(summed, pooled)
+    pooled = (np.logaddexp if opts.merge_mode == "logadd" else np.maximum).reduceat(acc, first)
     representatives = order[winners]
     beam.acc[representatives] = pooled
     return representatives[order[first].argsort()]
@@ -363,7 +359,7 @@ def _search(emissions, g, trie: LexiconTrie, memo: _LmMemo, opts: DecoderOptions
     """`decode` with the LM lookups of `memo`."""
     f, gmat = as_scores(emissions, g)
     size = len(trie.alphabet)
-    if f.ndim != 2 or f.shape[1] != size or gmat.shape != (size, size):
+    if f.shape[1] != size:
         raise DimensionError(
             f"emissions {f.shape} and transitions {gmat.shape} do not fit an alphabet of "
             f"{size} letters: expected (frames, {size}) and ({size}, {size})")

@@ -1,4 +1,4 @@
-"""Small numeric helpers."""
+"""Checks of parameter arrays and config entries."""
 
 from __future__ import annotations
 
@@ -7,22 +7,6 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import ConfigurationError
-
-NEG_INF = float("-inf")
-
-
-def logsumexp(values: np.ndarray, axis=None):
-    """Stable log-sum-exp that tolerates -inf entries (empty sums stay -inf)."""
-    values = np.asarray(values, dtype=np.float64)
-    peak = np.max(values, axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(values - safe), axis=axis)) + np.squeeze(safe, axis=axis)
-    collapsed = np.squeeze(peak, axis=axis)
-    out = np.where(np.isfinite(collapsed), out, collapsed)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def check_params(params: dict, shapes: dict[str, tuple], owner: str):

@@ -130,6 +130,55 @@ def brute_force_graph_marginals(emissions, transitions, target=None):
     return log_z, letter_marg, trans_marg
 
 
+def _long_logsumexp(x, axis):
+    """log-sum-exp along `axis` in x's dtype; a slice of -inf gives -inf."""
+    peak = np.max(x, axis=axis, keepdims=True)
+    shift = np.where(np.isneginf(peak), 0, peak)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(shift, axis) + np.log(np.sum(np.exp(x - shift), axis=axis))
+
+
+def long_double_graph_marginals(emissions, transitions, target=None):
+    """What brute_force_graph_marginals returns, by a forward-backward over
+    the graph's states in np.longdouble, for inputs too long to enumerate. A
+    state is a letter of the unconstrained graph, or a target position, which
+    stays or advances by one."""
+    f = np.asarray(emissions, dtype=np.longdouble)
+    g = np.asarray(transitions, dtype=np.longdouble)
+    T, A = f.shape
+    if target is None:
+        labels = np.arange(A)
+        arcs = g
+        start = end = np.zeros(A, dtype=np.longdouble)
+    else:
+        labels = np.asarray(target)
+        S = len(labels)
+        arcs = np.full((S, S), NEG_INF, dtype=np.longdouble)
+        for s in range(S):
+            arcs[s, s] = g[labels[s], labels[s]]
+            if s + 1 < S:
+                arcs[s, s + 1] = g[labels[s], labels[s + 1]]
+        start = np.full(S, NEG_INF, dtype=np.longdouble)
+        end = start.copy()
+        start[0] = end[-1] = 0
+    em = f[:, labels]
+    alpha = np.empty(em.shape, dtype=np.longdouble)
+    beta = np.empty(em.shape, dtype=np.longdouble)
+    alpha[0] = start + em[0]
+    for t in range(1, T):
+        alpha[t] = em[t] + _long_logsumexp(alpha[t - 1][:, None] + arcs, axis=0)
+    beta[-1] = end
+    for t in range(T - 2, -1, -1):
+        beta[t] = _long_logsumexp(arcs + em[t + 1] + beta[t + 1], axis=1)
+    log_z = _long_logsumexp(alpha[-1] + end, axis=0)
+    letter_marg = np.zeros((T, A), dtype=np.longdouble)
+    np.add.at(letter_marg, (slice(None), labels), np.exp(alpha + beta - log_z))
+    edges = np.exp(alpha[:-1, :, None] + arcs + (em[1:] + beta[1:])[:, None, :] - log_z)
+    trans_marg = np.zeros((A, A), dtype=np.longdouble)
+    np.add.at(trans_marg, (labels[:, None], labels[None, :]), edges.sum(axis=0))
+    return log_z, letter_marg, trans_marg
+
+
 def finite_difference(loss_fn, arrays, step=1e-5):
     """Central finite differences of a scalar loss over a dict of arrays.
 

@@ -515,6 +515,24 @@ def test_train_am_counts_the_dev_utterances_too_long_for_their_audio(workspace, 
     assert rows[0]["dev_skipped"] == "1"
 
 
+def test_train_am_counts_the_training_utterances_too_long_for_their_audio(workspace, tmp_path,
+                                                                          capsys):
+    entries = synth.load_manifest(workspace / "train.jsonl").entries[:3]
+    entries[0] = synth.ManifestEntry("long", entries[0].audio, " ".join(["abc"] * 40))
+    train = tmp_path / "train.jsonl"
+    synth.save_manifest(train, synth.DatasetManifest(entries))
+    curve = tmp_path / "loss.csv"
+    rc = main(["train-am", "--manifest", str(train), "--task", str(workspace / "task.json"),
+               "--filters", "4", "--epochs", "1", "--checkpoint", str(tmp_path / "am.ckpt"),
+               "--loss-curve", str(curve)])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert ("1 training utterances have transcripts too long for their audio and are left "
+            "out of training") in out
+    assert not any("dev utterances" in line for line in out)
+    assert list(csv.DictReader(curve.open()))[0]["skipped"] == "1"
+
+
 def test_empty_validation_sets_are_error_lines(workspace, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

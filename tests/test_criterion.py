@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from convspeech import criterion as cr
 from convspeech.acoustic import AcousticModel, AcousticModelConfig, ConvLayerSpec
-from convspeech.errors import (ConfigurationError, DomainError, InfeasibleAlignmentError,
-                               VocabularyError)
+from convspeech.errors import (ConfigurationError, DimensionError, DomainError,
+                               InfeasibleAlignmentError, VocabularyError)
 from convspeech.pipeline import small_model_config
 
 from oracles import (
@@ -22,6 +22,7 @@ from oracles import (
     finite_difference,
     grad_close,
     logsumexp as lse,
+    long_double_graph_marginals,
 )
 
 AB = cr.Alphabet(("a", "b", "c", "|", "2"))
@@ -313,6 +314,25 @@ def test_nan_and_pos_inf_scores_are_rejected(value, where, band):
             call()
 
 
+
+_SEVEN = np.zeros((7, 7))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cr.forward_score(np.zeros((0, 7)), _SEVEN),
+    lambda: cr.forward_score(np.zeros((0, 7)), _SEVEN, np.array([0])),
+    lambda: cr.forward_score(_SEVEN, np.zeros((6, 6))),
+    lambda: cr.asg_loss_and_gradients(_SEVEN, np.zeros((6, 6)), np.array([0, 1])),
+    lambda: cr.asg_loss(_SEVEN, _SEVEN, np.array([0, 9])),
+    lambda: cr.asg_loss(np.zeros(7), _SEVEN, np.array([0])),
+], ids=["no_frames", "no_frames_target", "transitions_6", "gradients_transitions_6",
+        "letter_9", "one_dim_emissions"])
+def test_misshapen_inputs_raise_dimension_error(call):
+    # zero frames, transitions that do not fit the emissions' letters, a
+    # target letter outside the alphabet and emissions that are not (T, |A|)
+    with pytest.raises(DimensionError):
+        call()
+
 GOLDEN = Path(__file__).with_name("criterion_golden.json")
 
 
@@ -399,6 +419,34 @@ def test_criterion_outputs_match_golden_file():
             assert x.shape == y.shape, (case, name)
             assert np.all((x == y) | (np.abs(x - y) <= 1e-12 * np.abs(y))), (case, name)
 
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here, so it is no reference")
+def test_criterion_matches_a_long_double_forward_backward():
+    # the golden inputs (T up to 98, -inf emissions and transitions) against
+    # the same sums in extended precision: the float64 loss to 1e-14
+    # relative, the emission gradient (marginal differences, each within
+    # [-1, 1]) to 1e-12 absolute, and the transition gradient (differences of
+    # counts summed over frames) to 1e-12 of its largest entry. First the
+    # reference itself, against enumeration on a small graph.
+    rng = np.random.default_rng(45)
+    emissions, transitions = random_instance(rng, 5, 4)
+    transitions[3, :] = -np.inf
+    for target in (None, [0, 1, 0]):
+        got = long_double_graph_marginals(emissions, transitions, target)
+        want = brute_force_graph_marginals(emissions, transitions, target)
+        assert all(np.max(np.abs(np.float64(x) - y)) <= 1e-12 for x, y in zip(got, want))
+    for case, (emissions, transitions, target) in enumerate(_golden_cases()):
+        z_full, full_letter, full_trans = long_double_graph_marginals(emissions, transitions)
+        z_con, con_letter, con_trans = long_double_graph_marginals(emissions, transitions,
+                                                                   target)
+        loss, d_em, d_g = cr.asg_loss_and_gradients(emissions, transitions, target)
+        want = float(z_full - z_con)
+        assert abs(loss - want) <= 1e-14 * want, case
+        assert abs(cr.asg_loss(emissions, transitions, target) - want) <= 1e-14 * want, case
+        assert np.max(np.abs(d_em - (full_letter - con_letter))) <= 1e-12, case
+        assert _rel_err(d_g, full_trans - con_trans) <= 1e-12, case
 
 if __name__ == "__main__":
     GOLDEN.write_text("[\n" + ",\n".join(json.dumps(row) for row in _golden_rows()) + "\n]\n")
