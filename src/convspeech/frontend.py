@@ -5,15 +5,18 @@ complex filterbank (squared modulus taken after convolution), a fixed squared
 Hanning low-pass with decimation, log compression, and per-channel instance
 normalization. Its filterbank correlations, forward and backward, run by
 overlap-save blocks of one FFT length, block_length(n, W): the signal's own
-FFT length while that is short, else that of BLOCK_WIDTHS filter widths. A
-fixed log-mel pipeline with identical frame geometry is provided as a
-baseline, plus power-spectrum analysis of learned filters.
+FFT length while that is short, else that of BLOCK_WIDTHS filter widths. Its
+low-pass and the low-pass's adjoint are matrix products over stride-long
+phases of the window, which BLAS runs. A fixed log-mel pipeline with
+identical frame geometry is provided as a baseline, plus power-spectrum
+analysis of learned filters.
 Both share one interface (`kind`, the constructor, `param_shapes`, `forward`
 and `backward`), and `FRONTENDS` maps each kind to its class.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,18 +186,36 @@ def correlate_blocks(signal: np.ndarray, bank: np.ndarray, length: int, width: i
 
 
 def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.ndarray:
-    """Windowed sums every `stride` steps: out[f, n] = sum_w window[w] * power[f, n*stride + w]."""
+    """Windowed sums every `stride` steps: out[f, n] = sum_w window[w] * power[f, n*stride + w].
+
+    Tap w = j*stride + r of frame n reads position (n + j)*stride + r, so the
+    sum is one matrix-vector product per phase j: frames by the phase's
+    window taps over a (rows, frames, taps) view of the rows. Each view's
+    frames lie `stride` apart with unit-strided taps, a layout BLAS takes, and
+    no view reads past the last frame's window.
+    """
     power = np.asarray(power, dtype=np.float64)
     width = window.shape[0]
-    t_conv = power.shape[1]
+    rows, t_conv = power.shape
     if t_conv < width:
         raise InsufficientInputError(
             f"{t_conv} convolution outputs cannot fill one {width}-tap low-pass window"
         )
     t_out = (t_conv - width) // stride + 1
-    rows, step = power.strides
-    shape = (power.shape[0], t_out, width)
-    return np.lib.stride_tricks.as_strided(power, shape, (rows, stride * step, step)) @ window
+    row_step, step = power.strides
+    out = np.zeros((rows, t_out))
+    for start in range(0, width, stride):
+        taps = window[start : start + stride]
+        frames = np.lib.stride_tricks.as_strided(
+            power[:, start:], (rows, t_out, taps.size), (row_step, stride * step, step))
+        out += frames @ taps
+    return out
+
+
+def _adjoint_blocks(t_out: int, width: int, stride: int, length: int) -> int:
+    """Stride-long blocks in a row of lowpass_transpose's output: enough for
+    every tap of the t_out frames of a `width`-tap window, and `length` columns."""
+    return max(t_out - 1 + -(-width // stride), -(-length // stride))
 
 
 def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
@@ -202,32 +223,25 @@ def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
     """Adjoint of lowpass_decimate: out[f, n*stride + w] += window[w] * grad[f, n].
 
     Tap w = j*stride + r of frame n lands on position (n + j)*stride + r, so
-    the scatter is one vectorised step per phase j. The last phase goes first
-    and writes its blocks of `stride` positions; each earlier phase writes the
-    one block that no later phase reached and adds into the rest. So every
-    position sums its terms in the order of a loop over frames, and the result
-    equals that loop adding into zeros: the values are bit-identical, but a
-    zero may carry the other sign, since the loop's first add turns -0.0 into
-    +0.0. Only the blocks past every phase are zero-filled. `take(size)` gives
-    a flat float64 array of at least `size` entries, whatever they hold, for
-    the output and one phase's products; the result is a view into it.
+    block b of `stride` positions is sum_j grad[f, b - j] * window[j*stride + r],
+    over the phases j and the frames b - j that exist. That is one matrix
+    product: a Toeplitz view of the gradient, zero-padded by phases - 1 frames
+    on each side, shaped (rows, blocks, phases) with its phases reversed,
+    times the window zero-padded to phases*stride taps and shaped
+    (phases, stride). Blocks past every frame's taps come out zero.
+    `take(size)` gives a flat float64 array of at least `size` entries,
+    whatever they hold, for the output; the result is a view into it.
     """
     k, t_out = grad.shape
     phases = -(-window.size // stride)
-    win = np.zeros(phases * stride)
-    win[: window.size] = window
-    last = phases - 1
-    blocks = max(t_out + last, -(-length // stride))
-    buffer = take(k * (blocks + t_out) * stride)
-    out = buffer[: k * blocks * stride].reshape(k, blocks, stride)
-    term = buffer[out.size : out.size + k * t_out * stride].reshape(k, t_out, stride)
-    out[:, t_out + last :, :] = 0.0
-    # einsum forms these outer products about twice as fast as a broadcast multiply
-    np.einsum("fn,r->fnr", grad, win[last * stride :], out=out[:, last : last + t_out, :])
-    for j in reversed(range(last)):
-        np.einsum("fn,r->fnr", grad, win[j * stride : (j + 1) * stride], out=term)
-        out[:, j, :] = term[:, 0, :]
-        out[:, j + 1 : j + t_out, :] += term[:, 1:, :]
+    blocks = _adjoint_blocks(t_out, window.size, stride, length)
+    taps = np.zeros(phases * stride)
+    taps[: window.size] = window
+    padded = np.zeros((k, blocks + phases - 1))
+    padded[:, phases - 1 : phases - 1 + t_out] = grad
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded, phases, axis=1)[:, :, ::-1]
+    out = take(k * blocks * stride)[: k * blocks * stride].reshape(k * blocks, stride)
+    np.matmul(toeplitz.reshape(-1, phases), taps.reshape(phases, stride), out=out)
     return out.reshape(k, -1)[:, :length]
 
 
@@ -239,7 +253,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def _view(work: dict, name: str, shape: tuple, dtype) -> np.ndarray:
     """A `shape` array of `dtype` over the workspace's flat float64 buffer `name`,
     replaced by a larger one when missing or too small; it holds what the buffer held."""
-    floats = int(np.prod(shape)) * np.dtype(dtype).itemsize // 8
+    floats = math.prod(shape) * np.dtype(dtype).itemsize // 8
     if name not in work or work[name].size < floats:
         work[name] = np.empty(floats)
     return work[name][:floats].view(dtype).reshape(shape)
@@ -302,10 +316,14 @@ class LearnableFrontend:
       one for the conjugated spectra of the blocks' signal gradients;
     - "product": one block's product spectrum; in `backward`, the spectrum
       of one block of the upstream rows, then the filter gradients' lags;
-    - "rows": the correlations, (2k, blocks*M + W - 1); `backward` forms the
-      upstream rows in them, then the blocks' signal gradients;
-    - "squares": with a cache, the squared correlations; in `backward`, the
-      low-pass adjoint, then one block's products and the filter gradients'
+    - "rows": the correlations, (2k, blocks*M + W - 1); without a cache the
+      forward squares them in place and sums the power into the first k;
+      `backward` forms the upstream rows in them, then the blocks' signal
+      gradients;
+    - "squares": with a cache, the power re^2 + im^2 in k rows, each long
+      enough for the low-pass adjoint, (t_out + phases - 1)*stride or more
+      with phases = ceil(lowpass width / stride); in `backward`, the adjoint
+      in the same rows, then one block's products and the filter gradients'
       spectrum.
     What a buffer held before a pass never reaches its result. A forward
     takes the spare workspace or starts an empty one. It gives it back at its
@@ -361,7 +379,9 @@ class LearnableFrontend:
         kept = self._spectrum
         if kept is not None and kept[0] == length and all(map(_same_bits, kept[1], filters)):
             return kept[2]
-        bank = np.fft.rfft(np.concatenate(filters), length, axis=1)
+        padded = np.zeros((2 * filters[0].shape[0], length))
+        np.concatenate(filters, out=padded[:, : filters[0].shape[1]])
+        bank = np.fft.rfft(padded, axis=1)  # faster than rfft(filters, length), same bits
         np.conjugate(bank, out=bank)
         self._spectrum = (length, [f.copy() for f in filters], bank)
         return bank
@@ -369,7 +389,7 @@ class LearnableFrontend:
     def forward(self, x: Waveform, want_cache: bool = False):
         """Run the full chain; returns (channels, frames) features (and a cache for backward)."""
         cfg = self.config
-        _check_input(x, cfg, self.sample_rate)
+        frames = _check_input(x, cfg, self.sample_rate)
         stride = cfg.stride(self.sample_rate)
         pre = preemphasize(x, self.params["preemphasis"]).samples
         k, width = self.params["filter_real"].shape
@@ -377,12 +397,16 @@ class LearnableFrontend:
         bank = self._bank_spectrum(length)
         work, self._spare = self._spare or {}, None
         corr = correlate_blocks(pre, bank, length, width, work)
-        if want_cache:  # backward needs the correlations
-            squares = np.square(corr, out=_view(work, "squares", corr.shape, np.float64))
+        t_conv = corr.shape[1]
+        if want_cache:  # backward needs the correlations: power goes to rows that
+            # are long enough for the low-pass adjoint that backward writes there
+            blocks = _adjoint_blocks(frames, self.lowpass_window.size, stride, t_conv)
+            power = _view(work, "squares", (k, blocks * stride), np.float64)[:, :t_conv]
+            pairs = corr.reshape(2, k, t_conv)
+            np.einsum("fkt,fkt->kt", pairs, pairs, out=power)  # the bits of re^2 + im^2
         else:  # nothing does: square in place
-            squares = np.square(corr, out=corr)
-        power = squares[:k]
-        power += squares[k:]
+            power = np.square(corr, out=corr)[:k]
+            power += corr[k:]
         pooled = lowpass_decimate(power, self.lowpass_window, stride)
         logged = log_compress(pooled, cfg.log_epsilon)
         normed = instance_normalize(logged, cfg.norm_epsilon)
@@ -444,17 +468,25 @@ class LearnableFrontend:
         rows = _view(work, "rows", (2, k, len(specs) * step + width - 1), np.float64)
         rows[:, :, :t_conv] *= d_power
         rows = rows.reshape(two_k, -1)
+        rows[:, t_conv:] = 0.0  # the last block's padding
         # complex convolution, block by block: the spectrum D of a block of
-        # the upstream rows, zero-padded to L by the rfft, conjugated in
-        # place. The filter gradients are the first W lags of the inverse
-        # transform of the sum over blocks of conj(D) times the signal
-        # block's spectrum, which the block's row of "blocks" then trades for
-        # the conjugated spectrum of the block's full convolutions sum_f d_f * K_f.
+        # the upstream rows, zero-padded to L, conjugated in place. The
+        # padding of a block that is not the last is the next block's first
+        # W - 1 columns, stashed and zeroed for its rfft, then put back. The
+        # filter gradients are the first W lags of the inverse transform of
+        # the sum over blocks of conj(D) times the signal block's spectrum,
+        # which the block's row of "blocks" then trades for the conjugated
+        # spectrum of the block's full convolutions sum_f d_f * K_f.
         d_spec = _view(work, "product", bank.shape, np.complex128)
         terms, g_spec = _view(work, "squares", (2,) + bank.shape, np.complex128)
         g_spec.fill(0.0)
+        stash = np.empty((two_k, width - 1))
         for b, start in enumerate(range(0, t_conv, step)):
-            np.fft.rfft(rows[:, start : min(start + step, t_conv)], length, axis=1, out=d_spec)
+            padding = rows[:, start + step : start + length]
+            np.copyto(stash, padding)
+            padding.fill(0.0)
+            np.fft.rfft(rows[:, start : start + length], axis=1, out=d_spec)
+            np.copyto(padding, stash)
             np.conjugate(d_spec, out=d_spec)
             g_spec += np.multiply(d_spec, specs[b], out=terms)
             # sum_f conj(D_f) * conj(K_f) = conj(spectrum of sum_f d_f * K_f)

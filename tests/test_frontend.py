@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -288,12 +289,22 @@ def test_lowpass_matches_naive():
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-10
 
 
-def test_lowpass_equals_the_window_view_product_bitwise():
-    # a row view of a wider buffer, as the front-end's power rows are
+# unit roundoff: |fl(x) - x| <= U * |x|
+U = 2.0**-53
+
+
+def test_lowpass_matches_an_fsum_reference():
+    # a row view of a wider buffer, as the front-end's power rows are; each
+    # output is a sum of 400 non-negative products, so a sum in any order of
+    # the products, formed exactly or rounded, is within (W + 2) * U of the
+    # correctly rounded sum of the rounded products that math.fsum gives
     power = np.random.default_rng(4).random((16, 15700))[:8, :15601]
     window = fe.squared_hanning(400)
-    frames = np.lib.stride_tricks.sliding_window_view(power, 400, axis=1)[:, ::160, :]
-    assert np.array_equal(fe.lowpass_decimate(power, window, 160), frames[:, :96, :] @ window)
+    got = fe.lowpass_decimate(power, window, 160)
+    assert got.shape == (8, 96)
+    want = np.array([[math.fsum(window * power[f, n * 160 : n * 160 + 400]) for n in range(96)]
+                     for f in range(8)])
+    assert np.all(np.abs(got - want) <= (400 + 2) * U * want)
 
 
 @pytest.mark.parametrize("n", [1600, 1601, 1920, 9120, 16320])
@@ -315,22 +326,85 @@ def test_block_spectra_equal_one_rfft_per_block_bitwise(n):
 
 
 @pytest.mark.parametrize("width, stride, t_conv", [(9, 3, 57), (400, 160, 15601), (8, 8, 64), (5, 7, 40)])
-def test_lowpass_transpose_bit_equal_to_scatter_loop(width, stride, t_conv):
+def test_lowpass_transpose_matches_an_fsum_reference(width, stride, t_conv):
     rng = np.random.default_rng(width + stride)
     window = fe.squared_hanning(width)
     t_out = (t_conv - width) // stride + 1
     grad = rng.normal(size=(3, t_out))
-    want = np.zeros((3, t_conv))
-    for n in range(t_out):
-        want[:, n * stride : n * stride + width] += window * grad[:, n : n + 1]
+    # the products window[w] * grad[f, n] that land on position n*stride + w:
+    # at most `phases` of them, so any sum of them, formed exactly or
+    # rounded, is within (phases + 2) * U * sum|terms| of their fsum
+    phases = -(-width // stride)
+    terms = [[[] for _ in range(t_conv)] for _ in range(3)]
+    for f in range(3):
+        for n in range(t_out):
+            for w in range(width):
+                terms[f][n * stride + w].append(window[w] * grad[f, n])
+    want = np.array([[math.fsum(t) for t in row] for row in terms])
+    bound = (phases + 2) * U * np.array([[math.fsum(map(abs, t)) for t in row] for row in terms])
     # the working buffer's stale contents, NaN included, never reach the result
-    for fill in (0.0, np.nan):
-        take = lambda size: np.full(size + 5, fill)  # noqa: E731
-        assert np.array_equal(fe.lowpass_transpose(grad, window, stride, t_conv, take), want)
+    got = [fe.lowpass_transpose(grad, window, stride, t_conv, lambda size: np.full(size + 5, fill))
+           for fill in (0.0, np.nan)]
+    assert np.array_equal(got[0], got[1])
+    assert np.all(np.abs(got[0] - want) <= bound)
     # adjoint of the forward decimation: <decimate(p), g> == <p, transpose(g)>
     p = rng.normal(size=(3, t_conv))
     lhs = (fe.lowpass_decimate(p, window, stride) * grad).sum()
     assert lhs == pytest.approx((p * want).sum(), rel=1e-12)
+
+
+def _padded_rfft_backward(front, cache, upstream):
+    """LearnableFrontend.backward step for step, but each block of upstream rows
+    is the rfft of its own lags alone, zero-padded to L by rfft(a, n)."""
+    cfg = front.config
+    normed, logged, pooled = cache["normed"], cache["logged"], cache["pooled"]
+    std = np.sqrt(logged.var(axis=1, keepdims=True) + cfg.norm_epsilon)
+    d_logged = (upstream - upstream.mean(axis=1, keepdims=True)
+                - normed * (upstream * normed).mean(axis=1, keepdims=True)) / std
+    d_pooled = 2.0 * d_logged / (pooled + cfg.log_epsilon)
+    two_k, t_conv = cache["corr"].shape
+    d_power = fe.lowpass_transpose(d_pooled, front.lowpass_window, cache["stride"], t_conv,
+                                   np.empty)
+    rows = cache["corr"] * np.concatenate([d_power, d_power])
+    bank, length = cache["bank"], cache["length"]
+    width = front.params["filter_real"].shape[1]
+    step = length - width + 1
+    pre = fe.preemphasize(fe.Waveform(cache["x"], RATE), front.params["preemphasis"]).samples
+    g_spec = np.zeros(bank.shape, np.complex128)
+    d_pre = np.zeros(-(-t_conv // step) * step + width - 1)
+    for start in range(0, t_conv, step):
+        d_spec = np.conj(np.fft.rfft(rows[:, start : start + step], length, axis=1))
+        g_spec += d_spec * np.fft.rfft(pre[start : start + length], length)
+        d_pre[start : start + length] += np.fft.irfft(np.conj((d_spec * bank).sum(axis=0)),
+                                                      length)
+    g_bank = np.fft.irfft(g_spec, length, axis=1)[:, :width]
+    d_pre = d_pre[: pre.size]
+    x = cache["x"]
+    g_pre = np.array([np.dot(d_pre[1:], x[:-1]), np.dot(d_pre, x)])
+    return {"preemphasis": g_pre, "filter_real": g_bank[: two_k // 2],
+            "filter_imag": g_bank[two_k // 2 :]}
+
+
+@pytest.mark.parametrize("n", [1600, 1601, 1920, 9120, 16320])
+def test_backward_bit_equal_to_padded_block_transforms(n):
+    # one block, one lag past it, a full block and a short one, whole blocks
+    # and a short last one: backward transforms each block at full length
+    # with the next block's first W - 1 columns zeroed for it, which must
+    # give the bits of transforming the block's own lags zero-padded
+    rng = np.random.default_rng(44)
+    front = fe.LearnableFrontend(fe.FrontendConfig(num_filters=4), RATE,
+                                 rng=np.random.default_rng(45))
+    x = fe.Waveform(0.3 * rng.normal(size=n), RATE)
+    feat, cache = front.forward(x, want_cache=True)
+    upstream = rng.normal(size=feat.shape)
+    # the bank spectrum, an rfft of the filters zero-padded to L, is one by rfft(a, n) too
+    filters = np.concatenate([front.params["filter_real"], front.params["filter_imag"]])
+    padded = np.conj(np.fft.rfft(filters, cache["length"], axis=1))
+    assert np.array_equal(cache["bank"].view(np.uint64), padded.view(np.uint64))
+    want = _padded_rfft_backward(front, dict(cache, corr=cache["corr"].copy()), upstream)
+    got = front.backward(cache, upstream)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
 
 
 def test_lowpass_too_short():
@@ -764,6 +838,24 @@ def test_warm_cached_pass_keeps_five_buffers():
     length, (real, imag), bank = front._spectrum
     assert bank.shape == (128, length // 2 + 1) and real.shape == imag.shape == (64, 400)
     assert sum(flat.nbytes for flat in front._spare.values()) + bank.nbytes <= 5.2e6
+
+
+def test_warm_cached_pass_keeps_power_rows_not_squared_correlations():
+    # 14,400 samples, 8 filters: 12 blocks of L = 1,600, t_conv = 14,001 and
+    # 86 frames, so a power row is span = (86 + 3 - 1) * 160 = 14,080 long
+    config = fe.FrontendConfig(num_filters=8)
+    front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(46))
+    x = fe.Waveform(0.3 * np.random.default_rng(47).normal(size=14400), RATE)
+    for _ in range(2):
+        feat, cache = front.forward(x, want_cache=True)
+        front.backward(cache, np.ones_like(feat))
+    k, span = config.num_filters, (86 + 3 - 1) * 160
+    assert feat.shape == (k, 86)
+    # k power rows, which the low-pass adjoint reuses; not 2k squared correlations
+    assert front._spare["squares"].nbytes <= 8 * k * span
+    # the pool's budget: rows (2k, 12 * 1,201 + 399) 1.90 MB, squares 0.90 MB,
+    # product (2k, 801) complex 0.21 MB and blocks (12, 801) complex 0.15 MB
+    assert sum(flat.nbytes for flat in front._spare.values()) <= 3.2e6
 
 
 def _fresh_pass(front, samples, upstream):
