@@ -312,8 +312,10 @@ class _LmMemo:
 def _moves(trie: LexiconTrie, beam: Beam):
     """(move id, parent index) of every move of every hypothesis, in beam order."""
     moves = trie.node_moves[beam.node]
-    real = moves >= 0
-    return moves[real], real.nonzero()[0]
+    width = moves.shape[1]
+    moves = moves.ravel()
+    real = (moves >= 0).nonzero()[0]
+    return moves[real], real // width
 
 
 def _expand(trie: LexiconTrie, memo: _LmMemo, beam: Beam, move, parent, acc) -> Beam:

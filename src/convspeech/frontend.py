@@ -252,9 +252,12 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 def _view(work: dict, name: str, shape: tuple, dtype) -> np.ndarray:
     """A `shape` array of `dtype` over the workspace's flat float64 buffer `name`,
-    replaced by a larger one when missing or too small; it holds what the buffer held."""
+    replaced by a larger one when missing or too small; it holds what the buffer held.
+    A buffer too small is dropped before its replacement is allocated, so a
+    growing workspace never holds both."""
     floats = math.prod(shape) * np.dtype(dtype).itemsize // 8
     if name not in work or work[name].size < floats:
+        work.pop(name, None)
         work[name] = np.empty(floats)
     return work[name][:floats].view(dtype).reshape(shape)
 
@@ -310,8 +313,9 @@ class LearnableFrontend:
     so no FFT of a pass is longer than L. The conjugated spectrum of the
     stacked real+imaginary bank at L is kept until L or a filter's bits change
     (_bank_spectrum). The other arrays of a pass live in the four buffers of
-    a workspace kept between passes, so a warm pass faults in no fresh pages
-    and makes no row-sized temporaries:
+    a workspace kept between passes, so a warm forward faults in no fresh
+    pages and makes no row-sized temporaries; a backward allocates afresh
+    the two buffers that its cache does not keep:
     - "blocks": the signal blocks' spectra, which `backward` trades one by
       one for the conjugated spectra of the blocks' signal gradients;
     - "product": one block's product spectrum; in `backward`, the spectrum
@@ -326,11 +330,14 @@ class LearnableFrontend:
       in the same rows, then one block's products and the filter gradients'
       spectrum.
     What a buffer held before a pass never reaches its result. A forward
-    takes the spare workspace or starts an empty one. It gives it back at its
-    end, or with a cache `backward` does, so a second forward before a
-    backward never writes into a live cache. The front-end keeps the
-    workspace given back last, unless a buffer in it is over
-    POOL_BUFFER_LIMIT bytes. One instance runs one pass at a time.
+    takes the spare workspace or starts an empty one. Without a cache it
+    gives it back at its end. With one, it drops "squares" and "product",
+    which `backward` does not read, and the cache keeps only "rows" and
+    "blocks"; `backward` makes fresh scratch buffers beside them and gives
+    the whole workspace back. So a second forward before a backward never
+    writes into a live cache. The front-end keeps the workspace given back
+    last, unless a buffer in it is over POOL_BUFFER_LIMIT bytes. One
+    instance runs one pass at a time.
     """
 
     kind = "learnable"
@@ -413,6 +420,7 @@ class LearnableFrontend:
         if not want_cache:
             self._give_back(work)
             return normed
+        del work["squares"], work["product"]  # backward reads only rows and blocks
         cache = {
             "work": work,
             "x": x.samples,

@@ -140,12 +140,13 @@ def train_acoustic(
             loss, d_em, d_g = asg_loss_and_gradients(emissions, transitions, target)
             losses.append(loss)
             am_grads, d_feat = model.backward(am_cache, d_em)
+            del am_cache  # freed before the front-end backward allocates its scratch
             for k, v in am_grads.items():
                 grads[f"am.{k}"] += v
             for k, v in frontend.backward(fe_cache, d_feat).items():
                 grads[f"fe.{k}"] += v
             grads["transitions"] += d_g
-            del fe_cache, am_cache  # freed before the next forward pass: lower peak memory
+            del fe_cache  # freed before the next forward: one utterance's caches at a time
         return losses, {k: g * (1.0 / len(indices)) for k, g in grads.items()}
 
     def end_epoch(loss_sum):

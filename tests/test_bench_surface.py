@@ -81,3 +81,26 @@ def test_trace_counts_hypotheses_of_a_decode():
     # prune keeps some of a frame's merged hypotheses, and each has a next move
     assert all(m["out"] >= p["out"] for m, p in zip(merges, prunes)), (merges, prunes)
     assert all(m["in"] >= p["out"] for m, p in zip(merges[1:frames], prunes)), (merges, prunes)
+
+
+TRAIN_MEMORY_SCRIPT = """
+import sys
+from pathlib import Path
+sys.path.insert(0, "bench")
+import bootstrap
+bootstrap.import_convspeech()
+import workloads
+workload = workloads.make("train", 1, "tiny")
+workload.setup(workloads.fresh_dir(Path(sys.argv[1])))
+print(workloads.memory_probe(workload, workloads.MEMORY_PROBE_ITEMS["train"]))
+"""
+
+
+def test_train_round_peak_allocation(tmp_path):
+    # the bench's memory probe on one train round at --size tiny, which trains
+    # on the same four utterances as the full size: front-end caches keep only
+    # what their backward reads, so the round peaks under 4.7 MB
+    done = subprocess.run([sys.executable, "-B", "-c", TRAIN_MEMORY_SCRIPT, str(tmp_path)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.splitlines()[-1]) <= 4.7

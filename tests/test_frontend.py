@@ -746,30 +746,126 @@ def test_warm_forward_allocates_less_than_one_row_stack():
     assert peak < stack
 
 
+def _traced(run):
+    """(result of run(), peak bytes that run allocated) by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_warm_cached_pass_makes_no_row_sized_temporaries():
-    # every (2k, ~n_fft) array of a cached forward and its backward lives in
-    # the workspace; what is left is single rows and (k, frames) arrays
+    # a warm cached forward allocates only single rows and (k, frames) arrays;
+    # its backward allocates afresh the scratch that the cache does not keep:
+    # k power rows of span floats, one (2k, L/2+1) complex product spectrum
+    # and the (2k, W - 1) stash, beside single rows and (k, frames) arrays
     config = fe.FrontendConfig(num_filters=8)
     front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(33))
     x = fe.Waveform(0.3 * np.random.default_rng(34).normal(size=16000), RATE)
     feat, cache = front.forward(x, want_cache=True)
     upstream = np.random.default_rng(35).normal(size=feat.shape)
     front.backward(cache, upstream)
+    (feat, cache), forward_peak = _traced(lambda: front.forward(x, want_cache=True))
+    _, backward_peak = _traced(lambda: front.backward(cache, upstream))
+    k, width, length = config.num_filters, 400, 1600
+    stack = 2 * k * fe.fft_length(x.samples.size) * 8
+    assert forward_peak < stack / 2
+    span = (feat.shape[1] + 3 - 1) * 160  # (t_out + phases - 1) * stride
+    scratch = 8 * k * span + 16 * 2 * k * (length // 2 + 1) + 8 * 2 * k * (width - 1)
+    assert backward_peak < scratch + stack / 8
+
+
+def test_one_cached_pass_stays_under_its_memory_bound():
+    # a warm cached forward plus backward at 14,400 samples and 8 filters
+    # peaks at 3.41 MB (to the nearest 10 kB) over what it started from,
+    # counting the workspace the front-end keeps between passes
+    config = fe.FrontendConfig(num_filters=8)
+    front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(46))
+    x = fe.Waveform(0.3 * np.random.default_rng(47).normal(size=14400), RATE)
+
+    def one_pass():
+        feat, cache = front.forward(x, want_cache=True)
+        front.backward(cache, np.ones_like(feat))
+
     tracemalloc.start()
     try:
-        feat, cache = front.forward(x, want_cache=True)
-        front.backward(cache, upstream)
+        one_pass()
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        one_pass()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stack = 2 * config.num_filters * fe.fft_length(x.samples.size) * 8
-    assert peak < stack / 2
+    pool = sum(flat.nbytes for flat in front._spare.values())
+    assert pool + peak - kept <= 3.415e6
 
 
-def test_stale_pool_contents_never_reach_the_results():
-    # NaN in every free buffer before each step of long-then-short passes: the
-    # spare workspace's, and before backward those of the cache's workspace
-    # but the two that hold the correlations and the signal blocks' spectra
+def test_a_live_cache_keeps_only_rows_blocks_and_frame_arrays():
+    config = fe.FrontendConfig(num_filters=8)
+    x = fe.Waveform(0.3 * np.random.default_rng(49).normal(size=14400), RATE)
+    _pass(fe.LearnableFrontend(config, RATE), x.samples, _upstream(np.random.default_rng(48),
+          x.samples.size, config))  # numpy makes and keeps its FFT plans for this L
+    front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(48))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        feat, cache = front.forward(x, want_cache=True)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    work = cache["work"]
+    assert sorted(work) == ["blocks", "rows"]
+    # the front-end itself keeps the bank spectrum and copies of the filters
+    _, copies, bank = front._spectrum
+    own = bank.nbytes + sum(c.nbytes for c in copies)
+    frame_arrays = 4 * feat.nbytes  # pooled, logged and normed, with room to spare
+    assert kept - own <= work["rows"].nbytes + work["blocks"].nbytes + frame_arrays
+    front.backward(cache, np.ones_like(feat))
+
+
+def test_a_growing_workspace_never_holds_two_generations_of_a_buffer():
+    # short, then long, without a cache: each buffer is dropped before its
+    # larger replacement is made, so the long pass peaks at its own buffers,
+    # two signal-length rows (pre-emphasis and its term) and (k, frames) arrays
+    config = fe.FrontendConfig(num_filters=8)
+    front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(50))
+    rng = np.random.default_rng(51)
+    short = fe.Waveform(0.3 * rng.normal(size=9600), RATE)
+    long = fe.Waveform(0.3 * rng.normal(size=16000), RATE)
+    tracemalloc.start()
+    try:
+        front.forward(short)
+        short_buffers = sum(flat.nbytes for flat in front._spare.values())
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        feat = front.forward(long)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    long_buffers = sum(flat.nbytes for flat in front._spare.values())
+    margin = 2 * long.samples.nbytes + 8 * feat.nbytes
+    assert margin < front._spare["rows"].nbytes / 2  # two generations of rows break the bound
+    assert peak - (before - short_buffers) <= long_buffers + margin
+
+
+class _NanEmpty:
+    """numpy, but every np.empty array is filled with NaN (complex NaN for complex dtypes)."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        out = np.empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+
+def test_stale_pool_contents_never_reach_the_results(monkeypatch):
+    # NaN in the spare workspace's buffers before each step of long-then-short
+    # passes, and in every buffer the front-end allocates afresh: the scratch a
+    # backward makes beside the cache's correlations and signal blocks' spectra
     # (the bank spectrum is kept outside the workspace); 1,600 samples are one
     # block as long as the signal, so no padding is left, and 1,920 are a full
     # block and a short one
@@ -782,18 +878,20 @@ def test_stale_pool_contents_never_reach_the_results():
         for flat in (work or {}).values():
             flat.fill(np.nan)
 
+    cases = []
     for n in (16320, 6750, 1920, 1600):
         x = fe.Waveform(0.3 * rng.normal(size=n), RATE)
         upstream = _upstream(rng, n, config)
+        fresh = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
+        cases.append((n, x, upstream, _pass(fresh, x.samples, upstream)))
+    monkeypatch.setattr(fe, "np", _NanEmpty())
+    for n, x, upstream, (want_plain, want, want_grads) in cases:
         stale(warm._spare)
         plain = warm.forward(x)
         stale(warm._spare)
         feat, cache = warm.forward(x, want_cache=True)
-        stale({name: flat for name, flat in cache["work"].items()
-               if name not in ("rows", "blocks")})
+        assert sorted(cache["work"]) == ["blocks", "rows"]
         grads = warm.backward(cache, upstream)
-        fresh = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
-        want_plain, want, want_grads = _pass(fresh, x.samples, upstream)
         assert np.array_equal(plain, want_plain) and np.array_equal(feat, want), n
         for key in want_grads:
             assert np.array_equal(grads[key], want_grads[key]), (n, key)
