@@ -50,6 +50,10 @@ def parse_config_file(path) -> list[str]:
             raise ConfigurationError(f"{path}:{no}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         key = key.replace("_", "-")
+        if not key:
+            raise ConfigurationError(f"{path}:{no}: no key before '=' in {line!r}")
+        if key == "config":
+            raise ConfigurationError(f"{path}:{no}: a config file cannot name another config file")
         if key not in _BOOL_DEFAULTS:
             args.extend(["--" + key, value])
             continue
@@ -149,7 +153,17 @@ def _load_lm(path):
 
 
 def _read_corpus(path) -> list[list[str]]:
-    return [line.split() for line in ckpt.read_text(path).splitlines() if line.strip()]
+    """One sentence of words per non-blank line. The sentence markers are the
+    LM's own, so a line that holds one is refused."""
+    sentences = []
+    for no, line in enumerate(ckpt.read_text(path).splitlines(), start=1):
+        words = line.split()
+        marker = next((w for w in words if w in (SENTENCE_BEGIN, SENTENCE_END)), None)
+        if marker:
+            raise ConfigurationError(f"{path}:{no}: {marker} is a sentence marker, not a word")
+        if words:
+            sentences.append(words)
+    return sentences
 
 
 def _write_corpus(path, sentences):
@@ -237,7 +251,7 @@ def cmd_train_lm(args):
     val = _read_corpus(args.val_corpus) if args.val_corpus else None
     if not corpus or val == []:  # train_gcnn's refusal, before --checkpoint-dir is written
         raise ConfigurationError(f"{'validation' if corpus else 'training'} corpus is empty")
-    tokens = sorted({tok for sentence in corpus for tok in sentence})
+    tokens = sorted({tok for sentence in corpus for tok in sentence} - {UNKNOWN_TOKEN})
     vocab = Vocabulary(tuple(tokens) + (SENTENCE_BEGIN, SENTENCE_END, UNKNOWN_TOKEN))
     config = GcnnConfig(num_blocks=args.blocks, embed_dim=args.embed_dim,
                         bottleneck_dim=args.bottleneck_dim,

@@ -7,7 +7,9 @@ normalization. Its filterbank correlations, forward and backward, run by
 overlap-save blocks of one FFT length, block_length(n, W): the signal's own
 FFT length while that is short, else that of BLOCK_WIDTHS filter widths. Its
 low-pass and the low-pass's adjoint are matrix products over stride-long
-phases of the window, which BLAS runs. A fixed log-mel pipeline with
+phases of the window, which BLAS runs. Only its forward without a cache
+keeps buffers between calls: the three that correlate_blocks writes. A pass
+with a cache works in arrays of its own. A fixed log-mel pipeline with
 identical frame geometry is provided as a baseline, plus power-spectrum
 analysis of learned filters.
 Both share one interface (`kind`, the constructor, `param_shapes`, `forward`
@@ -34,7 +36,7 @@ from .util import check_params
 
 DEFAULT_SAMPLE_RATE = 16000
 # A LearnableFrontend keeps no workspace with a buffer larger than this between
-# passes, so its pool retains at most four times this much; a longer pass allocates afresh.
+# passes, so its pool retains at most three times this much; a longer pass allocates afresh.
 POOL_BUFFER_LIMIT = 8 * 2**20  # bytes
 # Overlap-save blocks are fft_length of this many filter widths long (block_length).
 BLOCK_WIDTHS = 4
@@ -151,7 +153,7 @@ def block_length(n: int, width: int) -> int:
 
 
 def correlate_blocks(signal: np.ndarray, bank: np.ndarray, length: int, width: int,
-                     work: dict) -> np.ndarray:
+                     work: dict) -> tuple[np.ndarray, np.ndarray]:
     """Valid cross-correlation of one signal with a stack of `width`-tap rows, by overlap-save.
 
     out[f, t] = sum_w rows[f, w] * signal[t + w] for 0 <= t <= len(signal) - width.
@@ -164,8 +166,8 @@ def correlate_blocks(signal: np.ndarray, bank: np.ndarray, length: int, width: i
     One rfft transforms every full block, through a strided view of the
     signal; a second one the short last block, if any, zero-padded by the rfft.
     Only a block's last width - 1 columns wrap around, and the next block
-    overwrites them. The result is a view of the first lags of "rows"; the
-    blocks' spectra stay in "blocks".
+    overwrites them. Returns the views of "rows", whose first lags columns
+    are `out`, and of "blocks", which holds the blocks' spectra.
     """
     lags = signal.size - width + 1
     step = length - width + 1
@@ -182,7 +184,7 @@ def correlate_blocks(signal: np.ndarray, bank: np.ndarray, length: int, width: i
     for b, start in enumerate(range(0, lags, step)):
         np.multiply(bank, specs[b], out=product)
         np.fft.irfft(product, length, axis=1, out=out[:, start : start + length])
-    return out[:, :lags]
+    return out, specs
 
 
 def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.ndarray:
@@ -191,7 +193,7 @@ def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.n
     Tap w = j*stride + r of frame n reads position (n + j)*stride + r, so the
     sum is one matrix-vector product per phase j: frames by the phase's
     window taps over a (rows, frames, taps) view of the rows. Each view's
-    frames lie `stride` apart with unit-strided taps, a layout BLAS takes, and
+    frames lie `stride` apart with unit-strided taps, a layout BLAS accepts, and
     no view reads past the last frame's window.
     """
     power = np.asarray(power, dtype=np.float64)
@@ -212,14 +214,8 @@ def lowpass_decimate(power: np.ndarray, window: np.ndarray, stride: int) -> np.n
     return out
 
 
-def _adjoint_blocks(t_out: int, width: int, stride: int, length: int) -> int:
-    """Stride-long blocks in a row of lowpass_transpose's output: enough for
-    every tap of the t_out frames of a `width`-tap window, and `length` columns."""
-    return max(t_out - 1 + -(-width // stride), -(-length // stride))
-
-
 def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
-                      length: int, take) -> np.ndarray:
+                      length: int) -> np.ndarray:
     """Adjoint of lowpass_decimate: out[f, n*stride + w] += window[w] * grad[f, n].
 
     Tap w = j*stride + r of frame n lands on position (n + j)*stride + r, so
@@ -228,20 +224,17 @@ def lowpass_transpose(grad: np.ndarray, window: np.ndarray, stride: int,
     product: a Toeplitz view of the gradient, zero-padded by phases - 1 frames
     on each side, shaped (rows, blocks, phases) with its phases reversed,
     times the window zero-padded to phases*stride taps and shaped
-    (phases, stride). Blocks past every frame's taps come out zero.
-    `take(size)` gives a flat float64 array of at least `size` entries,
-    whatever they hold, for the output; the result is a view into it.
+    (phases, stride), over the blocks that cover `length` positions.
     """
     k, t_out = grad.shape
     phases = -(-window.size // stride)
-    blocks = _adjoint_blocks(t_out, window.size, stride, length)
+    blocks = -(-length // stride)
     taps = np.zeros(phases * stride)
     taps[: window.size] = window
     padded = np.zeros((k, blocks + phases - 1))
     padded[:, phases - 1 : phases - 1 + t_out] = grad
     toeplitz = np.lib.stride_tricks.sliding_window_view(padded, phases, axis=1)[:, :, ::-1]
-    out = take(k * blocks * stride)[: k * blocks * stride].reshape(k * blocks, stride)
-    np.matmul(toeplitz.reshape(-1, phases), taps.reshape(phases, stride), out=out)
+    out = toeplitz.reshape(-1, phases) @ taps.reshape(phases, stride)
     return out.reshape(k, -1)[:, :length]
 
 
@@ -312,32 +305,18 @@ class LearnableFrontend:
     L = block_length(n, W), M = L - W + 1 lags each (see correlate_blocks),
     so no FFT of a pass is longer than L. The conjugated spectrum of the
     stacked real+imaginary bank at L is kept until L or a filter's bits change
-    (_bank_spectrum). The other arrays of a pass live in the four buffers of
-    a workspace kept between passes, so a warm forward faults in no fresh
-    pages and makes no row-sized temporaries; a backward allocates afresh
-    the two buffers that its cache does not keep:
-    - "blocks": the signal blocks' spectra, which `backward` trades one by
-      one for the conjugated spectra of the blocks' signal gradients;
-    - "product": one block's product spectrum; in `backward`, the spectrum
-      of one block of the upstream rows, then the filter gradients' lags;
-    - "rows": the correlations, (2k, blocks*M + W - 1); without a cache the
-      forward squares them in place and sums the power into the first k;
-      `backward` forms the upstream rows in them, then the blocks' signal
-      gradients;
-    - "squares": with a cache, the power re^2 + im^2 in k rows, each long
-      enough for the low-pass adjoint, (t_out + phases - 1)*stride or more
-      with phases = ceil(lowpass width / stride); in `backward`, the adjoint
-      in the same rows, then one block's products and the filter gradients'
-      spectrum.
-    What a buffer held before a pass never reaches its result. A forward
-    takes the spare workspace or starts an empty one. Without a cache it
-    gives it back at its end. With one, it drops "squares" and "product",
-    which `backward` does not read, and the cache keeps only "rows" and
-    "blocks"; `backward` makes fresh scratch buffers beside them and gives
-    the whole workspace back. So a second forward before a backward never
-    writes into a live cache. The front-end keeps the workspace given back
-    last, unless a buffer in it is over POOL_BUFFER_LIMIT bytes. One
-    instance runs one pass at a time.
+    (_bank_spectrum). correlate_blocks writes the three buffers of a
+    workspace: "rows", the correlations, (2k, blocks*M + W - 1); "blocks",
+    the signal blocks' spectra; and "product", one block's product spectrum.
+    A forward reuses the spare workspace or starts an empty one. Without a
+    cache it forms the power in the correlation rows and gives the
+    workspace back, so a warm forward faults in no fresh pages and makes no row-sized
+    temporaries; the front-end keeps it unless a buffer in it is over
+    POOL_BUFFER_LIMIT bytes. With a cache it puts its "rows" and "blocks" in
+    the cache and drops the rest, and `backward` works in those and in
+    arrays of its own, and gives nothing back. So passes may interleave
+    without writing into a live cache, and what a buffer held before a pass
+    never reaches its result.
     """
 
     kind = "learnable"
@@ -373,11 +352,6 @@ class LearnableFrontend:
         bank = (config.num_filters, config.filter_width(sample_rate))
         return {"preemphasis": (2,), "filter_real": bank, "filter_imag": bank}
 
-    def _give_back(self, work: dict):
-        """Keep `work` as the spare workspace, unless a buffer in it is over the limit."""
-        if all(flat.nbytes <= POOL_BUFFER_LIMIT for flat in work.values()):
-            self._spare = work
-
     def _bank_spectrum(self, length: int) -> np.ndarray:
         """The conjugated rfft spectrum at `length` of the stacked real+imaginary bank,
         kept with `length` and copies of the filters, and reused while they match
@@ -396,21 +370,19 @@ class LearnableFrontend:
     def forward(self, x: Waveform, want_cache: bool = False):
         """Run the full chain; returns (channels, frames) features (and a cache for backward)."""
         cfg = self.config
-        frames = _check_input(x, cfg, self.sample_rate)
+        _check_input(x, cfg, self.sample_rate)
         stride = cfg.stride(self.sample_rate)
         pre = preemphasize(x, self.params["preemphasis"]).samples
         k, width = self.params["filter_real"].shape
         length = block_length(pre.size, width)
         bank = self._bank_spectrum(length)
         work, self._spare = self._spare or {}, None
-        corr = correlate_blocks(pre, bank, length, width, work)
-        t_conv = corr.shape[1]
-        if want_cache:  # backward needs the correlations: power goes to rows that
-            # are long enough for the low-pass adjoint that backward writes there
-            blocks = _adjoint_blocks(frames, self.lowpass_window.size, stride, t_conv)
-            power = _view(work, "squares", (k, blocks * stride), np.float64)[:, :t_conv]
+        rows, specs = correlate_blocks(pre, bank, length, width, work)
+        t_conv = pre.size - width + 1
+        corr = rows[:, :t_conv]
+        if want_cache:  # backward needs the correlations: the power gets rows of its own
             pairs = corr.reshape(2, k, t_conv)
-            np.einsum("fkt,fkt->kt", pairs, pairs, out=power)  # the bits of re^2 + im^2
+            power = np.einsum("fkt,fkt->kt", pairs, pairs)  # the bits of re^2 + im^2
         else:  # nothing does: square in place
             power = np.square(corr, out=corr)[:k]
             power += corr[k:]
@@ -418,15 +390,15 @@ class LearnableFrontend:
         logged = log_compress(pooled, cfg.log_epsilon)
         normed = instance_normalize(logged, cfg.norm_epsilon)
         if not want_cache:
-            self._give_back(work)
+            if all(flat.nbytes <= POOL_BUFFER_LIMIT for flat in work.values()):
+                self._spare = work
             return normed
-        del work["squares"], work["product"]  # backward reads only rows and blocks
         cache = {
-            "work": work,
             "x": x.samples,
             "length": length,
             "bank": bank,
-            "corr": corr,
+            "rows": rows,
+            "blocks": specs,
             "pooled": pooled,
             "logged": logged,
             "normed": normed,
@@ -439,9 +411,9 @@ class LearnableFrontend:
 
         The fixed low-pass window gets no gradient by construction. Returns a
         dict keyed like `params`. A cache serves one backward: it works in
-        the cache's workspace and gives it back, removing it, the correlations
-        and the bank spectrum from the cache, so a second call on the same
-        cache raises ConvSpeechError.
+        the cache's correlation rows and block spectra, removing them and the
+        bank spectrum from the cache, so a second call on the same cache
+        raises ConvSpeechError.
         """
         cfg = self.config
         normed = cache["normed"]
@@ -449,7 +421,7 @@ class LearnableFrontend:
             raise DimensionError(
                 f"upstream gradient shape {upstream.shape} != output shape {normed.shape}"
             )
-        if "corr" not in cache:
+        if "rows" not in cache:
             raise ConvSpeechError("this front-end cache was already used by a backward pass")
         # instance normalization; std as instance_normalize computed it
         std = np.sqrt(cache["logged"].var(axis=1, keepdims=True) + cfg.norm_epsilon)
@@ -461,21 +433,16 @@ class LearnableFrontend:
         # log compression, times the 2 of the squared modulus's derivative
         # (exact: doubling rounds nothing)
         d_pooled = 2.0 * d_logged / (cache["pooled"] + cfg.log_epsilon)
-        # low-pass decimation (window fixed, so no gradient of its own)
-        corr, work = cache.pop("corr"), cache.pop("work")
-        two_k, t_conv = corr.shape
-        k = two_k // 2
-        d_power = lowpass_transpose(d_pooled, self.lowpass_window, cache["stride"], t_conv,
-                                    take=lambda size: _view(work, "squares", (size,), np.float64))
-        # squared modulus: upstream rows d_f = 2 * corr_f * d_power for the
-        # stacked real+imaginary bank, formed in the correlation rows themselves
+        rows, specs = cache.pop("rows"), cache.pop("blocks")
         bank, length = cache.pop("bank"), cache.pop("length")
-        width = self.params["filter_real"].shape[1]
+        k, width = self.params["filter_real"].shape
         step = length - width + 1
-        specs = _view(work, "blocks", (-(-t_conv // step), bank.shape[1]), np.complex128)
-        rows = _view(work, "rows", (2, k, len(specs) * step + width - 1), np.float64)
-        rows[:, :, :t_conv] *= d_power
-        rows = rows.reshape(two_k, -1)
+        t_conv = cache["x"].size - width + 1
+        # low-pass decimation (window fixed, so no gradient of its own), then
+        # the squared modulus: upstream rows d_f = 2 * corr_f * d_power for the
+        # stacked real+imaginary bank, formed in the correlation rows themselves
+        rows.reshape(2, k, -1)[:, :, :t_conv] *= lowpass_transpose(
+            d_pooled, self.lowpass_window, cache["stride"], t_conv)
         rows[:, t_conv:] = 0.0  # the last block's padding
         # complex convolution, block by block: the spectrum D of a block of
         # the upstream rows, zero-padded to L, conjugated in place. The
@@ -483,12 +450,12 @@ class LearnableFrontend:
         # W - 1 columns, stashed and zeroed for its rfft, then put back. The
         # filter gradients are the first W lags of the inverse transform of
         # the sum over blocks of conj(D) times the signal block's spectrum,
-        # which the block's row of "blocks" then trades for the conjugated
+        # which the block's row of `specs` then trades for the conjugated
         # spectrum of the block's full convolutions sum_f d_f * K_f.
-        d_spec = _view(work, "product", bank.shape, np.complex128)
-        terms, g_spec = _view(work, "squares", (2,) + bank.shape, np.complex128)
-        g_spec.fill(0.0)
-        stash = np.empty((two_k, width - 1))
+        d_spec = np.empty(bank.shape, np.complex128)
+        terms = np.empty(bank.shape, np.complex128)
+        g_spec = np.zeros(bank.shape, np.complex128)
+        stash = np.empty((2 * k, width - 1))
         for b, start in enumerate(range(0, t_conv, step)):
             padding = rows[:, start + step : start + length]
             np.copyto(stash, padding)
@@ -499,15 +466,12 @@ class LearnableFrontend:
             g_spec += np.multiply(d_spec, specs[b], out=terms)
             # sum_f conj(D_f) * conj(K_f) = conj(spectrum of sum_f d_f * K_f)
             np.multiply(d_spec, bank, out=terms).sum(axis=0, out=specs[b])
-        g_bank = np.fft.irfft(g_spec, length, axis=1, out=_view(  # "product" holds >= 2k L floats
-            work, "product", (two_k, length), np.float64))[:, :width].copy()
+        g_bank = np.fft.irfft(g_spec, length, axis=1)[:, :width].copy()
         # the signal gradient overlap-adds the blocks' full convolutions
-        convs = np.fft.irfft(np.conjugate(specs, out=specs), length, axis=1,
-                             out=_view(work, "rows", (len(specs), length), np.float64))
+        convs = np.fft.irfft(np.conjugate(specs, out=specs), length, axis=1)
         d_pre = np.zeros(rows.shape[1])
         for b, conv in enumerate(convs):
             d_pre[b * step : b * step + length] += conv
-        self._give_back(work)
         # pre-emphasis: y[t] = k1*x[t] + k0*x[t-1]
         x = cache["x"]
         d_pre = d_pre[: x.size]

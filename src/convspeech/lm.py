@@ -281,10 +281,15 @@ def fit_bigram_arpa(sentences: Sequence[Sequence[str]]) -> str:
     """Estimate an absolute-discounting back-off bigram and render ARPA text.
 
     Leftover probability mass from discounting observed continuations funds
-    the back-off weights, so conditionals sum to one exactly.
+    the back-off weights, so conditionals sum to one exactly. A sentence that
+    holds <s> or </s> is refused: the model adds those markers itself.
     """
     if not sentences:
         raise DomainError("cannot fit a bigram on an empty corpus")
+    for no, sentence in enumerate(sentences, start=1):
+        marker = next((w for w in sentence if w in (SENTENCE_BEGIN, SENTENCE_END)), None)
+        if marker:
+            raise DomainError(f"sentence {no} holds the sentence marker {marker}")
     unigram_counts: dict[str, float] = {}
     bigram_counts: dict[tuple[str, str], int] = {}
     context_totals: dict[str, int] = {}

@@ -99,8 +99,9 @@ print(workloads.memory_probe(workload, workloads.MEMORY_PROBE_ITEMS["train"]))
 def test_train_round_peak_allocation(tmp_path):
     # the bench's memory probe on one train round at --size tiny, which trains
     # on the same four utterances as the full size: front-end caches keep only
-    # what their backward reads, so the round peaks under 4.7 MB
+    # what their backward reads, and a cached pass keeps no workspace, so the
+    # round peaks at 4.34 MB
     done = subprocess.run([sys.executable, "-B", "-c", TRAIN_MEMORY_SCRIPT, str(tmp_path)],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout.splitlines()[-1]) <= 4.7
+    assert float(done.stdout.splitlines()[-1]) <= 4.43

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import shlex
 from pathlib import Path
@@ -12,7 +13,7 @@ from convspeech.checkpoint import load_checkpoint, read_lexicon
 from convspeech.cli import _load_task, _save_task, build_parser, main, parse_config_file
 from convspeech.errors import ConfigurationError
 from convspeech.gcnn import GcnnConfig, GcnnLm
-from convspeech.lm import Vocabulary
+from convspeech.lm import Vocabulary, load_arpa
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +379,35 @@ def test_training_sizes_that_train_nothing_are_error_lines(workspace, tmp_path, 
     assert not checkpoint.exists()
 
 
+@pytest.mark.parametrize("arch", ["gcnn", "bigram"])
+@pytest.mark.parametrize("marker", ["<s>", "</s>"])
+def test_train_lm_refuses_a_sentence_marker_in_the_corpus(tmp_path, capsys, arch, marker):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"a b\n\nb {marker} a\n")
+    rc = main(["train-lm", "--corpus", str(corpus), "--arch", arch, "--blocks", "1",
+               "--epochs", "1", "--checkpoint", str(tmp_path / "lm.out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {corpus}:3: {marker} is a sentence marker, not a word\n")
+    assert not (tmp_path / "lm.out").exists()
+
+
+@pytest.mark.parametrize("arch", ["gcnn", "bigram"])
+def test_train_lm_takes_unk_as_a_word(tmp_path, arch):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b <unk>\nb a\n")
+    out = tmp_path / "lm.out"
+    rc = main(["train-lm", "--corpus", str(corpus), "--arch", arch, "--blocks", "1",
+               "--embed-dim", "4", "--bottleneck-dim", "2", "--epochs", "1",
+               "--checkpoint", str(out)])
+    assert rc == 0
+    if arch == "bigram":
+        vocab = load_arpa(io.StringIO(out.read_text())).vocab
+    else:
+        vocab = pipeline.load_gcnn(out).vocab
+    assert vocab.tokens.count("<unk>") == 1 and {"a", "b"} <= set(vocab.tokens)
+
+
 @pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--momentum", "1"]],
                          ids=["batch 0", "momentum 1"])
 def test_train_lm_refused_settings_leave_no_checkpoint(workspace, tmp_path, capsys, flags):
@@ -578,6 +608,20 @@ def test_config_file_rejects_garbage(tmp_path):
     cfg.write_text("not a pair\n")
     with pytest.raises(ConfigurationError):
         parse_config_file(cfg)
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("=5", "no key before '='"),
+    ("config = other.cfg", "a config file cannot name another config file"),
+])
+def test_config_file_refuses_an_empty_key_and_a_nested_config(tmp_path, capsys, line, problem):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed = 3\n{line}\n")
+    with pytest.raises(ConfigurationError, match=f"bad.cfg:2: {problem}"):
+        parse_config_file(cfg)
+    assert main(["--config", str(cfg), "synth-data", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {problem}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_is_an_error_line(tmp_path, capsys):

@@ -73,7 +73,8 @@ def block_correlation(x, rows):
     width = rows.shape[1]
     length = fe.block_length(x.size, width)
     bank = np.conj(np.fft.rfft(rows, length, axis=1))
-    return fe.correlate_blocks(x, bank, length, width, {})
+    rows, _ = fe.correlate_blocks(x, bank, length, width, {})
+    return rows[:, : x.size - width + 1]
 
 
 def bank_power(x, real, imag):
@@ -315,11 +316,10 @@ def test_block_spectra_equal_one_rfft_per_block_bitwise(n):
     signal, width = 0.3 * rng.normal(size=n), 400
     length = fe.block_length(n, width)
     bank = np.conj(np.fft.rfft(rng.normal(size=(4, width)), length, axis=1))
-    work = {}
-    fe.correlate_blocks(signal, bank, length, width, work)
-    step, bins = length - width + 1, length // 2 + 1
+    _, specs = fe.correlate_blocks(signal, bank, length, width, {})
+    step = length - width + 1
     count = -(-(n - width + 1) // step)
-    specs = work["blocks"][: 2 * count * bins].view(np.complex128).reshape(count, bins)
+    assert specs.shape == (count, length // 2 + 1)
     for b in range(count):
         want = np.fft.rfft(signal[b * step : b * step + length], length)
         assert np.array_equal(specs[b].view(np.uint64), want.view(np.uint64)), b
@@ -342,11 +342,9 @@ def test_lowpass_transpose_matches_an_fsum_reference(width, stride, t_conv):
                 terms[f][n * stride + w].append(window[w] * grad[f, n])
     want = np.array([[math.fsum(t) for t in row] for row in terms])
     bound = (phases + 2) * U * np.array([[math.fsum(map(abs, t)) for t in row] for row in terms])
-    # the working buffer's stale contents, NaN included, never reach the result
-    got = [fe.lowpass_transpose(grad, window, stride, t_conv, lambda size: np.full(size + 5, fill))
-           for fill in (0.0, np.nan)]
-    assert np.array_equal(got[0], got[1])
-    assert np.all(np.abs(got[0] - want) <= bound)
+    got = fe.lowpass_transpose(grad, window, stride, t_conv)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound)
     # adjoint of the forward decimation: <decimate(p), g> == <p, transpose(g)>
     p = rng.normal(size=(3, t_conv))
     lhs = (fe.lowpass_decimate(p, window, stride) * grad).sum()
@@ -362,12 +360,13 @@ def _padded_rfft_backward(front, cache, upstream):
     d_logged = (upstream - upstream.mean(axis=1, keepdims=True)
                 - normed * (upstream * normed).mean(axis=1, keepdims=True)) / std
     d_pooled = 2.0 * d_logged / (pooled + cfg.log_epsilon)
-    two_k, t_conv = cache["corr"].shape
-    d_power = fe.lowpass_transpose(d_pooled, front.lowpass_window, cache["stride"], t_conv,
-                                   np.empty)
-    rows = cache["corr"] * np.concatenate([d_power, d_power])
     bank, length = cache["bank"], cache["length"]
     width = front.params["filter_real"].shape[1]
+    t_conv = cache["x"].size - width + 1
+    corr = cache["rows"][:, :t_conv]
+    two_k = corr.shape[0]
+    d_power = fe.lowpass_transpose(d_pooled, front.lowpass_window, cache["stride"], t_conv)
+    rows = corr * np.concatenate([d_power, d_power])
     step = length - width + 1
     pre = fe.preemphasize(fe.Waveform(cache["x"], RATE), front.params["preemphasis"]).samples
     g_spec = np.zeros(bank.shape, np.complex128)
@@ -401,7 +400,7 @@ def test_backward_bit_equal_to_padded_block_transforms(n):
     filters = np.concatenate([front.params["filter_real"], front.params["filter_imag"]])
     padded = np.conj(np.fft.rfft(filters, cache["length"], axis=1))
     assert np.array_equal(cache["bank"].view(np.uint64), padded.view(np.uint64))
-    want = _padded_rfft_backward(front, dict(cache, corr=cache["corr"].copy()), upstream)
+    want = _padded_rfft_backward(front, cache, upstream)
     got = front.backward(cache, upstream)
     for key in want:
         assert np.array_equal(got[key], want[key]), key
@@ -725,8 +724,8 @@ def test_backward_twice_on_one_cache_is_refused():
     feat, cache = front.forward(fe.Waveform(np.random.default_rng(32).normal(size=300), RATE),
                                 want_cache=True)
     front.backward(cache, np.ones_like(feat))
-    # the workspace went back to the front-end: the cache no longer refers to it
-    assert not {"corr", "bank", "work"} & cache.keys()
+    # the backward worked in the cache's arrays and removed them from it
+    assert not {"rows", "blocks", "bank"} & cache.keys()
     with pytest.raises(ConvSpeechError, match="already"):
         front.backward(cache, np.ones_like(feat))
 
@@ -755,11 +754,19 @@ def _traced(run):
         tracemalloc.stop()
 
 
+def _workspace_bytes(k, n, width, length):
+    """Bytes of the rows, blocks and product buffers that correlate_blocks makes for
+    n samples, k filters of `width` taps and blocks of `length`."""
+    step, bins = length - width + 1, length // 2 + 1
+    count = -(-(n - width + 1) // step)
+    return 8 * 2 * k * (count * step + width - 1) + 16 * count * bins + 16 * 2 * k * bins
+
+
 def test_warm_cached_pass_makes_no_row_sized_temporaries():
-    # a warm cached forward allocates only single rows and (k, frames) arrays;
-    # its backward allocates afresh the scratch that the cache does not keep:
-    # k power rows of span floats, one (2k, L/2+1) complex product spectrum
-    # and the (2k, W - 1) stash, beside single rows and (k, frames) arrays
+    # a cached forward allocates its workspace (the spare is gone after a
+    # backward) and k power rows, beside single rows and (k, frames) arrays;
+    # its backward allocates the k low-pass adjoint rows, then three
+    # (2k, L/2+1) complex spectra and the (2k, W - 1) stash, beside those
     config = fe.FrontendConfig(num_filters=8)
     front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(33))
     x = fe.Waveform(0.3 * np.random.default_rng(34).normal(size=16000), RATE)
@@ -768,18 +775,19 @@ def test_warm_cached_pass_makes_no_row_sized_temporaries():
     front.backward(cache, upstream)
     (feat, cache), forward_peak = _traced(lambda: front.forward(x, want_cache=True))
     _, backward_peak = _traced(lambda: front.backward(cache, upstream))
-    k, width, length = config.num_filters, 400, 1600
+    k, width, length, t_conv = config.num_filters, 400, 1600, 16000 - 400 + 1
     stack = 2 * k * fe.fft_length(x.samples.size) * 8
-    assert forward_peak < stack / 2
-    span = (feat.shape[1] + 3 - 1) * 160  # (t_out + phases - 1) * stride
-    scratch = 8 * k * span + 16 * 2 * k * (length // 2 + 1) + 8 * 2 * k * (width - 1)
-    assert backward_peak < scratch + stack / 8
+    own = _workspace_bytes(k, 16000, width, length) + 8 * k * t_conv
+    assert forward_peak < own + stack / 8
+    adjoint = 8 * k * -(-t_conv // 160) * 160  # whole strides
+    spectra = 3 * 16 * 2 * k * (length // 2 + 1) + 8 * 2 * k * (width - 1)
+    assert backward_peak < max(adjoint, spectra) + stack / 8
 
 
 def test_one_cached_pass_stays_under_its_memory_bound():
     # a warm cached forward plus backward at 14,400 samples and 8 filters
-    # peaks at 3.41 MB (to the nearest 10 kB) over what it started from,
-    # counting the workspace the front-end keeps between passes
+    # peaks at 3.41 MB (to the nearest 10 kB) over what it started from, and
+    # leaves the front-end holding nothing more: no spare workspace
     config = fe.FrontendConfig(num_filters=8)
     front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(46))
     x = fe.Waveform(0.3 * np.random.default_rng(47).normal(size=14400), RATE)
@@ -787,18 +795,20 @@ def test_one_cached_pass_stays_under_its_memory_bound():
     def one_pass():
         feat, cache = front.forward(x, want_cache=True)
         front.backward(cache, np.ones_like(feat))
+        return feat.nbytes
 
     tracemalloc.start()
     try:
         one_pass()
         kept = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        one_pass()
-        peak = tracemalloc.get_traced_memory()[1]
+        frame_array = one_pass()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    pool = sum(flat.nbytes for flat in front._spare.values())
-    assert pool + peak - kept <= 3.415e6
+    assert front._spare is None
+    assert peak - kept <= 3.415e6
+    assert retained - kept < frame_array  # not even one (k, frames) array
 
 
 def test_a_live_cache_keeps_only_rows_blocks_and_frame_arrays():
@@ -814,13 +824,12 @@ def test_a_live_cache_keeps_only_rows_blocks_and_frame_arrays():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    work = cache["work"]
-    assert sorted(work) == ["blocks", "rows"]
+    assert front._spare is None  # the product buffer and the power rows are gone
     # the front-end itself keeps the bank spectrum and copies of the filters
     _, copies, bank = front._spectrum
     own = bank.nbytes + sum(c.nbytes for c in copies)
     frame_arrays = 4 * feat.nbytes  # pooled, logged and normed, with room to spare
-    assert kept - own <= work["rows"].nbytes + work["blocks"].nbytes + frame_arrays
+    assert kept - own <= cache["rows"].nbytes + cache["blocks"].nbytes + frame_arrays
     front.backward(cache, np.ones_like(feat))
 
 
@@ -863,12 +872,12 @@ class _NanEmpty:
 
 
 def test_stale_pool_contents_never_reach_the_results(monkeypatch):
-    # NaN in the spare workspace's buffers before each step of long-then-short
-    # passes, and in every buffer the front-end allocates afresh: the scratch a
-    # backward makes beside the cache's correlations and signal blocks' spectra
-    # (the bank spectrum is kept outside the workspace); 1,600 samples are one
-    # block as long as the signal, so no padding is left, and 1,920 are a full
-    # block and a short one
+    # NaN in the spare workspace's buffers before each forward of long-then-short
+    # passes, and in every buffer the front-end allocates afresh with np.empty:
+    # a forward's workspace when there is no spare, and a backward's spectra
+    # and stash (the bank spectrum is kept outside the workspace); 1,600
+    # samples are one block as long as the signal, so no padding is left, and
+    # 1,920 are a full block and a short one
     config = fe.FrontendConfig(num_filters=8)
     rng = np.random.default_rng(39)
     warm = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(40))
@@ -889,9 +898,9 @@ def test_stale_pool_contents_never_reach_the_results(monkeypatch):
         stale(warm._spare)
         plain = warm.forward(x)
         stale(warm._spare)
-        feat, cache = warm.forward(x, want_cache=True)
-        assert sorted(cache["work"]) == ["blocks", "rows"]
+        feat, cache = warm.forward(x, want_cache=True)  # in the stale spare workspace
         grads = warm.backward(cache, upstream)
+        assert warm._spare is None  # so the next plain forward starts a fresh workspace
         assert np.array_equal(plain, want_plain) and np.array_equal(feat, want), n
         for key in want_grads:
             assert np.array_equal(grads[key], want_grads[key]), (n, key)
@@ -922,38 +931,46 @@ def test_pool_keeps_no_buffer_over_the_limit():
     assert 0 < kept < fe.POOL_BUFFER_LIMIT
 
 
-def test_warm_cached_pass_keeps_five_buffers():
-    # one block (L = n_fft = 1000), so rows, product and squares are all (2k, ~L)
-    # sized; the fifth buffer is the kept bank spectrum, which the front-end
-    # holds beside its filters' copies outside the pool of four
+def test_only_an_uncached_forward_keeps_its_three_buffers():
+    # one block (L = n_fft = 1000), so rows and product are (2k, ~L) sized; a
+    # cached pass leaves no spare workspace, and a forward without a cache
+    # keeps its rows, blocks and product; the kept bank spectrum lives beside
+    # the filters' copies outside the pool
     front = fe.LearnableFrontend(fe.FrontendConfig(num_filters=64), RATE,
                                  rng=np.random.default_rng(37))
     x = fe.Waveform(0.3 * np.random.default_rng(38).normal(size=1000), RATE)
     for _ in range(2):
         feat, cache = front.forward(x, want_cache=True)
         front.backward(cache, np.ones_like(feat))
-    assert sorted(front._spare) == ["blocks", "product", "rows", "squares"]
+        assert front._spare is None
+        front.forward(x)
+        assert sorted(front._spare) == ["blocks", "product", "rows"]
     length, (real, imag), bank = front._spectrum
     assert bank.shape == (128, length // 2 + 1) and real.shape == imag.shape == (64, 400)
-    assert sum(flat.nbytes for flat in front._spare.values()) + bank.nbytes <= 5.2e6
+    # rows (128, 1,000) 1.02 MB, product and bank (128, 501) complex 1.03 MB
+    # each, blocks (1, 501) complex 8 kB
+    assert sum(flat.nbytes for flat in front._spare.values()) + bank.nbytes <= 3.1e6
 
 
-def test_warm_cached_pass_keeps_power_rows_not_squared_correlations():
-    # 14,400 samples, 8 filters: 12 blocks of L = 1,600, t_conv = 14,001 and
-    # 86 frames, so a power row is span = (86 + 3 - 1) * 160 = 14,080 long
+def test_cached_forward_makes_power_rows_not_squared_correlations():
+    # 14,400 samples, 8 filters: 12 blocks of L = 1,600 and t_conv = 14,001;
+    # a cached forward sums the power into k new rows beside its workspace,
+    # the pre-emphasized signal and (k, frames) arrays; 2k squared
+    # correlations would take another k rows, 0.90 MB
     config = fe.FrontendConfig(num_filters=8)
     front = fe.LearnableFrontend(config, RATE, rng=np.random.default_rng(46))
     x = fe.Waveform(0.3 * np.random.default_rng(47).normal(size=14400), RATE)
-    for _ in range(2):
-        feat, cache = front.forward(x, want_cache=True)
-        front.backward(cache, np.ones_like(feat))
-    k, span = config.num_filters, (86 + 3 - 1) * 160
-    assert feat.shape == (k, 86)
-    # k power rows, which the low-pass adjoint reuses; not 2k squared correlations
-    assert front._spare["squares"].nbytes <= 8 * k * span
-    # the pool's budget: rows (2k, 12 * 1,201 + 399) 1.90 MB, squares 0.90 MB,
-    # product (2k, 801) complex 0.21 MB and blocks (12, 801) complex 0.15 MB
-    assert sum(flat.nbytes for flat in front._spare.values()) <= 3.2e6
+    feat, cache = front.forward(x, want_cache=True)
+    front.backward(cache, np.ones_like(feat))
+    (feat, cache), peak = _traced(lambda: front.forward(x, want_cache=True))
+    k, t_conv = config.num_filters, 14400 - 400 + 1
+    power_row = 8 * t_conv
+    assert peak < _workspace_bytes(k, 14400, 400, 1600) + k * power_row + 2 * x.samples.nbytes
+    # the pool's budget, kept by a forward without a cache: rows
+    # (2k, 12 * 1,201 + 399) 1.90 MB, product (2k, 801) complex 0.21 MB and
+    # blocks (12, 801) complex 0.15 MB
+    front.forward(x)
+    assert sum(flat.nbytes for flat in front._spare.values()) <= 2.3e6
 
 
 def _fresh_pass(front, samples, upstream):

@@ -313,3 +313,10 @@ def test_fit_bigram_round_trips_and_sums_to_one():
         (v.id("go"),), v.id("stop")
     )[0]
     assert lmod.perplexity(model, corpus) < lmod.perplexity(model, [["north", "go"]])
+
+
+@pytest.mark.parametrize("marker", [lmod.SENTENCE_BEGIN, lmod.SENTENCE_END])
+def test_fit_bigram_refuses_sentence_markers(marker):
+    # <s> would be a second 1-gram that load_arpa refuses, </s> a bigram context
+    with pytest.raises(DomainError, match=f"sentence 2 holds the sentence marker {marker}"):
+        lmod.fit_bigram_arpa([["go"], ["go", marker, "north"]])
